@@ -26,10 +26,7 @@ def main():
     validation = data.subset(np.arange(30))
 
     trace = nn.forward(model, validation.features)
-    grads = nn.backward(
-        model, trace, validation.labels, capture_feature_grads=True
-    )
-    alpha = grad_cam_weights(grads.feature_map_grads)
+    alpha = grad_cam_weights(nn.feature_map_grads(model, trace, validation.labels))
     print("filter importance weights:")
     for k, a in enumerate(alpha):
         print(f"   filter {k}: {a:+.5f}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplify import AmplifiedGradient, AmplifierConfig, amplify
-from .data import Dataset, ValidationSpec
+from .data import Dataset
 from .errors import ConfigError
 from . import nn
 
@@ -42,7 +42,6 @@ class AggregatorConfig:
     amplifier: AmplifierConfig = field(default_factory=AmplifierConfig)
     assumed_malicious: float = 0.3   # M_f the defense plans for
     neighbors: int = 0               # top-K density neighbourhood; 0 = N//2 + 1
-    trust_spec: ValidationSpec | None = None
 
     def validate(self) -> None:
         if self.family not in FAMILIES:

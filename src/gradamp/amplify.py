@@ -199,8 +199,8 @@ def xai_selection(
         raise ConfigError("validation set is empty")
     updated = nn.apply_update(model, update, 1.0)
     trace = nn.forward(updated, validation.features)
-    gset = nn.backward(updated, trace, validation.labels, capture_feature_grads=True)
-    return select_top(grad_cam_weights(gset.feature_map_grads), top_p)
+    fmg = nn.feature_map_grads(updated, trace, validation.labels)
+    return select_top(grad_cam_weights(fmg), top_p)
 
 
 def _conv_weight_offset(model: nn.ModelParams) -> int:

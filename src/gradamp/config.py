@@ -258,7 +258,6 @@ class ExperimentConfig:
             amplifier=self.amplifier_config(),
             assumed_malicious=self.assumed_malicious(),
             neighbors=int(v["defense.neighbors"]),
-            trust_spec=self.trust_spec() if v["defense.family"] == "fltrust" else None,
         )
         cfg.validate()
         return cfg

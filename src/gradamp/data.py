@@ -88,12 +88,17 @@ def _read_exact(buf: bytes, offset: int, count: int, path: str) -> bytes:
     return buf[offset : offset + count]
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Big-endian IDX pair (images magic 0x803, labels magic 0x801)."""
-    with open(images_path, "rb") as fh:
-        ibuf = fh.read()
-    with open(labels_path, "rb") as fh:
-        lbuf = fh.read()
+    ibuf, lbuf = _read_bytes(images_path), _read_bytes(labels_path)
 
     (imagic,) = struct.unpack(">I", _read_exact(ibuf, 0, 4, images_path))
     if imagic != IDX_IMAGES_MAGIC:
@@ -124,25 +129,29 @@ def load_csv(path: str) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise IngestionError(f"{path}: line {lineno}: need a label and features")
-            elif len(parts) != width:
-                raise IngestionError(
-                    f"{path}: line {lineno}: {len(parts)} fields, expected {width}"
-                )
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not ASCII text at byte {exc.start}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 2:
+                raise IngestionError(f"{path}: line {lineno}: need a label and features")
+        elif len(parts) != width:
+            raise IngestionError(f"{path}: line {lineno}: {len(parts)} fields, expected {width}")
+        try:
+            labels.append(int(parts[0]))
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     feats = np.asarray(rows)

@@ -337,10 +337,10 @@ def run_experiment(
                     )
                 )
                 last_mark = now
-    except GradampError as exc:
+    except BaseException as exc:
         status = "error"
         where = f"round {current_round}" if current_round else "setup"
-        error_note = f"{where}: {exc}"
+        error_note = f"{where}: {type(exc).__name__}: {exc}"
         raise
     finally:
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -30,8 +30,6 @@ class RoundRecord:
     test_accuracy: float
     asr: float = float("nan")      # NaN when the run has no targeted attack
     wall_ms: float = 0.0
-    scores: np.ndarray | None = None
-    accepted: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

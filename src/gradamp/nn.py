@@ -13,6 +13,16 @@ A model carries at most one conv layer; when present it is the designated
 layer whose output feature maps back the class-activation weighting used
 by the feature-map amplifier.  The loss is mean softmax cross-entropy.
 
+Kernels:
+  * Conv is im2col (Chellapilla, Puri & Simard, 2006): the forward, the
+    weight gradient and the input gradient are each one ``tensordot`` over
+    a ``sliding_window_view``.  A first-layer conv skips its input gradient
+    unless the caller asks for the gradient w.r.t. the model input.
+  * Maxpool is an elementwise maximum over the k*k strided cell views, so
+    a block holding a NaN pools to NaN.  The backward routes each block's
+    gradient to its first maximum in row-major order, or its first NaN:
+    ``argmax``'s rule, which decides the all-zero blocks after a relu.
+
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
     graph without autodiff.
@@ -21,14 +31,17 @@ Conventions:
     client's trained weights.
   * Feature-map gradients are d y / d A summed over the batch, where y is
     the pre-softmax logit of each sample's true class, summed over the
-    batch.  Capturing them never touches the parameter gradients.
+    batch.  ``feature_map_grads`` computes them with a walk that stops at
+    the conv layer's output and forms no parameter gradient;
+    ``backward(capture_feature_grads=True)`` attaches the same array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -93,15 +106,13 @@ class ModelParams:
 class ForwardTrace:
     """Activations recorded during ``forward``.
 
-    ``inputs[i]`` is the array fed into layer i.  ``feature_maps`` is the
-    designated conv layer's output summed over the batch (None for pure
-    dense models); ``logits`` are the pre-softmax scores.
+    ``inputs[i]`` is the array fed into layer i, so ``inputs[i + 1]`` is
+    layer i's output; ``logits`` are the pre-softmax scores.
     """
 
     inputs: list[np.ndarray]
     logits: np.ndarray
     probs: np.ndarray
-    feature_maps: np.ndarray | None = None
 
 
 @dataclass
@@ -291,35 +302,30 @@ def conv_model(
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, c, h, width = x.shape
-    f, _, kh, kw = w.shape
-    ho, wo = h - kh + 1, width - kw + 1
-    if ho < 1 or wo < 1:
+    _, _, h, width = x.shape
+    _, _, kh, kw = w.shape
+    if h < kh or width < kw:
         raise ConfigError(f"conv input {h}x{width} smaller than kernel {kh}x{kw}")
-    out = np.zeros((n, f, ho, wo))
-    for a in range(kh):
-        for bcol in range(kw):
-            out += np.einsum(
-                "nchw,fc->nfhw", x[:, :, a : a + ho, bcol : bcol + wo], w[:, :, a, bcol]
-            )
-    return out + b[None, :, None, None]
+    # (n, c, ho, wo, kh, kw) window view; tensordot makes the im2col copy.
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.tensordot(w, win, axes=((1, 2, 3), (1, 4, 5)))
+    out += b[:, None, None, None]
+    return out.transpose(1, 0, 2, 3)
 
 
-def _pool_blocks(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
-    n, c, h, w = x.shape
-    ho, wo = h // k, w // k
+def _pool_cells(x: np.ndarray, k: int) -> list[tuple]:
+    """Indices of the k*k strided cell views of a maxpool input, row-major:
+    ``x[cell]`` for offset (a, b) holds element (a, b) of every block."""
+    ho, wo = x.shape[2] // k, x.shape[3] // k
     if ho < 1 or wo < 1:
-        raise ConfigError(f"maxpool kernel {k} larger than input {h}x{w}")
-    cropped = x[:, :, : ho * k, : wo * k]
-    blocks = cropped.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
-    return blocks.reshape(n, c, ho, wo, k * k), ho, wo
+        raise ConfigError(f"maxpool kernel {k} larger than input {x.shape[2]}x{x.shape[3]}")
+    return [(..., slice(a, ho * k, k), slice(b, wo * k, k)) for a in range(k) for b in range(k)]
 
 
 def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Run the batch through every layer, recording inputs along the way."""
     act = np.asarray(x, dtype=np.float64)
     inputs: list[np.ndarray] = []
-    feature_maps = None
     logits = None
     for layer in model.layers:
         inputs.append(act)
@@ -332,10 +338,12 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
             act = flat @ layer.weight.T + layer.bias
         elif layer.kind == "conv":
             act = _conv_forward(act, layer.weight, layer.bias)
-            feature_maps = act.sum(axis=0)
         elif layer.kind == "maxpool":
-            blocks, ho, wo = _pool_blocks(act, layer.pool)
-            act = blocks.max(axis=-1)
+            cells = _pool_cells(act, layer.pool)
+            pooled = act[cells[0]]
+            for cell in cells[1:]:
+                pooled = np.maximum(pooled, act[cell])
+            act = pooled
         elif layer.kind == "relu":
             act = np.maximum(act, 0.0)
         elif layer.kind == "softmax":
@@ -343,7 +351,7 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
             shifted = act - act.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             act = e / e.sum(axis=1, keepdims=True)
-    return ForwardTrace(inputs=inputs, logits=logits, probs=act, feature_maps=feature_maps)
+    return ForwardTrace(inputs=inputs, logits=logits, probs=act)
 
 
 def _backprop(
@@ -356,8 +364,10 @@ def _backprop(
     """Push dlogits back through the graph.
 
     Returns (per-layer parameter grads, gradient w.r.t. the output of layer
-    ``stop_after``).  When want_params is False the parameter slots stay
-    None; when stop_after is None the walk continues to the model input.
+    ``stop_after``; -1 means the model input).  When want_params is False
+    the parameter slots stay None and the walk ends at the captured layer.
+    The input gradient of a first-layer conv is computed only for
+    ``stop_after == -1``, the one caller that reads it.
     """
     grads: list[tuple[np.ndarray | None, np.ndarray | None]] = [
         (None, None) for _ in model.layers
@@ -365,6 +375,10 @@ def _backprop(
     d = dlogits
     captured = None
     for i in range(len(model.layers) - 1, -1, -1):
+        if i == stop_after:
+            captured = d
+            if not want_params:
+                break
         layer = model.layers[i]
         x = trace.inputs[i]
         if layer.kind == "softmax":
@@ -378,46 +392,42 @@ def _backprop(
         elif layer.kind == "relu":
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
-            blocks, ho, wo = _pool_blocks(x, layer.pool)
-            idx = blocks.argmax(axis=-1)
-            dblocks = np.zeros_like(blocks)
-            np.put_along_axis(dblocks, idx[..., None], d[..., None], axis=-1)
-            k = layer.pool
-            n, c = x.shape[0], x.shape[1]
+            # Each block's gradient goes to its first maximum in row-major
+            # order (argmax's tie rule), or to its first NaN if it has one.
+            pooled = trace.inputs[i + 1]
             dx = np.zeros_like(x)
-            dx[:, :, : ho * k, : wo * k] = (
-                dblocks.reshape(n, c, ho, wo, k, k)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, ho * k, wo * k)
-            )
+            open_blocks = np.ones(pooled.shape, dtype=bool)
+            for cell in _pool_cells(x, layer.pool):
+                win = x[cell]
+                hit = open_blocks & ((win == pooled) | np.isnan(win))
+                dx[cell] = np.where(hit, d, 0.0)
+                open_blocks &= ~hit
             d = dx
         elif layer.kind == "conv":
             w = layer.weight
-            f, cin, kh, kw = w.shape
-            ho, wo = d.shape[2], d.shape[3]
+            _, _, kh, kw = w.shape
             if want_params:
-                dw = np.zeros_like(w)
-                for a in range(kh):
-                    for bcol in range(kw):
-                        dw[:, :, a, bcol] = np.einsum(
-                            "nfij,ncij->fc", d, x[:, :, a : a + ho, bcol : bcol + wo]
-                        )
+                win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+                dw = np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3)))
                 grads[i] = (dw, d.sum(axis=(0, 2, 3)))
-            dx = np.zeros_like(x)
-            for a in range(kh):
-                for bcol in range(kw):
-                    dx[:, :, a : a + ho, bcol : bcol + wo] += np.einsum(
-                        "nfij,fc->ncij", d, w[:, :, a, bcol]
-                    )
-            d = dx
-        if stop_after is not None and i == stop_after + 1:
-            # d is now the gradient w.r.t. layer stop_after's output.
-            captured = d
-            if not want_params:
-                break
-    if stop_after is not None and captured is None:
-        captured = d if stop_after == len(model.layers) - 1 else None
+            if i > 0 or stop_after == -1:
+                # Full correlation of the gradient with the flipped kernel.
+                padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+                flipped = np.flip(w, axis=(2, 3)).swapaxes(0, 1)
+                d = _conv_forward(padded, flipped, np.zeros(x.shape[1]))
+    if stop_after == -1:
+        captured = d
     return grads, captured
+
+
+def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+    labels = np.asarray(labels)
+    n, m = trace.probs.shape
+    if labels.shape[0] != n:
+        raise ConfigError(f"{labels.shape[0]} labels for a batch of {n}")
+    onehot = np.zeros((n, m))
+    onehot[np.arange(n), labels] = 1.0
+    return onehot
 
 
 def backward(
@@ -428,27 +438,27 @@ def backward(
 ) -> GradientSet:
     """Mean cross-entropy gradients for the traced batch.
 
-    With capture enabled (conv models only) a second pass computes
-    d y / d A for the conv layer's output A, where y is the summed
-    true-class logit; the result lands in ``feature_map_grads`` summed over
-    the batch and leaves the parameter gradients untouched.
+    With capture enabled (conv models only) ``feature_map_grads`` also
+    holds the result of :func:`feature_map_grads`; the parameter gradients
+    are the same either way.
     """
-    labels = np.asarray(labels)
-    n, m = trace.probs.shape
-    if labels.shape[0] != n:
-        raise ConfigError(f"{labels.shape[0]} labels for a batch of {n}")
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), labels] = 1.0
-    dlogits = (trace.probs - onehot) / n
-    grads, _ = _backprop(model, trace, dlogits, want_params=True)
+    onehot = _onehot(trace, labels)
+    grads, _ = _backprop(model, trace, (trace.probs - onehot) / onehot.shape[0], want_params=True)
     gset = GradientSet(grads)
     if capture_feature_grads:
-        ci = model.conv_index()
-        if ci is None:
-            raise ConfigError("feature-map capture needs a conv layer")
-        _, dmaps = _backprop(model, trace, onehot, want_params=False, stop_after=ci)
-        gset.feature_map_grads = dmaps.sum(axis=0)
+        gset.feature_map_grads = feature_map_grads(model, trace, labels)
     return gset
+
+
+def feature_map_grads(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+    """d y / d A for the conv layer's output A, summed over the batch, where
+    y is the batch-summed true-class logit.  Only the layers above the conv
+    layer are walked and no parameter gradient is formed."""
+    ci = model.conv_index()
+    if ci is None:
+        raise ConfigError("feature-map capture needs a conv layer")
+    _, dmaps = _backprop(model, trace, _onehot(trace, labels), want_params=False, stop_after=ci)
+    return dmaps.sum(axis=0)
 
 
 def loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:

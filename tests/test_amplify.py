@@ -202,12 +202,21 @@ def test_xai_selection_size_and_range():
 
 
 def test_xai_selection_matches_weight_ranking():
-    model, val, updates = xai_setup(41)
-    updated = nn.apply_update(model, updates[0], 1.0)
-    trace = nn.forward(updated, val.features)
-    gset = nn.backward(updated, trace, val.labels, capture_feature_grads=True)
-    alpha = grad_cam_weights(gset.feature_map_grads)
-    assert np.array_equal(xai_selection(model, updates[0], val, 0.5), select_top(alpha, 0.5))
+    # The selection's feature-map-only pass must pick what the full
+    # backward with capture picks.
+    for seed in (41, 44, 45, 46):
+        model, val, updates = xai_setup(seed, filters=6)
+        for update in updates:
+            updated = nn.apply_update(model, update, 1.0)
+            trace = nn.forward(updated, val.features)
+            gset = nn.backward(updated, trace, val.labels, capture_feature_grads=True)
+            fmg = nn.feature_map_grads(updated, trace, val.labels)
+            assert np.array_equal(fmg, gset.feature_map_grads)
+            alpha = grad_cam_weights(gset.feature_map_grads)
+            for top_p in (0.2, 0.5, 0.75, 1.0):
+                assert np.array_equal(
+                    xai_selection(model, update, val, top_p), select_top(alpha, top_p)
+                )
 
 
 def test_amplify_xai_emits_original_conv_gradients():

@@ -111,6 +111,18 @@ def test_load_idx_label_count_mismatch(tmp_path):
         load_idx(ipath, lpath)
 
 
+def test_unreadable_files_are_ingestion_errors(tmp_path):
+    ipath, lpath = idx_pair(tmp_path)
+    with pytest.raises(IngestionError, match="missing.idx: cannot read"):
+        load_idx(ipath, str(tmp_path / "missing.idx"))
+    with pytest.raises(IngestionError, match="missing.csv: cannot read"):
+        load_csv(str(tmp_path / "missing.csv"))
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"0,1.0\n1,\xe9\n")
+    with pytest.raises(IngestionError, match="not ASCII text at byte 8"):
+        load_csv(str(bad))
+
+
 def test_csv_round_trip(tmp_path):
     d = synth_blobs(3, per_class=6, dim=7, spread=1.3, seed=5)
     path = str(tmp_path / "data.csv")

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from gradamp import harness
 from gradamp.config import ExperimentConfig
-from gradamp.errors import ConfigError
+from gradamp.errors import ConfigError, IngestionError
 from gradamp.harness import (
     read_manifest,
     read_rounds_csv,
@@ -289,6 +290,36 @@ def test_failed_run_reports_the_round(tmp_path):
     flat = read_manifest(os.path.join(str(tmp_path / "boom"), "manifest.txt"))
     assert flat["run.status"] == "error"
     assert "run.error" in flat
+
+
+def test_missing_idx_file_marks_the_run_as_error(tmp_path):
+    # A missing source file fails setup as an IngestionError, and the
+    # manifest says error with no rounds, never ok.
+    missing = str(tmp_path / "absent.idx")
+    cfg = fast_config(
+        tmp_path,
+        "noidx",
+        **{"dataset.kind": "idx", "dataset.images": missing, "dataset.labels": missing},
+    )
+    with pytest.raises(IngestionError, match="absent.idx"):
+        run_experiment(cfg)
+    flat = read_manifest(os.path.join(str(tmp_path / "noidx"), "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert flat["run.rounds_recorded"] == "0"
+    assert flat["run.error"].startswith("setup: ")
+
+
+def test_non_gradamp_failure_marks_the_run_as_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(harness, "aggregate_round", broken)
+    cfg = fast_config(tmp_path, "fire")
+    with pytest.raises(RuntimeError):
+        run_experiment(cfg)
+    flat = read_manifest(os.path.join(str(tmp_path / "fire"), "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert flat["run.error"] == "round 1: RuntimeError: disk on fire"
 
 
 def test_sweep_writes_one_folder_per_value(tmp_path):

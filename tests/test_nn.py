@@ -191,6 +191,125 @@ def test_maxpool_routes_gradient_to_first_max():
     assert np.count_nonzero(captured) == 1
 
 
+def naive_conv(x, w, b):
+    n, _, h, width = x.shape
+    f, _, kh, kw = w.shape
+    out = np.zeros((n, f, h - kh + 1, width - kw + 1))
+    for s in range(n):
+        for k in range(f):
+            for i in range(out.shape[2]):
+                for j in range(out.shape[3]):
+                    out[s, k, i, j] = np.sum(x[s, :, i : i + kh, j : j + kw] * w[k]) + b[k]
+    return out
+
+
+def naive_conv_dw(x, d, kh, kw):
+    n, c = x.shape[:2]
+    f, ho, wo = d.shape[1:]
+    dw = np.zeros((f, c, kh, kw))
+    for k in range(f):
+        for ch in range(c):
+            for a in range(kh):
+                for bcol in range(kw):
+                    dw[k, ch, a, bcol] = np.sum(d[:, k] * x[:, ch, a : a + ho, bcol : bcol + wo])
+    return dw
+
+
+@pytest.mark.parametrize("kernel", [(2, 2), (3, 3), (2, 3)])
+def test_conv_kernels_match_naive_loops(kernel):
+    # Three channels and odd sizes: shapes that conv_model never makes.
+    kh, kw = kernel
+    rng = rng_stream(30, kh, kw)
+    x = rng.normal(size=(3, 3, 7, 9))
+    w = rng.normal(size=(4, 3, kh, kw))
+    b = rng.normal(size=4)
+    out = nn._conv_forward(x, w, b)
+    np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=0.0, atol=1e-12)
+
+    flat = out[0].size
+    model = nn.ModelParams(
+        [
+            nn.Layer("conv", w, b),
+            nn.Layer("dense", rng.normal(size=(2, flat)), np.zeros(2)),
+            nn.Layer("softmax"),
+        ]
+    )
+    trace = nn.forward(model, x)
+    grads, d = nn._backprop(model, trace, rng.normal(size=(3, 2)), want_params=True, stop_after=0)
+    np.testing.assert_allclose(grads[0][0], naive_conv_dw(x, d, kh, kw), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grads[0][1], d.sum(axis=(0, 2, 3)), rtol=0.0, atol=1e-12)
+
+
+def naive_pool(x, k):
+    """Block max and argmax-routed backward, one block at a time; NaN
+    blocks pool to NaN and route to their first NaN, like argmax."""
+    n, c, h, w = x.shape
+    ho, wo = h // k, w // k
+    pooled = np.zeros((n, c, ho, wo))
+    first = np.zeros((n, c, ho, wo, 2), dtype=int)
+    for s in range(n):
+        for ch in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    block = x[s, ch, i * k : (i + 1) * k, j * k : (j + 1) * k]
+                    at = int(np.argmax(block))
+                    pooled[s, ch, i, j] = block.flat[at]
+                    first[s, ch, i, j] = (i * k + at // k, j * k + at % k)
+    return pooled, first
+
+
+def test_maxpool_matches_naive_loops_on_ties_and_nan():
+    # Pool 3 on 11x10 drops a trailing row and column.  Post-ReLU values
+    # rounded to one decimal give zero blocks and tied maxima.
+    k = 3
+    rng = rng_stream(31)
+    x = np.round(np.maximum(rng.normal(size=(2, 3, 11, 10)), 0.0), 1)
+    x[0, 1, 3:6, 0:3] = 0.0
+    x[1, 2, 0:3, 3:6] = 0.7
+    x[1, 0, 7, 5] = np.nan
+    x[1, 0, 8, 4] = np.nan
+    pooled_ref, first = naive_pool(x, k)
+    assert np.sum(pooled_ref == 0.0) >= 1 and np.sum(np.isnan(pooled_ref)) == 1
+
+    model = nn.ModelParams([nn.Layer("maxpool", pool=k), nn.Layer("softmax")])
+    trace = nn.forward(model, x)
+    np.testing.assert_array_equal(trace.inputs[1], pooled_ref)
+
+    upstream = rng.normal(size=pooled_ref.shape)
+    _, dx = nn._backprop(model, trace, upstream, want_params=False, stop_after=-1)
+    expect = np.zeros_like(x)
+    for idx in np.ndindex(*pooled_ref.shape):
+        r, col = first[idx]
+        expect[idx[0], idx[1], r, col] = upstream[idx]
+    np.testing.assert_array_equal(dx, expect)
+
+
+def test_first_layer_conv_input_gradient_matches_finite_differences():
+    # The input gradient of a first-layer conv is built only on request;
+    # stop_after=-1 must still return it, with or without parameter grads.
+    model = nn.conv_model((2, 6, 7), 3, seed=32, filters=3, kernel=3, pool=2)
+    rng = rng_stream(33)
+    x = rng.normal(size=(3, 2, 6, 7))
+    y = rng.integers(0, 3, size=3)
+    trace = nn.forward(model, x)
+    onehot = np.eye(3)[y]
+    dlogits = (trace.probs - onehot) / len(y)
+    _, dx = nn._backprop(model, trace, dlogits, want_params=False, stop_after=-1)
+    grads, dx_too = nn._backprop(model, trace, dlogits, want_params=True, stop_after=-1)
+    assert np.array_equal(dx, dx_too)
+    assert np.array_equal(
+        nn.GradientSet(grads).to_vector(), nn.backward(model, trace, y).to_vector()
+    )
+    numeric = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += FD_STEP
+        down[idx] -= FD_STEP
+        numeric[idx] = (fd_loss(model, up, y) - fd_loss(model, down, y)) / (2.0 * FD_STEP)
+    assert dx.shape == x.shape
+    assert rel_err(dx, numeric) <= FD_TOL
+
+
 def test_model_validation():
     with pytest.raises(ConfigError):
         nn.ModelParams([nn.Layer("dense", np.eye(2), np.zeros(2))])  # no softmax
