@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,32 +149,51 @@ def merged_whitelist(
 
 
 def fang_whitelist(
-    amped_restored: list[nn.GradientSet],
+    amped_restored: Sequence[np.ndarray],
     model: nn.ModelParams,
     validation: Dataset,
     assumed_malicious: float,
 ) -> tuple[list[int], np.ndarray]:
     """Loss and error leave-one-out screens over restored amplified updates.
 
-    For each client, average everyone else's restored update, apply it,
-    and record validation loss and error.  A low leave-one-out value means
-    the excluded client was hurting, so the ceil(M_f * N) lowest are
-    rejected under each criterion and the whitelist is the intersection of
-    the two keep-sets (loss keep-set on an empty intersection).
+    ``amped_restored`` holds one flat update per client in
+    ``GradientSet.to_vector`` order.  For each client, average everyone
+    else's update, apply it, and record validation loss and error.  A low
+    leave-one-out value means the excluded client was hurting, so the
+    ceil(M_f * N) lowest are rejected under each criterion and the
+    whitelist is the intersection of the two keep-sets (loss keep-set on an
+    empty intersection).
+
+    Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)), the
+    others summed afresh in ascending index order into one reused buffer:
+    the operations of ``nn.mean_grads`` then ``nn.apply_update``, so the
+    losses equal theirs bit for bit.  The shortcut (S - x_i) / (N - 1) is
+    not used: a Byzantine client picks its own magnitude, and subtracting a
+    huge x_i back out of S cancels away every other client's contribution.
     """
     n = len(amped_restored)
     if n == 0:
         raise ConfigError("no updates to aggregate")
     if len(validation) == 0:
         raise ConfigError("prediction-based screening needs a validation set")
+    theta = model.to_vector()
+    for row in amped_restored:
+        if np.shape(row) != theta.shape:
+            raise ConfigError(
+                f"restored update has shape {np.shape(row)}, model has {theta.size} parameters"
+            )
+    buf = np.empty_like(theta)
+    scale = 1.0 / max(n - 1, 1)
     losses = np.zeros(n)
     errors = np.zeros(n)
     for i in range(n):
-        others = [amped_restored[j] for j in range(n) if j != i]
-        if not others:
-            others = [amped_restored[i]]
-        probe = nn.apply_update(model, nn.mean_grads(others), 1.0)
-        trace = nn.forward(probe, validation.features)
+        others = [j for j in range(n) if j != i] or [i]
+        np.copyto(buf, amped_restored[others[0]])
+        for j in others[1:]:
+            buf += amped_restored[j]
+        buf *= scale
+        np.subtract(theta, buf, out=buf)
+        trace = nn.forward(nn.params_from_vector(model, buf), validation.features)
         losses[i] = nn.loss_value(trace, validation.labels)
         errors[i] = float(
             np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
@@ -296,9 +316,8 @@ def aggregate_round(
     if context.validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
     amped = amplify(grads, amp, context.model, context.validation)
-    restored = [nn.grads_from_vector(context.model, a.values) for a in amped]
     wl, losses = fang_whitelist(
-        restored, context.model, context.validation, config.assumed_malicious
+        [a.values for a in amped], context.model, context.validation, config.assumed_malicious
     )
     return _whitelist_decision(wl, losses, grads)
 

@@ -12,6 +12,17 @@ Layer gradients are viewed as 2-D panels for the max filter:
     conv weight    (filters, in_ch * kh * kw)
     bias           (1, len)
 
+The max filter runs on client stacks: each panel is stacked as (m, h, w),
+all N clients at once for small panels and cache-sized groups for large
+ones, and the compact view is k*k ``np.maximum`` passes over the strided
+cell views ``x[:, a::k, b::k]``, with no padding or block copy; edge
+blocks are ragged and reduced as-is, and a block holding a NaN reduces to
+NaN.  The restored view keeps, per block, the first cell in row-major
+order that equals the block maximum, or its first NaN: the rule of
+``argmax`` and of the maxpool backward in ``nn``.  Both views write into
+one preallocated (N, length) matrix whose rows are the clients'
+``values``.
+
 The class-activation route scores each conv filter by the spatial mean of
 d y / d A^k (y = batch-summed true-class logit), keeps the top
 ceil(top_p * filters) filters, and emits the client's original conv weight
@@ -70,6 +81,50 @@ class AmplifiedGradient:
 # max filter
 
 
+# Most floats in one client stack (a stack holds at least one client), so
+# it stays in cache across its strided passes.  Small panels still go
+# through in one stack; on a core with 2 MiB of L2, stacking all 50 clients
+# of a 105k-parameter model made the compact view 3-4x slower.
+_STACK_FLOATS = 1 << 16
+
+
+def _patch_max(x: np.ndarray, kernel: int, out: np.ndarray) -> np.ndarray:
+    """Per-block maximum of a (N, h, w) stack, written into ``out`` of shape
+    (N, ceil(h/k), ceil(w/k)).  Cell (a, b) of every block is the strided
+    view ``x[:, a::k, b::k]``; on ragged edges it covers fewer blocks."""
+    k = kernel
+    out[...] = x[:, ::k, ::k]
+    for a in range(k):
+        for b in range(k):
+            if a or b:
+                cell = x[:, a::k, b::k]
+                part = out[:, : cell.shape[1], : cell.shape[2]]
+                np.maximum(part, cell, out=part)
+    return out
+
+
+def _keep_block_max(x: np.ndarray, best: np.ndarray, kernel: int) -> None:
+    """Zero every entry of the (N, h, w) stack ``x`` in place except, per
+    block, its first cell in row-major order that equals ``best`` (the
+    block's ``_patch_max``) or is NaN."""
+    k = kernel
+    open_blocks = np.ones(best.shape, dtype=bool)
+    for a in range(k):
+        for b in range(k):
+            cell = x[:, a::k, b::k]
+            ha, wb = cell.shape[1:]
+            hit = cell == best[:, :ha, :wb]
+            hit |= np.isnan(cell)
+            hit &= open_blocks[:, :ha, :wb]
+            miss = ~hit
+            np.copyto(cell, 0.0, where=miss)
+            open_blocks[:, :ha, :wb] &= miss
+
+
+def _grid(h: int, w: int, kernel: int) -> tuple[int, int]:
+    return math.ceil(h / kernel), math.ceil(w / kernel)
+
+
 def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
     """Per-patch signed maximum over a kernel x kernel tiling.
 
@@ -81,85 +136,60 @@ def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
         raise ConfigError(f"max_filter expects a matrix, got shape {mat.shape}")
     if kernel < 1:
         raise ConfigError("kernel must be >= 1")
-    h, w = mat.shape
-    ho, wo = math.ceil(h / kernel), math.ceil(w / kernel)
-    padded = np.full((ho * kernel, wo * kernel), -np.inf)
-    padded[:h, :w] = mat
-    blocks = padded.reshape(ho, kernel, wo, kernel).transpose(0, 2, 1, 3)
-    return blocks.reshape(ho, wo, kernel * kernel).max(axis=-1)
-
-
-def _max_filter_restore(mat: np.ndarray, kernel: int) -> np.ndarray:
-    """Full-size panel: each patch max kept at its original position
-    (first position in row-major order on ties), zeros elsewhere."""
-    mat = np.asarray(mat, dtype=np.float64)
-    h, w = mat.shape
-    ho, wo = math.ceil(h / kernel), math.ceil(w / kernel)
-    padded = np.full((ho * kernel, wo * kernel), -np.inf)
-    padded[:h, :w] = mat
-    blocks = padded.reshape(ho, kernel, wo, kernel).transpose(0, 2, 1, 3)
-    flat = blocks.reshape(ho, wo, kernel * kernel)
-    idx = flat.argmax(axis=-1)
-    out = np.zeros_like(mat)
-    rows = (np.arange(ho)[:, None] * kernel + idx // kernel).ravel()
-    cols = (np.arange(wo)[None, :] * kernel + idx % kernel).ravel()
-    out[rows, cols] = np.take_along_axis(flat, idx[..., None], axis=-1).ravel()
-    return out
-
-
-def _panels(
-    grads: nn.GradientSet, include_bias: bool
-) -> list[tuple[int, str, np.ndarray]]:
-    """2-D views of every parameter gradient, in vector order."""
-    panels = []
-    for i, (dw, db) in enumerate(grads.layers):
-        if dw is not None:
-            panels.append((i, "w", dw.reshape(dw.shape[0], -1)))
-        if db is not None and include_bias:
-            panels.append((i, "b", db.reshape(1, -1)))
-    return panels
+    return _patch_max(mat[None], kernel, np.empty((1, *_grid(*mat.shape, kernel))))[0]
 
 
 def amplify_mp(grads: list[nn.GradientSet], config: AmplifierConfig) -> list[AmplifiedGradient]:
-    """Max-filter each 2-D panel of each update and concatenate."""
+    """Max-filter each 2-D panel of each update and concatenate.
+
+    Each panel is stacked across the clients (in cache-sized groups of
+    clients) and filtered per stack; the rows of one (N, length) result
+    become the clients' ``values``.
+    """
     config.validate()
-    out = []
-    for g in grads:
-        original = g.to_vector().size
-        if config.restore_size:
-            chunks = []
-            for i, (dw, db) in enumerate(g.layers):
-                if dw is not None:
-                    panel = dw.reshape(dw.shape[0], -1)
-                    chunks.append(_max_filter_restore(panel, config.kernel).ravel())
-                if db is not None:
-                    if config.include_bias:
-                        chunks.append(
-                            _max_filter_restore(db.reshape(1, -1), config.kernel).ravel()
-                        )
-                    else:
-                        chunks.append(np.zeros(db.size))
-            values = np.concatenate(chunks) if chunks else np.zeros(0)
-            grids = None
-        else:
-            pieces = []
-            grid_list = []
-            for i, which, panel in _panels(g, config.include_bias):
-                filtered = max_filter(panel, config.kernel)
-                grid_list.append((i, which, filtered.shape[0], filtered.shape[1]))
-                pieces.append(filtered.ravel())
-            values = np.concatenate(pieces) if pieces else np.zeros(0)
-            grids = tuple(grid_list)
-        out.append(
-            AmplifiedGradient(
-                values=values,
-                kind="mp",
-                restored=config.restore_size,
-                original_size=original,
-                grids=grids,
-            )
+    if not grads:
+        return []
+    n, k = len(grads), config.kernel
+    panels = []  # (layer, 0 weight / 1 bias, panel rows, panel cols, offset in the update)
+    size = 0
+    for i, pair in enumerate(grads[0].layers):
+        for slot, arr in enumerate(pair):
+            if arr is not None:
+                if slot == 0 or config.include_bias:
+                    rows = arr.shape[0] if slot == 0 else 1
+                    panels.append((i, slot, rows, arr.size // rows, size))
+                size += arr.size
+    grids = tuple((i, "wb"[slot], *_grid(h, w, k)) for i, slot, h, w, _ in panels)
+    if config.restore_size:
+        out = np.zeros((n, size))
+    else:
+        out = np.empty((n, sum(ho * wo for *_, ho, wo in grids)))
+    pos = 0
+    for (i, slot, h, w, offset), (*_, ho, wo) in zip(panels, grids):
+        m = min(n, max(1, _STACK_FLOATS // (h * w)))  # clients per stack
+        scratch = np.empty((m, ho, wo) if config.restore_size else (m, h, w))
+        for c0 in range(0, n, m):
+            part = slice(c0, c0 + m)
+            stack = [g.layers[i][slot].reshape(h, w) for g in grads[part]]
+            if config.restore_size:
+                # Stacked straight into its rows of the output and filtered
+                # there, so no second (N, length) array is made.
+                x = np.stack(stack, out=out[part, offset : offset + h * w].reshape(-1, h, w))
+                _keep_block_max(x, _patch_max(x, k, scratch[: len(stack)]), k)
+            else:
+                x = np.stack(stack, out=scratch[: len(stack)])
+                _patch_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
+        pos += ho * wo
+    return [
+        AmplifiedGradient(
+            values=row,
+            kind="mp",
+            restored=config.restore_size,
+            original_size=size,
+            grids=None if config.restore_size else grids,
         )
-    return out
+        for row in out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +260,7 @@ def amplify_xai(
     if ci is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
     offset = _conv_weight_offset(model)
+    original = model.param_count()
     per_filter = None
     out = []
     for g in grads:
@@ -242,7 +273,6 @@ def amplify_xai(
             if fixed_selection is not None
             else xai_selection(model, g, validation, config.top_p)
         )
-        original = g.to_vector().size
         if config.restore_size:
             values = np.zeros(original)
             for f in sel:
@@ -275,14 +305,10 @@ def amplify(
 ) -> list[AmplifiedGradient]:
     config.validate()
     if config.kind == "none":
+        vectors = [g.to_vector() for g in grads]
         return [
-            AmplifiedGradient(
-                values=g.to_vector(),
-                kind="none",
-                restored=True,
-                original_size=g.to_vector().size,
-            )
-            for g in grads
+            AmplifiedGradient(values=v, kind="none", restored=True, original_size=v.size)
+            for v in vectors
         ]
     if config.kind == "mp":
         return amplify_mp(grads, config)

@@ -11,9 +11,11 @@ silently running defaults.  A few keys accept either a literal or an
     defense.neighbors          0    -> floor(N/2) + 1
     attack.scale_factor        auto-n -> the malicious cohort size N
 
-``canonical_text`` renders the full resolved key set sorted, which both
-hashing and the manifest reuse, so identical configurations hash alike no
-matter how the source file was laid out.
+``canonical_text`` renders the full resolved key set sorted, which the
+run folder's ``config.txt`` stores.  ``config_hash`` hashes the same
+rendering without the ``output.*`` keys, which say where a run is written
+and what it dumps, not what it computes: identical experiments hash alike
+no matter how the source file was laid out or where the run goes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .amplify import AmplifierConfig
 from .attacks import AttackConfig
 from .aggregate import AggregatorConfig
-from .data import ValidationSpec
+from .data import ValidationSpec, format_float
 from .errors import ConfigError
 
 DEFAULTS: dict[str, object] = {
@@ -111,8 +113,13 @@ def _render_value(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return format_float(v)
     return str(v)
+
+
+def _canonical(values: dict[str, object]) -> str:
+    lines = [f"{k} = {_render_value(values[k])}" for k in sorted(values)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
@@ -323,8 +330,8 @@ class ExperimentConfig:
             raise ConfigError("output.dir must not be empty")
 
     def canonical_text(self) -> str:
-        lines = [f"{k} = {_render_value(self.values[k])}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
+        return _canonical(self.values)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("ascii")).hexdigest()
+        experiment = {k: v for k, v in self.values.items() if not k.startswith("output.")}
+        return hashlib.sha256(_canonical(experiment).encode("ascii")).hexdigest()

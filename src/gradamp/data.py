@@ -161,7 +161,8 @@ def load_csv(path: str) -> Dataset:
     return Dataset(feats, lab, int(lab.max()) + 1)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """Shortest text that reads back as exactly ``x``; every CSV float."""
     return repr(float(x))
 
 
@@ -170,7 +171,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         flat = dataset.features.reshape(len(dataset), -1)
         for y, row in zip(dataset.labels, flat):
-            fh.write(str(int(y)) + "," + ",".join(_fmt(v) for v in row) + "\n")
+            fh.write(str(int(y)) + "," + ",".join(format_float(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

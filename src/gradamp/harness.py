@@ -2,7 +2,7 @@
 
 A run folder holds::
 
-    config.txt      canonical configuration (hash input)
+    config.txt      canonical configuration; the hash skips its output.* keys
     rounds.csv      round, test_accuracy, asr        (nan when untargeted)
     decisions.csv   round, client_id, score, accepted
     timings.csv     round, wall_ms
@@ -37,6 +37,7 @@ from .config import ExperimentConfig
 from .data import (
     Dataset,
     TriggerSpec,
+    format_float,
     load_csv,
     load_idx,
     make_triggered_set,
@@ -69,10 +70,6 @@ _TAG_MODEL = 15
 
 def _subseed(*key: int) -> int:
     return int(rng_stream(*key).integers(2**63))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _sha256(path: str) -> str:
@@ -319,7 +316,7 @@ def run_experiment(
             )
             for i in range(n_clients):
                 decision_rows.append(
-                    f"{k},{i},{_fmt(decision.scores[i])},{int(decision.accepted[i])}"
+                    f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
                 )
             if k == dump_round:
                 _dump_amplified(out_dir, submitted, agg_cfg, model, prep.validation)
@@ -369,7 +366,7 @@ def _dump_amplified(out_dir, submitted, agg_cfg, model, validation) -> None:
     rows = []
     for cid, a in enumerate(amped):
         for j, v in enumerate(a.values):
-            rows.append(f"{cid},{j},{_fmt(v)}")
+            rows.append(f"{cid},{j},{format_float(v)}")
     _write_rows(os.path.join(out_dir, "amplified.csv"), "client_id,index,value", rows)
 
 
@@ -379,23 +376,24 @@ def _write_run_files(
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii", newline="") as fh:
         fh.write(cfg.canonical_text())
     round_rows = [
-        f"{rec.round},{_fmt(rec.test_accuracy)},{_fmt(rec.asr)}" for rec in manifest.records
+        f"{rec.round},{format_float(rec.test_accuracy)},{format_float(rec.asr)}"
+        for rec in manifest.records
     ]
     _write_rows(os.path.join(out_dir, "rounds.csv"), "round,test_accuracy,asr", round_rows)
     _write_rows(
         os.path.join(out_dir, "decisions.csv"), "round,client_id,score,accepted", decision_rows
     )
-    timing_rows = [f"{rec.round},{_fmt(rec.wall_ms)}" for rec in manifest.records]
+    timing_rows = [f"{rec.round},{format_float(rec.wall_ms)}" for rec in manifest.records]
     _write_rows(os.path.join(out_dir, "timings.csv"), "round,wall_ms", timing_rows)
     for name in ("rounds.csv", "decisions.csv"):
         manifest.checksums[name] = _sha256(os.path.join(out_dir, name))
     lines = {
         "config.hash": manifest.config_hash,
-        "metric.heterogeneity": _fmt(manifest.heterogeneity),
+        "metric.heterogeneity": format_float(manifest.heterogeneity),
         "run.id": manifest.run_id,
         "run.rounds_recorded": str(len(manifest.records)),
         "run.status": manifest.status,
-        "run.wall_ms": _fmt(manifest.wall_ms),
+        "run.wall_ms": format_float(manifest.wall_ms),
         "seed.attack": str(manifest.seeds["attack"]),
         "seed.clients": str(manifest.seeds["clients"]),
         "seed.data": str(manifest.seeds["data"]),
@@ -481,10 +479,10 @@ def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
             str(row["run_id"]),
             str(row["defense"]),
             str(row["attack"]),
-            _fmt(row["ta_loss"]),
-            _fmt(row["avg_asr"]),
-            _fmt(row["negative_pulse"]),
-            _fmt(row["heterogeneity"]),
+            format_float(row["ta_loss"]),
+            format_float(row["avg_asr"]),
+            format_float(row["negative_pulse"]),
+            format_float(row["heterogeneity"]),
         ]
     )
     _write_rows(metrics_path, header, [line])
@@ -514,10 +512,10 @@ def sweep(
                     str(r["run_id"]),
                     str(r["defense"]),
                     str(r["attack"]),
-                    _fmt(r["ta_loss"]),
-                    _fmt(r["avg_asr"]),
-                    _fmt(r["negative_pulse"]),
-                    _fmt(r["heterogeneity"]),
+                    format_float(r["ta_loss"]),
+                    format_float(r["avg_asr"]),
+                    format_float(r["negative_pulse"]),
+                    format_float(r["heterogeneity"]),
                 ]
             )
         )

@@ -56,6 +56,12 @@ class Layer:
     pool: int = 2  # kernel == stride for maxpool layers
 
 
+def _concat(arrays) -> np.ndarray:
+    """The non-None arrays raveled and joined, in order."""
+    chunks = [a.ravel() for a in arrays if a is not None]
+    return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
 @dataclass
 class ModelParams:
     """Ordered layer list plus shape bookkeeping."""
@@ -88,6 +94,10 @@ class ModelParams:
             if layer.bias is not None:
                 total += layer.bias.size
         return total
+
+    def to_vector(self) -> np.ndarray:
+        """Weights and biases in the order of ``GradientSet.to_vector``."""
+        return _concat(a for layer in self.layers for a in (layer.weight, layer.bias))
 
     def copy(self) -> "ModelParams":
         layers = [
@@ -128,15 +138,7 @@ class GradientSet:
     feature_map_grads: np.ndarray | None = None
 
     def to_vector(self) -> np.ndarray:
-        chunks = []
-        for dw, db in self.layers:
-            if dw is not None:
-                chunks.append(dw.ravel())
-            if db is not None:
-                chunks.append(db.ravel())
-        if not chunks:
-            return np.zeros(0)
-        return np.concatenate(chunks)
+        return _concat(a for pair in self.layers for a in pair)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.to_vector()))
@@ -185,26 +187,31 @@ def zero_grads(model: ModelParams) -> GradientSet:
 
 
 def grads_from_vector(model: ModelParams, vec: np.ndarray) -> GradientSet:
-    """Inverse of ``GradientSet.to_vector`` for a given model layout."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.size != model.param_count():
+    """Inverse of ``GradientSet.to_vector`` for a given model layout; the
+    layers are views into one copy of ``vec``."""
+    view = params_from_vector(model, np.array(vec, dtype=np.float64))
+    return GradientSet([(layer.weight, layer.bias) for layer in view.layers])
+
+
+def params_from_vector(model: ModelParams, vec: np.ndarray) -> ModelParams:
+    """A model shaped like ``model`` whose weights and biases are views into
+    ``vec`` (``ModelParams.to_vector`` order), so no parameter is copied."""
+    if vec.shape != (model.param_count(),):
         raise ConfigError(
-            f"vector has {vec.size} entries, model has {model.param_count()} parameters"
+            f"vector has shape {vec.shape}, model has {model.param_count()} parameters"
         )
     out = []
     pos = 0
     for layer in model.layers:
-        dw = db = None
+        w = b = None
         if layer.weight is not None:
-            n = layer.weight.size
-            dw = vec[pos : pos + n].reshape(layer.weight.shape).copy()
-            pos += n
+            w = vec[pos : pos + layer.weight.size].reshape(layer.weight.shape)
+            pos += layer.weight.size
         if layer.bias is not None:
-            n = layer.bias.size
-            db = vec[pos : pos + n].reshape(layer.bias.shape).copy()
-            pos += n
-        out.append((dw, db))
-    return GradientSet(out)
+            b = vec[pos : pos + layer.bias.size].reshape(layer.bias.shape)
+            pos += layer.bias.size
+        out.append(Layer(layer.kind, w, b, layer.pool))
+    return ModelParams(out)
 
 
 def grads_like(template: GradientSet, vec: np.ndarray) -> GradientSet:

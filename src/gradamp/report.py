@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from .data import format_float
 from .errors import ReportError
 from .harness import read_manifest, read_rounds_csv
 from .seeding import rng_stream
@@ -188,8 +189,8 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
                 [
                     label,
                     str(len(records)),
-                    repr(records[-1].test_accuracy) if records else "nan",
-                    repr(records[-1].asr) if records else "nan",
+                    format_float(records[-1].test_accuracy) if records else "nan",
+                    format_float(records[-1].asr) if records else "nan",
                     info.get("metric.heterogeneity", "nan"),
                 ]
             )
@@ -218,6 +219,6 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
         with open(pca_path, "w", encoding="ascii", newline="") as fh:
             fh.write("client_id,pc1,pc2\n")
             for cid, (p1, p2) in enumerate(proj):
-                fh.write(f"{cid},{repr(float(p1))},{repr(float(p2))}\n")
+                fh.write(f"{cid},{format_float(p1)},{format_float(p2)}\n")
         written.append(pca_path)
     return written

@@ -142,7 +142,8 @@ def test_fang_rejects_the_saboteur():
         for _ in range(3)
     ]
     saboteur = nn.GradientSet([(6.0 * w, np.zeros(2)), (None, None)])
-    wl, losses = fang_whitelist(benign + [saboteur], model, val, assumed_malicious=0.25)
+    rows = [g.to_vector() for g in benign + [saboteur]]
+    wl, losses = fang_whitelist(rows, model, val, assumed_malicious=0.25)
     assert wl == [0, 1, 2]
     # Excluding the saboteur leaves the model intact: lowest LOO loss.
     assert losses[3] == min(losses)
@@ -151,7 +152,7 @@ def test_fang_rejects_the_saboteur():
 def test_fang_identical_clients_keep_lowest_indices():
     model, val = fang_setup()
     same = nn.GradientSet([(np.full((2, 2), 0.01), np.zeros(2)), (None, None)])
-    wl, losses = fang_whitelist([same.copy() for _ in range(4)], model, val, 0.25)
+    wl, losses = fang_whitelist([same.to_vector() for _ in range(4)], model, val, 0.25)
     assert wl == [0, 1, 2]
     assert np.allclose(losses, losses[0])
 
@@ -167,10 +168,46 @@ def test_fang_disjoint_screens_fall_back_to_loss(caplog):
     u0 = nn.GradientSet([(-w_miss, np.zeros(2)), (None, None)])
     u1 = nn.GradientSet([(-w_tiny, np.zeros(2)), (None, None)])
     with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
-        wl, losses = fang_whitelist([u0, u1], model, val, assumed_malicious=0.5)
+        rows = [u.to_vector() for u in (u0, u1)]
+        wl, losses = fang_whitelist(rows, model, val, assumed_malicious=0.5)
     assert wl == [0]
     assert losses[0] > losses[1]
     assert any("keeping the loss set" in r.message for r in caplog.records)
+
+
+def naive_leave_one_out_losses(rows, model, val):
+    """Per client: sum the others left to right in ascending order, scale by
+    1 / (N - 1), apply through GradientSets, and take the validation loss."""
+    n = len(rows)
+    losses = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i] or [i]
+        acc = rows[others[0]].copy()
+        for j in others[1:]:
+            acc = acc + rows[j]
+        mean = nn.grads_from_vector(model, acc * (1.0 / len(others)))
+        trace = nn.forward(nn.apply_update(model, mean, 1.0), val.features)
+        losses.append(nn.loss_value(trace, val.labels))
+    return np.array(losses)
+
+
+def test_fang_probes_equal_the_ordered_fold_bit_for_bit():
+    model = nn.mlp_model(6, 5, 3, seed=62)
+    rng = rng_stream(63)
+    val = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3)
+    rows = [0.1 * rng.normal(size=model.param_count()) for _ in range(5)]
+    # One Byzantine client far beyond the others' magnitude.
+    huge = [r.copy() for r in rows]
+    huge[2] = 1e20 * huge[2]
+    for case in (rows, huge, rows[:1]):
+        _, losses = fang_whitelist(case, model, val, assumed_malicious=0.2)
+        assert losses.tobytes() == naive_leave_one_out_losses(case, model, val).tobytes()
+    # The subtraction shortcut (S - x_i) / (N - 1) loses the others to
+    # cancellation once x_i is huge, so the case above can tell them apart.
+    theta = model.to_vector()
+    shortcut = theta - (np.sum(huge, axis=0) - huge[2]) / 4
+    exact = theta - (huge[0] + huge[1] + huge[3] + huge[4]) * 0.25
+    assert not np.allclose(shortcut, exact, rtol=1e-3, atol=0.0)
 
 
 def test_fltrust_worked_example():

@@ -158,6 +158,99 @@ def test_amplify_mp_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def naive_patch_max(mat, k, restore):
+    """Per-block loops: the block maximum (NaN if the block holds one), and
+    for ``restore`` a zero panel holding, per block, the first cell in
+    row-major order that is NaN or else equals the maximum."""
+    h, w = mat.shape
+    compact = np.zeros((math.ceil(h / k), math.ceil(w / k)))
+    restored = np.zeros((h, w))
+    for bi in range(compact.shape[0]):
+        for bj in range(compact.shape[1]):
+            cells = [
+                (r, c)
+                for r in range(bi * k, min((bi + 1) * k, h))
+                for c in range(bj * k, min((bj + 1) * k, w))
+            ]
+            vals = [float(mat[r, c]) for r, c in cells]
+            nans = [rc for rc, v in zip(cells, vals) if math.isnan(v)]
+            top = math.nan if nans else max(vals)
+            compact[bi, bj] = top
+            r, c = nans[0] if nans else cells[vals.index(top)]
+            restored[r, c] = mat[r, c]
+    return restored if restore else compact
+
+
+def edge_case_stack(rng, n, h, w, k):
+    """(n, h, w) normals with tied, all-zero (mixed-sign), -inf and NaN
+    blocks planted at different block positions per client."""
+    x = rng.normal(size=(n, h, w))
+    blocks = [(bi, bj) for bi in range(math.ceil(h / k)) for bj in range(math.ceil(w / k))]
+    for c in range(n):
+        picks = rng.permutation(len(blocks))
+        for kind, pick in zip(("tie", "zero", "ninf", "nan"), picks):
+            bi, bj = blocks[pick]
+            block = x[c, bi * k : (bi + 1) * k, bj * k : (bj + 1) * k]
+            if kind == "tie":
+                block[...] = 0.5
+                block.flat[-1] = -1.0
+            elif kind == "zero":
+                block[...] = 0.0
+                block.flat[::2] = -0.0
+            elif kind == "ninf":
+                block[...] = -np.inf
+            elif c == n - 1:
+                block.flat[block.size // 2] = np.nan  # one NaN block in the stack
+    return x
+
+
+def test_patch_max_kernel_matches_naive_loops():
+    # Stacks of one and three clients, kernels 1-4, ragged and exact edges.
+    rng = rng_stream(37)
+    for n in (1, 3):
+        for k in (1, 2, 3, 4):
+            for h, w in ((7, 9), (8, 8), (5, 3), (1, 10)):
+                x = edge_case_stack(rng, n, h, w, k)
+                grads = [nn.GradientSet([(x[c], None), (None, None)]) for c in range(n)]
+                compact = amplify_mp(grads, AmplifierConfig(kind="mp", kernel=k))
+                restored = amplify_mp(
+                    grads, AmplifierConfig(kind="mp", kernel=k, restore_size=True)
+                )
+                for c in range(n):
+                    expect = naive_patch_max(x[c], k, restore=False)
+                    got = compact[c].values.reshape(expect.shape)
+                    # np.maximum may pick either sign of a tied zero.
+                    assert np.array_equal(got, expect, equal_nan=True), (n, k, h, w, c)
+                    expect = naive_patch_max(x[c], k, restore=True)
+                    assert restored[c].values.tobytes() == expect.tobytes(), (n, k, h, w, c)
+                    single = max_filter(x[c], k).ravel()
+                    assert np.array_equal(single, compact[c].values, equal_nan=True)
+
+
+def test_stacked_amplify_mp_equals_per_client():
+    # The 120x150 dense panel (18,000 floats) is stacked three clients at a
+    # time, so four clients also cover a ragged last stack.
+    for model in (
+        nn.conv_model((2, 7, 7), 3, seed=38, filters=5, kernel=3, pool=2),
+        nn.mlp_model(150, 120, 3, seed=38),
+    ):
+        rng = rng_stream(39)
+        size = model.param_count()
+        grads = [nn.grads_from_vector(model, rng.normal(size=size)) for _ in range(4)]
+        for restore in (False, True):
+            for bias in (True, False):
+                for k in (2, 3):
+                    cfg = AmplifierConfig(
+                        kind="mp", kernel=k, restore_size=restore, include_bias=bias
+                    )
+                    stacked = amplify_mp(grads, cfg)
+                    for g, amp in zip(grads, stacked):
+                        alone = amplify_mp([g], cfg)[0]
+                        assert amp.values.tobytes() == alone.values.tobytes()
+                        assert (amp.grids, amp.original_size) == (alone.grids, alone.original_size)
+                        assert amp.original_size == size
+
+
 def test_grad_cam_weights_frozen_fixture():
     maps = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     assert np.array_equal(grad_cam_weights(maps), [2.5])

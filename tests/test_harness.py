@@ -82,6 +82,22 @@ def test_zero_rounds_emits_the_initial_checkpoint_only(tmp_path):
     assert [r.round for r in records] == [0]
 
 
+def test_run_id_ignores_the_output_keys(tmp_path):
+    # Same experiment written to two places, one with an amplified dump:
+    # one run ID, while config.txt still records where each run went.
+    a = fast_config(tmp_path, "here", **{"federation.rounds": 0})
+    b = fast_config(tmp_path, "there", **{"federation.rounds": 0, "output.dump_amplified_round": 1})
+    ma, mb = run_experiment(a), run_experiment(b)
+    assert ma.run_id == mb.run_id
+    assert a.config_hash() == b.config_hash()
+    text_a = read_bytes(os.path.join(ma.run_dir, "config.txt")).decode("ascii")
+    assert text_a == a.canonical_text() != b.canonical_text()
+    assert f"output.dir = {tmp_path / 'here'}" in text_a.splitlines()
+    # A key that changes what the run computes still changes the ID.
+    c = fast_config(tmp_path, "here", **{"federation.rounds": 1})
+    assert c.config_hash() != a.config_hash()
+
+
 def test_checkpoint_grid_includes_the_final_round(tmp_path):
     cfg = fast_config(
         tmp_path, "grid", **{"federation.rounds": 5, "federation.checkpoint_every": 2}
