@@ -34,19 +34,19 @@ def main():
 
     rng = np.random.default_rng(2)
     shard = lambda lo: data.subset(np.arange(lo, lo + 30))
-    updates = [
+    updates = np.stack([
         nn.local_train(
             model, shard(30 * i).features, shard(30 * i).labels,
             epochs=1, batch_size=16, lr=0.05, seed=100 + i,
         )
         for i in range(3)
-    ]
+    ])
     for i, u in enumerate(updates):
         chosen = xai_selection(model, u, validation, top_p=0.5)
         print(f"client {i} selects filters {chosen.tolist()}")
 
     amped = amplify_xai(updates, model, validation, AmplifierConfig(kind="xai", top_p=0.5))
-    full = updates[0].to_vector().size
+    full = updates.shape[1]
     print(
         f"\namplified length {amped[0].values.size} of {full} parameters; "
         f"selection rides along: {amped[0].selected.tolist()}"

@@ -30,11 +30,11 @@ def main():
     shards = [data.subset(idx) for idx in plan.shards]
     model = nn.mlp_model(20, 16, 3, seed=19)
 
-    updates = [
+    updates = np.stack([
         nn.local_train(model, s.features, s.labels, epochs=1, batch_size=64,
                        lr=0.03, seed=i)
         for i, s in enumerate(shards)
-    ]
+    ])
     colluders = [1, 4, 8]
     crafted = grad_ascent(nn.mean_grads(updates), gamma=1.0)
     for m in colluders:

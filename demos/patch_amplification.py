@@ -40,7 +40,7 @@ def main():
     x = rng.normal(size=(32, 20))
     y = rng.integers(0, 3, size=32)
     update = nn.local_train(model, x, y, epochs=1, batch_size=16, lr=0.05, seed=1)
-    amped = amplify_mp([update], AmplifierConfig(kind="mp", kernel=3))[0]
+    amped = amplify_mp(update[None], model, AmplifierConfig(kind="mp", kernel=3))[0]
     print(
         f"\nreal update: {amped.original_size} parameters -> "
         f"{amped.values.size} amplified values "

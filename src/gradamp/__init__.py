@@ -26,7 +26,6 @@ from .amplify import (
     xai_selection,
 )
 from .attacks import (
-    AdversaryView,
     AttackConfig,
     craft_updates,
     flip_labels,
@@ -53,6 +52,7 @@ from .data import (
 )
 from .errors import (
     ConfigError,
+    DivergenceError,
     GradampError,
     IngestionError,
     MetricError,

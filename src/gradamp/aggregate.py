@@ -14,6 +14,12 @@ Families:
   fang         leave-one-out loss and error screens on restored updates
   fltrust      server-trained reference update, ReLU-clipped cosine trust
 
+Every entry point takes the round's updates as the rows of one (N, P)
+matrix, and ``AggregationDecision.global_update`` is a flat (P,) row.
+Means are ``nn.mean_grads`` folds over row views: fedavg over the
+whitelisted rows, and each fang leave-one-out probe over the other
+clients' rows into one reused buffer.
+
 Tie-breaks everywhere favor lower client indices, keeping decisions
 deterministic.
 """
@@ -44,12 +50,14 @@ class AggregatorConfig:
     assumed_malicious: float = 0.3   # M_f the defense plans for
     neighbors: int = 0               # top-K density neighbourhood; 0 = N//2 + 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown aggregator family {self.family!r}")
         if not 0.0 <= self.assumed_malicious < 1.0:
             raise ConfigError("assumed_malicious must lie in [0, 1)")
-        self.amplifier.validate()
         if (
             self.family == "fang"
             and self.amplifier.kind != "none"
@@ -60,15 +68,15 @@ class AggregatorConfig:
 
 @dataclass
 class AggregationDecision:
-    global_update: nn.GradientSet
+    global_update: np.ndarray        # flat (P,) update the server applies
     scores: np.ndarray               # S_i, leave-one-out loss, or trust score
     accepted: np.ndarray             # bool per client
     whitelist: list[int] | None = None
     trust_scores: np.ndarray | None = None
 
 
-def fedavg(grads: list[nn.GradientSet]) -> nn.GradientSet:
-    return nn.mean_grads(grads)
+def fedavg(rows) -> np.ndarray:
+    return nn.mean_grads(rows)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -157,19 +165,20 @@ def fang_whitelist(
     """Loss and error leave-one-out screens over restored amplified updates.
 
     ``amped_restored`` holds one flat update per client in
-    ``GradientSet.to_vector`` order.  For each client, average everyone
+    ``ModelParams.to_vector`` order.  For each client, average everyone
     else's update, apply it, and record validation loss and error.  A low
     leave-one-out value means the excluded client was hurting, so the
     ceil(M_f * N) lowest are rejected under each criterion and the
     whitelist is the intersection of the two keep-sets (loss keep-set on an
     empty intersection).
 
-    Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)), the
-    others summed afresh in ascending index order into one reused buffer:
-    the operations of ``nn.mean_grads`` then ``nn.apply_update``, so the
-    losses equal theirs bit for bit.  The shortcut (S - x_i) / (N - 1) is
-    not used: a Byzantine client picks its own magnitude, and subtracting a
-    huge x_i back out of S cancels away every other client's contribution.
+    Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)): the
+    others folded afresh in ascending index order by ``nn.mean_grads`` into
+    one reused buffer, then subtracted as ``nn.apply_update`` would, so the
+    losses equal those of a mean-then-apply probe bit for bit.  The
+    shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks its
+    own magnitude, and subtracting a huge x_i back out of S cancels away
+    every other client's contribution.
     """
     n = len(amped_restored)
     if n == 0:
@@ -183,15 +192,11 @@ def fang_whitelist(
                 f"restored update has shape {np.shape(row)}, model has {theta.size} parameters"
             )
     buf = np.empty_like(theta)
-    scale = 1.0 / max(n - 1, 1)
     losses = np.zeros(n)
     errors = np.zeros(n)
     for i in range(n):
-        others = [j for j in range(n) if j != i] or [i]
-        np.copyto(buf, amped_restored[others[0]])
-        for j in others[1:]:
-            buf += amped_restored[j]
-        buf *= scale
+        others = [amped_restored[j] for j in range(n) if j != i] or [amped_restored[i]]
+        nn.mean_grads(others, out=buf)
         np.subtract(theta, buf, out=buf)
         trace = nn.forward(nn.params_from_vector(model, buf), validation.features)
         losses[i] = nn.loss_value(trace, validation.labels)
@@ -215,8 +220,8 @@ def fang_whitelist(
 def fltrust_aggregate(
     amped: list[AmplifiedGradient],
     amped_ref: AmplifiedGradient,
-    originals: list[nn.GradientSet],
-    ref_original: nn.GradientSet,
+    originals: np.ndarray,
+    ref_original: np.ndarray,
 ) -> AggregationDecision:
     """Trust-weighted mean of norm-matched original updates.
 
@@ -229,19 +234,21 @@ def fltrust_aggregate(
     if n == 0 or n != len(originals):
         raise ConfigError("amplified and original update lists disagree")
     ts = np.array([max(0.0, _cosine(a.values, amped_ref.values)) for a in amped])
-    ref_norm = ref_original.norm()
+    ref_norm = float(np.linalg.norm(ref_original))
     total = ts.sum()
     if total == 0.0:
         log.warning("all trust scores zero; emitting a zero update")
-        update = originals[0].scaled(0.0)
+        update = 0.0 * originals[0]
     else:
-        acc = None
+        update = None
         for w, g in zip(ts, originals):
-            gn = g.norm()
+            gn = float(np.linalg.norm(g))
             scale = 0.0 if gn == 0.0 else w * ref_norm / gn
-            term = g.scaled(scale / total)
-            acc = term if acc is None else acc.plus(term)
-        update = acc
+            term = (scale / total) * g
+            if update is None:
+                update = term
+            else:
+                update += term
     return AggregationDecision(
         global_update=update,
         scores=ts,
@@ -261,25 +268,26 @@ class RoundContext:
 
     model: nn.ModelParams
     validation: Dataset | None = None     # screening and filter selection
-    ref_update: nn.GradientSet | None = None  # server-trained trust reference
+    ref_update: np.ndarray | None = None  # server-trained trust reference, flat
 
 
 def _whitelist_decision(
-    whitelist: list[int], scores: np.ndarray, originals: list[nn.GradientSet]
+    whitelist: list[int], scores: np.ndarray, originals: np.ndarray
 ) -> AggregationDecision:
     accepted = np.zeros(len(originals), dtype=bool)
     accepted[whitelist] = True
+    # row views, not originals[whitelist], which would copy the rows
     update = fedavg([originals[i] for i in whitelist])
     return AggregationDecision(update, scores, accepted, whitelist=whitelist)
 
 
 def aggregate_round(
-    grads: list[nn.GradientSet],
+    grads: np.ndarray,
     config: AggregatorConfig,
     context: RoundContext,
 ) -> AggregationDecision:
-    """Score on amplified vectors, update from original gradients."""
-    config.validate()
+    """Score the rows of the (N, P) update matrix on amplified vectors,
+    update from the original rows."""
     n = len(grads)
     if n == 0:
         raise ConfigError("no updates to aggregate")
@@ -298,7 +306,8 @@ def aggregate_round(
             # every trust cosine compares coordinates of the same filters.
             fixed = None if context.validation is None else _ref_selection(amp, context)
         amped = amplify(grads, amp, context.model, context.validation, fixed)
-        amped_ref = amplify([context.ref_update], amp, context.model, context.validation, fixed)[0]
+        ref_row = context.ref_update[None]
+        amped_ref = amplify(ref_row, amp, context.model, context.validation, fixed)[0]
         return fltrust_aggregate(amped, amped_ref, grads, context.ref_update)
 
     neighbors = config.neighbors if config.neighbors > 0 else n // 2 + 1

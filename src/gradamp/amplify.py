@@ -6,27 +6,31 @@ but always apply the untouched originals.  With ``restore_size`` the output
 instead keeps the original length, zero everywhere except the surviving
 entries, so prediction-based screens can apply it as a model update.
 
-Layer gradients are viewed as 2-D panels for the max filter:
+Updates arrive as the rows of one (N, P) matrix in ``nn`` vector order.
+The max filter views each layer's slice of a row as a 2-D panel, with the
+shapes taken from the model layout:
 
     dense weight   (out, in), as stored
     conv weight    (filters, in_ch * kh * kw)
     bias           (1, len)
 
-The max filter runs on client stacks: each panel is stacked as (m, h, w),
-all N clients at once for small panels and cache-sized groups for large
-ones, and the compact view is k*k ``np.maximum`` passes over the strided
-cell views ``x[:, a::k, b::k]``, with no padding or block copy; edge
-blocks are ragged and reduced as-is, and a block holding a NaN reduces to
-NaN.  The restored view keeps, per block, the first cell in row-major
-order that equals the block maximum, or its first NaN: the rule of
-``argmax`` and of the maxpool backward in ``nn``.  Both views write into
-one preallocated (N, length) matrix whose rows are the clients'
-``values``.
+It runs on client stacks: each panel's stack is a strided (m, h, w) view
+of the update matrix, all N clients at once for small panels and
+cache-sized groups for large ones, so nothing is copied to stack it.  The
+compact view is k*k ``np.maximum`` passes over the strided cell views
+``x[:, a::k, b::k]``, with no padding or block copy; edge blocks are
+ragged and reduced as-is, and a block holding a NaN reduces to NaN.  The
+restored view copies each stack into its rows of the output and keeps
+there, per block, the first cell in row-major order that equals the block
+maximum, or its first NaN: the rule of ``argmax`` and of the maxpool
+backward in ``nn``.  Both views write into one preallocated (N, length)
+matrix whose rows are the clients' ``values``.
 
 The class-activation route scores each conv filter by the spatial mean of
 d y / d A^k (y = batch-summed true-class logit), keeps the top
 ceil(top_p * filters) filters, and emits the client's original conv weight
-gradients for those filters in rank order.
+gradients for those filters in rank order, read through the
+``nn.params_from_vector`` views of the client's row.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ class AmplifierConfig:
     top_p: float = 0.5       # fraction of conv filters the activation route keeps
     restore_size: bool = False
     include_bias: bool = True
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in AMPLIFIER_KINDS:
@@ -139,25 +146,27 @@ def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
     return _patch_max(mat[None], kernel, np.empty((1, *_grid(*mat.shape, kernel))))[0]
 
 
-def amplify_mp(grads: list[nn.GradientSet], config: AmplifierConfig) -> list[AmplifiedGradient]:
-    """Max-filter each 2-D panel of each update and concatenate.
+def amplify_mp(
+    rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig
+) -> list[AmplifiedGradient]:
+    """Max-filter each 2-D panel of each update row and concatenate.
 
-    Each panel is stacked across the clients (in cache-sized groups of
-    clients) and filtered per stack; the rows of one (N, length) result
-    become the clients' ``values``.
+    ``rows`` is the (N, P) update matrix; the panels come from ``model``'s
+    layout.  Each panel is filtered per stack of clients (cache-sized
+    groups), read as a strided view of ``rows``; the rows of one (N,
+    length) result become the clients' ``values``.
     """
-    config.validate()
-    if not grads:
+    n, k = len(rows), config.kernel
+    if n == 0:
         return []
-    n, k = len(grads), config.kernel
-    panels = []  # (layer, 0 weight / 1 bias, panel rows, panel cols, offset in the update)
+    panels = []  # (layer, 0 weight / 1 bias, panel rows, panel cols, offset in the row)
     size = 0
-    for i, pair in enumerate(grads[0].layers):
-        for slot, arr in enumerate(pair):
+    for i, layer in enumerate(model.layers):
+        for slot, arr in enumerate((layer.weight, layer.bias)):
             if arr is not None:
                 if slot == 0 or config.include_bias:
-                    rows = arr.shape[0] if slot == 0 else 1
-                    panels.append((i, slot, rows, arr.size // rows, size))
+                    h = arr.shape[0] if slot == 0 else 1
+                    panels.append((i, slot, h, arr.size // h, size))
                 size += arr.size
     grids = tuple((i, "wb"[slot], *_grid(h, w, k)) for i, slot, h, w, _ in panels)
     if config.restore_size:
@@ -167,17 +176,18 @@ def amplify_mp(grads: list[nn.GradientSet], config: AmplifierConfig) -> list[Amp
     pos = 0
     for (i, slot, h, w, offset), (*_, ho, wo) in zip(panels, grids):
         m = min(n, max(1, _STACK_FLOATS // (h * w)))  # clients per stack
-        scratch = np.empty((m, ho, wo) if config.restore_size else (m, h, w))
+        if config.restore_size:
+            scratch = np.empty((m, ho, wo))
         for c0 in range(0, n, m):
             part = slice(c0, c0 + m)
-            stack = [g.layers[i][slot].reshape(h, w) for g in grads[part]]
+            x = rows[part, offset : offset + h * w].reshape(-1, h, w)
             if config.restore_size:
-                # Stacked straight into its rows of the output and filtered
-                # there, so no second (N, length) array is made.
-                x = np.stack(stack, out=out[part, offset : offset + h * w].reshape(-1, h, w))
-                _keep_block_max(x, _patch_max(x, k, scratch[: len(stack)]), k)
+                # Filtered in its rows of the output, so no second
+                # (N, length) array is made.
+                kept = out[part, offset : offset + h * w].reshape(-1, h, w)
+                np.copyto(kept, x)
+                _keep_block_max(kept, _patch_max(kept, k, scratch[: len(kept)]), k)
             else:
-                x = np.stack(stack, out=scratch[: len(stack)])
                 _patch_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo
     return [
@@ -216,13 +226,13 @@ def select_top(alpha: np.ndarray, top_p: float) -> np.ndarray:
 
 def xai_selection(
     model: nn.ModelParams,
-    update: nn.GradientSet,
+    update: np.ndarray,
     validation: Dataset,
     top_p: float,
 ) -> np.ndarray:
-    """Filters chosen after applying ``update`` to the model and running the
-    clean validation batch through it: rank filters by activation weight,
-    descending, and keep the top ceil(top_p * filters)."""
+    """Filters chosen after applying the flat ``update`` to the model and
+    running the clean validation batch through it: rank filters by
+    activation weight, descending, and keep the top ceil(top_p * filters)."""
     if model.conv_index() is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
     if len(validation) == 0:
@@ -233,53 +243,34 @@ def xai_selection(
     return select_top(grad_cam_weights(fmg), top_p)
 
 
-def _conv_weight_offset(model: nn.ModelParams) -> int:
-    pos = 0
-    for layer in model.layers:
-        if layer.kind == "conv":
-            return pos
-        if layer.weight is not None:
-            pos += layer.weight.size
-        if layer.bias is not None:
-            pos += layer.bias.size
-    raise ConfigError("model has no conv layer")
-
-
 def amplify_xai(
-    grads: list[nn.GradientSet],
+    rows: np.ndarray,
     model: nn.ModelParams,
     validation: Dataset,
     config: AmplifierConfig,
     fixed_selection: np.ndarray | None = None,
 ) -> list[AmplifiedGradient]:
-    """Per client: select filters via the client's updated model (or reuse a
-    caller-supplied selection) and emit the client's original conv weight
-    gradients for those filters."""
-    config.validate()
+    """Per client row: select filters via the client's updated model (or
+    reuse a caller-supplied selection) and emit the client's original conv
+    weight gradients for those filters, read through ``params_from_vector``
+    views."""
     ci = model.conv_index()
     if ci is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
-    offset = _conv_weight_offset(model)
     original = model.param_count()
-    per_filter = None
     out = []
-    for g in grads:
-        gw = g.layers[ci][0]
-        if gw is None:
-            raise ConfigError("update carries no conv weight gradient")
-        per_filter = gw[0].size
+    for row in rows:
+        gw = nn.params_from_vector(model, row).layers[ci].weight
         sel = (
             np.asarray(fixed_selection, dtype=np.int64)
             if fixed_selection is not None
-            else xai_selection(model, g, validation, config.top_p)
+            else xai_selection(model, row, validation, config.top_p)
         )
         if config.restore_size:
             values = np.zeros(original)
-            for f in sel:
-                lo = offset + f * per_filter
-                values[lo : lo + per_filter] = gw[f].ravel()
+            nn.params_from_vector(model, values).layers[ci].weight[sel] = gw[sel]
         else:
-            values = np.concatenate([gw[f].ravel() for f in sel])
+            values = gw[sel].reshape(-1)
         out.append(
             AmplifiedGradient(
                 values=values,
@@ -297,21 +288,23 @@ def amplify_xai(
 
 
 def amplify(
-    grads: list[nn.GradientSet],
+    rows: np.ndarray,
     config: AmplifierConfig,
     model: nn.ModelParams | None = None,
     validation: Dataset | None = None,
     fixed_selection: np.ndarray | None = None,
 ) -> list[AmplifiedGradient]:
-    config.validate()
+    """Amplified views of the (N, P) update matrix ``rows``, one per row;
+    ``kind = "none"`` passes each row through as a view."""
     if config.kind == "none":
-        vectors = [g.to_vector() for g in grads]
         return [
-            AmplifiedGradient(values=v, kind="none", restored=True, original_size=v.size)
-            for v in vectors
+            AmplifiedGradient(values=row, kind="none", restored=True, original_size=row.size)
+            for row in rows
         ]
+    if model is None:
+        raise ConfigError("amplification needs the model layout")
     if config.kind == "mp":
-        return amplify_mp(grads, config)
-    if model is None or validation is None:
+        return amplify_mp(rows, model, config)
+    if validation is None:
         raise ConfigError("activation-guided amplification needs the model and validation set")
-    return amplify_xai(grads, model, validation, config, fixed_selection)
+    return amplify_xai(rows, model, validation, config, fixed_selection)

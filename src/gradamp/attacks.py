@@ -17,6 +17,12 @@ Once active:
 
 Data-poisoning kinds retrain with the same per-(round, client) seed as the
 honest pass, so the only difference is the poisoned shard itself.
+
+A round's updates are the rows of one (N, P) matrix.  ``craft_updates``
+overwrites the malicious rows of that matrix in place, so no second N x P
+array is made.  A crafted row reads only honest rows: the colluding kinds
+compute their one crafted row before writing it, and l-flip+g-asc reads
+only the row it then replaces.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ class AttackConfig:
     sh_gamma_max: float = 10.0
     target_label: int = 0
     trigger_fraction: float = 0.5         # of the shard duplicated and stamped
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.kind not in ATTACK_KINDS:
@@ -81,36 +90,27 @@ def flip_labels(shard: Dataset, num_classes: int) -> Dataset:
     return Dataset(shard.features.copy(), num_classes - 1 - shard.labels, num_classes)
 
 
-def grad_ascent(benign_update: nn.GradientSet, gamma: float = 1.0) -> nn.GradientSet:
+def grad_ascent(benign_update: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """Reversed update -gamma * g; gamma 1 makes this an involution."""
-    return benign_update.scaled(-gamma)
+    return -gamma * benign_update
 
 
-@dataclass
-class AdversaryView:
-    """Full-knowledge snapshot: every client's honest update this round."""
-
-    benign_updates: list[nn.GradientSet]
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([g.to_vector() for g in self.benign_updates])
+def sh_candidate(honest: np.ndarray, gamma: float) -> np.ndarray:
+    """mu - gamma * sigma over the (N, P) honest update matrix
+    (population sigma)."""
+    return honest.mean(axis=0) - gamma * honest.std(axis=0)
 
 
-def sh_candidate(view: AdversaryView, gamma: float) -> np.ndarray:
-    """mu - gamma * sigma over the honest updates (population sigma)."""
-    x = view.stacked()
-    return x.mean(axis=0) - gamma * x.std(axis=0)
-
-
-def sh_optimized(view: AdversaryView, gamma_max: float) -> tuple[nn.GradientSet, float]:
+def sh_optimized(honest: np.ndarray, gamma_max: float) -> tuple[np.ndarray, float]:
     """Shift along the negative deviation as far as a cosine screen allows.
 
-    The stand-in screen accepts a craft whose cosine to the honest mean is
-    at least the median honest cosine; gamma halves from gamma_max until
-    that holds, at most 20 times, else falls back to the mean itself.
+    ``honest`` is the (N, P) matrix of every client's honest update.  The
+    stand-in screen accepts a craft whose cosine to the honest mean is at
+    least the median honest cosine; gamma halves from gamma_max until that
+    holds, at most 20 times, else falls back to the mean itself.
     """
-    x = view.stacked()
-    if len(view.benign_updates) < 2:
+    x = honest
+    if len(x) < 2:
         log.warning("single honest update; deviation is zero, crafting the mean")
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
@@ -134,7 +134,7 @@ def sh_optimized(view: AdversaryView, gamma_max: float) -> tuple[nn.GradientSet,
     if chosen is None:
         gamma = 0.0
         chosen = mu
-    return nn.grads_like(view.benign_updates[0], chosen), gamma
+    return chosen, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ class AttackContext:
 
 def _retrain(
     model: nn.ModelParams, shard: Dataset, ctx: AttackContext, round_idx: int, client: int
-) -> nn.GradientSet:
+) -> np.ndarray:
     return nn.local_train(
         model,
         shard.features,
@@ -173,63 +173,46 @@ def _retrain(
 
 def craft_updates(
     round_idx: int,
-    honest: list[nn.GradientSet],
+    updates: np.ndarray,
     model: nn.ModelParams,
     cfg: AttackConfig,
     ctx: AttackContext,
-) -> list[nn.GradientSet]:
-    """Honest updates with malicious entries replaced once the attack is on."""
-    cfg.validate()
+) -> np.ndarray:
+    """Overwrite the malicious rows of the (N, P) honest update matrix in
+    place once the attack is on, and return the matrix."""
     if cfg.kind == "none" or round_idx < cfg.start_round or not ctx.malicious:
-        return honest
-    out = list(honest)
-    if cfg.kind == "g-asc":
-        crafted = grad_ascent(nn.mean_grads(honest), cfg.gamma)
+        return updates
+    if cfg.kind in ("g-asc", "sh-optimized"):
+        if cfg.kind == "g-asc":
+            crafted = grad_ascent(nn.mean_grads(updates), cfg.gamma)
+        else:
+            crafted, _ = sh_optimized(updates, cfg.sh_gamma_max)
+        updates[ctx.malicious] = crafted
+        return updates
+    if cfg.kind in ("l-flip", "l-flip+g-asc"):
         for m in ctx.malicious:
-            out[m] = crafted
-        return out
-    if cfg.kind == "sh-optimized":
-        crafted, _ = sh_optimized(AdversaryView(honest), cfg.sh_gamma_max)
-        for m in ctx.malicious:
-            out[m] = crafted
-        return out
-    if cfg.kind == "l-flip":
-        for m in ctx.malicious:
-            flipped = flip_labels(ctx.shards[m], ctx.num_classes)
-            out[m] = _retrain(model, flipped, ctx, round_idx, m)
-        return out
-    if cfg.kind == "l-flip+g-asc":
-        for m in ctx.malicious:
-            flipped = flip_labels(ctx.shards[m], ctx.num_classes)
-            out[m] = _retrain(model, flipped, ctx, round_idx, m).plus(
-                grad_ascent(honest[m], cfg.gamma)
-            )
-        return out
+            shard = flip_labels(ctx.shards[m], ctx.num_classes)
+            flipped = _retrain(model, shard, ctx, round_idx, m)
+            if cfg.kind == "l-flip+g-asc":
+                flipped += grad_ascent(updates[m], cfg.gamma)
+            updates[m] = flipped
+        return updates
     if ctx.trigger is None:
         raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
-    if cfg.kind == "scale":
-        lam = float(ctx.num_clients) if cfg.scale_factor == "auto-n" else float(cfg.scale_factor)
-        for m in ctx.malicious:
-            poisoned = embed_trigger(
-                ctx.shards[m],
-                ctx.trigger,
-                cfg.trigger_fraction,
-                part_index=0,
-                seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
-            )
-            out[m] = _retrain(model, poisoned, ctx, round_idx, m).scaled(lam)
-        return out
-    # dba: quadrant parts round-robin over the cohort, no scaling
+    lam = float(ctx.num_clients) if cfg.scale_factor == "auto-n" else float(cfg.scale_factor)
     for rank, m in enumerate(ctx.malicious):
+        # scale stamps the whole trigger and boosts by lambda; dba assigns
+        # the quadrant parts round-robin over the cohort, no scaling
         poisoned = embed_trigger(
             ctx.shards[m],
             ctx.trigger,
             cfg.trigger_fraction,
-            part_index=rank % ctx.trigger.split_parts,
+            part_index=0 if cfg.kind == "scale" else rank % ctx.trigger.split_parts,
             seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
         )
-        out[m] = _retrain(model, poisoned, ctx, round_idx, m)
-    return out
+        update = _retrain(model, poisoned, ctx, round_idx, m)
+        updates[m] = lam * update if cfg.kind == "scale" else update
+    return updates
 
 
 def resolve_trigger(cfg: AttackConfig, feature_shape: tuple[int, ...]) -> TriggerSpec | None:

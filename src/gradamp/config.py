@@ -229,7 +229,7 @@ class ExperimentConfig:
 
     def attack_config(self) -> AttackConfig:
         v = self.values
-        cfg = AttackConfig(
+        return AttackConfig(
             kind=str(v["attack.kind"]),
             malicious_fraction=float(v["attack.malicious_fraction"]),
             start_round=int(v["attack.start_round"]),
@@ -243,31 +243,25 @@ class ExperimentConfig:
             target_label=int(v["attack.target_label"]),
             trigger_fraction=float(v["attack.trigger_fraction"]),
         )
-        cfg.validate()
-        return cfg
 
     def amplifier_config(self) -> AmplifierConfig:
         v = self.values
-        cfg = AmplifierConfig(
+        return AmplifierConfig(
             kind=str(v["defense.amplifier"]),
             kernel=int(v["defense.kernel"]),
             top_p=float(v["defense.top_p"]),
             restore_size=self.restore_size(),
             include_bias=bool(v["defense.include_bias"]),
         )
-        cfg.validate()
-        return cfg
 
     def aggregator_config(self) -> AggregatorConfig:
         v = self.values
-        cfg = AggregatorConfig(
+        return AggregatorConfig(
             family=str(v["defense.family"]),
             amplifier=self.amplifier_config(),
             assumed_malicious=self.assumed_malicious(),
             neighbors=int(v["defense.neighbors"]),
         )
-        cfg.validate()
-        return cfg
 
     def validation_spec(self) -> ValidationSpec:
         v = self.values
@@ -324,6 +318,7 @@ class ExperimentConfig:
         if isinstance(sf, str) and sf != "auto-n":
             raise ConfigError("attack.scale_factor is a number or auto-n")
         self.dim()
+        # the frozen component configs validate themselves on construction
         self.attack_config()
         self.aggregator_config()
         if not str(v["output.dir"]):

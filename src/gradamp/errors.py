@@ -25,6 +25,10 @@ class SamplingError(GradampError):
     """A validation draw asked for more samples than a class can supply."""
 
 
+class DivergenceError(GradampError):
+    """The global model left the finite range; the run ends as diverged."""
+
+
 class MetricError(GradampError):
     """Metric inputs violate their preconditions (mismatched checkpoints,
 

@@ -9,6 +9,11 @@ A run folder holds::
     amplified.csv   client_id, index, value          (optional debug dump)
     manifest.txt    hash, seeds, artifact checksums, status, warnings
 
+``run.status`` is ``ok``, ``error`` (any exception, with ``run.error``
+naming the round and the exception) or ``diverged``: the global model
+held a non-finite parameter after a round's server step, which raises
+``DivergenceError`` and ends the run there.
+
 The configuration and its three seeds fully determine every byte of
 rounds.csv, decisions.csv, and the pair-level metrics.csv; wall-clock
 numbers live only in timings.csv and the manifest, so reruns can be
@@ -46,7 +51,7 @@ from .data import (
     split_pools,
     synth_blobs,
 )
-from .errors import ConfigError, GradampError
+from .errors import ConfigError, DivergenceError, GradampError
 from .metrics import (
     MonitorWindow,
     RoundRecord,
@@ -277,6 +282,9 @@ def run_experiment(
             trigger=prep.trigger,
         )
         model = prep.model
+        # one row per client, rewritten every round: training and crafting
+        # write the rows in place, screening and the mean read them
+        updates = np.empty((n_clients, model.param_count()))
 
         records.append(
             _evaluate(model, 0, prep.test_set, triggered, attack_cfg.target_label, 0.0)
@@ -285,8 +293,8 @@ def run_experiment(
         for k in range(1, rounds + 1):
             current_round = k
             r = k - 1  # zero-based index used by seeds and the attack gate
-            honest = [
-                nn.local_train(
+            for i, shard in enumerate(prep.shards):
+                updates[i] = nn.local_train(
                     model,
                     shard.features,
                     shard.labels,
@@ -295,10 +303,8 @@ def run_experiment(
                     lr=lr,
                     seed=rng_stream(seed_clients, r, i),
                 )
-                for i, shard in enumerate(prep.shards)
-            ]
             submitted = (
-                craft_updates(r, honest, model, attack_cfg, ctx) if attack_enabled else honest
+                craft_updates(r, updates, model, attack_cfg, ctx) if attack_enabled else updates
             )
             ref_update = None
             if agg_cfg.family == "fltrust":
@@ -321,6 +327,8 @@ def run_experiment(
             if k == dump_round:
                 _dump_amplified(out_dir, submitted, agg_cfg, model, prep.validation)
             model = nn.apply_update(model, decision.global_update, 1.0)
+            if not np.isfinite(model.to_vector()).all():
+                raise DivergenceError("model parameters are no longer finite")
             if k % every == 0 or k == rounds:
                 now = time.perf_counter()
                 records.append(
@@ -335,7 +343,7 @@ def run_experiment(
                 )
                 last_mark = now
     except BaseException as exc:
-        status = "error"
+        status = "diverged" if isinstance(exc, DivergenceError) else "error"
         where = f"round {current_round}" if current_round else "setup"
         error_note = f"{where}: {type(exc).__name__}: {exc}"
         raise

@@ -26,9 +26,14 @@ Kernels:
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
     graph without autodiff.
-  * A client "update" is ``W_before - W_after``; the server applies it as
-    ``W - scale * update``, so with scale 1 the server lands exactly on the
-    client's trained weights.
+  * A client "update" is ``theta_before - theta_after`` as one flat float64
+    row in ``ModelParams.to_vector`` order (``params_from_vector`` views a
+    row as per-layer arrays); a round's updates are the rows of one (N, P)
+    matrix.  The server applies an update as ``theta - scale * update``
+    (``apply_update``), so with scale 1 it lands exactly on the client's
+    trained weights.  ``mean_grads`` is the one mean over rows.
+  * ``GradientSet`` is only what ``backward`` returns: per-layer gradients,
+    flattened by ``to_vector`` before they step anything.
   * Feature-map gradients are d y / d A summed over the batch, where y is
     the pre-softmax logit of each sample's true class, summed over the
     batch.  ``feature_map_grads`` computes them with a walk that stops at
@@ -99,18 +104,6 @@ class ModelParams:
         """Weights and biases in the order of ``GradientSet.to_vector``."""
         return _concat(a for layer in self.layers for a in (layer.weight, layer.bias))
 
-    def copy(self) -> "ModelParams":
-        layers = [
-            Layer(
-                l.kind,
-                None if l.weight is None else l.weight.copy(),
-                None if l.bias is None else l.bias.copy(),
-                l.pool,
-            )
-            for l in self.layers
-        ]
-        return ModelParams(layers)
-
 
 @dataclass
 class ForwardTrace:
@@ -129,9 +122,11 @@ class ForwardTrace:
 class GradientSet:
     """Per-layer (dW, db) pairs aligned with a model's layer list.
 
-    Parameter-free layers hold (None, None).  ``feature_map_grads`` rides
-    along only when backward ran with capture enabled; it is auxiliary and
-    excluded from the vector view and all arithmetic.
+    This is only what ``backward`` returns; updates travel as flat rows
+    (``to_vector``).  Parameter-free layers hold (None, None).
+    ``feature_map_grads`` rides along only when backward ran with capture
+    enabled; it is auxiliary and excluded from the vector view.  ``plus``
+    has no caller left; the benchmark's per-layer table still names it.
     """
 
     layers: list[tuple[np.ndarray | None, np.ndarray | None]]
@@ -139,17 +134,6 @@ class GradientSet:
 
     def to_vector(self) -> np.ndarray:
         return _concat(a for pair in self.layers for a in pair)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.to_vector()))
-
-    def scaled(self, factor: float) -> "GradientSet":
-        return GradientSet(
-            [
-                (None if dw is None else factor * dw, None if db is None else factor * db)
-                for dw, db in self.layers
-            ]
-        )
 
     def plus(self, other: "GradientSet") -> "GradientSet":
         if len(self.layers) != len(other.layers):
@@ -163,34 +147,6 @@ class GradientSet:
                 )
             )
         return GradientSet(out)
-
-    def copy(self) -> "GradientSet":
-        return GradientSet(
-            [
-                (None if dw is None else dw.copy(), None if db is None else db.copy())
-                for dw, db in self.layers
-            ],
-            None if self.feature_map_grads is None else self.feature_map_grads.copy(),
-        )
-
-
-def zero_grads(model: ModelParams) -> GradientSet:
-    out = []
-    for layer in model.layers:
-        out.append(
-            (
-                None if layer.weight is None else np.zeros_like(layer.weight),
-                None if layer.bias is None else np.zeros_like(layer.bias),
-            )
-        )
-    return GradientSet(out)
-
-
-def grads_from_vector(model: ModelParams, vec: np.ndarray) -> GradientSet:
-    """Inverse of ``GradientSet.to_vector`` for a given model layout; the
-    layers are views into one copy of ``vec``."""
-    view = params_from_vector(model, np.array(vec, dtype=np.float64))
-    return GradientSet([(layer.weight, layer.bias) for layer in view.layers])
 
 
 def params_from_vector(model: ModelParams, vec: np.ndarray) -> ModelParams:
@@ -214,33 +170,20 @@ def params_from_vector(model: ModelParams, vec: np.ndarray) -> ModelParams:
     return ModelParams(out)
 
 
-def grads_like(template: GradientSet, vec: np.ndarray) -> GradientSet:
-    """Reshape a flat vector into the template's layer layout."""
-    vec = np.asarray(vec, dtype=np.float64)
-    out = []
-    pos = 0
-    for dw, db in template.layers:
-        w = b = None
-        if dw is not None:
-            w = vec[pos : pos + dw.size].reshape(dw.shape).copy()
-            pos += dw.size
-        if db is not None:
-            b = vec[pos : pos + db.size].reshape(db.shape).copy()
-            pos += db.size
-        out.append((w, b))
-    if pos != vec.size:
-        raise ConfigError(f"vector has {vec.size} entries, template wants {pos}")
-    return GradientSet(out)
-
-
-def mean_grads(grads: list[GradientSet]) -> GradientSet:
-    if not grads:
-        raise ConfigError("cannot average an empty gradient list")
-    acc = grads[0].copy()
-    acc.feature_map_grads = None
-    for g in grads[1:]:
-        acc = acc.plus(g)
-    return acc.scaled(1.0 / len(grads))
+def mean_grads(rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of flat update rows: an ascending left fold, then ``*= 1/len``.
+    ``rows`` is a sequence of (P,) arrays or an (N, P) matrix; the result
+    goes to ``out`` when given, else to a new array."""
+    if len(rows) == 0:
+        raise ConfigError("cannot average an empty update list")
+    if out is None:
+        out = np.array(rows[0], dtype=np.float64)
+    else:
+        np.copyto(out, rows[0])
+    for row in rows[1:]:
+        out += row
+    out *= 1.0 / len(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,25 +426,13 @@ def predict(model: ModelParams, features: np.ndarray) -> np.ndarray:
 # training and parameter updates
 
 
-def apply_update(model: ModelParams, update: GradientSet, scale: float) -> ModelParams:
-    """W - scale * update per layer; raises on any shape mismatch."""
-    if len(update.layers) != len(model.layers):
-        raise ConfigError("update layer count differs from model")
-    out = []
-    for layer, (dw, db) in zip(model.layers, update.layers):
-        w, b = layer.weight, layer.bias
-        if (w is None) != (dw is None) or (b is None) != (db is None):
-            raise ConfigError(f"update does not match {layer.kind} layer parameters")
-        if w is not None:
-            if w.shape != dw.shape:
-                raise ConfigError(f"weight shape {dw.shape} != {w.shape}")
-            w = w - scale * dw
-        if b is not None:
-            if b.shape != db.shape:
-                raise ConfigError(f"bias shape {db.shape} != {b.shape}")
-            b = b - scale * db
-        out.append(Layer(layer.kind, w, b, layer.pool))
-    return ModelParams(out)
+def apply_update(model: ModelParams, update: np.ndarray, scale: float) -> ModelParams:
+    """theta - scale * update for a flat update in ``to_vector`` order; the
+    new model's parameters are views into one new vector."""
+    theta = model.to_vector()
+    if np.shape(update) != theta.shape:
+        raise ConfigError(f"update has shape {np.shape(update)}, model has {theta.size} parameters")
+    return params_from_vector(model, theta - scale * update)
 
 
 def local_train(
@@ -512,11 +443,13 @@ def local_train(
     batch_size: int,
     lr: float,
     seed: int | np.random.Generator,
-) -> GradientSet:
-    """Plain SGD for a client; returns W_before - W_after as a GradientSet.
+) -> np.ndarray:
+    """Plain SGD for a client; returns theta_before - theta_after, flat.
 
-    Batch order is drawn from the given seed only, so a round's clients can
-    run in any order (or in parallel) without changing their updates.
+    The working model's parameters are views into one flat theta, which
+    each step moves in place by ``lr * backward(...).to_vector()``.  Batch
+    order is drawn from the given seed only, so a round's clients can run
+    in any order (or in parallel) without changing their updates.
     """
     n = len(labels)
     if n == 0:
@@ -526,20 +459,13 @@ def local_train(
     rng = _rng(seed)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    work = model.copy()
+    before = model.to_vector()
+    theta = before.copy()
+    work = params_from_vector(model, theta)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             trace = forward(work, features[batch])
-            grads = backward(work, trace, labels[batch])
-            work = apply_update(work, grads, lr)
-    out = []
-    for before, after in zip(model.layers, work.layers):
-        out.append(
-            (
-                None if before.weight is None else before.weight - after.weight,
-                None if before.bias is None else before.bias - after.bias,
-            )
-        )
-    return GradientSet(out)
+            theta -= lr * backward(work, trace, labels[batch]).to_vector()
+    return before - theta

@@ -31,9 +31,13 @@ def amp_of(vec):
 
 
 def dense_grads(vec):
-    """Single dense-layer gradient holding ``vec`` as a row matrix."""
-    vec = np.asarray(vec, dtype=np.float64)
-    return nn.GradientSet([(vec.reshape(1, -1), None), (None, None)])
+    """Flat update row holding ``vec``."""
+    return np.asarray(vec, dtype=np.float64)
+
+
+def dense_row(weight, bias):
+    """Flat update row of a single dense layer, weight then bias."""
+    return np.concatenate([np.ravel(weight), bias])
 
 
 def test_density_whitelist_frozen_fixture():
@@ -138,11 +142,10 @@ def test_fang_rejects_the_saboteur():
         2,
     )
     benign = [
-        nn.GradientSet([(1e-3 * rng.normal(size=(2, 2)), 1e-3 * rng.normal(size=2)), (None, None)])
-        for _ in range(3)
+        dense_row(1e-3 * rng.normal(size=(2, 2)), 1e-3 * rng.normal(size=2)) for _ in range(3)
     ]
-    saboteur = nn.GradientSet([(6.0 * w, np.zeros(2)), (None, None)])
-    rows = [g.to_vector() for g in benign + [saboteur]]
+    saboteur = dense_row(6.0 * w, np.zeros(2))
+    rows = benign + [saboteur]
     wl, losses = fang_whitelist(rows, model, val, assumed_malicious=0.25)
     assert wl == [0, 1, 2]
     # Excluding the saboteur leaves the model intact: lowest LOO loss.
@@ -151,8 +154,8 @@ def test_fang_rejects_the_saboteur():
 
 def test_fang_identical_clients_keep_lowest_indices():
     model, val = fang_setup()
-    same = nn.GradientSet([(np.full((2, 2), 0.01), np.zeros(2)), (None, None)])
-    wl, losses = fang_whitelist([same.to_vector() for _ in range(4)], model, val, 0.25)
+    same = dense_row(np.full((2, 2), 0.01), np.zeros(2))
+    wl, losses = fang_whitelist([same for _ in range(4)], model, val, 0.25)
     assert wl == [0, 1, 2]
     assert np.allclose(losses, losses[0])
 
@@ -165,10 +168,10 @@ def test_fang_disjoint_screens_fall_back_to_loss(caplog):
     model, val = fang_setup()
     w_tiny = np.array([[1e-3, 0.0], [-1e-3, 1e-3]])
     w_miss = np.array([[10.0, 1.0], [-10.0, 0.0]])
-    u0 = nn.GradientSet([(-w_miss, np.zeros(2)), (None, None)])
-    u1 = nn.GradientSet([(-w_tiny, np.zeros(2)), (None, None)])
+    u0 = dense_row(-w_miss, np.zeros(2))
+    u1 = dense_row(-w_tiny, np.zeros(2))
     with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
-        rows = [u.to_vector() for u in (u0, u1)]
+        rows = [u0, u1]
         wl, losses = fang_whitelist(rows, model, val, assumed_malicious=0.5)
     assert wl == [0]
     assert losses[0] > losses[1]
@@ -177,7 +180,7 @@ def test_fang_disjoint_screens_fall_back_to_loss(caplog):
 
 def naive_leave_one_out_losses(rows, model, val):
     """Per client: sum the others left to right in ascending order, scale by
-    1 / (N - 1), apply through GradientSets, and take the validation loss."""
+    1 / (N - 1), apply with ``nn.apply_update``, and take the validation loss."""
     n = len(rows)
     losses = []
     for i in range(n):
@@ -185,7 +188,7 @@ def naive_leave_one_out_losses(rows, model, val):
         acc = rows[others[0]].copy()
         for j in others[1:]:
             acc = acc + rows[j]
-        mean = nn.grads_from_vector(model, acc * (1.0 / len(others)))
+        mean = acc * (1.0 / len(others))
         trace = nn.forward(nn.apply_update(model, mean, 1.0), val.features)
         losses.append(nn.loss_value(trace, val.labels))
     return np.array(losses)
@@ -218,17 +221,17 @@ def test_fltrust_worked_example():
     a = dense_grads([4.0, 0.0])
     b = dense_grads([0.0, -3.0])
     decision = fltrust_aggregate(
-        [amp_of([4.0, 0.0]), amp_of([0.0, -3.0])], amp_of([2.0, 0.0]), [a, b], ref
+        [amp_of([4.0, 0.0]), amp_of([0.0, -3.0])], amp_of([2.0, 0.0]), np.stack([a, b]), ref
     )
     assert np.array_equal(decision.trust_scores, [1.0, 0.0])
-    assert np.array_equal(decision.global_update.to_vector(), [2.0, 0.0])
+    assert np.array_equal(decision.global_update, [2.0, 0.0])
     assert decision.accepted.tolist() == [True, False]
 
 
 def test_fltrust_negative_cosine_clips_to_zero():
     ref = dense_grads([1.0, 0.0])
     opp = dense_grads([-1.0, 0.0])
-    decision = fltrust_aggregate([amp_of([-1.0, 0.0])], amp_of([1.0, 0.0]), [opp], ref)
+    decision = fltrust_aggregate([amp_of([-1.0, 0.0])], amp_of([1.0, 0.0]), np.stack([opp]), ref)
     assert decision.trust_scores[0] == 0.0
 
 
@@ -236,9 +239,9 @@ def test_fltrust_norm_matching_is_exact():
     # Trusted client twice the reference norm: its contribution halves.
     ref = dense_grads([0.0, 8.0])
     c = dense_grads([0.0, 16.0])
-    decision = fltrust_aggregate([amp_of([0.0, 1.0])], amp_of([0.0, 2.0]), [c], ref)
-    assert np.array_equal(decision.global_update.to_vector(), [0.0, 8.0])
-    assert decision.global_update.norm() == ref.norm()
+    decision = fltrust_aggregate([amp_of([0.0, 1.0])], amp_of([0.0, 2.0]), np.stack([c]), ref)
+    assert np.array_equal(decision.global_update, [0.0, 8.0])
+    assert np.linalg.norm(decision.global_update) == np.linalg.norm(ref)
 
 
 def test_fltrust_all_zero_trust_emits_zero_update(caplog):
@@ -248,16 +251,16 @@ def test_fltrust_all_zero_trust_emits_zero_update(caplog):
         decision = fltrust_aggregate(
             [amp_of([-2.0, 0.0]), amp_of([0.0, 0.0])],
             amp_of([1.0, 0.0]),
-            [opp, dense_grads([0.0, 0.0])],
+            np.stack([opp, dense_grads([0.0, 0.0])]),
             ref,
         )
-    assert np.array_equal(decision.global_update.to_vector(), [0.0, 0.0])
+    assert np.array_equal(decision.global_update, [0.0, 0.0])
     assert any("zero update" in r.message for r in caplog.records)
 
 
 def test_fedavg_is_plain_mean():
-    grads = [dense_grads([1.0, 2.0]), dense_grads([3.0, 6.0])]
-    assert np.array_equal(fedavg(grads).to_vector(), [2.0, 4.0])
+    grads = np.stack([dense_grads([1.0, 2.0]), dense_grads([3.0, 6.0])])
+    assert np.array_equal(fedavg(grads), [2.0, 4.0])
 
 
 def round_setup(n=5, dim=4):
@@ -265,7 +268,7 @@ def round_setup(n=5, dim=4):
         [nn.Layer("dense", np.zeros((1, dim)), None), nn.Layer("softmax")]
     )
     rng = rng_stream(62)
-    grads = [nn.GradientSet([(rng.normal(size=(1, dim)), None), (None, None)]) for _ in range(n)]
+    grads = np.stack([rng.normal(size=dim) for _ in range(n)])
     return model, grads
 
 
@@ -274,11 +277,7 @@ def test_aggregate_round_fedavg_accepts_everyone():
     cfg = AggregatorConfig(family="fedavg", amplifier=AmplifierConfig(kind="none"))
     decision = aggregate_round(grads, cfg, RoundContext(model=model))
     assert decision.accepted.all()
-    assert np.allclose(
-        decision.global_update.to_vector(),
-        np.mean([g.to_vector() for g in grads], axis=0),
-        atol=1e-15,
-    )
+    assert np.allclose(decision.global_update, np.mean(grads, axis=0), atol=1e-15)
 
 
 def test_aggregate_round_update_averages_whitelisted_originals():
@@ -288,8 +287,8 @@ def test_aggregate_round_update_averages_whitelisted_originals():
     )
     decision = aggregate_round(grads, cfg, RoundContext(model=model))
     assert len(decision.whitelist) == math.ceil(0.7 * 6)
-    expect = np.mean([grads[i].to_vector() for i in decision.whitelist], axis=0)
-    assert np.allclose(decision.global_update.to_vector(), expect, atol=1e-15)
+    expect = np.mean([grads[i] for i in decision.whitelist], axis=0)
+    assert np.allclose(decision.global_update, expect, atol=1e-15)
     assert decision.accepted.sum() == len(decision.whitelist)
 
 
@@ -306,7 +305,7 @@ def test_scores_see_amplified_values_update_sees_originals():
     )
 
     def run(first):
-        grads = [nn.GradientSet([(m.copy(), None), (None, None)]) for m in [first] + others]
+        grads = np.stack([m.ravel() for m in [first] + others])
         return aggregate_round(grads, cfg, RoundContext(model=model))
 
     bumped = base.copy()
@@ -314,7 +313,7 @@ def test_scores_see_amplified_values_update_sees_originals():
     d1, d2 = run(base), run(bumped)
     assert np.array_equal(d1.scores, d2.scores)
     assert d1.whitelist == d2.whitelist
-    diff = d2.global_update.to_vector() - d1.global_update.to_vector()
+    diff = d2.global_update - d1.global_update
     assert diff[0] == pytest.approx(0.5 / 3.0)
     assert np.allclose(diff[1:], 0.0)
 

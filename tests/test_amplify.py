@@ -80,14 +80,23 @@ def test_max_filter_rejects_bad_input():
         max_filter(np.zeros((2, 2)), 0)
 
 
-def grads_of(matrix, bias):
-    return nn.GradientSet([(np.asarray(matrix, dtype=float), np.asarray(bias, dtype=float)), (None, None)])
+def grads_of(matrix, bias=None):
+    """A one-dense-layer model holding ``matrix`` (and ``bias``) as its
+    panel layout, and one client's (1, P) update matrix of those values."""
+    matrix = np.asarray(matrix, dtype=float)
+    b = None if bias is None else np.asarray(bias, dtype=float)
+    layer = nn.Layer("dense", np.zeros(matrix.shape), None if b is None else np.zeros(b.size))
+    model = nn.ModelParams([layer, nn.Layer("softmax")])
+    row = matrix.ravel() if b is None else np.concatenate([matrix.ravel(), b])
+    return model, row[None]
 
 
 def test_restore_keeps_max_at_original_position():
-    g = grads_of([[1.0, 2.0, 0, 0], [3.0, 4.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], np.zeros(4))
+    model, g = grads_of(
+        [[1.0, 2.0, 0, 0], [3.0, 4.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], np.zeros(4)
+    )
     cfg = AmplifierConfig(kind="mp", kernel=2, restore_size=True)
-    out = amplify_mp([g], cfg)[0]
+    out = amplify_mp(g, model, cfg)[0]
     panel = out.values[:16].reshape(4, 4)
     expect = np.zeros((4, 4))
     expect[1, 1] = 4.0  # the 2x2 corner [[1,2],[3,4]] restores to [[0,0],[0,4]]
@@ -97,9 +106,9 @@ def test_restore_keeps_max_at_original_position():
 
 
 def test_restore_all_equal_patch_takes_first_row_major():
-    g = nn.GradientSet([(np.full((2, 2), 5.0), None), (None, None)])
+    model, g = grads_of(np.full((2, 2), 5.0))
     cfg = AmplifierConfig(kind="mp", kernel=2, restore_size=True)
-    out = amplify_mp([g], cfg)[0]
+    out = amplify_mp(g, model, cfg)[0]
     assert np.array_equal(out.values.reshape(2, 2), [[5.0, 0.0], [0.0, 0.0]])
 
 
@@ -107,9 +116,9 @@ def test_restore_matches_filter_values():
     # Restored nonzeros are exactly the filtered maxima, one per patch.
     rng = rng_stream(33)
     mat = rng.normal(size=(7, 5))
-    g = nn.GradientSet([(mat, None), (None, None)])
-    plain = amplify_mp([g], AmplifierConfig(kind="mp", kernel=3))[0]
-    restored = amplify_mp([g], AmplifierConfig(kind="mp", kernel=3, restore_size=True))[0]
+    model, g = grads_of(mat)
+    plain = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=3))[0]
+    restored = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=3, restore_size=True))[0]
     assert restored.values.size == mat.size
     nonzero = restored.values[restored.values != 0.0]
     assert np.array_equal(np.sort(nonzero), np.sort(plain.values))
@@ -119,11 +128,10 @@ def test_restore_matches_filter_values():
 def test_amplified_length_sums_panel_grids():
     model = nn.conv_model((1, 6, 6), 3, seed=34, filters=4, kernel=3, pool=2)
     vec = rng_stream(35).normal(size=model.param_count())
-    g = nn.grads_from_vector(model, vec)
     cfg = AmplifierConfig(kind="mp", kernel=3)
-    out = amplify_mp([g], cfg)[0]
+    out = amplify_mp(vec[None], model, cfg)[0]
     expect = 0
-    for dw, db in g.layers:
+    for dw, db in ((layer.weight, layer.bias) for layer in model.layers):
         if dw is not None:
             panel = dw.reshape(dw.shape[0], -1)
             expect += math.ceil(panel.shape[0] / 3) * math.ceil(panel.shape[1] / 3)
@@ -136,14 +144,14 @@ def test_amplified_length_sums_panel_grids():
 
 
 def test_exclude_bias_drops_bias_panels():
-    g = grads_of(np.ones((4, 4)), np.ones(4))
-    with_bias = amplify_mp([g], AmplifierConfig(kind="mp", kernel=2))[0]
-    without = amplify_mp([g], AmplifierConfig(kind="mp", kernel=2, include_bias=False))[0]
+    model, g = grads_of(np.ones((4, 4)), np.ones(4))
+    with_bias = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2))[0]
+    without = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2, include_bias=False))[0]
     assert with_bias.values.size == 4 + 2  # 2x2 weight grid + ceil(4/2) bias cells
     assert without.values.size == 4
     # Restored output keeps full length either way; excluded biases are zero.
     restored = amplify_mp(
-        [g], AmplifierConfig(kind="mp", kernel=2, restore_size=True, include_bias=False)
+        g, model, AmplifierConfig(kind="mp", kernel=2, restore_size=True, include_bias=False)
     )[0]
     assert restored.values.size == 20
     assert np.array_equal(restored.values[16:], np.zeros(4))
@@ -151,10 +159,10 @@ def test_exclude_bias_drops_bias_panels():
 
 def test_amplify_mp_deterministic():
     rng = rng_stream(36)
-    g = nn.GradientSet([(rng.normal(size=(5, 5)), rng.normal(size=5)), (None, None)])
+    model, g = grads_of(rng.normal(size=(5, 5)), rng.normal(size=5))
     cfg = AmplifierConfig(kind="mp", kernel=2)
-    a = amplify_mp([g], cfg)[0]
-    b = amplify_mp([g.copy()], cfg)[0]
+    a = amplify_mp(g, model, cfg)[0]
+    b = amplify_mp(g.copy(), model, cfg)[0]
     assert np.array_equal(a.values, b.values)
 
 
@@ -211,10 +219,11 @@ def test_patch_max_kernel_matches_naive_loops():
         for k in (1, 2, 3, 4):
             for h, w in ((7, 9), (8, 8), (5, 3), (1, 10)):
                 x = edge_case_stack(rng, n, h, w, k)
-                grads = [nn.GradientSet([(x[c], None), (None, None)]) for c in range(n)]
-                compact = amplify_mp(grads, AmplifierConfig(kind="mp", kernel=k))
+                model, _ = grads_of(x[0])
+                grads = x.reshape(n, -1)
+                compact = amplify_mp(grads, model, AmplifierConfig(kind="mp", kernel=k))
                 restored = amplify_mp(
-                    grads, AmplifierConfig(kind="mp", kernel=k, restore_size=True)
+                    grads, model, AmplifierConfig(kind="mp", kernel=k, restore_size=True)
                 )
                 for c in range(n):
                     expect = naive_patch_max(x[c], k, restore=False)
@@ -236,16 +245,16 @@ def test_stacked_amplify_mp_equals_per_client():
     ):
         rng = rng_stream(39)
         size = model.param_count()
-        grads = [nn.grads_from_vector(model, rng.normal(size=size)) for _ in range(4)]
+        grads = np.stack([rng.normal(size=size) for _ in range(4)])
         for restore in (False, True):
             for bias in (True, False):
                 for k in (2, 3):
                     cfg = AmplifierConfig(
                         kind="mp", kernel=k, restore_size=restore, include_bias=bias
                     )
-                    stacked = amplify_mp(grads, cfg)
+                    stacked = amplify_mp(grads, model, cfg)
                     for g, amp in zip(grads, stacked):
-                        alone = amplify_mp([g], cfg)[0]
+                        alone = amplify_mp(g[None], model, cfg)[0]
                         assert amp.values.tobytes() == alone.values.tobytes()
                         assert (amp.grids, amp.original_size) == (alone.grids, alone.original_size)
                         assert amp.original_size == size
@@ -279,11 +288,13 @@ def xai_setup(seed, filters=4):
     model = nn.conv_model((1, 6, 6), 3, seed=seed, filters=filters, kernel=3, pool=2)
     rng = rng_stream(seed, 1)
     val = Dataset(rng.normal(size=(12, 1, 6, 6)), rng.integers(0, 3, size=12), 3)
-    updates = [
-        nn.grads_from_vector(model, 0.01 * rng.normal(size=model.param_count()))
-        for _ in range(3)
-    ]
+    updates = np.stack([0.01 * rng.normal(size=model.param_count()) for _ in range(3)])
     return model, val, updates
+
+
+def conv_weight(model, row):
+    """The conv weight gradient of a flat update row, as a view."""
+    return nn.params_from_vector(model, row).layers[model.conv_index()].weight
 
 
 def test_xai_selection_size_and_range():
@@ -322,15 +333,14 @@ def test_amplify_xai_emits_original_conv_gradients():
         assert amp.values.size == 2 * per_filter
         for rank, f in enumerate(amp.selected):
             chunk = amp.values[rank * per_filter : (rank + 1) * per_filter]
-            assert np.array_equal(chunk, g.layers[ci][0][f].ravel())
+            assert np.array_equal(chunk, conv_weight(model, g)[f].ravel())
 
 
 def test_amplify_xai_top_p_one_keeps_every_filter():
     model, val, updates = xai_setup(43)
     cfg = AmplifierConfig(kind="xai", top_p=1.0)
     amp = amplify_xai(updates[:1], model, val, cfg)[0]
-    ci = model.conv_index()
-    gw = updates[0].layers[ci][0]
+    gw = conv_weight(model, updates[0])
     assert sorted(amp.selected.tolist()) == [0, 1, 2, 3]
     assert np.array_equal(np.sort(amp.values), np.sort(gw.ravel()))
 
@@ -340,8 +350,7 @@ def test_amplify_xai_restored_layout():
     cfg = AmplifierConfig(kind="xai", top_p=0.5, restore_size=True)
     amp = amplify_xai(updates[:1], model, val, cfg)[0]
     assert amp.values.size == model.param_count()
-    ci = model.conv_index()
-    gw = updates[0].layers[ci][0]
+    gw = conv_weight(model, updates[0])
     per_filter = gw[0].size
     expect = np.zeros(model.param_count())
     for f in amp.selected:
@@ -358,25 +367,23 @@ def test_amplify_xai_fixed_selection_reused():
     per_filter = model.layers[ci].weight[0].size
     for g, amp in zip(updates, out):
         assert np.array_equal(amp.selected, fixed)
-        assert np.array_equal(amp.values[:per_filter], g.layers[ci][0][3].ravel())
+        assert np.array_equal(amp.values[:per_filter], conv_weight(model, g)[3].ravel())
 
 
 def test_amplify_xai_without_conv_raises():
     model = nn.mlp_model(6, 4, 3, seed=46)
     vec = rng_stream(47).normal(size=model.param_count())
-    g = nn.grads_from_vector(model, vec)
     val = Dataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 3)
     with pytest.raises(ConfigError):
-        amplify_xai([g], model, val, AmplifierConfig(kind="xai"))
+        amplify_xai(vec[None], model, val, AmplifierConfig(kind="xai"))
     with pytest.raises(ConfigError):
-        xai_selection(model, g, val, 0.5)
+        xai_selection(model, vec, val, 0.5)
 
 
 def test_amplify_dispatcher_none_returns_full_vector():
     model = nn.mlp_model(4, 3, 2, seed=48)
     vec = rng_stream(49).normal(size=model.param_count())
-    g = nn.grads_from_vector(model, vec)
-    out = amplify([g], AmplifierConfig(kind="none"), model=None, validation=None)
+    out = amplify(vec[None], AmplifierConfig(kind="none"), model=None, validation=None)
     assert np.array_equal(out[0].values, vec)
     assert out[0].restored
 

@@ -8,7 +8,6 @@ import pytest
 
 from gradamp import nn
 from gradamp.attacks import (
-    AdversaryView,
     AttackConfig,
     AttackContext,
     craft_updates,
@@ -25,8 +24,7 @@ from gradamp.seeding import rng_stream
 
 
 def dense_grads(vec):
-    vec = np.asarray(vec, dtype=np.float64)
-    return nn.GradientSet([(vec.reshape(1, -1), None), (None, None)])
+    return np.asarray(vec, dtype=np.float64)
 
 
 def test_flip_labels_frozen_fixture():
@@ -40,9 +38,9 @@ def test_flip_labels_frozen_fixture():
 
 def test_grad_ascent_reverses_the_update():
     g = dense_grads([1.0, -2.0])
-    assert np.array_equal(grad_ascent(g, 1.0).to_vector(), [-1.0, 2.0])
-    assert np.array_equal(grad_ascent(grad_ascent(g, 1.0), 1.0).to_vector(), g.to_vector())
-    assert np.array_equal(grad_ascent(g, 2.5).to_vector(), [-2.5, 5.0])
+    assert np.array_equal(grad_ascent(g, 1.0), [-1.0, 2.0])
+    assert np.array_equal(grad_ascent(grad_ascent(g, 1.0), 1.0), g)
+    assert np.array_equal(grad_ascent(g, 2.5), [-2.5, 5.0])
 
 
 def test_select_malicious_floor_and_determinism():
@@ -57,37 +55,37 @@ def test_select_malicious_floor_and_determinism():
 
 
 def test_sh_candidate_frozen_fixture():
-    view = AdversaryView([dense_grads([0.0, 0.0]), dense_grads([2.0, 2.0])])
+    view = np.stack([dense_grads([0.0, 0.0]), dense_grads([2.0, 2.0])])
     assert np.array_equal(sh_candidate(view, 1.0), [0.0, 0.0])
     # mu (1,1), population sigma (1,1): gamma 0.5 gives (0.5, 0.5).
     assert np.array_equal(sh_candidate(view, 0.5), [0.5, 0.5])
 
 
 def test_sh_optimized_halves_until_the_screen_passes():
-    view = AdversaryView([dense_grads([0.0, 0.0]), dense_grads([2.0, 2.0])])
+    view = np.stack([dense_grads([0.0, 0.0]), dense_grads([2.0, 2.0])])
     crafted, gamma = sh_optimized(view, gamma_max=1.0)
     # gamma 1 crafts the zero vector (cosine 0 < median 0.5); one halving
     # lands on (0.5, 0.5) with cosine 1.
     assert gamma == 0.5
-    assert np.array_equal(crafted.to_vector(), [0.5, 0.5])
+    assert np.array_equal(crafted, [0.5, 0.5])
 
 
 def test_sh_optimized_falls_back_to_the_mean():
     # All honest cosines to the mean are exactly 1, and gamma_max is so
     # large that twenty halvings still leave the craft pointing backwards.
-    view = AdversaryView(
+    view = np.stack(
         [dense_grads([1.0, 0.0]), dense_grads([1.0, 0.0]), dense_grads([3.0, 0.0])]
     )
     crafted, gamma = sh_optimized(view, gamma_max=1e7)
     assert gamma == 0.0
-    assert np.allclose(crafted.to_vector(), [5.0 / 3.0, 0.0], atol=1e-12)
+    assert np.allclose(crafted, [5.0 / 3.0, 0.0], atol=1e-12)
 
 
 def test_sh_optimized_single_update_warns_and_uses_it(caplog):
     only = dense_grads([3.0, 4.0])
     with caplog.at_level(logging.WARNING, logger="gradamp.attacks"):
-        crafted, gamma = sh_optimized(AdversaryView([only]), gamma_max=8.0)
-    assert np.array_equal(crafted.to_vector(), [3.0, 4.0])
+        crafted, gamma = sh_optimized(np.stack([only]), gamma_max=8.0)
+    assert np.array_equal(crafted, [3.0, 4.0])
     assert gamma == 8.0  # sigma is zero, the first candidate already passes
     assert any("single honest update" in r.message for r in caplog.records)
 
@@ -115,7 +113,8 @@ def make_context(num_clients=6, fraction=0.5, trigger=None, num_classes=3):
 
 
 def honest_updates(model, ctx, round_idx):
-    return [
+    """The round's (N, P) honest update matrix."""
+    rows = [
         nn.local_train(
             model,
             shard.features,
@@ -127,6 +126,7 @@ def honest_updates(model, ctx, round_idx):
         )
         for i, shard in enumerate(ctx.shards)
     ]
+    return np.stack(rows)
 
 
 def test_cohort_honest_before_start_round():
@@ -134,8 +134,10 @@ def test_cohort_honest_before_start_round():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=4)
     cfg = AttackConfig(kind="g-asc", malicious_fraction=0.5, start_round=5)
+    before = honest.copy()
     out = craft_updates(4, honest, model, cfg, ctx)
-    assert all(a is b for a, b in zip(out, honest))
+    assert out is honest
+    assert np.array_equal(out, before)
 
 
 def test_gradient_ascent_collusion():
@@ -143,13 +145,14 @@ def test_gradient_ascent_collusion():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=5)
     cfg = AttackConfig(kind="g-asc", malicious_fraction=0.5, start_round=5, gamma=2.0)
+    before = honest.copy()
     out = craft_updates(5, honest, model, cfg, ctx)
-    expect = -2.0 * np.mean([g.to_vector() for g in honest], axis=0)
+    expect = -2.0 * np.mean(before, axis=0)
     for m in ctx.malicious:
-        assert np.allclose(out[m].to_vector(), expect, atol=1e-15)
+        assert np.allclose(out[m], expect, atol=1e-15)
     for i in range(ctx.num_clients):
         if i not in ctx.malicious:
-            assert out[i] is honest[i]
+            assert np.array_equal(out[i], before[i])
 
 
 def test_label_flip_retrains_with_the_honest_seed():
@@ -157,9 +160,10 @@ def test_label_flip_retrains_with_the_honest_seed():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=7)
     cfg = AttackConfig(kind="l-flip", malicious_fraction=0.5, start_round=0)
+    before = honest.copy()
     out = craft_updates(7, honest, model, cfg, ctx)
     m = ctx.malicious[0]
-    assert not np.array_equal(out[m].to_vector(), honest[m].to_vector())
+    assert not np.array_equal(out[m], before[m])
     expect = nn.local_train(
         model,
         ctx.shards[m].features,
@@ -169,7 +173,7 @@ def test_label_flip_retrains_with_the_honest_seed():
         lr=0.1,
         seed=rng_stream(ctx.seed_clients, 7, m),
     )
-    assert np.array_equal(out[m].to_vector(), expect.to_vector())
+    assert np.array_equal(out[m], expect)
 
 
 def test_combined_attack_sums_both_perturbations():
@@ -177,13 +181,17 @@ def test_combined_attack_sums_both_perturbations():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=2)
     cfg = AttackConfig(kind="l-flip+g-asc", malicious_fraction=0.5, start_round=0, gamma=1.5)
-    out = craft_updates(2, honest, model, cfg, ctx)
+    out = craft_updates(2, honest.copy(), model, cfg, ctx)
     flip_only = craft_updates(
-        2, honest, model, AttackConfig(kind="l-flip", malicious_fraction=0.5, start_round=0), ctx
+        2,
+        honest.copy(),
+        model,
+        AttackConfig(kind="l-flip", malicious_fraction=0.5, start_round=0),
+        ctx,
     )
     for m in ctx.malicious:
-        expect = flip_only[m].to_vector() - 1.5 * honest[m].to_vector()
-        assert np.allclose(out[m].to_vector(), expect, atol=1e-15)
+        expect = flip_only[m] - 1.5 * honest[m]
+        assert np.allclose(out[m], expect, atol=1e-15)
 
 
 def test_scale_attack_is_linear_in_lambda():
@@ -196,16 +204,14 @@ def test_scale_attack_is_linear_in_lambda():
         cfg = AttackConfig(
             kind="scale", malicious_fraction=0.5, start_round=0, scale_factor=lam
         )
-        return craft_updates(3, honest, model, cfg, ctx)
+        return craft_updates(3, honest.copy(), model, cfg, ctx)
 
     one, three = run(1.0), run(3.0)
     auto = run("auto-n")
     for m in ctx.malicious:
-        assert np.allclose(three[m].to_vector(), 3.0 * one[m].to_vector(), atol=1e-12)
+        assert np.allclose(three[m], 3.0 * one[m], atol=1e-12)
         # auto-n resolves to the federation size
-        assert np.allclose(
-            auto[m].to_vector(), ctx.num_clients * one[m].to_vector(), atol=1e-12
-        )
+        assert np.allclose(auto[m], ctx.num_clients * one[m], atol=1e-12)
 
 
 def test_scale_attack_trains_on_a_stamped_shard():
@@ -234,7 +240,7 @@ def test_scale_attack_trains_on_a_stamped_shard():
         lr=0.1,
         seed=rng_stream(ctx.seed_clients, 3, m),
     )
-    assert np.array_equal(out[m].to_vector(), expect.to_vector())
+    assert np.array_equal(out[m], expect)
 
 
 def test_dba_assigns_parts_round_robin():
@@ -270,7 +276,7 @@ def test_dba_assigns_parts_round_robin():
             model, poisoned.features, poisoned.labels, 1, 16, 0.1,
             seed=rng_stream(78, 0, m),
         )
-        assert np.array_equal(out[m].to_vector(), expect.to_vector())
+        assert np.array_equal(out[m], expect)
 
 
 def test_targeted_attack_without_trigger_raises():

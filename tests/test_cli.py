@@ -2,11 +2,13 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from gradamp.cli import _parse_vary, main
 from gradamp.config import ExperimentConfig
 from gradamp.errors import ConfigError
+from gradamp.harness import read_manifest
 
 FAST = {
     "dataset.per_class": 30,
@@ -67,6 +69,33 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, **{"defense.family": "fltrust", "trust.size": 10_000})
     assert main(["run", path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_model_ends_the_pair_as_diverged(tmp_path, capsys):
+    # A 1e300 boost overflows the plain mean once the attack is on; the run
+    # must stop as diverged at that round instead of reporting ok.
+    path = write_config(
+        tmp_path,
+        **{
+            "federation.rounds": 6,
+            "defense.family": "fedavg",
+            "defense.amplifier": "none",
+            "attack.kind": "scale",
+            "attack.scale_factor": 1e300,
+            "attack.start_round": 1,
+        },
+    )
+    with np.errstate(all="ignore"):
+        assert main(["run-pair", path]) == 3
+    assert "no longer finite" in capsys.readouterr().err
+    attacked = read_manifest(str(tmp_path / "out" / "attacked" / "manifest.txt"))
+    assert attacked["run.status"] == "diverged"
+    # round 2 leaves huge finite weights, whose logits overflow in round 3
+    assert attacked["run.error"] == (
+        "round 3: DivergenceError: model parameters are no longer finite"
+    )
+    assert read_manifest(str(tmp_path / "out" / "clean" / "manifest.txt"))["run.status"] == "ok"
+    assert not os.path.exists(tmp_path / "out" / "metrics.csv")
 
 
 def test_report_requires_out(tmp_path):

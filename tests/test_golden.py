@@ -1,0 +1,179 @@
+"""Golden checksums: small pinned pairs must write the recorded bytes.
+
+Each case runs ``python -m gradamp.cli run-pair`` in a fresh process with
+BLAS pinned to one thread (OpenBLAS's larger products give other bytes at
+other thread counts) and compares the sha256 of every deterministic file
+with the value recorded when the case was added.  ``config.txt`` is left
+out because it holds ``output.dir``.  The cases cover the defense and
+attack paths the benchmark workloads do not run.
+
+A change that moves a hash must name the change and why; regenerate the
+table only then: ``GOLDEN_PRINT=1 pytest -s tests/test_golden.py`` prints
+each case's digests.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from gradamp.config import ExperimentConfig
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+BASE = {
+    "dataset.per_class": 40,
+    "dataset.spread": 1.0,
+    "dataset.server_fraction": 0.3,
+    "federation.clients": 8,
+    "federation.rounds": 6,
+    "federation.checkpoint_every": 2,
+    "attack.start_round": 2,
+    "local.batch": 16,
+    "model.hidden": 8,
+    "validation.size": 15,
+    "trust.size": 15,
+}
+
+CONV = {"dataset.dim": "1x8x8", "model.kind": "conv", "model.filters": 4}
+
+CASES = {
+    "fedavg-none-lflip-gasc": {
+        "defense.family": "fedavg",
+        "defense.amplifier": "none",
+        "attack.kind": "l-flip+g-asc",
+    },
+    "distmerged-mp-sh": {
+        "defense.family": "dist-merged",
+        "defense.amplifier": "mp",
+        "attack.kind": "sh-optimized",
+    },
+    "fltrust-mp-lflip": {
+        "defense.family": "fltrust",
+        "defense.amplifier": "mp",
+        "attack.kind": "l-flip",
+    },
+    "fang-mp-scale-dump": {
+        "defense.family": "fang",
+        "defense.amplifier": "mp",
+        "attack.kind": "scale",
+        "output.dump_amplified_round": 4,
+    },
+    "distcos-none-gasc": {
+        "defense.family": "dist-cos",
+        "defense.amplifier": "none",
+        "attack.kind": "g-asc",
+    },
+    "conv-fltrust-xai-dba": {
+        **CONV,
+        "defense.family": "fltrust",
+        "defense.amplifier": "xai",
+        "attack.kind": "dba",
+    },
+    "conv-distcos-xai-scale-dump": {
+        **CONV,
+        "defense.family": "dist-cos",
+        "defense.amplifier": "xai",
+        "attack.kind": "scale",
+        "output.dump_amplified_round": 3,
+    },
+}
+
+FILES = (
+    "clean/rounds.csv",
+    "clean/decisions.csv",
+    "attacked/rounds.csv",
+    "attacked/decisions.csv",
+    "attacked/amplified.csv",
+    "metrics.csv",
+)
+
+GOLDEN = {
+    "conv-distcos-xai-scale-dump": {
+        "clean/rounds.csv": "6b63a4314f3253ce32d78daf688604fa84b5588b158a9600a3ce9ba1360ad544",
+        "clean/decisions.csv": "2882751ed6747a96749f44e8713f8f3dc0fe36de26a03fb7751bfb88c4372e84",
+        "attacked/rounds.csv": "c269eee1676c96993c4126c2c01224d6dd62d8b2ce5b61e1bd275bd10a5d0941",
+        "attacked/decisions.csv": "42fce94b5b220cc9ef33fcd1e8f320faa70a72284b5fb9ccdbe79ff805cb3688",
+        "attacked/amplified.csv": "4bcd50370e5ac5f1b4bb27c571a6d273927fdb29e095645b36769664880faa0a",
+        "metrics.csv": "65bbc89be4559f93bb89acb0776880ea292e77ddb068336c46763a5866e8da1f",
+    },
+    "conv-fltrust-xai-dba": {
+        "clean/rounds.csv": "aa560d05955e6b5c0e0565d322ae7041840a8901d4b10514d37fa0a0c4448d68",
+        "clean/decisions.csv": "ce541027c226cfa3310c26625ae19955d5b1042f500be493c804cf5d4eba2634",
+        "attacked/rounds.csv": "aa560d05955e6b5c0e0565d322ae7041840a8901d4b10514d37fa0a0c4448d68",
+        "attacked/decisions.csv": "3b71a72794cad8cc85146fcbf198b9181126a5e008d7053d4e2fe8a9d5a5497e",
+        "metrics.csv": "f72b3e4b9ba7522bf543ab1dd4c2f8e359c5b6332c668c7cbe337d8d7e7791bc",
+    },
+    "distcos-none-gasc": {
+        "clean/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "clean/decisions.csv": "314b76be44eb5a8e57eb616c1457aa5a408b8b1654bb96fb5099a89db578208b",
+        "attacked/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "attacked/decisions.csv": "4f388a5fb644813eff3475d4d0caac6da31fe9a27106f52499c45e51b4164be7",
+        "metrics.csv": "bcbb7bdc141bbf79e2676365b39e7c643fd3be8f11e4039cdff5bc56ff5c6317",
+    },
+    "distmerged-mp-sh": {
+        "clean/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "clean/decisions.csv": "974f4b7e304b4c1f5cef7cf8c28ba806568c330116cd9749b34bea4a4bfd7c98",
+        "attacked/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "attacked/decisions.csv": "c1c98b51b95cb745db0d2495cd12eb89694e49a79d2b85143e40dec3c8eb0ccf",
+        "metrics.csv": "446ed36d768d03e17347ec80100c5f86b7501a3183130465525244350b0225bc",
+    },
+    "fang-mp-scale-dump": {
+        "clean/rounds.csv": "13a3b8a38d7aa4cd77a1eebd190d6cc86054cd3e0cc26b811c5df5db5232529c",
+        "clean/decisions.csv": "00dc75f22a695d1781f0eede429385673d83ba74faf96c40001e60b9b7f12be0",
+        "attacked/rounds.csv": "13a3b8a38d7aa4cd77a1eebd190d6cc86054cd3e0cc26b811c5df5db5232529c",
+        "attacked/decisions.csv": "efa5ae0cc5909ae1d9c5b7eed8ed63676093dcb97e23f09a166f3ba09b8bafeb",
+        "attacked/amplified.csv": "fe745f85ac91001c781f505ba067300a28797030b4e451968f5799e41eaf22f5",
+        "metrics.csv": "9ec5fe29637a085c529e1ba3fba6e7b71a9bd45727d2d13bdf32efbd7b31c571",
+    },
+    "fedavg-none-lflip-gasc": {
+        "clean/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "clean/decisions.csv": "18b485e6d8d14222482085559ed44e96374577a8f3c2ddf1fe4fb762ab377506",
+        "attacked/rounds.csv": "3d5036f4ccf600f89f8716b9a78a7178023b5c4d0b2440926c39b97b13fae47e",
+        "attacked/decisions.csv": "18b485e6d8d14222482085559ed44e96374577a8f3c2ddf1fe4fb762ab377506",
+        "metrics.csv": "10d9be86610370e8d4003fc07c655ac83aa9c0b3db3552df369f26d9c703867e",
+    },
+    "fltrust-mp-lflip": {
+        "clean/rounds.csv": "47f898b1cd6e0cbfd50bdc18045e8a2ee230cc5cb8247b27ad9678c0eb90391d",
+        "clean/decisions.csv": "a23c1b14c0d2c5556443708fbdc21b2c7ae04164c22bb949f3a0a8dc576e486c",
+        "attacked/rounds.csv": "47f898b1cd6e0cbfd50bdc18045e8a2ee230cc5cb8247b27ad9678c0eb90391d",
+        "attacked/decisions.csv": "21057a30152101ad1182cd2814b9aa8e4ef92486a7ffa53c6b47ec9ec965fa41",
+        "metrics.csv": "bcb498a8dd4e66b2b9d5561953167c4a33860f47e623af94e43dd89d988e804b",
+    },
+}
+
+
+def run_case(tmp_path, name):
+    """sha256 per deterministic file of one pinned pair."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "case.cfg"
+    cfg = ExperimentConfig.from_mapping({**BASE, **CASES[name], "output.dir": str(out)})
+    cfg_path.write_text(cfg.canonical_text())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradamp.cli", "run-pair", str(cfg_path)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = {}
+    for rel in FILES:
+        path = out / rel
+        if path.exists():
+            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_pair_bytes(tmp_path, name):
+    digests = run_case(tmp_path, name)
+    if os.environ.get("GOLDEN_PRINT"):
+        print(f"\n    {name!r}: {digests!r},")
+    assert ("attacked/amplified.csv" in digests) == ("output.dump_amplified_round" in CASES[name])
+    assert digests == GOLDEN[name]

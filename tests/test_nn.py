@@ -23,7 +23,7 @@ def perturbed(model, index, delta):
     vec = np.zeros(model.param_count())
     vec[index] = delta
     # apply_update computes W - scale * U, so scale -1 adds the bump.
-    return nn.apply_update(model, nn.grads_from_vector(model, vec), -1.0)
+    return nn.apply_update(model, vec, -1.0)
 
 
 def fd_gradient(model, features, labels):
@@ -329,24 +329,24 @@ def test_vector_round_trip():
     model = nn.conv_model((1, 5, 5), 3, seed=12, filters=2, kernel=2, pool=2)
     rng = rng_stream(13)
     vec = rng.normal(size=model.param_count())
-    grads = nn.grads_from_vector(model, vec)
-    assert np.array_equal(grads.to_vector(), vec)
-    again = nn.grads_like(grads, vec)
-    assert np.array_equal(again.to_vector(), vec)
+    view = nn.params_from_vector(model, vec)
+    assert np.array_equal(view.to_vector(), vec)
     with pytest.raises(ConfigError):
-        nn.grads_from_vector(model, vec[:-1])
+        nn.params_from_vector(model, vec[:-1])
 
 
 def test_gradient_arithmetic():
     model = nn.mlp_model(3, 0, 2, seed=14)
-    a = nn.grads_from_vector(model, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5]))
-    b = a.scaled(2.0)
-    assert np.array_equal(b.to_vector(), 2.0 * a.to_vector())
-    c = a.plus(b)
-    assert np.array_equal(c.to_vector(), 3.0 * a.to_vector())
+    a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5])
+    b = 2.0 * a
+    ga, gb = (
+        nn.GradientSet([(lay.weight, lay.bias) for lay in nn.params_from_vector(model, v).layers])
+        for v in (a, b)
+    )
+    c = ga.plus(gb)
+    assert np.array_equal(c.to_vector(), 3.0 * a)
     m = nn.mean_grads([a, b])
-    assert np.array_equal(m.to_vector(), 1.5 * a.to_vector())
-    assert a.norm() == pytest.approx(np.linalg.norm(a.to_vector()))
+    assert np.array_equal(m, 1.5 * a)
 
 
 def test_apply_update_scale_one_lands_on_trained_weights():
@@ -356,15 +356,7 @@ def test_apply_update_scale_one_lands_on_trained_weights():
     target = nn.ModelParams(
         [nn.Layer("dense", w * 0.5, np.array([0.25, 1.0])), nn.Layer("softmax")]
     )
-    update = nn.GradientSet(
-        [
-            (
-                model.layers[0].weight - target.layers[0].weight,
-                model.layers[0].bias - target.layers[0].bias,
-            ),
-            (None, None),
-        ]
-    )
+    update = model.to_vector() - target.to_vector()
     moved = nn.apply_update(model, update, 1.0)
     assert np.array_equal(moved.layers[0].weight, target.layers[0].weight)
     assert np.array_equal(moved.layers[0].bias, target.layers[0].bias)
@@ -372,7 +364,7 @@ def test_apply_update_scale_one_lands_on_trained_weights():
 
 def test_apply_update_shape_mismatch_raises():
     model = nn.mlp_model(3, 0, 2, seed=15)
-    bad = nn.GradientSet([(np.zeros((2, 4)), np.zeros(2)), (None, None)])
+    bad = np.zeros(2 * 4 + 2)
     with pytest.raises(ConfigError):
         nn.apply_update(model, bad, 1.0)
 
@@ -385,12 +377,12 @@ def test_local_train_is_deterministic_and_seed_sensitive():
     u1 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 0))
     u2 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 0))
     u3 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 1))
-    assert np.array_equal(u1.to_vector(), u2.to_vector())
-    assert not np.array_equal(u1.to_vector(), u3.to_vector())
+    assert np.array_equal(u1, u2)
+    assert not np.array_equal(u1, u3)
     # The caller's model is untouched.
     fresh = nn.mlp_model(4, 5, 3, seed=16)
     assert np.array_equal(
-        nn.grads_from_vector(model, np.zeros(model.param_count())).to_vector(),
+        nn.params_from_vector(model, np.zeros(model.param_count())).to_vector(),
         np.zeros(model.param_count()),
     )
     for a, b in zip(model.layers, fresh.layers):
@@ -408,9 +400,9 @@ def test_local_train_update_is_before_minus_after():
     # exactly lr * grad evaluated at the starting point.
     trace = nn.forward(model, x)
     grads = nn.backward(model, trace, y)
-    assert np.allclose(update.to_vector(), 0.5 * grads.to_vector(), atol=1e-15)
+    assert np.allclose(update, 0.5 * grads.to_vector(), atol=1e-15)
     landed = nn.apply_update(model, update, 1.0)
-    expect = nn.apply_update(model, grads, 0.5)
+    expect = nn.apply_update(model, grads.to_vector(), 0.5)
     for a, b in zip(landed.layers, expect.layers):
         if a.weight is not None:
             assert np.allclose(a.weight, b.weight, atol=1e-15)
