@@ -17,14 +17,12 @@ shapes taken from the model layout:
 It runs on client stacks: each panel's stack is a strided (m, h, w) view
 of the update matrix, all N clients at once for small panels and
 cache-sized groups for large ones, so nothing is copied to stack it.  The
-compact view is k*k ``np.maximum`` passes over the strided cell views
-``x[:, a::k, b::k]``, with no padding or block copy; edge blocks are
-ragged and reduced as-is, and a block holding a NaN reduces to NaN.  The
+compact view is ``nn.block_max`` of the stack, on a ceil grid.  The
 restored view copies each stack into its rows of the output and keeps
-there, per block, the first cell in row-major order that equals the block
-maximum, or its first NaN: the rule of ``argmax`` and of the maxpool
-backward in ``nn``.  Both views write into one preallocated (N, length)
-matrix whose rows are the clients' ``values``.
+there, per block, only the entry ``nn.block_argmax`` routes the block to,
+by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring).
+Both views write into one preallocated (N, length) matrix whose rows are
+the clients' ``values``.
 
 The class-activation route scores each conv filter by the spatial mean of
 d y / d A^k (y = batch-summed true-class logit), keeps the top
@@ -95,39 +93,6 @@ class AmplifiedGradient:
 _STACK_FLOATS = 1 << 16
 
 
-def _patch_max(x: np.ndarray, kernel: int, out: np.ndarray) -> np.ndarray:
-    """Per-block maximum of a (N, h, w) stack, written into ``out`` of shape
-    (N, ceil(h/k), ceil(w/k)).  Cell (a, b) of every block is the strided
-    view ``x[:, a::k, b::k]``; on ragged edges it covers fewer blocks."""
-    k = kernel
-    out[...] = x[:, ::k, ::k]
-    for a in range(k):
-        for b in range(k):
-            if a or b:
-                cell = x[:, a::k, b::k]
-                part = out[:, : cell.shape[1], : cell.shape[2]]
-                np.maximum(part, cell, out=part)
-    return out
-
-
-def _keep_block_max(x: np.ndarray, best: np.ndarray, kernel: int) -> None:
-    """Zero every entry of the (N, h, w) stack ``x`` in place except, per
-    block, its first cell in row-major order that equals ``best`` (the
-    block's ``_patch_max``) or is NaN."""
-    k = kernel
-    open_blocks = np.ones(best.shape, dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            cell = x[:, a::k, b::k]
-            ha, wb = cell.shape[1:]
-            hit = cell == best[:, :ha, :wb]
-            hit |= np.isnan(cell)
-            hit &= open_blocks[:, :ha, :wb]
-            miss = ~hit
-            np.copyto(cell, 0.0, where=miss)
-            open_blocks[:, :ha, :wb] &= miss
-
-
 def _grid(h: int, w: int, kernel: int) -> tuple[int, int]:
     return math.ceil(h / kernel), math.ceil(w / kernel)
 
@@ -143,7 +108,7 @@ def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
         raise ConfigError(f"max_filter expects a matrix, got shape {mat.shape}")
     if kernel < 1:
         raise ConfigError("kernel must be >= 1")
-    return _patch_max(mat[None], kernel, np.empty((1, *_grid(*mat.shape, kernel))))[0]
+    return nn.block_max(mat, kernel)
 
 
 def amplify_mp(
@@ -186,9 +151,11 @@ def amplify_mp(
                 # (N, length) array is made.
                 kept = out[part, offset : offset + h * w].reshape(-1, h, w)
                 np.copyto(kept, x)
-                _keep_block_max(kept, _patch_max(kept, k, scratch[: len(kept)]), k)
+                best = nn.block_max(kept, k, scratch[: len(kept)])
+                for cell, miss in nn.block_argmax(kept, best, k):
+                    np.copyto(kept[cell], 0.0, where=miss)
             else:
-                _patch_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
+                nn.block_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo
     return [
         AmplifiedGradient(

@@ -481,20 +481,13 @@ def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
         "heterogeneity": attacked.heterogeneity,
     }
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    header = "run_id,defense,attack,ta_loss,avg_asr,negative_pulse,heterogeneity"
-    line = ",".join(
-        [
-            str(row["run_id"]),
-            str(row["defense"]),
-            str(row["attack"]),
-            format_float(row["ta_loss"]),
-            format_float(row["avg_asr"]),
-            format_float(row["negative_pulse"]),
-            format_float(row["heterogeneity"]),
-        ]
-    )
-    _write_rows(metrics_path, header, [line])
+    _write_rows(metrics_path, ",".join(row), [_metrics_line(row)])
     return PairSummary(clean, attacked, metrics_path, row)
+
+
+def _metrics_line(row: dict[str, object]) -> str:
+    """A ``metrics_row`` as its metrics.csv line, in the row's key order."""
+    return ",".join(v if isinstance(v, str) else format_float(v) for v in row.values())
 
 
 def sweep(
@@ -512,24 +505,7 @@ def sweep(
         slug = f"{vary_key.replace('.', '-')}-{value}"
         summary = run_pair(sub, os.path.join(out_root, slug))
         summaries.append(summary)
-        r = summary.metrics_row
-        rows.append(
-            ",".join(
-                [
-                    str(value),
-                    str(r["run_id"]),
-                    str(r["defense"]),
-                    str(r["attack"]),
-                    format_float(r["ta_loss"]),
-                    format_float(r["avg_asr"]),
-                    format_float(r["negative_pulse"]),
-                    format_float(r["heterogeneity"]),
-                ]
-            )
-        )
-    _write_rows(
-        os.path.join(out_root, "sweep.csv"),
-        "value,run_id,defense,attack,ta_loss,avg_asr,negative_pulse,heterogeneity",
-        rows,
-    )
+        rows.append(f"{value},{_metrics_line(summary.metrics_row)}")
+    header = "value," + ",".join(summaries[0].metrics_row)
+    _write_rows(os.path.join(out_root, "sweep.csv"), header, rows)
     return summaries

@@ -18,10 +18,16 @@ Kernels:
     weight gradient and the input gradient are each one ``tensordot`` over
     a ``sliding_window_view``.  A first-layer conv skips its input gradient
     unless the caller asks for the gradient w.r.t. the model input.
-  * Maxpool is an elementwise maximum over the k*k strided cell views, so
-    a block holding a NaN pools to NaN.  The backward routes each block's
-    gradient to its first maximum in row-major order, or its first NaN:
-    ``argmax``'s rule, which decides the all-zero blocks after a relu.
+  * One block kernel serves the maxpool layer and the patch-max amplifier.
+    ``block_max`` takes the maximum of each k*k block over the last two
+    axes by k*k ``np.maximum`` passes over the strided cell views
+    ``x[..., a::k, b::k]``, with no padding or block copy: on a ceil grid
+    edge blocks are ragged and reduced as-is, and a block holding a NaN
+    reduces to NaN.  ``block_argmax`` routes each block to one kept entry,
+    its first maximum in row-major order or its first NaN (``argmax``'s
+    rule, which decides the all-zero blocks after a relu).  Maxpool crops
+    the trailing rows and columns, pools with ``block_max`` and sends each
+    block's gradient to its kept entry.
 
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
@@ -37,8 +43,7 @@ Conventions:
   * Feature-map gradients are d y / d A summed over the batch, where y is
     the pre-softmax logit of each sample's true class, summed over the
     batch.  ``feature_map_grads`` computes them with a walk that stops at
-    the conv layer's output and forms no parameter gradient;
-    ``backward(capture_feature_grads=True)`` attaches the same array.
+    the conv layer's output and forms no parameter gradient.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ class ModelParams:
                 raise ConfigError(f"unknown layer kind {layer.kind!r}")
             if layer.kind == "conv":
                 conv_count += 1
+            if layer.kind == "maxpool" and layer.pool < 1:
+                raise ConfigError(f"maxpool kernel must be >= 1, got {layer.pool}")
         if conv_count > 1:
             raise ConfigError("at most one conv layer is supported")
         if not self.layers or self.layers[-1].kind != "softmax":
@@ -123,14 +130,11 @@ class GradientSet:
     """Per-layer (dW, db) pairs aligned with a model's layer list.
 
     This is only what ``backward`` returns; updates travel as flat rows
-    (``to_vector``).  Parameter-free layers hold (None, None).
-    ``feature_map_grads`` rides along only when backward ran with capture
-    enabled; it is auxiliary and excluded from the vector view.  ``plus``
+    (``to_vector``).  Parameter-free layers hold (None, None).  ``plus``
     has no caller left; the benchmark's per-layer table still names it.
     """
 
     layers: list[tuple[np.ndarray | None, np.ndarray | None]]
-    feature_map_grads: np.ndarray | None = None
 
     def to_vector(self) -> np.ndarray:
         return _concat(a for pair in self.layers for a in pair)
@@ -198,6 +202,8 @@ def _rng(seed: int | np.random.Generator) -> np.random.Generator:
 
 def mlp_model(in_dim: int, hidden: int, num_classes: int, seed: int | np.random.Generator) -> ModelParams:
     """dense -> relu -> dense -> softmax; hidden == 0 collapses to logistic."""
+    if hidden < 0:
+        raise ConfigError(f"hidden width must be >= 0, got {hidden}")
     rng = _rng(seed)
     layers: list[Layer] = []
 
@@ -224,6 +230,8 @@ def conv_model(
     pool: int = 2,
 ) -> ModelParams:
     """conv -> relu -> maxpool -> dense -> softmax on (channels, H, W) input."""
+    if min(filters, kernel, pool) < 1:
+        raise ConfigError(f"conv filters, kernel, pool must be >= 1, got {filters}, {kernel}, {pool}")
     rng = _rng(seed)
     c, h, w = in_shape
     if h < kernel or w < kernel:
@@ -263,13 +271,42 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 2, 3)
 
 
-def _pool_cells(x: np.ndarray, k: int) -> list[tuple]:
-    """Indices of the k*k strided cell views of a maxpool input, row-major:
-    ``x[cell]`` for offset (a, b) holds element (a, b) of every block."""
-    ho, wo = x.shape[2] // k, x.shape[3] // k
-    if ho < 1 or wo < 1:
-        raise ConfigError(f"maxpool kernel {k} larger than input {x.shape[2]}x{x.shape[3]}")
-    return [(..., slice(a, ho * k, k), slice(b, wo * k, k)) for a in range(k) for b in range(k)]
+def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Maximum of each k*k block over the last two axes, shape
+    (..., ceil(h/k), ceil(w/k)), written into ``out`` when given.  Cell
+    (a, b) of every block is the strided view ``x[..., a::k, b::k]``; on
+    ragged edges it covers fewer blocks."""
+    if out is None:
+        out = x[..., ::k, ::k].copy()
+    else:
+        out[...] = x[..., ::k, ::k]
+    for a in range(k):
+        for b in range(k):
+            if a or b:
+                cell = x[..., a::k, b::k]
+                part = out[..., : cell.shape[-2], : cell.shape[-1]]
+                np.maximum(part, cell, out=part)
+    return out
+
+
+def block_argmax(x: np.ndarray, best: np.ndarray, k: int):
+    """Route each k*k block of ``x`` to one kept entry: its first cell in
+    row-major order that equals ``best`` (the block's ``block_max``) or is
+    NaN.  Yields, per cell offset in row-major order, the cell's index into
+    ``x`` and the mask of blocks whose kept entry is not in that cell.  The
+    mask is final when yielded, so the caller may overwrite the cell."""
+    open_blocks = np.ones(best.shape, dtype=bool)
+    for a in range(k):
+        for b in range(k):
+            cell = (..., slice(a, None, k), slice(b, None, k))
+            win = x[cell]
+            ha, wb = win.shape[-2:]
+            hit = win == best[..., :ha, :wb]
+            hit |= np.isnan(win)
+            hit &= open_blocks[..., :ha, :wb]
+            miss = ~hit
+            open_blocks[..., :ha, :wb] &= miss
+            yield cell, miss
 
 
 def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
@@ -289,11 +326,13 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
         elif layer.kind == "conv":
             act = _conv_forward(act, layer.weight, layer.bias)
         elif layer.kind == "maxpool":
-            cells = _pool_cells(act, layer.pool)
-            pooled = act[cells[0]]
-            for cell in cells[1:]:
-                pooled = np.maximum(pooled, act[cell])
-            act = pooled
+            k = layer.pool
+            ho, wo = act.shape[2] // k, act.shape[3] // k
+            if ho < 1 or wo < 1:
+                raise ConfigError(
+                    f"maxpool kernel {k} larger than input {act.shape[2]}x{act.shape[3]}"
+                )
+            act = block_max(act[..., : ho * k, : wo * k], k)
         elif layer.kind == "relu":
             act = np.maximum(act, 0.0)
         elif layer.kind == "softmax":
@@ -342,16 +381,12 @@ def _backprop(
         elif layer.kind == "relu":
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
-            # Each block's gradient goes to its first maximum in row-major
-            # order (argmax's tie rule), or to its first NaN if it has one.
             pooled = trace.inputs[i + 1]
+            crop = (..., slice(pooled.shape[2] * layer.pool), slice(pooled.shape[3] * layer.pool))
             dx = np.zeros_like(x)
-            open_blocks = np.ones(pooled.shape, dtype=bool)
-            for cell in _pool_cells(x, layer.pool):
-                win = x[cell]
-                hit = open_blocks & ((win == pooled) | np.isnan(win))
-                dx[cell] = np.where(hit, d, 0.0)
-                open_blocks &= ~hit
+            dx_cropped = dx[crop]
+            for cell, miss in block_argmax(x[crop], pooled, layer.pool):
+                dx_cropped[cell] = np.where(miss, 0.0, d)
             d = dx
         elif layer.kind == "conv":
             w = layer.weight
@@ -380,24 +415,11 @@ def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
     return onehot
 
 
-def backward(
-    model: ModelParams,
-    trace: ForwardTrace,
-    labels: np.ndarray,
-    capture_feature_grads: bool = False,
-) -> GradientSet:
-    """Mean cross-entropy gradients for the traced batch.
-
-    With capture enabled (conv models only) ``feature_map_grads`` also
-    holds the result of :func:`feature_map_grads`; the parameter gradients
-    are the same either way.
-    """
+def backward(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> GradientSet:
+    """Mean cross-entropy gradients for the traced batch."""
     onehot = _onehot(trace, labels)
     grads, _ = _backprop(model, trace, (trace.probs - onehot) / onehot.shape[0], want_params=True)
-    gset = GradientSet(grads)
-    if capture_feature_grads:
-        gset.feature_map_grads = feature_map_grads(model, trace, labels)
-    return gset
+    return GradientSet(grads)
 
 
 def feature_map_grads(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:

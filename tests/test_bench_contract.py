@@ -1,0 +1,103 @@
+"""The benchmark's per-layer names still resolve in the package.
+
+``perfbench --trace 1`` wraps the public functions and methods of the
+traced modules and reports the metrics that BENCHMARK.json names; a name
+that no longer resolves only shows up as a failed traced run.  These
+checks read BENCHMARK.json and the tracer's source (parsed, not imported)
+and fail fast instead.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PER_FUNCTION = ("calls", "self_ms", "total_ms")
+
+
+def _tracer_source() -> ast.Module:
+    with open(os.path.join(ROOT, "perfbench", "tracer.py"), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _tracer_constants() -> dict[str, object]:
+    """Module-level tuple/dict literals of the tracer; dict values that are
+    not literals (the hook functions) are kept as their names."""
+    out = {}
+    for node in _tracer_source().body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if isinstance(node.value, ast.Tuple):
+                out[name] = ast.literal_eval(node.value)
+            elif isinstance(node.value, ast.Dict):
+                out[name] = {
+                    ast.literal_eval(k): tuple(getattr(e, "id", None) for e in v.elts)
+                    for k, v in zip(node.value.keys, node.value.values)
+                }
+    return out
+
+
+TRACER = _tracer_constants()
+
+
+def _resolve(dotted: str):
+    """The public function or method ``<module>.<function>[.<method>]`` of
+    ``gradamp.<module>``, defined in that module, or None."""
+    module_name, *path = dotted.split(".")
+    if module_name not in TRACER["TRACED_MODULES"] or not 1 <= len(path) <= 2:
+        return None
+    module = importlib.import_module(f"gradamp.{module_name}")
+    obj = vars(module).get(path[0])
+    if path[0].startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+        return None
+    if len(path) == 2:
+        if path[1].startswith("_") or not inspect.isclass(obj):
+            return None
+        obj = vars(obj).get(path[1])
+        obj = getattr(obj, "__func__", obj)
+    return obj if inspect.isfunction(obj) else None
+
+
+def _per_function_names() -> list[str]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    out = []
+    for name in names:
+        stem, _, field = name.rpartition(".")
+        if field not in PER_FUNCTION or stem.count(".") == 0 or stem.endswith(".in_train"):
+            continue  # module totals, counters and the training split
+        if name == "config.validate.calls":
+            continue  # the sum over VALIDATE_METHODS, checked below
+        out.append(stem)
+    return out
+
+
+def test_per_layer_names_resolve_to_public_functions():
+    names = _per_function_names() + list(TRACER["TRAINING_SPLIT"] + TRACER["VALIDATE_METHODS"])
+    assert "nn.GradientSet.plus" in names
+    assert [n for n in names if _resolve(n) is None] == []
+
+
+def test_hooked_functions_take_the_arguments_their_hooks_read():
+    hooks = {
+        node.name: node for node in _tracer_source().body if isinstance(node, ast.FunctionDef)
+    }
+    checked = set()
+    for dotted, pair in TRACER["_HOOKS"].items():
+        fn = _resolve(dotted)
+        assert fn is not None, dotted
+        params = inspect.signature(fn).parameters
+        for hook in filter(None, pair):
+            read = [
+                node.slice.value
+                for node in ast.walk(hooks[hook])
+                if isinstance(node, ast.Subscript)
+                and getattr(node.value, "attr", None) == "arguments"
+                and isinstance(node.slice, ast.Constant)
+            ]
+            for arg in read:
+                assert arg in params, f"{hook} reads {arg!r}, which {dotted} does not take"
+            checked.update(read)
+    assert {"attack_enabled", "amped_restored", "gamma_max"} <= checked

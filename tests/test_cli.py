@@ -63,6 +63,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("model.pool", 0),
+        ("model.kernel", -2),
+        ("model.kernel", 0),
+        ("model.filters", 0),
+        ("model.hidden", -3),
+    ],
+)
+def test_degenerate_model_size_exits_2(tmp_path, capsys, key, value):
+    conv = {"dataset.dim": "1x8x8", "model.kind": "conv", "defense.amplifier": "xai"}
+    extra = {} if key == "model.hidden" else conv
+    path = write_config(tmp_path, **extra, **{key: value})
+    assert main(["run", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # A trust shard larger than the server pool fails at setup, which is
     # a runtime error rather than a config-shape one.

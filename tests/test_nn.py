@@ -99,7 +99,7 @@ def test_feature_map_gradients_match_finite_differences():
     x = rng.normal(size=(5, 1, 6, 6))
     y = rng.integers(0, 3, size=5)
     trace = nn.forward(model, x)
-    fmg = nn.backward(model, trace, y, capture_feature_grads=True).feature_map_grads
+    fmg = nn.feature_map_grads(model, trace, y)
 
     ci = model.conv_index()
     tail = nn.ModelParams(model.layers[ci + 1 :])
@@ -122,25 +122,12 @@ def test_feature_map_gradients_match_finite_differences():
     assert rel_err(fmg, numeric) <= FD_TOL
 
 
-def test_capture_leaves_parameter_gradients_untouched():
-    model = nn.conv_model((1, 5, 5), 2, seed=9, filters=3, kernel=2, pool=2)
-    rng = rng_stream(10)
-    x = rng.normal(size=(6, 1, 5, 5))
-    y = rng.integers(0, 2, size=6)
-    trace = nn.forward(model, x)
-    plain = nn.backward(model, trace, y)
-    with_maps = nn.backward(model, trace, y, capture_feature_grads=True)
-    assert plain.feature_map_grads is None
-    assert with_maps.feature_map_grads is not None
-    assert np.array_equal(plain.to_vector(), with_maps.to_vector())
-
-
 def test_capture_without_conv_layer_raises():
     model = nn.mlp_model(4, 3, 2, seed=0)
     x = rng_stream(11).normal(size=(2, 4))
     trace = nn.forward(model, x)
     with pytest.raises(ConfigError):
-        nn.backward(model, trace, np.array([0, 1]), capture_feature_grads=True)
+        nn.feature_map_grads(model, trace, np.array([0, 1]))
 
 
 def test_perfect_predictions_give_zero_gradient():
