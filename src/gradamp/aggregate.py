@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplify import AmplifiedGradient, AmplifierConfig, amplify
+from .amplify import AmplifiedGradient, AmplifierConfig, amplify, xai_selection
 from .data import Dataset
 from .errors import ConfigError
 from . import nn
@@ -58,6 +58,8 @@ class AggregatorConfig:
             raise ConfigError(f"unknown aggregator family {self.family!r}")
         if not 0.0 <= self.assumed_malicious < 1.0:
             raise ConfigError("assumed_malicious must lie in [0, 1)")
+        if self.neighbors < 0:
+            raise ConfigError(f"neighbors must be >= 0 (0 = N//2 + 1), got {self.neighbors}")
         if (
             self.family == "fang"
             and self.amplifier.kind != "none"
@@ -165,7 +167,7 @@ def fang_whitelist(
     """Loss and error leave-one-out screens over restored amplified updates.
 
     ``amped_restored`` holds one flat update per client in
-    ``ModelParams.to_vector`` order.  For each client, average everyone
+    ``ModelParams.theta`` order.  For each client, average everyone
     else's update, apply it, and record validation loss and error.  A low
     leave-one-out value means the excluded client was hurting, so the
     ceil(M_f * N) lowest are rejected under each criterion and the
@@ -185,7 +187,7 @@ def fang_whitelist(
         raise ConfigError("no updates to aggregate")
     if len(validation) == 0:
         raise ConfigError("prediction-based screening needs a validation set")
-    theta = model.to_vector()
+    theta = model.theta
     for row in amped_restored:
         if np.shape(row) != theta.shape:
             raise ConfigError(
@@ -198,7 +200,7 @@ def fang_whitelist(
         others = [amped_restored[j] for j in range(n) if j != i] or [amped_restored[i]]
         nn.mean_grads(others, out=buf)
         np.subtract(theta, buf, out=buf)
-        trace = nn.forward(nn.params_from_vector(model, buf), validation.features)
+        trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features)
         losses[i] = nn.loss_value(trace, validation.labels)
         errors[i] = float(
             np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
@@ -281,12 +283,34 @@ def _whitelist_decision(
     return AggregationDecision(update, scores, accepted, whitelist=whitelist)
 
 
+def scored_views(
+    grads: np.ndarray, config: AggregatorConfig, context: RoundContext
+) -> tuple[list[AmplifiedGradient], AmplifiedGradient | None]:
+    """The amplified views ``config.family`` scores: one per row of the (N,
+    P) update matrix, plus the server reference's view for fltrust (else
+    None).  fltrust with the xai amplifier reads every view through one
+    filter selection, taken from the server's own reference model, so every
+    trust cosine compares coordinates of the same filters.  fedavg scores
+    nothing and gets the configured amplifier's views."""
+    amp = config.amplifier
+    if config.family != "fltrust":
+        return amplify(grads, amp, context.model, context.validation), None
+    if context.ref_update is None:
+        raise ConfigError("trust bootstrapping needs a server reference update")
+    fixed = None
+    if amp.kind == "xai" and context.validation is not None:
+        fixed = xai_selection(context.model, context.ref_update, context.validation, amp.top_p)
+    amped = amplify(grads, amp, context.model, context.validation, fixed)
+    ref_row = context.ref_update[None]
+    return amped, amplify(ref_row, amp, context.model, context.validation, fixed)[0]
+
+
 def aggregate_round(
     grads: np.ndarray,
     config: AggregatorConfig,
     context: RoundContext,
 ) -> AggregationDecision:
-    """Score the rows of the (N, P) update matrix on amplified vectors,
+    """Score the rows of the (N, P) update matrix on their ``scored_views``,
     update from the original rows."""
     n = len(grads)
     if n == 0:
@@ -295,43 +319,22 @@ def aggregate_round(
         return AggregationDecision(
             fedavg(grads), np.ones(n), np.ones(n, dtype=bool), whitelist=list(range(n))
         )
+    if config.family == "fang" and context.validation is None:
+        raise ConfigError("prediction-based screening needs a validation set")
 
-    amp = config.amplifier
+    amped, amped_ref = scored_views(grads, config, context)
     if config.family == "fltrust":
-        if context.ref_update is None:
-            raise ConfigError("trust bootstrapping needs a server reference update")
-        fixed = None
-        if amp.kind == "xai":
-            # One selection, taken from the server's own reference model, so
-            # every trust cosine compares coordinates of the same filters.
-            fixed = None if context.validation is None else _ref_selection(amp, context)
-        amped = amplify(grads, amp, context.model, context.validation, fixed)
-        ref_row = context.ref_update[None]
-        amped_ref = amplify(ref_row, amp, context.model, context.validation, fixed)[0]
         return fltrust_aggregate(amped, amped_ref, grads, context.ref_update)
-
-    neighbors = config.neighbors if config.neighbors > 0 else n // 2 + 1
-    if config.family in ("dist-cos", "dist-euc"):
-        amped = amplify(grads, amp, context.model, context.validation)
+    if config.family == "fang":
+        # restored amplified updates drive the prediction screens
+        wl, scores = fang_whitelist(
+            [a.values for a in amped], context.model, context.validation, config.assumed_malicious
+        )
+        return _whitelist_decision(wl, scores, grads)
+    neighbors = config.neighbors or n // 2 + 1
+    if config.family == "dist-merged":
+        wl, scores = merged_whitelist(amped, neighbors, config.assumed_malicious)
+    else:
         metric = "cos" if config.family == "dist-cos" else "euc"
         wl, scores = density_whitelist(amped, metric, neighbors, config.assumed_malicious)
-        return _whitelist_decision(wl, scores, grads)
-    if config.family == "dist-merged":
-        amped = amplify(grads, amp, context.model, context.validation)
-        wl, scores = merged_whitelist(amped, neighbors, config.assumed_malicious)
-        return _whitelist_decision(wl, scores, grads)
-
-    # fang: restored amplified updates drive the prediction screens
-    if context.validation is None:
-        raise ConfigError("prediction-based screening needs a validation set")
-    amped = amplify(grads, amp, context.model, context.validation)
-    wl, losses = fang_whitelist(
-        [a.values for a in amped], context.model, context.validation, config.assumed_malicious
-    )
-    return _whitelist_decision(wl, losses, grads)
-
-
-def _ref_selection(amp: AmplifierConfig, context: RoundContext) -> np.ndarray:
-    from .amplify import xai_selection
-
-    return xai_selection(context.model, context.ref_update, context.validation, amp.top_p)
+    return _whitelist_decision(wl, scores, grads)

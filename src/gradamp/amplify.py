@@ -6,7 +6,8 @@ but always apply the untouched originals.  With ``restore_size`` the output
 instead keeps the original length, zero everywhere except the surviving
 entries, so prediction-based screens can apply it as a model update.
 
-Updates arrive as the rows of one (N, P) matrix in ``nn`` vector order.
+Updates arrive as the rows of one (N, P) matrix in ``ModelParams.theta``
+order.
 The max filter views each layer's slice of a row as a 2-D panel, with the
 shapes taken from the model layout:
 
@@ -27,8 +28,8 @@ the clients' ``values``.
 The class-activation route scores each conv filter by the spatial mean of
 d y / d A^k (y = batch-summed true-class logit), keeps the top
 ceil(top_p * filters) filters, and emits the client's original conv weight
-gradients for those filters in rank order, read through the
-``nn.params_from_vector`` views of the client's row.
+gradients for those filters in rank order, read through the conv weight
+view of a model built on the client's row.
 """
 
 from __future__ import annotations
@@ -219,15 +220,15 @@ def amplify_xai(
 ) -> list[AmplifiedGradient]:
     """Per client row: select filters via the client's updated model (or
     reuse a caller-supplied selection) and emit the client's original conv
-    weight gradients for those filters, read through ``params_from_vector``
-    views."""
+    weight gradients for those filters, read through the conv weight view
+    of ``nn.ModelParams(model.layers, row)``."""
     ci = model.conv_index()
     if ci is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
-    original = model.param_count()
+    original = model.theta.size
     out = []
     for row in rows:
-        gw = nn.params_from_vector(model, row).layers[ci].weight
+        gw = nn.ModelParams(model.layers, row).layers[ci].weight
         sel = (
             np.asarray(fixed_selection, dtype=np.int64)
             if fixed_selection is not None
@@ -235,7 +236,7 @@ def amplify_xai(
         )
         if config.restore_size:
             values = np.zeros(original)
-            nn.params_from_vector(model, values).layers[ci].weight[sel] = gw[sel]
+            nn.ModelParams(model.layers, values).layers[ci].weight[sel] = gw[sel]
         else:
             values = gw[sel].reshape(-1)
         out.append(

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import RoundContext, aggregate_round
-from .amplify import amplify
+from .aggregate import RoundContext, aggregate_round, scored_views
 from .attacks import AttackContext, craft_updates, resolve_trigger, select_malicious
 from .config import ExperimentConfig
 from .data import (
@@ -284,7 +283,7 @@ def run_experiment(
         model = prep.model
         # one row per client, rewritten every round: training and crafting
         # write the rows in place, screening and the mean read them
-        updates = np.empty((n_clients, model.param_count()))
+        updates = np.empty((n_clients, model.theta.size))
 
         records.append(
             _evaluate(model, 0, prep.test_set, triggered, attack_cfg.target_label, 0.0)
@@ -317,17 +316,16 @@ def run_experiment(
                     lr=lr,
                     seed=rng_stream(seed_clients, r, n_clients),
                 )
-            decision = aggregate_round(
-                submitted, agg_cfg, RoundContext(model, prep.validation, ref_update)
-            )
+            round_ctx = RoundContext(model, prep.validation, ref_update)
+            decision = aggregate_round(submitted, agg_cfg, round_ctx)
             for i in range(n_clients):
                 decision_rows.append(
                     f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
                 )
             if k == dump_round:
-                _dump_amplified(out_dir, submitted, agg_cfg, model, prep.validation)
+                _dump_amplified(out_dir, submitted, agg_cfg, round_ctx)
             model = nn.apply_update(model, decision.global_update, 1.0)
-            if not np.isfinite(model.to_vector()).all():
+            if not np.isfinite(model.theta).all():
                 raise DivergenceError("model parameters are no longer finite")
             if k % every == 0 or k == rounds:
                 now = time.perf_counter()
@@ -369,8 +367,9 @@ def run_experiment(
     return manifest
 
 
-def _dump_amplified(out_dir, submitted, agg_cfg, model, validation) -> None:
-    amped = amplify(submitted, agg_cfg.amplifier, model, validation)
+def _dump_amplified(out_dir, submitted, agg_cfg, round_ctx) -> None:
+    """The round's amplified views, as the screen scored them."""
+    amped, _ = scored_views(submitted, agg_cfg, round_ctx)
     rows = []
     for cid, a in enumerate(amped):
         for j, v in enumerate(a.values):

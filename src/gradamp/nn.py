@@ -32,12 +32,13 @@ Kernels:
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
     graph without autodiff.
-  * A client "update" is ``theta_before - theta_after`` as one flat float64
-    row in ``ModelParams.to_vector`` order (``params_from_vector`` views a
-    row as per-layer arrays); a round's updates are the rows of one (N, P)
-    matrix.  The server applies an update as ``theta - scale * update``
-    (``apply_update``), so with scale 1 it lands exactly on the client's
-    trained weights.  ``mean_grads`` is the one mean over rows.
+  * A model's weights and biases are views into its one flat ``theta``.
+    A client "update" is ``theta_before - theta_after`` as one flat float64
+    row in ``ModelParams.theta`` order (``ModelParams(model.layers, row)``
+    views a row as per-layer arrays); a round's updates are the rows of one
+    (N, P) matrix.  The server applies an update as ``theta - scale *
+    update`` (``apply_update``), so with scale 1 it lands exactly on the
+    client's trained weights.  ``mean_grads`` is the one mean over rows.
   * ``GradientSet`` is only what ``backward`` returns: per-layer gradients,
     flattened by ``to_vector`` before they step anything.
   * Feature-map gradients are d y / d A summed over the batch, where y is
@@ -72,15 +73,18 @@ def _concat(arrays) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
-@dataclass
 class ModelParams:
-    """Ordered layer list plus shape bookkeeping."""
+    """Ordered layer list whose weights and biases are views into one flat
+    float64 ``theta``: weight, then bias, layer by layer.
 
-    layers: list[Layer]
+    ``ModelParams(layers)`` copies the layers' arrays into a new theta.
+    ``ModelParams(layers, theta)`` views ``theta`` without copying; the
+    layers give only the shapes.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, layers: list[Layer], theta: np.ndarray | None = None) -> None:
         conv_count = 0
-        for layer in self.layers:
+        for layer in layers:
             if layer.kind not in LAYER_KINDS:
                 raise ConfigError(f"unknown layer kind {layer.kind!r}")
             if layer.kind == "conv":
@@ -89,27 +93,31 @@ class ModelParams:
                 raise ConfigError(f"maxpool kernel must be >= 1, got {layer.pool}")
         if conv_count > 1:
             raise ConfigError("at most one conv layer is supported")
-        if not self.layers or self.layers[-1].kind != "softmax":
+        if not layers or layers[-1].kind != "softmax":
             raise ConfigError("model must end with a softmax layer")
+        arrays = [a for layer in layers for a in (layer.weight, layer.bias) if a is not None]
+        if theta is None:
+            theta = _concat(arrays).astype(np.float64, copy=False)
+        size = sum(a.size for a in arrays)
+        if np.shape(theta) != (size,):
+            raise ConfigError(f"vector has shape {np.shape(theta)}, model has {size} parameters")
+        self.theta = theta
+        self.layers: list[Layer] = []
+        pos = 0
+        for layer in layers:
+            views = []
+            for a in (layer.weight, layer.bias):
+                if a is not None:
+                    a = theta[pos : pos + a.size].reshape(a.shape)
+                    pos += a.size
+                views.append(a)
+            self.layers.append(Layer(layer.kind, *views, layer.pool))
 
     def conv_index(self) -> int | None:
         for i, layer in enumerate(self.layers):
             if layer.kind == "conv":
                 return i
         return None
-
-    def param_count(self) -> int:
-        total = 0
-        for layer in self.layers:
-            if layer.weight is not None:
-                total += layer.weight.size
-            if layer.bias is not None:
-                total += layer.bias.size
-        return total
-
-    def to_vector(self) -> np.ndarray:
-        """Weights and biases in the order of ``GradientSet.to_vector``."""
-        return _concat(a for layer in self.layers for a in (layer.weight, layer.bias))
 
 
 @dataclass
@@ -151,27 +159,6 @@ class GradientSet:
                 )
             )
         return GradientSet(out)
-
-
-def params_from_vector(model: ModelParams, vec: np.ndarray) -> ModelParams:
-    """A model shaped like ``model`` whose weights and biases are views into
-    ``vec`` (``ModelParams.to_vector`` order), so no parameter is copied."""
-    if vec.shape != (model.param_count(),):
-        raise ConfigError(
-            f"vector has shape {vec.shape}, model has {model.param_count()} parameters"
-        )
-    out = []
-    pos = 0
-    for layer in model.layers:
-        w = b = None
-        if layer.weight is not None:
-            w = vec[pos : pos + layer.weight.size].reshape(layer.weight.shape)
-            pos += layer.weight.size
-        if layer.bias is not None:
-            b = vec[pos : pos + layer.bias.size].reshape(layer.bias.shape)
-            pos += layer.bias.size
-        out.append(Layer(layer.kind, w, b, layer.pool))
-    return ModelParams(out)
 
 
 def mean_grads(rows, out: np.ndarray | None = None) -> np.ndarray:
@@ -449,12 +436,12 @@ def predict(model: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def apply_update(model: ModelParams, update: np.ndarray, scale: float) -> ModelParams:
-    """theta - scale * update for a flat update in ``to_vector`` order; the
-    new model's parameters are views into one new vector."""
-    theta = model.to_vector()
-    if np.shape(update) != theta.shape:
-        raise ConfigError(f"update has shape {np.shape(update)}, model has {theta.size} parameters")
-    return params_from_vector(model, theta - scale * update)
+    """A new model at ``model.theta - scale * update``; ``model`` is left as is."""
+    if np.shape(update) != model.theta.shape:
+        raise ConfigError(
+            f"update has shape {np.shape(update)}, model has {model.theta.size} parameters"
+        )
+    return ModelParams(model.layers, model.theta - scale * update)
 
 
 def local_train(
@@ -468,10 +455,10 @@ def local_train(
 ) -> np.ndarray:
     """Plain SGD for a client; returns theta_before - theta_after, flat.
 
-    The working model's parameters are views into one flat theta, which
-    each step moves in place by ``lr * backward(...).to_vector()``.  Batch
-    order is drawn from the given seed only, so a round's clients can run
-    in any order (or in parallel) without changing their updates.
+    Each step moves a private copy of ``model.theta`` in place by
+    ``lr * backward(...).to_vector()``.  Batch order is drawn from the
+    given seed only, so a round's clients can run in any order (or in
+    parallel) without changing their updates.
     """
     n = len(labels)
     if n == 0:
@@ -481,13 +468,12 @@ def local_train(
     rng = _rng(seed)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    before = model.to_vector()
-    theta = before.copy()
-    work = params_from_vector(model, theta)
+    theta = model.theta.copy()
+    work = ModelParams(model.layers, theta)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             trace = forward(work, features[batch])
             theta -= lr * backward(work, trace, labels[batch]).to_vector()
-    return before - theta
+    return model.theta - theta

@@ -108,7 +108,7 @@ def _fd_param_gradient(model, x, y):
     def loss_at(m):
         return nn.loss_value(nn.forward(m, x), y)
 
-    out = np.zeros(model.param_count())
+    out = np.zeros(model.theta.size)
     for j in range(out.size):
         bump = np.zeros_like(out)
         bump[j] = FD_STEP
@@ -127,7 +127,7 @@ def test_analytic_gradients_match_finite_differences():
     t0 = time.perf_counter()
     worst_p, worst_f = 0.0, 0.0
     model = nn.conv_model((1, 6, 6), 3, seed=0, filters=2, kernel=3, pool=2)
-    count = model.param_count()
+    count = model.theta.size
     for seed in range(20):
         model = nn.conv_model((1, 6, 6), 3, seed=1000 + seed, filters=2, kernel=3, pool=2)
         rng = np.random.default_rng(2000 + seed)
@@ -406,7 +406,7 @@ def test_no_attack_fidelity(tmp_path):
 def test_amplified_screening_wall_time():
     rng = np.random.default_rng(7)
     model = nn.mlp_model(120, 800, 10, seed=11)
-    dim = model.param_count()
+    dim = model.theta.size
     grads = np.stack([rng.normal(size=dim) for _ in range(50)])
     ctx = RoundContext(model=model)
     medians = {}

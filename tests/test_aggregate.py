@@ -198,7 +198,7 @@ def test_fang_probes_equal_the_ordered_fold_bit_for_bit():
     model = nn.mlp_model(6, 5, 3, seed=62)
     rng = rng_stream(63)
     val = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3)
-    rows = [0.1 * rng.normal(size=model.param_count()) for _ in range(5)]
+    rows = [0.1 * rng.normal(size=model.theta.size) for _ in range(5)]
     # One Byzantine client far beyond the others' magnitude.
     huge = [r.copy() for r in rows]
     huge[2] = 1e20 * huge[2]
@@ -207,7 +207,7 @@ def test_fang_probes_equal_the_ordered_fold_bit_for_bit():
         assert losses.tobytes() == naive_leave_one_out_losses(case, model, val).tobytes()
     # The subtraction shortcut (S - x_i) / (N - 1) loses the others to
     # cancellation once x_i is huge, so the case above can tell them apart.
-    theta = model.to_vector()
+    theta = model.theta
     shortcut = theta - (np.sum(huge, axis=0) - huge[2]) / 4
     exact = theta - (huge[0] + huge[1] + huge[3] + huge[4]) * 0.25
     assert not np.allclose(shortcut, exact, rtol=1e-3, atol=0.0)

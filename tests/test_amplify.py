@@ -127,7 +127,7 @@ def test_restore_matches_filter_values():
 
 def test_amplified_length_sums_panel_grids():
     model = nn.conv_model((1, 6, 6), 3, seed=34, filters=4, kernel=3, pool=2)
-    vec = rng_stream(35).normal(size=model.param_count())
+    vec = rng_stream(35).normal(size=model.theta.size)
     cfg = AmplifierConfig(kind="mp", kernel=3)
     out = amplify_mp(vec[None], model, cfg)[0]
     expect = 0
@@ -138,7 +138,7 @@ def test_amplified_length_sums_panel_grids():
         if db is not None:
             expect += math.ceil(db.size / 3)
     assert out.values.size == expect
-    assert out.original_size == model.param_count()
+    assert out.original_size == model.theta.size
     # Grid metadata covers every panel in vector order.
     assert sum(h * w for _, _, h, w in out.grids) == out.values.size
 
@@ -257,7 +257,7 @@ def test_stacked_amplify_mp_equals_per_client():
         nn.mlp_model(150, 120, 3, seed=38),
     ):
         rng = rng_stream(39)
-        size = model.param_count()
+        size = model.theta.size
         grads = np.stack([rng.normal(size=size) for _ in range(4)])
         for restore in (False, True):
             for bias in (True, False):
@@ -301,13 +301,13 @@ def xai_setup(seed, filters=4):
     model = nn.conv_model((1, 6, 6), 3, seed=seed, filters=filters, kernel=3, pool=2)
     rng = rng_stream(seed, 1)
     val = Dataset(rng.normal(size=(12, 1, 6, 6)), rng.integers(0, 3, size=12), 3)
-    updates = np.stack([0.01 * rng.normal(size=model.param_count()) for _ in range(3)])
+    updates = np.stack([0.01 * rng.normal(size=model.theta.size) for _ in range(3)])
     return model, val, updates
 
 
 def conv_weight(model, row):
     """The conv weight gradient of a flat update row, as a view."""
-    return nn.params_from_vector(model, row).layers[model.conv_index()].weight
+    return nn.ModelParams(model.layers, row).layers[model.conv_index()].weight
 
 
 def test_xai_selection_size_and_range():
@@ -359,10 +359,10 @@ def test_amplify_xai_restored_layout():
     model, val, updates = xai_setup(44)
     cfg = AmplifierConfig(kind="xai", top_p=0.5, restore_size=True)
     amp = amplify_xai(updates[:1], model, val, cfg)[0]
-    assert amp.values.size == model.param_count()
+    assert amp.values.size == model.theta.size
     gw = conv_weight(model, updates[0])
     per_filter = gw[0].size
-    expect = np.zeros(model.param_count())
+    expect = np.zeros(model.theta.size)
     for f in amp.selected:
         expect[f * per_filter : (f + 1) * per_filter] = gw[f].ravel()
     assert np.array_equal(amp.values, expect)
@@ -382,7 +382,7 @@ def test_amplify_xai_fixed_selection_reused():
 
 def test_amplify_xai_without_conv_raises():
     model = nn.mlp_model(6, 4, 3, seed=46)
-    vec = rng_stream(47).normal(size=model.param_count())
+    vec = rng_stream(47).normal(size=model.theta.size)
     val = Dataset(np.zeros((4, 6)), np.zeros(4, dtype=int), 3)
     with pytest.raises(ConfigError):
         amplify_xai(vec[None], model, val, AmplifierConfig(kind="xai"))
@@ -392,7 +392,7 @@ def test_amplify_xai_without_conv_raises():
 
 def test_amplify_dispatcher_none_returns_full_vector():
     model = nn.mlp_model(4, 3, 2, seed=48)
-    vec = rng_stream(49).normal(size=model.param_count())
+    vec = rng_stream(49).normal(size=model.theta.size)
     out = amplify(vec[None], AmplifierConfig(kind="none"), model=None, validation=None)
     assert np.array_equal(out[0].values, vec)
     assert out[0].restored

@@ -2,16 +2,19 @@
 
 ``perfbench --trace 1`` wraps the public functions and methods of the
 traced modules and reports the metrics that BENCHMARK.json names; a name
-that no longer resolves only shows up as a failed traced run.  These
-checks read BENCHMARK.json and the tracer's source (parsed, not imported)
-and fail fast instead.
+that no longer resolves, or a hook that reads an argument or a result
+attribute the function no longer has, only shows up as a failed traced
+run.  These checks read BENCHMARK.json and the tracer's source (parsed,
+not imported) and fail fast instead.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
 import os
+import typing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PER_FUNCTION = ("calls", "self_ms", "total_ms")
@@ -101,3 +104,43 @@ def test_hooked_functions_take_the_arguments_their_hooks_read():
                 assert arg in params, f"{hook} reads {arg!r}, which {dotted} does not take"
             checked.update(read)
     assert {"attack_enabled", "amped_restored", "gamma_max"} <= checked
+
+
+def _result_attributes(hook: ast.FunctionDef) -> tuple[set[str], set[str]]:
+    """Attributes a hook reads off ``result`` itself, and off the items of
+    ``result`` that a comprehension binds (``for a in result``)."""
+    items = {
+        node.target.id
+        for node in ast.walk(hook)
+        if isinstance(node, ast.comprehension)
+        and getattr(node.iter, "id", None) == "result"
+        and isinstance(node.target, ast.Name)
+    }
+    own, per_item = set(), set()
+    for node in ast.walk(hook):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "result":
+                own.add(node.attr)
+            elif node.value.id in items:
+                per_item.add(node.attr)
+    return own, per_item
+
+
+def test_hooks_read_fields_of_the_results_their_functions_return():
+    hooks = {
+        node.name: node for node in _tracer_source().body if isinstance(node, ast.FunctionDef)
+    }
+    checked = set()
+    for dotted, (_, after) in TRACER["_HOOKS"].items():
+        if after is None:
+            continue
+        own, per_item = _result_attributes(hooks[after])
+        returns = typing.get_type_hints(_resolve(dotted))["return"]
+        item = (typing.get_args(returns) or (None,))[0]
+        for attrs, cls in ((own, returns), (per_item, item)):
+            if attrs:
+                assert dataclasses.is_dataclass(cls), f"{after} reads {attrs} off {cls}"
+                fields = {f.name for f in dataclasses.fields(cls)}
+                assert attrs <= fields, f"{after} reads {attrs - fields}, not fields of {cls}"
+                checked |= attrs
+    assert {"original_size", "values", "accepted"} <= checked

@@ -131,6 +131,8 @@ def test_validate_catches_cross_field_mistakes():
         ExperimentConfig.from_mapping({"defense.family": "trimmed"}).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_mapping({"attack.kind": "bad"}).validate()
+    with pytest.raises(ConfigError, match="neighbors"):
+        ExperimentConfig.from_mapping({"defense.neighbors": -5}).validate()
     ExperimentConfig.from_mapping({}).validate()
     ExperimentConfig.from_mapping(
         {"model.kind": "conv", "dataset.dim": "1x8x8"}

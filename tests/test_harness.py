@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from gradamp import harness
+from gradamp import aggregate, harness
+from gradamp.aggregate import fltrust_aggregate
 from gradamp.config import ExperimentConfig
+from gradamp.data import format_float
 from gradamp.errors import ConfigError, IngestionError
 from gradamp.harness import (
     read_manifest,
@@ -255,6 +257,48 @@ def test_amplified_dump_written_at_the_requested_round(tmp_path):
     assert clients == set(range(6))
     no_dump = run_experiment(fast_config(tmp_path, "nodump"))
     assert not os.path.exists(os.path.join(no_dump.run_dir, "amplified.csv"))
+
+
+def test_amplified_dump_holds_the_views_the_trust_screen_scored(tmp_path, monkeypatch):
+    # fltrust+xai scores every client on the filters of the server's
+    # reference model, not on each client's own selection; at these seeds
+    # client 4's own selection differs from the reference one in round 3.
+    scored = []
+
+    def spy(amped, amped_ref, originals, ref_original):
+        scored.append([a.values.copy() for a in amped])
+        return fltrust_aggregate(amped, amped_ref, originals, ref_original)
+
+    monkeypatch.setattr(aggregate, "fltrust_aggregate", spy)
+    cfg = fast_config(
+        tmp_path,
+        "ftx-dump",
+        **{
+            "model.kind": "conv",
+            "dataset.dim": "1x8x8",
+            "model.filters": 8,
+            "federation.rounds": 3,
+            "dataset.per_class": 40,
+            "defense.family": "fltrust",
+            "defense.amplifier": "xai",
+            "attack.kind": "scale",
+            "attack.start_round": 0,
+            "output.dump_amplified_round": 3,
+            "seeds.data": 3,
+            "seeds.clients": 4,
+            "seeds.attack": 5,
+        },
+    )
+    manifest = run_experiment(cfg)
+    assert manifest.status == "ok" and len(scored) == 3
+    with open(os.path.join(manifest.run_dir, "amplified.csv")) as fh:
+        dumped = fh.read().splitlines()[1:]
+    expect = [
+        f"{cid},{j},{format_float(v)}"
+        for cid, values in enumerate(scored[2])
+        for j, v in enumerate(values)
+    ]
+    assert dumped == expect
 
 
 def test_skewed_split_can_drop_empty_shards(tmp_path):

@@ -20,14 +20,14 @@ def fd_loss(model, features, labels):
 
 def perturbed(model, index, delta):
     """Model with parameter ``index`` (vector order) shifted by delta."""
-    vec = np.zeros(model.param_count())
+    vec = np.zeros(model.theta.size)
     vec[index] = delta
     # apply_update computes W - scale * U, so scale -1 adds the bump.
     return nn.apply_update(model, vec, -1.0)
 
 
 def fd_gradient(model, features, labels):
-    out = np.zeros(model.param_count())
+    out = np.zeros(model.theta.size)
     for j in range(out.size):
         hi = fd_loss(perturbed(model, j, FD_STEP), features, labels)
         lo = fd_loss(perturbed(model, j, -FD_STEP), features, labels)
@@ -138,7 +138,7 @@ def test_perfect_predictions_give_zero_gradient():
     y = np.array([0, 1])
     trace = nn.forward(model, x)
     grads = nn.backward(model, trace, y)
-    assert np.array_equal(grads.to_vector(), np.zeros(model.param_count()))
+    assert np.array_equal(grads.to_vector(), np.zeros(model.theta.size))
 
 
 def test_maxpool_drops_trailing_cells():
@@ -315,11 +315,32 @@ def test_model_validation():
 def test_vector_round_trip():
     model = nn.conv_model((1, 5, 5), 3, seed=12, filters=2, kernel=2, pool=2)
     rng = rng_stream(13)
-    vec = rng.normal(size=model.param_count())
-    view = nn.params_from_vector(model, vec)
-    assert np.array_equal(view.to_vector(), vec)
-    with pytest.raises(ConfigError):
-        nn.params_from_vector(model, vec[:-1])
+    vec = rng.normal(size=model.theta.size)
+    view = nn.ModelParams(model.layers, vec)
+    assert view.theta is vec
+    moved = nn.apply_update(model, vec, 0.5)
+    for m in (model, view, moved):
+        arrays = [a for lay in m.layers for a in (lay.weight, lay.bias) if a is not None]
+        assert len(arrays) == 4
+        assert all(np.shares_memory(a, m.theta) for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), m.theta)
+    # apply_update builds a new theta and leaves its input's alone.
+    before = model.theta.copy()
+    assert not np.shares_memory(moved.theta, model.theta)
+    assert np.array_equal(model.theta, before)
+    assert np.array_equal(moved.theta, before - 0.5 * vec)
+    # ModelParams(layers) copies: writing a source array leaves theta alone.
+    w, b = np.ones((2, 3)), np.zeros(2)
+    built = nn.ModelParams([nn.Layer("dense", w, b), nn.Layer("softmax")])
+    w[0, 0] = 7.0
+    assert not np.shares_memory(built.theta, w)
+    assert np.array_equal(built.theta, np.r_[np.ones(6), np.zeros(2)])
+    # ModelParams(layers, vec) views vec: a write shows in the layers.
+    vec[0] = 99.0
+    assert view.layers[0].weight.flat[0] == 99.0
+    for bad in (vec[:-1], vec.reshape(1, -1)):
+        with pytest.raises(ConfigError):
+            nn.ModelParams(model.layers, bad)
 
 
 def test_gradient_arithmetic():
@@ -327,7 +348,7 @@ def test_gradient_arithmetic():
     a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5])
     b = 2.0 * a
     ga, gb = (
-        nn.GradientSet([(lay.weight, lay.bias) for lay in nn.params_from_vector(model, v).layers])
+        nn.GradientSet([(lay.weight, lay.bias) for lay in nn.ModelParams(model.layers, v).layers])
         for v in (a, b)
     )
     c = ga.plus(gb)
@@ -343,7 +364,7 @@ def test_apply_update_scale_one_lands_on_trained_weights():
     target = nn.ModelParams(
         [nn.Layer("dense", w * 0.5, np.array([0.25, 1.0])), nn.Layer("softmax")]
     )
-    update = model.to_vector() - target.to_vector()
+    update = model.theta - target.theta
     moved = nn.apply_update(model, update, 1.0)
     assert np.array_equal(moved.layers[0].weight, target.layers[0].weight)
     assert np.array_equal(moved.layers[0].bias, target.layers[0].bias)
@@ -369,8 +390,8 @@ def test_local_train_is_deterministic_and_seed_sensitive():
     # The caller's model is untouched.
     fresh = nn.mlp_model(4, 5, 3, seed=16)
     assert np.array_equal(
-        nn.params_from_vector(model, np.zeros(model.param_count())).to_vector(),
-        np.zeros(model.param_count()),
+        nn.ModelParams(model.layers, np.zeros(model.theta.size)).theta,
+        np.zeros(model.theta.size),
     )
     for a, b in zip(model.layers, fresh.layers):
         if a.weight is not None:
