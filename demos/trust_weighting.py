@@ -50,7 +50,7 @@ def main():
         tag = "boosted" if i in flipped else "honest"
         print(
             f"client {i} ({tag:7s}): norm {np.linalg.norm(u):8.4f}  "
-            f"trust {decision.trust_scores[i]:.4f}"
+            f"trust {decision.scores[i]:.4f}"
         )
     print(f"\nglobal update norm: {np.linalg.norm(decision.global_update):.4f}")
     print(f"plain mean norm would be: {np.linalg.norm(nn.mean_grads(updates)):.4f}")

@@ -73,8 +73,6 @@ class AggregationDecision:
     global_update: np.ndarray        # flat (P,) update the server applies
     scores: np.ndarray               # S_i, leave-one-out loss, or trust score
     accepted: np.ndarray             # bool per client
-    whitelist: list[int] | None = None
-    trust_scores: np.ndarray | None = None
 
 
 def fedavg(rows) -> np.ndarray:
@@ -251,13 +249,7 @@ def fltrust_aggregate(
                 update = term
             else:
                 update += term
-    return AggregationDecision(
-        global_update=update,
-        scores=ts,
-        accepted=ts > 0.0,
-        whitelist=None,
-        trust_scores=ts,
-    )
+    return AggregationDecision(update, ts, ts > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,7 @@ def _whitelist_decision(
     accepted[whitelist] = True
     # row views, not originals[whitelist], which would copy the rows
     update = fedavg([originals[i] for i in whitelist])
-    return AggregationDecision(update, scores, accepted, whitelist=whitelist)
+    return AggregationDecision(update, scores, accepted)
 
 
 def scored_views(
@@ -316,9 +308,7 @@ def aggregate_round(
     if n == 0:
         raise ConfigError("no updates to aggregate")
     if config.family == "fedavg":
-        return AggregationDecision(
-            fedavg(grads), np.ones(n), np.ones(n, dtype=bool), whitelist=list(range(n))
-        )
+        return AggregationDecision(fedavg(grads), np.ones(n), np.ones(n, dtype=bool))
     if config.family == "fang" and context.validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
 

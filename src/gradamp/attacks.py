@@ -15,8 +15,9 @@ Once active:
                    gamma halved from gamma_max until the craft would pass a
                    stand-in cosine screen (at most 20 halvings)
 
-Data-poisoning kinds retrain with the same per-(round, client) seed as the
-honest pass, so the only difference is the poisoned shard itself.
+Data-poisoning kinds retrain through the run's one ``nn.LocalTraining``
+recipe, the one the honest pass used, so they reuse the honest
+per-(round, client) stream and the only difference is the poisoned shard.
 
 A round's updates are the rows of one (N, P) matrix.  ``craft_updates``
 overwrites the malicious rows of that matrix in place, so no second N x P
@@ -85,9 +86,10 @@ def select_malicious(num_clients: int, fraction: float, seed: int) -> list[int]:
     return sorted(int(i) for i in rng.choice(num_clients, size=count, replace=False))
 
 
-def flip_labels(shard: Dataset, num_classes: int) -> Dataset:
+def flip_labels(shard: Dataset) -> Dataset:
     """Static label flip y -> M - 1 - y."""
-    return Dataset(shard.features.copy(), num_classes - 1 - shard.labels, num_classes)
+    m = shard.num_classes
+    return Dataset(shard.features.copy(), m - 1 - shard.labels, m)
 
 
 def grad_ascent(benign_update: np.ndarray, gamma: float = 1.0) -> np.ndarray:
@@ -147,28 +149,9 @@ class AttackContext:
 
     malicious: list[int]
     shards: list[Dataset]
-    num_classes: int
-    num_clients: int
-    epochs: int
-    batch_size: int
-    lr: float
-    seed_clients: int
+    train: nn.LocalTraining  # the honest clients' recipe
     seed_attack: int
     trigger: TriggerSpec | None = None
-
-
-def _retrain(
-    model: nn.ModelParams, shard: Dataset, ctx: AttackContext, round_idx: int, client: int
-) -> np.ndarray:
-    return nn.local_train(
-        model,
-        shard.features,
-        shard.labels,
-        epochs=ctx.epochs,
-        batch_size=ctx.batch_size,
-        lr=ctx.lr,
-        seed=rng_stream(ctx.seed_clients, round_idx, client),
-    )
 
 
 def craft_updates(
@@ -191,15 +174,14 @@ def craft_updates(
         return updates
     if cfg.kind in ("l-flip", "l-flip+g-asc"):
         for m in ctx.malicious:
-            shard = flip_labels(ctx.shards[m], ctx.num_classes)
-            flipped = _retrain(model, shard, ctx, round_idx, m)
+            flipped = ctx.train(model, flip_labels(ctx.shards[m]), round_idx, m)
             if cfg.kind == "l-flip+g-asc":
                 flipped += grad_ascent(updates[m], cfg.gamma)
             updates[m] = flipped
         return updates
     if ctx.trigger is None:
         raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
-    lam = float(ctx.num_clients) if cfg.scale_factor == "auto-n" else float(cfg.scale_factor)
+    lam = float(len(ctx.shards)) if cfg.scale_factor == "auto-n" else float(cfg.scale_factor)
     for rank, m in enumerate(ctx.malicious):
         # scale stamps the whole trigger and boosts by lambda; dba assigns
         # the quadrant parts round-robin over the cohort, no scaling
@@ -210,7 +192,7 @@ def craft_updates(
             part_index=0 if cfg.kind == "scale" else rank % ctx.trigger.split_parts,
             seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
         )
-        update = _retrain(model, poisoned, ctx, round_idx, m)
+        update = ctx.train(model, poisoned, round_idx, m)
         updates[m] = lam * update if cfg.kind == "scale" else update
     return updates
 

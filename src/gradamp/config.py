@@ -3,13 +3,13 @@
 Keys are dotted (section.name), one per line, ``#`` starts a comment.
 Values are typed by shape: integers, floats, the literals true/false, and
 bare strings.  Unknown keys are rejected so typos fail fast instead of
-silently running defaults.  A few keys accept either a literal or an
-"auto" marker resolved at run time:
+silently running defaults, and so is a ``nan`` or ``inf`` float.  A few
+keys accept either a literal or an "auto" marker resolved at run time:
 
     defense.restore_size       auto -> true for family fang, else false
     defense.assumed_malicious  auto -> attack.malicious_fraction
     defense.neighbors          0    -> floor(N/2) + 1
-    attack.scale_factor        auto-n -> the malicious cohort size N
+    attack.scale_factor        auto-n -> the federation size N
 
 ``canonical_text`` renders the full resolved key set sorted, which the
 run folder's ``config.txt`` stores.  ``config_hash`` hashes the same
@@ -21,6 +21,7 @@ no matter how the source file was laid out or where the run goes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .amplify import AmplifierConfig
@@ -147,6 +148,9 @@ class ExperimentConfig:
 
     values: dict[str, object]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def from_mapping(cls, overrides: dict[str, object], source: str = "<config>") -> "ExperimentConfig":
         merged = dict(DEFAULTS)
@@ -165,14 +169,14 @@ class ExperimentConfig:
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
                         raise ConfigError(f"{source}: {key} expects a number")
                     value = float(value)
+                    if not math.isfinite(value):
+                        raise ConfigError(f"{source}: {key} must be finite, got {value}")
                 elif not isinstance(value, str):
                     raise ConfigError(f"{source}: {key} expects a string")
             if key == "dataset.dim" and isinstance(value, int) and not isinstance(value, bool):
                 value = str(value)  # keep the stored form re-parse stable
             merged[key] = value
-        cfg = cls(merged)
-        cfg.validate()
-        return cfg
+        return cls(merged)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -315,8 +319,8 @@ class ExperimentConfig:
             if isinstance(raw_am, bool) or not isinstance(raw_am, (int, float)):
                 raise ConfigError("defense.assumed_malicious is a fraction or auto")
         sf = v["attack.scale_factor"]
-        if isinstance(sf, str) and sf != "auto-n":
-            raise ConfigError("attack.scale_factor is a number or auto-n")
+        if sf != "auto-n" and (isinstance(sf, str) or not math.isfinite(sf)):
+            raise ConfigError("attack.scale_factor is a finite number or auto-n")
         self.dim()
         # the frozen component configs validate themselves on construction
         self.attack_config()

@@ -394,7 +394,8 @@ def split_pools(
     dataset: Dataset, test_fraction: float, server_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded (client pool, server pool, test set) split of one dataset."""
-    if test_fraction < 0 or server_fraction < 0 or test_fraction + server_fraction >= 1:
+    # written so that a NaN fraction fails it
+    if not (test_fraction >= 0 and server_fraction >= 0 and test_fraction + server_fraction < 1):
         raise ConfigError("test and server fractions must leave room for clients")
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)

@@ -235,7 +235,6 @@ def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, attack_enabled: bool = True
 ) -> RunManifest:
     """Execute one full run and write its folder; returns the manifest."""
-    cfg.validate()
     out_dir = out_dir or str(cfg["output.dir"])
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
@@ -254,12 +253,12 @@ def run_experiment(
         n_clients = len(prep.shards)
         rounds = int(cfg["federation.rounds"])
         every = int(cfg["federation.checkpoint_every"])
-        epochs, batch, lr = (
+        train = nn.LocalTraining(
             int(cfg["local.epochs"]),
             int(cfg["local.batch"]),
             float(cfg["local.lr"]),
+            int(cfg["seeds.clients"]),
         )
-        seed_clients = int(cfg["seeds.clients"])
         dump_round = int(cfg["output.dump_amplified_round"])
 
         triggered = (
@@ -269,16 +268,7 @@ def run_experiment(
             triggered = None
 
         ctx = AttackContext(
-            malicious=prep.malicious,
-            shards=prep.shards,
-            num_classes=prep.test_set.num_classes,
-            num_clients=n_clients,
-            epochs=epochs,
-            batch_size=batch,
-            lr=lr,
-            seed_clients=seed_clients,
-            seed_attack=int(cfg["seeds.attack"]),
-            trigger=prep.trigger,
+            prep.malicious, prep.shards, train, int(cfg["seeds.attack"]), prep.trigger
         )
         model = prep.model
         # one row per client, rewritten every round: training and crafting
@@ -293,29 +283,14 @@ def run_experiment(
             current_round = k
             r = k - 1  # zero-based index used by seeds and the attack gate
             for i, shard in enumerate(prep.shards):
-                updates[i] = nn.local_train(
-                    model,
-                    shard.features,
-                    shard.labels,
-                    epochs=epochs,
-                    batch_size=batch,
-                    lr=lr,
-                    seed=rng_stream(seed_clients, r, i),
-                )
+                updates[i] = train(model, shard, r, i)
             submitted = (
                 craft_updates(r, updates, model, attack_cfg, ctx) if attack_enabled else updates
             )
-            ref_update = None
-            if agg_cfg.family == "fltrust":
-                ref_update = nn.local_train(
-                    model,
-                    prep.trust_set.features,
-                    prep.trust_set.labels,
-                    epochs=epochs,
-                    batch_size=batch,
-                    lr=lr,
-                    seed=rng_stream(seed_clients, r, n_clients),
-                )
+            # the server trains its trust reference as client number N
+            ref_update = (
+                train(model, prep.trust_set, r, n_clients) if agg_cfg.family == "fltrust" else None
+            )
             round_ctx = RoundContext(model, prep.validation, ref_update)
             decision = aggregate_round(submitted, agg_cfg, round_ctx)
             for i in range(n_clients):
@@ -454,7 +429,6 @@ class PairSummary:
 def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
     """Attacked run plus its clean twin (same seeds, attack disabled), and
     the joint metrics table."""
-    cfg.validate()
     out_dir = out_dir or str(cfg["output.dir"])
     os.makedirs(out_dir, exist_ok=True)
     clean = run_experiment(cfg, os.path.join(out_dir, "clean"), attack_enabled=False)

@@ -39,6 +39,11 @@ Conventions:
     (N, P) matrix.  The server applies an update as ``theta - scale *
     update`` (``apply_update``), so with scale 1 it lands exactly on the
     client's trained weights.  ``mean_grads`` is the one mean over rows.
+  * ``local_train`` is plain SGD from one seed.  ``LocalTraining`` is a
+    run's recipe around it (epochs, batch size, learning rate, client seed)
+    and the one place that derives a training stream
+    ``rng_stream(seed, round, client)``; every update of a round comes
+    from it.
   * ``GradientSet`` is only what ``backward`` returns: per-layer gradients,
     flattened by ``to_vector`` before they step anything.
   * Feature-map gradients are d y / d A summed over the batch, where y is
@@ -54,7 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .data import Dataset
 from .errors import ConfigError
+from .seeding import rng_stream
 
 LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
 
@@ -477,3 +484,35 @@ def local_train(
             trace = forward(work, features[batch])
             theta -= lr * backward(work, trace, labels[batch]).to_vector()
     return model.theta - theta
+
+
+@dataclass(frozen=True)
+class LocalTraining:
+    """A run's one client-training recipe.
+
+    ``train(model, data, round_idx, client)`` runs ``local_train`` on
+    ``data`` with the stream ``rng_stream(seed, round_idx, client)``.
+    Honest clients, the data-poisoning attackers and the fltrust server
+    reference all train through it, so a poisoned update differs from the
+    honest one only in its data.
+    """
+
+    epochs: int
+    batch_size: int
+    lr: float
+    seed: int
+
+    def __call__(
+        self, model: ModelParams, data: Dataset, round_idx: int, client: int
+    ) -> np.ndarray:
+        # ``local_train`` is looked up when called, so a rebound
+        # ``nn.local_train`` (a profiler's hook) sees every update
+        return local_train(
+            model,
+            data.features,
+            data.labels,
+            self.epochs,
+            self.batch_size,
+            self.lr,
+            rng_stream(self.seed, round_idx, client),
+        )

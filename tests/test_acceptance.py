@@ -201,7 +201,7 @@ def test_trust_weighting_formula_suite():
     opposed = fltrust_aggregate(
         [_wrap((-6, 0))], _wrap((2, 0)), [_grad((-6, 0))], _grad((2, 0))
     )
-    clip_ok = abs(same.trust_scores[0] - 1.0) <= tol and abs(opposed.trust_scores[0]) <= tol
+    clip_ok = abs(same.scores[0] - 1.0) <= tol and abs(opposed.scores[0]) <= tol
 
     # rescaling: a lone trusted client is pulled to the reference norm
     rescaled = fltrust_aggregate([_wrap((8, 0))], _wrap((2, 0)), [_grad((8, 0))], _grad((2, 0)))
@@ -217,8 +217,8 @@ def test_trust_weighting_formula_suite():
     out = two.global_update
     worked_ok = (
         np.max(np.abs(out - np.array([2.0, 0.0]))) <= tol
-        and abs(two.trust_scores[0] - 1.0) <= tol
-        and abs(two.trust_scores[1]) <= tol
+        and abs(two.scores[0] - 1.0) <= tol
+        and abs(two.scores[1]) <= tol
     )
     ok = clip_ok and norm_ok and worked_ok
     detail = f"clip {clip_ok}, rescale {norm_ok}, worked example {worked_ok}"

@@ -29,10 +29,10 @@ def dense_grads(vec):
 
 def test_flip_labels_frozen_fixture():
     shard = Dataset(np.zeros((3, 2)), np.array([3, 9, 0]), 10)
-    flipped = flip_labels(shard, 10)
+    flipped = flip_labels(shard)
     assert flipped.labels.tolist() == [6, 0, 9]
     # Involution: flipping twice restores the originals.
-    assert flip_labels(flipped, 10).labels.tolist() == [3, 9, 0]
+    assert flip_labels(flipped).labels.tolist() == [3, 9, 0]
     assert np.array_equal(flipped.features, shard.features)
 
 
@@ -101,12 +101,7 @@ def make_context(num_clients=6, fraction=0.5, trigger=None, num_classes=3):
     return AttackContext(
         malicious=select_malicious(num_clients, fraction, seed=72),
         shards=shards,
-        num_classes=num_classes,
-        num_clients=num_clients,
-        epochs=1,
-        batch_size=16,
-        lr=0.1,
-        seed_clients=73,
+        train=nn.LocalTraining(epochs=1, batch_size=16, lr=0.1, seed=73),
         seed_attack=74,
         trigger=trigger,
     )
@@ -119,10 +114,10 @@ def honest_updates(model, ctx, round_idx):
             model,
             shard.features,
             shard.labels,
-            epochs=ctx.epochs,
-            batch_size=ctx.batch_size,
-            lr=ctx.lr,
-            seed=rng_stream(ctx.seed_clients, round_idx, i),
+            epochs=ctx.train.epochs,
+            batch_size=ctx.train.batch_size,
+            lr=ctx.train.lr,
+            seed=rng_stream(ctx.train.seed, round_idx, i),
         )
         for i, shard in enumerate(ctx.shards)
     ]
@@ -150,7 +145,7 @@ def test_gradient_ascent_collusion():
     expect = -2.0 * np.mean(before, axis=0)
     for m in ctx.malicious:
         assert np.allclose(out[m], expect, atol=1e-15)
-    for i in range(ctx.num_clients):
+    for i in range(len(ctx.shards)):
         if i not in ctx.malicious:
             assert np.array_equal(out[i], before[i])
 
@@ -167,11 +162,11 @@ def test_label_flip_retrains_with_the_honest_seed():
     expect = nn.local_train(
         model,
         ctx.shards[m].features,
-        ctx.num_classes - 1 - ctx.shards[m].labels,
+        ctx.shards[m].num_classes - 1 - ctx.shards[m].labels,
         epochs=1,
         batch_size=16,
         lr=0.1,
-        seed=rng_stream(ctx.seed_clients, 7, m),
+        seed=rng_stream(ctx.train.seed, 7, m),
     )
     assert np.array_equal(out[m], expect)
 
@@ -211,7 +206,7 @@ def test_scale_attack_is_linear_in_lambda():
     for m in ctx.malicious:
         assert np.allclose(three[m], 3.0 * one[m], atol=1e-12)
         # auto-n resolves to the federation size
-        assert np.allclose(auto[m], ctx.num_clients * one[m], atol=1e-12)
+        assert np.allclose(auto[m], len(ctx.shards) * one[m], atol=1e-12)
 
 
 def test_scale_attack_trains_on_a_stamped_shard():
@@ -238,7 +233,7 @@ def test_scale_attack_trains_on_a_stamped_shard():
         epochs=1,
         batch_size=16,
         lr=0.1,
-        seed=rng_stream(ctx.seed_clients, 3, m),
+        seed=rng_stream(ctx.train.seed, 3, m),
     )
     assert np.array_equal(out[m], expect)
 
@@ -251,12 +246,7 @@ def test_dba_assigns_parts_round_robin():
     ctx = AttackContext(
         malicious=[0, 1, 2, 3, 4],
         shards=shards,
-        num_classes=2,
-        num_clients=6,
-        epochs=1,
-        batch_size=16,
-        lr=0.1,
-        seed_clients=78,
+        train=nn.LocalTraining(epochs=1, batch_size=16, lr=0.1, seed=78),
         seed_attack=79,
         trigger=trigger,
     )

@@ -1,11 +1,14 @@
-"""The benchmark's per-layer names still resolve in the package.
+"""The benchmark's per-layer names and round marks still resolve in the
+package.
 
 ``perfbench --trace 1`` wraps the public functions and methods of the
 traced modules and reports the metrics that BENCHMARK.json names; a name
 that no longer resolves, or a hook that reads an argument or a result
 attribute the function no longer has, only shows up as a failed traced
-run.  These checks read BENCHMARK.json and the tracer's source (parsed,
-not imported) and fail fast instead.
+run.  ``perfbench/pair.py`` times setup and rounds by rebinding module
+functions; a call path that bypasses a rebound name silently skews
+``setup_s`` and ``round_ms``.  These checks read BENCHMARK.json and the
+perfbench sources (parsed, not imported) and fail fast instead.
 """
 
 import ast
@@ -15,6 +18,10 @@ import inspect
 import json
 import os
 import typing
+from collections import Counter
+
+from gradamp.config import ExperimentConfig
+from gradamp.harness import run_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PER_FUNCTION = ("calls", "self_ms", "total_ms")
@@ -144,3 +151,54 @@ def test_hooks_read_fields_of_the_results_their_functions_return():
                 assert attrs <= fields, f"{after} reads {attrs - fields}, not fields of {cls}"
                 checked |= attrs
     assert {"original_size", "values", "accepted"} <= checked
+
+
+def _round_mark_hooks() -> list[tuple[str, str]]:
+    """(module, name) of every ``module.name = ...`` that ``RoundMarks.install``
+    in ``perfbench/pair.py`` sets."""
+    with open(os.path.join(ROOT, "perfbench", "pair.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    marks = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RoundMarks")
+    install = next(n for n in marks.body if isinstance(n, ast.FunctionDef) and n.name == "install")
+    return [
+        (target.value.id, target.attr)
+        for node in ast.walk(install)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id != "self"
+    ]
+
+
+def _counting(fn, name: str, calls: Counter):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_round_marks_see_every_run_round_and_training_call(tmp_path, monkeypatch):
+    hooks = _round_mark_hooks()
+    assert sorted(name for _, name in hooks) == ["aggregate_round", "local_train", "run_experiment"]
+    calls: Counter[str] = Counter()
+    for module_name, name in hooks:
+        module = importlib.import_module(f"gradamp.{module_name}")
+        monkeypatch.setattr(module, name, _counting(getattr(module, name), name, calls))
+    rounds, clients = 2, 4
+    cfg = ExperimentConfig.from_mapping(
+        {
+            "dataset.per_class": 30,
+            "federation.clients": clients,
+            "federation.rounds": rounds,
+            "model.hidden": 4,
+            "attack.kind": "l-flip",
+            "attack.start_round": 0,
+            "output.dir": str(tmp_path),
+        }
+    )
+    run_pair(cfg, str(tmp_path))
+    assert calls["run_experiment"] == 2
+    assert calls["aggregate_round"] == 2 * rounds
+    assert calls["local_train"] >= 2 * rounds * clients

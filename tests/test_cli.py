@@ -81,6 +81,26 @@ def test_degenerate_model_size_exits_2(tmp_path, capsys, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("dataset.test_fraction", "nan"),
+        ("dataset.server_fraction", "nan"),
+        ("dataset.spread", "nan"),
+        ("local.lr", "nan"),
+        ("local.lr", "inf"),
+        ("attack.scale_factor", "nan"),
+    ],
+)
+def test_non_finite_value_exits_2(tmp_path, capsys, key, value):
+    over = dict(FAST, **{"output.dir": str(tmp_path / "out"), key: value})
+    path = str(tmp_path / "cfg.txt")
+    with open(path, "w") as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
+    assert main(["run", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # A trust shard larger than the server pool fails at setup, which is
     # a runtime error rather than a config-shape one.

@@ -65,6 +65,13 @@ def test_type_mismatches_rejected():
     # int where float is expected coerces quietly
     cfg = ExperimentConfig.from_mapping({"local.lr": 1})
     assert cfg["local.lr"] == 1.0
+    # nan and inf parse as floats, but no float key takes them
+    float_keys = [k for k, v in DEFAULTS.items() if isinstance(v, float)]
+    assert "dataset.test_fraction" in float_keys and "local.lr" in float_keys
+    for key in float_keys + ["attack.scale_factor"]:
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_mapping(parse_config_text(f"{key} = {raw}"))
 
 
 def test_with_overrides_builds_a_new_config():

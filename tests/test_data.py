@@ -318,5 +318,6 @@ def test_split_pools_cover_disjointly():
         for row in part.features:
             rows.add(row.tobytes())
     assert len(rows) == 200  # no row appears in two pools
-    with pytest.raises(ConfigError):
-        split_pools(d, 0.7, 0.4, seed=0)
+    for fractions in ((0.7, 0.4), (float("nan"), 0.2), (0.2, float("nan"))):
+        with pytest.raises(ConfigError):
+            split_pools(d, *fractions, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradamp import nn
+from gradamp.data import Dataset
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
 
@@ -382,6 +383,7 @@ def test_local_train_is_deterministic_and_seed_sensitive():
     rng = rng_stream(17)
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 3, size=20)
+    before = model.theta.copy()
     u1 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 0))
     u2 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 0))
     u3 = nn.local_train(model, x, y, epochs=2, batch_size=8, lr=0.1, seed=rng_stream(20, 1))
@@ -389,13 +391,25 @@ def test_local_train_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(u1, u3)
     # The caller's model is untouched.
     fresh = nn.mlp_model(4, 5, 3, seed=16)
-    assert np.array_equal(
-        nn.ModelParams(model.layers, np.zeros(model.theta.size)).theta,
-        np.zeros(model.theta.size),
-    )
+    assert np.array_equal(model.theta, before)
     for a, b in zip(model.layers, fresh.layers):
         if a.weight is not None:
             assert np.array_equal(a.weight, b.weight)
+
+
+def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
+    model = nn.mlp_model(4, 5, 3, seed=16)
+    rng = rng_stream(17)
+    data = Dataset(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 3)
+    train = nn.LocalTraining(epochs=2, batch_size=8, lr=0.1, seed=20)
+    expect = nn.local_train(model, data.features, data.labels, 2, 8, 0.1, rng_stream(20, 3, 1))
+    assert np.array_equal(train(model, data, 3, 1), expect)
+    assert not np.array_equal(train(model, data, 3, 2), expect)
+    # nn.local_train is looked up per call, so a rebound one sees every update
+    seen = []
+    monkeypatch.setattr(nn, "local_train", lambda *args: seen.append(args) or expect)
+    train(model, data, 3, 1)
+    assert len(seen) == 1
 
 
 def test_local_train_update_is_before_minus_after():
