@@ -87,13 +87,6 @@ class AmplifiedGradient:
 # max filter
 
 
-# Most floats in one client stack (a stack holds at least one client), so
-# it stays in cache across its strided passes.  Small panels still go
-# through in one stack; on a core with 2 MiB of L2, stacking all 50 clients
-# of a 105k-parameter model made the compact view 3-4x slower.
-_STACK_FLOATS = 1 << 16
-
-
 def _grid(h: int, w: int, kernel: int) -> tuple[int, int]:
     return math.ceil(h / kernel), math.ceil(w / kernel)
 
@@ -141,7 +134,7 @@ def amplify_mp(
         out = np.empty((n, sum(ho * wo for *_, ho, wo in grids)))
     pos = 0
     for (i, slot, h, w, offset), (*_, ho, wo) in zip(panels, grids):
-        m = min(n, max(1, _STACK_FLOATS // (h * w)))  # clients per stack
+        m = min(n, max(1, nn.STACK_FLOATS // (h * w)))  # clients per stack
         if config.restore_size:
             scratch = np.empty((m, ho, wo))
         for c0 in range(0, n, m):

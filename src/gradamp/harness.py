@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import RoundContext, aggregate_round, scored_views
-from .attacks import AttackContext, craft_updates, resolve_trigger, select_malicious
+from .aggregate import AggregatorConfig, RoundContext, aggregate_round, scored_views
+from .attacks import AttackConfig, AttackContext, craft_updates, resolve_trigger, select_malicious
 from .config import ExperimentConfig
 from .data import (
     Dataset,
@@ -145,6 +145,8 @@ class _Prepared:
     malicious: list[int]
     hetero: float
     warnings: list[str]
+    attack_cfg: AttackConfig
+    agg_cfg: AggregatorConfig
 
 
 def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
@@ -208,6 +210,8 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
         malicious=malicious,
         hetero=heterogeneity(train_pool),
         warnings=warnings,
+        attack_cfg=attack_cfg,
+        agg_cfg=agg,
     )
 
 
@@ -248,8 +252,7 @@ def run_experiment(
     current_round = 0
     try:
         prep = _prepare(cfg, attack_enabled)
-        attack_cfg = cfg.attack_config()
-        agg_cfg = cfg.aggregator_config()
+        attack_cfg, agg_cfg = prep.attack_cfg, prep.agg_cfg
         n_clients = len(prep.shards)
         rounds = int(cfg["federation.rounds"])
         every = int(cfg["federation.checkpoint_every"])
@@ -282,8 +285,7 @@ def run_experiment(
         for k in range(1, rounds + 1):
             current_round = k
             r = k - 1  # zero-based index used by seeds and the attack gate
-            for i, shard in enumerate(prep.shards):
-                updates[i] = train(model, shard, r, i)
+            train.train_all(model, prep.shards, r, updates)
             submitted = (
                 craft_updates(r, updates, model, attack_cfg, ctx) if attack_enabled else updates
             )

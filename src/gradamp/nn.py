@@ -16,8 +16,13 @@ by the feature-map amplifier.  The loss is mean softmax cross-entropy.
 Kernels:
   * Conv is im2col (Chellapilla, Puri & Simard, 2006): the forward, the
     weight gradient and the input gradient are each one ``tensordot`` over
-    a ``sliding_window_view``.  A first-layer conv skips its input gradient
+    a ``sliding_window_view``.  The first layer skips its input gradient
     unless the caller asks for the gradient w.r.t. the model input.
+  * Client stacks.  ``forward`` and ``backward`` also run m models at once
+    whose (m, ...) weights view the rows of one (m, P) matrix: dense is a
+    stacked ``matmul``, relu, maxpool and softmax work over the leading
+    axes, and conv runs its ``tensordot``s per client.  Each client's
+    numbers are the bits of its own one-model run.
   * One block kernel serves the maxpool layer and the patch-max amplifier.
     ``block_max`` takes the maximum of each k*k block over the last two
     axes by k*k ``np.maximum`` passes over the strided cell views
@@ -39,13 +44,19 @@ Conventions:
     (N, P) matrix.  The server applies an update as ``theta - scale *
     update`` (``apply_update``), so with scale 1 it lands exactly on the
     client's trained weights.  ``mean_grads`` is the one mean over rows.
-  * ``local_train`` is plain SGD from one seed.  ``LocalTraining`` is a
-    run's recipe around it (epochs, batch size, learning rate, client seed)
-    and the one place that derives a training stream
-    ``rng_stream(seed, round, client)``; every update of a round comes
-    from it.
-  * ``GradientSet`` is only what ``backward`` returns: per-layer gradients,
-    flattened by ``to_vector`` before they step anything.
+  * ``local_train`` is plain SGD, for one client from one seed or for a
+    stack of clients with equal shard sizes, one seed each.
+    ``LocalTraining`` is a run's recipe around it (epochs, batch size,
+    learning rate, client seed) and the one place that derives a training
+    stream ``rng_stream(seed, round, client)``; every update of a round
+    comes from it.  ``train_all`` trains a round's clients in stacks of
+    equal shard size, each at least one client and at most
+    ``STACK_FLOATS`` floats of parameters and batch traces (the cap the
+    patch max also uses).
+  * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
+    views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
+    no caller in the package; they remain only because the benchmark's
+    per-layer rows in ``BENCHMARK.json`` name them.
   * Feature-map gradients are d y / d A summed over the batch, where y is
     the pre-softmax logit of each sample's true class, summed over the
     batch.  ``feature_map_grads`` computes them with a walk that stops at
@@ -54,6 +65,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +76,14 @@ from .errors import ConfigError
 from .seeding import rng_stream
 
 LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
+
+# Most floats in one client stack (a stack holds at least one client), so
+# it stays in cache across its passes: the patch max stacks panels of the
+# update rows, and local training stacks models with their batch traces.
+# On a core with 2 MiB of L2, stacking all 50 clients of a 105k-parameter
+# model made the compact patch max 3-4x slower; stacking all 10 clients of
+# the 683-parameter conv model raised a run's peak RSS by about 15%.
+STACK_FLOATS = 1 << 16
 
 
 @dataclass
@@ -78,6 +98,27 @@ def _concat(arrays) -> np.ndarray:
     """The non-None arrays raveled and joined, in order."""
     chunks = [a.ravel() for a in arrays if a is not None]
     return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+def _views(layers: list[Layer], theta: np.ndarray, lead: int = 0) -> list[Layer]:
+    """``layers`` again, each weight and bias a view of its span of
+    ``theta``'s last axis (weight, then bias, layer by layer).  ``theta`` is
+    one (P,) vector or an (m, P) stack, whose views gain the leading m; the
+    first ``lead`` axes of the layers' own arrays are stack axes."""
+    stack = theta.shape[:-1]
+    out = []
+    pos = 0
+    for layer in layers:
+        views = []
+        for a in (layer.weight, layer.bias):
+            if a is not None:
+                shape = a.shape[lead:]
+                size = math.prod(shape)
+                a = theta[..., pos : pos + size].reshape(stack + shape)
+                pos += size
+            views.append(a)
+        out.append(Layer(layer.kind, *views, layer.pool))
+    return out
 
 
 class ModelParams:
@@ -109,16 +150,7 @@ class ModelParams:
         if np.shape(theta) != (size,):
             raise ConfigError(f"vector has shape {np.shape(theta)}, model has {size} parameters")
         self.theta = theta
-        self.layers: list[Layer] = []
-        pos = 0
-        for layer in layers:
-            views = []
-            for a in (layer.weight, layer.bias):
-                if a is not None:
-                    a = theta[pos : pos + a.size].reshape(a.shape)
-                    pos += a.size
-                views.append(a)
-            self.layers.append(Layer(layer.kind, *views, layer.pool))
+        self.layers = _views(layers, theta)
 
     def conv_index(self) -> int | None:
         for i, layer in enumerate(self.layers):
@@ -144,9 +176,10 @@ class ForwardTrace:
 class GradientSet:
     """Per-layer (dW, db) pairs aligned with a model's layer list.
 
-    This is only what ``backward`` returns; updates travel as flat rows
-    (``to_vector``).  Parameter-free layers hold (None, None).  ``plus``
-    has no caller left; the benchmark's per-layer table still names it.
+    This is only what ``backward`` returns; updates travel as flat rows.
+    Parameter-free layers hold (None, None).  ``to_vector`` and ``plus``
+    have no caller in the package; the benchmark's per-layer table still
+    names them.
     """
 
     layers: list[tuple[np.ndarray | None, np.ndarray | None]]
@@ -304,36 +337,42 @@ def block_argmax(x: np.ndarray, best: np.ndarray, k: int):
 
 
 def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the batch through every layer, recording inputs along the way."""
+    """Run the batch through every layer, recording inputs along the way.
+
+    ``model`` may also be a client stack (``local_train``'s), whose (m, ...)
+    layers take an (m, batch, ...) input: client c sees only its own batch
+    and weights."""
     act = np.asarray(x, dtype=np.float64)
     inputs: list[np.ndarray] = []
     logits = None
     for layer in model.layers:
         inputs.append(act)
         if layer.kind == "dense":
-            flat = act.reshape(act.shape[0], -1)
-            if flat.shape[1] != layer.weight.shape[1]:
-                raise ConfigError(
-                    f"dense layer expects {layer.weight.shape[1]} inputs, got {flat.shape[1]}"
-                )
-            act = flat @ layer.weight.T + layer.bias
+            w = layer.weight
+            flat = act.reshape(act.shape[: w.ndim - 1] + (-1,))
+            if flat.shape[-1] != w.shape[-1]:
+                raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
+            act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            act = _conv_forward(act, layer.weight, layer.bias)
+            if layer.weight.ndim == 4:
+                act = _conv_forward(act, layer.weight, layer.bias)
+            else:  # a client stack: each client runs its own tensordot
+                act = np.stack([_conv_forward(*c) for c in zip(act, layer.weight, layer.bias)])
         elif layer.kind == "maxpool":
             k = layer.pool
-            ho, wo = act.shape[2] // k, act.shape[3] // k
+            ho, wo = act.shape[-2] // k, act.shape[-1] // k
             if ho < 1 or wo < 1:
                 raise ConfigError(
-                    f"maxpool kernel {k} larger than input {act.shape[2]}x{act.shape[3]}"
+                    f"maxpool kernel {k} larger than input {act.shape[-2]}x{act.shape[-1]}"
                 )
             act = block_max(act[..., : ho * k, : wo * k], k)
         elif layer.kind == "relu":
             act = np.maximum(act, 0.0)
         elif layer.kind == "softmax":
             logits = act
-            shifted = act - act.max(axis=1, keepdims=True)
+            shifted = act - act.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
-            act = e / e.sum(axis=1, keepdims=True)
+            act = e / e.sum(axis=-1, keepdims=True)
     return ForwardTrace(inputs=inputs, logits=logits, probs=act)
 
 
@@ -343,18 +382,24 @@ def _backprop(
     dlogits: np.ndarray,
     want_params: bool,
     stop_after: int | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[list[tuple[np.ndarray | None, np.ndarray | None]], np.ndarray | None]:
     """Push dlogits back through the graph.
 
     Returns (per-layer parameter grads, gradient w.r.t. the output of layer
-    ``stop_after``; -1 means the model input).  When want_params is False
-    the parameter slots stay None and the walk ends at the captured layer.
-    The input gradient of a first-layer conv is computed only for
-    ``stop_after == -1``, the one caller that reads it.
+    ``stop_after``; -1 means the model input).  The parameter grads are
+    views of one flat buffer shaped like ``model.theta``: ``out`` when
+    given, else a new one.  When want_params is False the parameter slots
+    stay None and the walk ends at the captured layer.  The input gradient
+    of the first layer is computed only for ``stop_after == -1``, the one
+    caller that reads it.
     """
-    grads: list[tuple[np.ndarray | None, np.ndarray | None]] = [
-        (None, None) for _ in model.layers
-    ]
+    if want_params:
+        out = np.empty_like(model.theta) if out is None else out
+        lead = model.theta.ndim - 1
+        grads = [(v.weight, v.bias) for v in _views(model.layers, out, lead)]
+    else:
+        grads = [(None, None) for _ in model.layers]
     d = dlogits
     captured = None
     for i in range(len(model.layers) - 1, -1, -1):
@@ -364,55 +409,85 @@ def _backprop(
                 break
         layer = model.layers[i]
         x = trace.inputs[i]
+        need_dx = i > 0 or stop_after == -1
         if layer.kind == "softmax":
             # dlogits is already the gradient at this layer's input.
             pass
         elif layer.kind == "dense":
-            flat = x.reshape(x.shape[0], -1)
+            w = layer.weight
             if want_params:
-                grads[i] = (d.T @ flat, d.sum(axis=0))
-            d = (d @ layer.weight).reshape(x.shape)
+                gw, gb = grads[i]
+                np.matmul(d.swapaxes(-1, -2), x.reshape(x.shape[: w.ndim - 1] + (-1,)), out=gw)
+                d.sum(axis=-2, out=gb)
+            if need_dx:
+                d = (d @ w).reshape(x.shape)
         elif layer.kind == "relu":
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
             pooled = trace.inputs[i + 1]
-            crop = (..., slice(pooled.shape[2] * layer.pool), slice(pooled.shape[3] * layer.pool))
+            k = layer.pool
+            crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
             dx = np.zeros_like(x)
             dx_cropped = dx[crop]
-            for cell, miss in block_argmax(x[crop], pooled, layer.pool):
+            for cell, miss in block_argmax(x[crop], pooled, k):
                 dx_cropped[cell] = np.where(miss, 0.0, d)
             d = dx
         elif layer.kind == "conv":
-            w = layer.weight
-            _, _, kh, kw = w.shape
-            if want_params:
-                win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-                dw = np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3)))
-                grads[i] = (dw, d.sum(axis=(0, 2, 3)))
-            if i > 0 or stop_after == -1:
-                # Full correlation of the gradient with the flipped kernel.
-                padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-                flipped = np.flip(w, axis=(2, 3)).swapaxes(0, 1)
-                d = _conv_forward(padded, flipped, np.zeros(x.shape[1]))
+            gw, gb = grads[i]
+            if layer.weight.ndim == 4:
+                d = _conv_backward(x, d, layer.weight, gw, gb, need_dx)
+            else:  # a client stack: each client runs its own tensordots
+                dx = [
+                    _conv_backward(x[c], d[c], layer.weight[c], gw[c], gb[c], need_dx)
+                    for c in range(len(x))
+                ]
+                d = np.stack(dx) if need_dx else None
     if stop_after == -1:
         captured = d
     return grads, captured
 
 
+def _conv_backward(
+    x: np.ndarray,
+    d: np.ndarray,
+    w: np.ndarray,
+    gw: np.ndarray | None,
+    gb: np.ndarray | None,
+    need_dx: bool,
+) -> np.ndarray | None:
+    """One client's conv backward: the weight and bias gradients into
+    ``gw`` and ``gb`` when given, and the input gradient when asked for."""
+    _, _, kh, kw = w.shape
+    if gw is not None:
+        win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+        gw[...] = np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3)))
+        d.sum(axis=(0, 2, 3), out=gb)
+    if not need_dx:
+        return None
+    # Full correlation of the gradient with the flipped kernel.
+    padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    flipped = np.flip(w, axis=(2, 3)).swapaxes(0, 1)
+    return _conv_forward(padded, flipped, np.zeros(x.shape[1]))
+
+
 def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    n, m = trace.probs.shape
-    if labels.shape[0] != n:
-        raise ConfigError(f"{labels.shape[0]} labels for a batch of {n}")
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), labels] = 1.0
+    probs = trace.probs
+    if labels.shape != probs.shape[:-1]:
+        raise ConfigError(f"labels of shape {labels.shape} for a batch of {probs.shape[:-1]}")
+    onehot = np.zeros(probs.shape)
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
     return onehot
 
 
-def backward(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> GradientSet:
-    """Mean cross-entropy gradients for the traced batch."""
+def backward(
+    model: ModelParams, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None
+) -> GradientSet:
+    """Mean cross-entropy gradients for the traced batch, as views of one
+    flat buffer shaped like ``model.theta`` (``out`` when given)."""
     onehot = _onehot(trace, labels)
-    grads, _ = _backprop(model, trace, (trace.probs - onehot) / onehot.shape[0], want_params=True)
+    dlogits = (trace.probs - onehot) / onehot.shape[-2]
+    grads, _ = _backprop(model, trace, dlogits, want_params=True, out=out)
     return GradientSet(grads)
 
 
@@ -458,32 +533,80 @@ def local_train(
     epochs: int,
     batch_size: int,
     lr: float,
-    seed: int | np.random.Generator,
+    seed: int | np.random.Generator | list,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Plain SGD for a client; returns theta_before - theta_after, flat.
+    """Plain SGD for one client or a stack of clients; returns
+    theta_before - theta_after, flat.
 
-    Each step moves a private copy of ``model.theta`` in place by
-    ``lr * backward(...).to_vector()``.  Batch order is drawn from the
-    given seed only, so a round's clients can run in any order (or in
-    parallel) without changing their updates.
+    One client: ``features`` (n, ...), ``labels`` (n,) and one ``seed``
+    give a (P,) row.  A stack of m clients with n samples each:
+    ``features`` (m, n, ...), ``labels`` (m, n) and a list of m seeds give
+    an (m, P) matrix, written into ``out`` when given.  Each client draws
+    its batch order from its own seed, so its row has the bits of a
+    one-client call.  The stack's weights are views of the rows being
+    trained and its gradients views of one (m, P) buffer, so each step
+    moves the rows in place.
     """
-    n = len(labels)
+    stacked = isinstance(seed, list)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if not stacked:
+        features, labels, seed = features[None], labels[None], [seed]
+    if labels.ndim != 2 or len(seed) != len(labels) or features.shape[:2] != labels.shape:
+        raise ConfigError(
+            f"{len(seed)} seeds and features {features.shape} for labels {labels.shape}"
+        )
+    m, n = labels.shape
     if n == 0:
         raise ConfigError("cannot train on an empty shard")
     if epochs < 1 or batch_size < 1 or lr <= 0:
         raise ConfigError("epochs and batch_size must be >= 1 and lr positive")
-    rng = _rng(seed)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    theta = model.theta.copy()
-    work = ModelParams(model.layers, theta)
+    shape = (m, model.theta.size)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ConfigError(f"out has shape {out.shape}, the stack needs {shape}")
+    rngs = [_rng(s) for s in seed]
+    out[...] = model.theta
+    grad = np.empty(shape)
+    work = _ClientStack(_views(model.layers, out), out)
+    rows = np.arange(m)[:, None]
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            trace = forward(work, features[batch])
-            theta -= lr * backward(work, trace, labels[batch]).to_vector()
-    return model.theta - theta
+            batch = order[:, start : start + batch_size]
+            trace = forward(work, features[rows, batch])
+            backward(work, trace, labels[rows, batch], out=grad)
+            grad *= lr
+            out -= grad
+    np.subtract(model.theta, out, out=out)
+    return out if stacked else out[0]
+
+
+def _trace_floats(model: ModelParams, shape: tuple[int, ...]) -> int:
+    """Floats one sample of ``shape`` leaves in a forward trace: every
+    layer's input, and the output."""
+    total = 0
+    for layer in model.layers:
+        total += math.prod(shape)
+        if layer.kind == "dense":
+            shape = layer.weight.shape[:1]
+        elif layer.kind == "conv":
+            filters, _, kh, kw = layer.weight.shape
+            shape = (filters, shape[-2] - kh + 1, shape[-1] - kw + 1)
+        elif layer.kind == "maxpool":
+            shape = (*shape[:-2], shape[-2] // layer.pool, shape[-1] // layer.pool)
+    return total + math.prod(shape)
+
+
+@dataclass
+class _ClientStack:
+    """m models trained as one: each layer's weight and bias are (m, ...)
+    views of the rows of ``theta`` (m, P)."""
+
+    layers: list[Layer]
+    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -491,10 +614,12 @@ class LocalTraining:
     """A run's one client-training recipe.
 
     ``train(model, data, round_idx, client)`` runs ``local_train`` on
-    ``data`` with the stream ``rng_stream(seed, round_idx, client)``.
-    Honest clients, the data-poisoning attackers and the fltrust server
-    reference all train through it, so a poisoned update differs from the
-    honest one only in its data.
+    ``data`` with the stream ``rng_stream(seed, round_idx, client)``;
+    ``train.train_all(model, shards, round_idx, out)`` does the same for
+    every client i on ``shards[i]`` into row i of ``out``, stacked.  Honest
+    clients, the data-poisoning attackers and the fltrust server reference
+    all train through it, so a poisoned update differs from the honest one
+    only in its data.
     """
 
     epochs: int
@@ -502,11 +627,12 @@ class LocalTraining:
     lr: float
     seed: int
 
+    # ``local_train`` is looked up when called, so a rebound
+    # ``nn.local_train`` (a profiler's hook) sees every update
+
     def __call__(
         self, model: ModelParams, data: Dataset, round_idx: int, client: int
     ) -> np.ndarray:
-        # ``local_train`` is looked up when called, so a rebound
-        # ``nn.local_train`` (a profiler's hook) sees every update
         return local_train(
             model,
             data.features,
@@ -516,3 +642,36 @@ class LocalTraining:
             self.lr,
             rng_stream(self.seed, round_idx, client),
         )
+
+    def train_all(
+        self, model: ModelParams, shards: list[Dataset], round_idx: int, out: np.ndarray
+    ) -> None:
+        """Client i trains on ``shards[i]`` into row i of ``out`` (N, P).
+
+        Clients with equal shard sizes train together, in stacks of at
+        least one client and at most ``STACK_FLOATS`` floats.  A client
+        takes its P parameters plus the forward trace of one batch: on a
+        conv model the trace, not the parameters, is most of what a step
+        holds, and stacking it raised peak RSS and page faults."""
+        groups: dict[int, list[int]] = {}
+        for i, shard in enumerate(shards):
+            groups.setdefault(len(shard), []).append(i)
+        for n, clients in groups.items():
+            trace = min(self.batch_size, n) * _trace_floats(model, shards[clients[0]].feature_shape)
+            per_stack = max(1, STACK_FLOATS // (model.theta.size + trace))
+            for start in range(0, len(clients), per_stack):
+                part = clients[start : start + per_stack]
+                args = (
+                    model,
+                    np.stack([shards[i].features for i in part]),
+                    np.stack([shards[i].labels for i in part]),
+                    self.epochs,
+                    self.batch_size,
+                    self.lr,
+                    [rng_stream(self.seed, round_idx, i) for i in part],
+                )
+                rows = out[part[0] : part[-1] + 1]
+                if len(rows) == len(part):  # consecutive clients train in their rows
+                    local_train(*args, out=rows)
+                else:
+                    out[part] = local_train(*args)

@@ -172,8 +172,14 @@ def _round_mark_hooks() -> list[tuple[str, str]]:
 
 
 def _counting(fn, name: str, calls: Counter):
+    """``fn`` counting its calls under ``name``; a ``local_train`` call
+    counts the clients it trains: the stack's size when ``seed`` is a list
+    of generators, else 1."""
+    signature = inspect.signature(fn)
+
     def counted(*args, **kwargs):
-        calls[name] += 1
+        seed = signature.bind(*args, **kwargs).arguments.get("seed")
+        calls[name] += len(seed) if isinstance(seed, list) else 1
         return fn(*args, **kwargs)
 
     return counted

@@ -412,6 +412,79 @@ def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
     assert len(seen) == 1
 
 
+def _shards(rng, feature_shape, lengths, classes=3):
+    return [
+        Dataset(rng.normal(size=(n, *feature_shape)), rng.integers(0, classes, size=n), classes)
+        for n in lengths
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, feature_shape, lengths, stacks",
+    [
+        # two groups, interleaved: length 7 is clients 0, 2, 3, length 9 is 1, 4
+        (nn.mlp_model(5, 6, 3, seed=40), (5,), (7, 9, 7, 7, 9), [3, 2]),
+        (nn.conv_model((1, 6, 6), 3, seed=41, filters=2), (1, 6, 6), (5, 8, 8, 5), [2, 2]),
+        # P = 18,092 plus a trace of 3 x 664 floats: three clients fill the cap
+        (nn.mlp_model(600, 30, 2, seed=42), (600,), (4, 4, 4, 4, 4, 3), [3, 2, 1]),
+        # the conv trace, not its 38 parameters, fills the cap: 2,524 floats
+        # per sample (2 x 22 x 22 twice), 9 samples a batch, two clients a stack
+        (
+            nn.conv_model((1, 24, 24), 2, seed=45, filters=2, pool=11),
+            (1, 24, 24),
+            (9,) * 5,
+            [2, 2, 1],
+        ),
+    ],
+    ids=["mlp", "conv", "mlp-cap-splits", "conv-cap-splits"],
+)
+def test_stacked_training_equals_one_client_calls(
+    monkeypatch, model, feature_shape, lengths, stacks
+):
+    # two epochs with a batch of 3 (9 on the last case): several steps and,
+    # on shards of 4, 5, 7 and 8, a ragged last batch
+    classes = model.layers[-2].bias.size
+    shards = _shards(rng_stream(43), feature_shape, lengths, classes)
+    batch = 9 if lengths[0] == 9 else 3
+    train = nn.LocalTraining(epochs=2, batch_size=batch, lr=0.1, seed=44)
+    expect = np.stack([train(model, shard, 5, i) for i, shard in enumerate(shards)])
+
+    seen = []
+    local_train = nn.local_train
+
+    def recorded(*args, **kwargs):
+        seen.append(len(args[6]))
+        return local_train(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "local_train", recorded)
+    out = np.full(expect.shape, np.nan)
+    assert train.train_all(model, shards, 5, out) is None
+    assert np.array_equal(out, expect)
+    assert seen == stacks
+
+    # the stacked call itself: one (m, P) result, or rows written into out
+    same = [i for i, n in enumerate(lengths) if n == lengths[0]]
+    features = np.stack([shards[i].features for i in same])
+    labels = np.stack([shards[i].labels for i in same])
+    seeds = [rng_stream(44, 5, i) for i in same]
+    assert np.array_equal(local_train(model, features, labels, 2, batch, 0.1, seeds), expect[same])
+    rows = np.empty((len(same), model.theta.size))
+    seeds = [rng_stream(44, 5, i) for i in same]
+    local_train(model, features, labels, 2, batch, 0.1, seeds, out=rows)
+    assert np.array_equal(rows, expect[same])
+
+
+def test_stacked_local_train_checks_its_shapes():
+    model = nn.mlp_model(2, 0, 2, seed=0)
+    x, y = np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=int)
+    with pytest.raises(ConfigError):
+        nn.local_train(model, x, y, 1, 4, 0.1, seed=[0])
+    with pytest.raises(ConfigError):
+        nn.local_train(model, x, y[0], 1, 4, 0.1, seed=[0, 1])
+    with pytest.raises(ConfigError):
+        nn.local_train(model, x, y, 1, 4, 0.1, seed=[0, 1], out=np.empty((3, 6)))
+
+
 def test_local_train_update_is_before_minus_after():
     model = nn.mlp_model(4, 0, 2, seed=18)
     rng = rng_stream(19)
