@@ -31,7 +31,6 @@ from .attacks import (
     flip_labels,
     grad_ascent,
     select_malicious,
-    sh_candidate,
     sh_optimized,
 )
 from .config import ExperimentConfig, parse_config_text

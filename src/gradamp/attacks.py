@@ -15,15 +15,16 @@ Once active:
                    gamma halved from gamma_max until the craft would pass a
                    stand-in cosine screen (at most 20 halvings)
 
-Data-poisoning kinds retrain through the run's one ``nn.LocalTraining``
-recipe, the one the honest pass used, so they reuse the honest
-per-(round, client) stream and the only difference is the poisoned shard.
+Data-poisoning kinds retrain the whole cohort in one stacked
+``train_all`` of the run's one ``nn.LocalTraining`` recipe, the one the
+honest pass used, so they reuse the honest per-(round, client) stream and
+the only difference is the poisoned shard.
 
 A round's updates are the rows of one (N, P) matrix.  ``craft_updates``
 overwrites the malicious rows of that matrix in place, so no second N x P
 array is made.  A crafted row reads only honest rows: the colluding kinds
-compute their one crafted row before writing it, and l-flip+g-asc reads
-only the row it then replaces.
+compute their one crafted row before writing it, and l-flip+g-asc takes
+the cohort's ascent from its honest rows before they are retrained.
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ def grad_ascent(benign_update: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     return -gamma * benign_update
 
 
-def sh_candidate(honest: np.ndarray, gamma: float) -> np.ndarray:
-    """mu - gamma * sigma over the (N, P) honest update matrix
-    (population sigma)."""
-    return honest.mean(axis=0) - gamma * honest.std(axis=0)
-
-
 def sh_optimized(honest: np.ndarray, gamma_max: float) -> tuple[np.ndarray, float]:
     """Shift along the negative deviation as far as a cosine screen allows.
 
@@ -163,37 +158,38 @@ def craft_updates(
 ) -> np.ndarray:
     """Overwrite the malicious rows of the (N, P) honest update matrix in
     place once the attack is on, and return the matrix."""
-    if cfg.kind == "none" or round_idx < cfg.start_round or not ctx.malicious:
+    mal = ctx.malicious
+    if cfg.kind == "none" or round_idx < cfg.start_round or not mal:
         return updates
-    if cfg.kind in ("g-asc", "sh-optimized"):
-        if cfg.kind == "g-asc":
-            crafted = grad_ascent(nn.mean_grads(updates), cfg.gamma)
-        else:
-            crafted, _ = sh_optimized(updates, cfg.sh_gamma_max)
-        updates[ctx.malicious] = crafted
-        return updates
-    if cfg.kind in ("l-flip", "l-flip+g-asc"):
-        for m in ctx.malicious:
-            flipped = ctx.train(model, flip_labels(ctx.shards[m]), round_idx, m)
-            if cfg.kind == "l-flip+g-asc":
-                flipped += grad_ascent(updates[m], cfg.gamma)
-            updates[m] = flipped
-        return updates
-    if ctx.trigger is None:
+    if cfg.kind == "g-asc":
+        updates[mal] = grad_ascent(nn.mean_grads(updates), cfg.gamma)
+    elif cfg.kind == "sh-optimized":
+        updates[mal] = sh_optimized(updates, cfg.sh_gamma_max)[0]
+    elif cfg.kind in ("l-flip", "l-flip+g-asc"):
+        ascent = grad_ascent(updates[mal], cfg.gamma) if cfg.kind == "l-flip+g-asc" else None
+        flipped = [flip_labels(ctx.shards[m]) for m in mal]
+        ctx.train.train_all(model, flipped, round_idx, updates, mal)
+        if ascent is not None:
+            updates[mal] += ascent
+    elif ctx.trigger is None:
         raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
-    lam = float(len(ctx.shards)) if cfg.scale_factor == "auto-n" else float(cfg.scale_factor)
-    for rank, m in enumerate(ctx.malicious):
+    else:
         # scale stamps the whole trigger and boosts by lambda; dba assigns
         # the quadrant parts round-robin over the cohort, no scaling
-        poisoned = embed_trigger(
-            ctx.shards[m],
-            ctx.trigger,
-            cfg.trigger_fraction,
-            part_index=0 if cfg.kind == "scale" else rank % ctx.trigger.split_parts,
-            seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
-        )
-        update = ctx.train(model, poisoned, round_idx, m)
-        updates[m] = lam * update if cfg.kind == "scale" else update
+        poisoned = [
+            embed_trigger(
+                ctx.shards[m],
+                ctx.trigger,
+                cfg.trigger_fraction,
+                part_index=0 if cfg.kind == "scale" else rank % ctx.trigger.split_parts,
+                seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
+            )
+            for rank, m in enumerate(mal)
+        ]
+        ctx.train.train_all(model, poisoned, round_idx, updates, mal)
+        if cfg.kind == "scale":
+            n = len(ctx.shards)
+            updates[mal] *= float(n if cfg.scale_factor == "auto-n" else cfg.scale_factor)
     return updates
 
 

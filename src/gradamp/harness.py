@@ -275,8 +275,14 @@ def run_experiment(
         )
         model = prep.model
         # one row per client, rewritten every round: training and crafting
-        # write the rows in place, screening and the mean read them
-        updates = np.empty((n_clients, model.theta.size))
+        # write the rows in place, screening and the mean read them.  Under
+        # fltrust the server trains its trust reference as client number N,
+        # into row N, in the same train_all as the clients
+        fltrust = agg_cfg.family == "fltrust"
+        trainees = prep.shards + [prep.trust_set] if fltrust else prep.shards
+        rows = np.empty((len(trainees), model.theta.size))
+        updates = rows[:n_clients]
+        ref_update = rows[n_clients] if fltrust else None
 
         records.append(
             _evaluate(model, 0, prep.test_set, triggered, attack_cfg.target_label, 0.0)
@@ -285,22 +291,16 @@ def run_experiment(
         for k in range(1, rounds + 1):
             current_round = k
             r = k - 1  # zero-based index used by seeds and the attack gate
-            train.train_all(model, prep.shards, r, updates)
-            submitted = (
-                craft_updates(r, updates, model, attack_cfg, ctx) if attack_enabled else updates
-            )
-            # the server trains its trust reference as client number N
-            ref_update = (
-                train(model, prep.trust_set, r, n_clients) if agg_cfg.family == "fltrust" else None
-            )
+            train.train_all(model, trainees, r, rows)
+            craft_updates(r, updates, model, attack_cfg, ctx)  # the clean twin has no cohort
             round_ctx = RoundContext(model, prep.validation, ref_update)
-            decision = aggregate_round(submitted, agg_cfg, round_ctx)
+            decision = aggregate_round(updates, agg_cfg, round_ctx)
             for i in range(n_clients):
                 decision_rows.append(
                     f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
                 )
             if k == dump_round:
-                _dump_amplified(out_dir, submitted, agg_cfg, round_ctx)
+                _dump_amplified(out_dir, updates, agg_cfg, round_ctx)
             model = nn.apply_update(model, decision.global_update, 1.0)
             if not np.isfinite(model.theta).all():
                 raise DivergenceError("model parameters are no longer finite")
@@ -344,9 +344,9 @@ def run_experiment(
     return manifest
 
 
-def _dump_amplified(out_dir, submitted, agg_cfg, round_ctx) -> None:
+def _dump_amplified(out_dir, updates, agg_cfg, round_ctx) -> None:
     """The round's amplified views, as the screen scored them."""
-    amped, _ = scored_views(submitted, agg_cfg, round_ctx)
+    amped, _ = scored_views(updates, agg_cfg, round_ctx)
     rows = []
     for cid, a in enumerate(amped):
         for j, v in enumerate(a.values):

@@ -112,11 +112,11 @@ def negative_pulse(
     return worst
 
 
-def heterogeneity(dataset: Dataset, include_self: bool = True) -> float:
+def heterogeneity(dataset: Dataset) -> float:
     """One minus the mean intra-label cosine similarity.
 
     Rows are L2-normalized per label; the label average is over ordered
-    row pairs, self-pairs included by default.  Zero rows are dropped with
+    row pairs, self-pairs included.  Zero rows are dropped with
     a warning.  Identical rows give 0; rising values mean clients of the
     same label look less alike.
     """
@@ -136,14 +136,7 @@ def heterogeneity(dataset: Dataset, include_self: bool = True) -> float:
             continue
         unit = rows / norms[:, None]
         total = float(np.dot(unit.sum(axis=0), unit.sum(axis=0)))
-        if include_self:
-            mean_cos = total / (n * n)
-        else:
-            if n < 2:
-                mean_cos = 1.0
-            else:
-                mean_cos = (total - n) / (n * (n - 1))
-        per_class.append(mean_cos)
+        per_class.append(total / (n * n))
     if not per_class:
         raise MetricError("no usable rows for the heterogeneity score")
     return float(1.0 - np.mean(per_class))

@@ -48,11 +48,12 @@ Conventions:
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
     learning rate, client seed) and the one place that derives a training
-    stream ``rng_stream(seed, round, client)``; every update of a round
-    comes from it.  ``train_all`` trains a round's clients in stacks of
-    equal shard size, each at least one client and at most
-    ``STACK_FLOATS`` floats of parameters and batch traces (the cap the
-    patch max also uses).
+    stream ``rng_stream(seed, round, client)``.  Its one method,
+    ``train_all``, is the one training path: every update of a round, the
+    honest rows, the cohort's retrained rows and the fltrust reference,
+    comes from it.  It trains its shards in stacks of equal shard size,
+    each at least one client and at most ``STACK_FLOATS`` floats of
+    parameters and batch traces (the cap the patch max also uses).
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -611,15 +612,12 @@ class _ClientStack:
 
 @dataclass(frozen=True)
 class LocalTraining:
-    """A run's one client-training recipe.
-
-    ``train(model, data, round_idx, client)`` runs ``local_train`` on
-    ``data`` with the stream ``rng_stream(seed, round_idx, client)``;
-    ``train.train_all(model, shards, round_idx, out)`` does the same for
-    every client i on ``shards[i]`` into row i of ``out``, stacked.  Honest
-    clients, the data-poisoning attackers and the fltrust server reference
-    all train through it, so a poisoned update differs from the honest one
-    only in its data.
+    """A run's one client-training recipe, with one method: ``train_all``
+    runs ``local_train`` for each client on the stream
+    ``rng_stream(seed, round_idx, client)``.  Honest clients, the
+    data-poisoning attackers and the fltrust server reference all train
+    through it, so a poisoned update differs from the honest one only in
+    its data.
     """
 
     epochs: int
@@ -627,51 +625,45 @@ class LocalTraining:
     lr: float
     seed: int
 
-    # ``local_train`` is looked up when called, so a rebound
-    # ``nn.local_train`` (a profiler's hook) sees every update
-
-    def __call__(
-        self, model: ModelParams, data: Dataset, round_idx: int, client: int
-    ) -> np.ndarray:
-        return local_train(
-            model,
-            data.features,
-            data.labels,
-            self.epochs,
-            self.batch_size,
-            self.lr,
-            rng_stream(self.seed, round_idx, client),
-        )
-
     def train_all(
-        self, model: ModelParams, shards: list[Dataset], round_idx: int, out: np.ndarray
+        self,
+        model: ModelParams,
+        shards: list[Dataset],
+        round_idx: int,
+        out: np.ndarray,
+        clients: list[int] | None = None,
     ) -> None:
-        """Client i trains on ``shards[i]`` into row i of ``out`` (N, P).
+        """Shard j trains as client ``clients[j]`` (default j, ascending)
+        into row ``clients[j]`` of ``out``; other rows are left as they are.
 
         Clients with equal shard sizes train together, in stacks of at
         least one client and at most ``STACK_FLOATS`` floats.  A client
         takes its P parameters plus the forward trace of one batch: on a
         conv model the trace, not the parameters, is most of what a step
-        holds, and stacking it raised peak RSS and page faults."""
+        holds, and stacking it raised peak RSS and page faults.
+        ``local_train`` is looked up when called, so a rebound
+        ``nn.local_train`` (a profiler's hook) sees every update."""
+        clients = range(len(shards)) if clients is None else clients
         groups: dict[int, list[int]] = {}
-        for i, shard in enumerate(shards):
-            groups.setdefault(len(shard), []).append(i)
-        for n, clients in groups.items():
-            trace = min(self.batch_size, n) * _trace_floats(model, shards[clients[0]].feature_shape)
+        for j, shard in enumerate(shards):
+            groups.setdefault(len(shard), []).append(j)
+        for n, members in groups.items():
+            trace = min(self.batch_size, n) * _trace_floats(model, shards[members[0]].feature_shape)
             per_stack = max(1, STACK_FLOATS // (model.theta.size + trace))
-            for start in range(0, len(clients), per_stack):
-                part = clients[start : start + per_stack]
+            for start in range(0, len(members), per_stack):
+                part = members[start : start + per_stack]
+                ids = [clients[j] for j in part]
                 args = (
                     model,
-                    np.stack([shards[i].features for i in part]),
-                    np.stack([shards[i].labels for i in part]),
+                    np.stack([shards[j].features for j in part]),
+                    np.stack([shards[j].labels for j in part]),
                     self.epochs,
                     self.batch_size,
                     self.lr,
-                    [rng_stream(self.seed, round_idx, i) for i in part],
+                    [rng_stream(self.seed, round_idx, i) for i in ids],
                 )
-                rows = out[part[0] : part[-1] + 1]
-                if len(rows) == len(part):  # consecutive clients train in their rows
+                rows = out[ids[0] : ids[-1] + 1]
+                if len(rows) == len(ids):  # consecutive clients train in their rows
                     local_train(*args, out=rows)
                 else:
-                    out[part] = local_train(*args)
+                    out[ids] = local_train(*args)

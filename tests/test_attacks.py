@@ -15,7 +15,6 @@ from gradamp.attacks import (
     grad_ascent,
     resolve_trigger,
     select_malicious,
-    sh_candidate,
     sh_optimized,
 )
 from gradamp.data import Dataset, embed_trigger, partition, synth_blobs
@@ -52,13 +51,6 @@ def test_select_malicious_floor_and_determinism():
     assert a == sorted(set(a))
     assert all(0 <= i < 20 for i in a)
     assert select_malicious(20, 0.25, seed=4) != a or len(a) == 0
-
-
-def test_sh_candidate_frozen_fixture():
-    view = np.stack([dense_grads([0.0, 0.0]), dense_grads([2.0, 2.0])])
-    assert np.array_equal(sh_candidate(view, 1.0), [0.0, 0.0])
-    # mu (1,1), population sigma (1,1): gamma 0.5 gives (0.5, 0.5).
-    assert np.array_equal(sh_candidate(view, 0.5), [0.5, 0.5])
 
 
 def test_sh_optimized_halves_until_the_screen_passes():

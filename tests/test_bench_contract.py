@@ -153,6 +153,45 @@ def test_hooks_read_fields_of_the_results_their_functions_return():
     assert {"original_size", "values", "accepted"} <= checked
 
 
+def _expected_call_names() -> set[str]:
+    """Every name in the expected-call table of ``perfbench/workloads.py``,
+    the ``ZERO`` and ``NONZERO`` sets of all workloads."""
+    with open(os.path.join(ROOT, "perfbench", "workloads.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(
+        n for n in tree.body if isinstance(n, ast.AnnAssign) and n.target.id == "WORKLOADS"
+    )
+    return {
+        name
+        for node in ast.walk(table.value)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "frozenset"
+        for name in ast.literal_eval(node.args[0])
+    }
+
+
+def _tracer_counters() -> set[str]:
+    """The counters ``Tracer.summary`` reports: the names of the loop that
+    copies ``self.counters`` into its counts."""
+    loop = next(
+        node
+        for node in ast.walk(_tracer_source())
+        if isinstance(node, ast.For)
+        and any(getattr(n, "attr", None) == "counters" for n in ast.walk(node))
+    )
+    return set(ast.literal_eval(loop.iter))
+
+
+def test_expected_call_table_names_traced_functions_and_counters():
+    names = _expected_call_names()
+    calls = {name.removesuffix(".calls") for name in names if name.endswith(".calls")}
+    assert {"attacks.grad_ascent", "data.embed_trigger"} <= calls
+    assert sorted(name for name in calls if _resolve(name) is None) == []
+    counters = _tracer_counters()
+    assert "attacks.sh_candidates" in counters
+    others = names - {name + ".calls" for name in calls}
+    assert sorted(others - counters) == []
+
+
 def _round_mark_hooks() -> list[tuple[str, str]]:
     """(module, name) of every ``module.name = ...`` that ``RoundMarks.install``
     in ``perfbench/pair.py`` sets."""

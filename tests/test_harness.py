@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gradamp import aggregate, harness
+from gradamp import aggregate, harness, nn
 from gradamp.aggregate import fltrust_aggregate
 from gradamp.config import ExperimentConfig
 from gradamp.data import format_float
@@ -18,6 +18,7 @@ from gradamp.harness import (
     run_pair,
     sweep,
 )
+from gradamp.seeding import rng_stream
 
 FAST = {
     "dataset.per_class": 30,
@@ -227,6 +228,43 @@ def test_fltrust_xai_pipeline_runs(tmp_path):
     assert summary.attacked.status == "ok"
     records = summary.attacked.records
     assert len(records) == 3
+
+
+def test_fltrust_reference_is_the_trust_set_trained_as_client_n(tmp_path, monkeypatch):
+    # the server's reference trains in the clients' train_all, as client N
+    seen = []
+    aggregate_round = harness.aggregate_round
+
+    def spy(updates, cfg, context):
+        seen.append((context.model, context.ref_update.copy()))
+        return aggregate_round(updates, cfg, context)
+
+    monkeypatch.setattr(harness, "aggregate_round", spy)
+    cfg = fast_config(
+        tmp_path,
+        "ft-ref",
+        **{
+            "defense.family": "fltrust",
+            "attack.kind": "l-flip",
+            "attack.start_round": 0,
+            "local.batch": 5,  # several batches of the 12 trust samples
+        },
+    )
+    assert run_experiment(cfg).status == "ok"
+    trust_set = harness._prepare(cfg, True).trust_set
+    n = int(cfg["federation.clients"])
+    assert len(seen) == int(cfg["federation.rounds"])
+    for r, (model, ref_update) in enumerate(seen):
+        expect = nn.local_train(
+            model,
+            trust_set.features,
+            trust_set.labels,
+            int(cfg["local.epochs"]),
+            int(cfg["local.batch"]),
+            float(cfg["local.lr"]),
+            rng_stream(int(cfg["seeds.clients"]), r, n),
+        )
+        assert np.array_equal(ref_update, expect)
 
 
 def test_fang_pipeline_runs(tmp_path):

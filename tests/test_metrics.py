@@ -134,8 +134,6 @@ def test_heterogeneity_orthogonal_pair_scores_half():
     # Ordered pairs with self: cosines (1, 0, 0, 1), mean 1/2, score 1/2.
     d = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 1)
     assert heterogeneity(d) == pytest.approx(0.5, abs=1e-12)
-    # Excluding self-pairs the orthogonal pair is maximally spread.
-    assert heterogeneity(d, include_self=False) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_heterogeneity_averages_over_labels():

@@ -397,26 +397,47 @@ def test_local_train_is_deterministic_and_seed_sensitive():
             assert np.array_equal(a.weight, b.weight)
 
 
-def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
-    model = nn.mlp_model(4, 5, 3, seed=16)
-    rng = rng_stream(17)
-    data = Dataset(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 3)
-    train = nn.LocalTraining(epochs=2, batch_size=8, lr=0.1, seed=20)
-    expect = nn.local_train(model, data.features, data.labels, 2, 8, 0.1, rng_stream(20, 3, 1))
-    assert np.array_equal(train(model, data, 3, 1), expect)
-    assert not np.array_equal(train(model, data, 3, 2), expect)
-    # nn.local_train is looked up per call, so a rebound one sees every update
-    seen = []
-    monkeypatch.setattr(nn, "local_train", lambda *args: seen.append(args) or expect)
-    train(model, data, 3, 1)
-    assert len(seen) == 1
-
-
 def _shards(rng, feature_shape, lengths, classes=3):
     return [
         Dataset(rng.normal(size=(n, *feature_shape)), rng.integers(0, classes, size=n), classes)
         for n in lengths
     ]
+
+
+def _one_client(model, shard, seed, round_idx, client, epochs=2, batch=8):
+    """The update of one client from a one-client ``nn.local_train`` call."""
+    stream = rng_stream(seed, round_idx, client)
+    return nn.local_train(model, shard.features, shard.labels, epochs, batch, 0.1, stream)
+
+
+def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
+    model = nn.mlp_model(4, 5, 3, seed=16)
+    rng = rng_stream(17)
+    data = Dataset(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 3)
+    train = nn.LocalTraining(epochs=2, batch_size=8, lr=0.1, seed=20)
+    expect = _one_client(model, data, 20, 3, 1)
+    out = np.empty((3, model.theta.size))
+    train.train_all(model, [data], 3, out, [1])
+    assert np.array_equal(out[1], expect)
+    train.train_all(model, [data], 3, out, [2])
+    assert not np.array_equal(out[2], expect)
+    # nn.local_train is looked up per call, so a rebound one sees every update
+    seen = []
+    monkeypatch.setattr(nn, "local_train", lambda *args, **kwargs: seen.append(args) or expect)
+    train.train_all(model, [data], 3, out, [1])
+    assert len(seen) == 1
+
+
+def test_train_all_writes_only_the_given_clients_rows():
+    model = nn.mlp_model(5, 6, 3, seed=46)
+    # equal lengths stack clients 0, 2 and 5 (not consecutive rows) in one call
+    shards = _shards(rng_stream(47), (5,), (7, 7, 7), 3)
+    train = nn.LocalTraining(epochs=2, batch_size=3, lr=0.1, seed=48)
+    out = np.full((7, model.theta.size), np.nan)
+    train.train_all(model, shards, 4, out, clients=[0, 2, 5])
+    for shard, i in zip(shards, [0, 2, 5]):
+        assert np.array_equal(out[i], _one_client(model, shard, 48, 4, i, batch=3))
+    assert np.isnan(out[[1, 3, 4, 6]]).all()
 
 
 @pytest.mark.parametrize(
@@ -447,7 +468,7 @@ def test_stacked_training_equals_one_client_calls(
     shards = _shards(rng_stream(43), feature_shape, lengths, classes)
     batch = 9 if lengths[0] == 9 else 3
     train = nn.LocalTraining(epochs=2, batch_size=batch, lr=0.1, seed=44)
-    expect = np.stack([train(model, shard, 5, i) for i, shard in enumerate(shards)])
+    expect = np.stack([_one_client(model, s, 44, 5, i, batch=batch) for i, s in enumerate(shards)])
 
     seen = []
     local_train = nn.local_train
