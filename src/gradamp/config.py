@@ -3,8 +3,12 @@
 Keys are dotted (section.name), one per line, ``#`` starts a comment.
 Values are typed by shape: integers, floats, the literals true/false, and
 bare strings.  Unknown keys are rejected so typos fail fast instead of
-silently running defaults, and so is a ``nan`` or ``inf`` float.  A few
-keys accept either a literal or an "auto" marker resolved at run time:
+silently running defaults, and so is a ``nan`` or ``inf`` float.
+
+``ExperimentConfig.validate`` builds the typed views once: ``attack``,
+``aggregator`` (with its ``.amplifier``), and the ``validation`` and
+``trust`` draws.  A few keys take a literal or a marker; the first two
+resolve in ``validate``, the last two at run time, where N is known:
 
     defense.restore_size       auto -> true for family fang, else false
     defense.assumed_malicious  auto -> attack.malicious_fraction
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .amplify import AmplifierConfig
 from .attacks import AttackConfig
@@ -144,9 +148,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved flat configuration with typed accessors."""
+    """Resolved flat configuration and its typed views.
+
+    ``validate`` runs on construction and stores the four views; nothing
+    mutates ``values`` afterwards (``with_overrides`` builds a new config),
+    so the views always describe ``values``."""
 
     values: dict[str, object]
+    attack: AttackConfig = field(init=False, repr=False)
+    aggregator: AggregatorConfig = field(init=False, repr=False)
+    validation: ValidationSpec = field(init=False, repr=False)
+    trust: ValidationSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -191,101 +203,17 @@ class ExperimentConfig:
         return self.values[key]
 
     def with_overrides(self, overrides: dict[str, object]) -> "ExperimentConfig":
-        merged = dict(self.values)
-        merged.update(overrides)
-        return ExperimentConfig.from_mapping(merged)
-
-    # -- resolved views -----------------------------------------------------
+        return ExperimentConfig.from_mapping({**self.values, **overrides})
 
     def dim(self) -> int | tuple[int, int, int]:
-        raw = self.values["dataset.dim"]
-        if isinstance(raw, int):
-            return raw
-        text = str(raw)
-        if "x" in text:
-            parts = text.split("x")
-            if len(parts) != 3:
-                raise ConfigError("dataset.dim image form is CxHxW")
-            try:
-                c, h, w = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ConfigError(f"dataset.dim: {exc}") from exc
-            return (c, h, w)
+        parts = str(self.values["dataset.dim"]).split("x")
+        if len(parts) not in (1, 3):
+            raise ConfigError("dataset.dim image form is CxHxW")
         try:
-            return int(text)
+            dims = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"dataset.dim: {exc}") from exc
-
-    def malicious_fraction(self) -> float:
-        return float(self.values["attack.malicious_fraction"])
-
-    def assumed_malicious(self) -> float:
-        raw = self.values["defense.assumed_malicious"]
-        if raw == "auto":
-            return self.malicious_fraction()
-        return float(raw)
-
-    def restore_size(self) -> bool:
-        raw = self.values["defense.restore_size"]
-        if raw == "auto":
-            return self.values["defense.family"] == "fang"
-        return bool(raw)
-
-    def attack_config(self) -> AttackConfig:
-        v = self.values
-        return AttackConfig(
-            kind=str(v["attack.kind"]),
-            malicious_fraction=float(v["attack.malicious_fraction"]),
-            start_round=int(v["attack.start_round"]),
-            gamma=float(v["attack.gamma"]),
-            scale_factor=(
-                v["attack.scale_factor"]
-                if v["attack.scale_factor"] == "auto-n"
-                else float(v["attack.scale_factor"])
-            ),
-            sh_gamma_max=float(v["attack.sh_gamma_max"]),
-            target_label=int(v["attack.target_label"]),
-            trigger_fraction=float(v["attack.trigger_fraction"]),
-        )
-
-    def amplifier_config(self) -> AmplifierConfig:
-        v = self.values
-        return AmplifierConfig(
-            kind=str(v["defense.amplifier"]),
-            kernel=int(v["defense.kernel"]),
-            top_p=float(v["defense.top_p"]),
-            restore_size=self.restore_size(),
-            include_bias=bool(v["defense.include_bias"]),
-        )
-
-    def aggregator_config(self) -> AggregatorConfig:
-        v = self.values
-        return AggregatorConfig(
-            family=str(v["defense.family"]),
-            amplifier=self.amplifier_config(),
-            assumed_malicious=self.assumed_malicious(),
-            neighbors=int(v["defense.neighbors"]),
-        )
-
-    def validation_spec(self) -> ValidationSpec:
-        v = self.values
-        return ValidationSpec(
-            size=int(v["validation.size"]),
-            mode=str(v["validation.mode"]),
-            theta=float(v["validation.theta"]),
-            biased_class=int(v["validation.biased_class"]),
-        )
-
-    def trust_spec(self) -> ValidationSpec:
-        v = self.values
-        return ValidationSpec(
-            size=int(v["trust.size"]),
-            mode=str(v["trust.mode"]),
-            theta=float(v["trust.theta"]),
-            biased_class=int(v["trust.biased_class"]),
-        )
-
-    # -- integrity ----------------------------------------------------------
+        return dims if len(dims) == 3 else dims[0]
 
     def validate(self) -> None:
         v = self.values
@@ -315,18 +243,47 @@ class ExperimentConfig:
         if raw_rs != "auto" and not isinstance(raw_rs, bool):
             raise ConfigError("defense.restore_size is true, false, or auto")
         raw_am = v["defense.assumed_malicious"]
-        if raw_am != "auto":
-            if isinstance(raw_am, bool) or not isinstance(raw_am, (int, float)):
-                raise ConfigError("defense.assumed_malicious is a fraction or auto")
+        if raw_am != "auto" and (isinstance(raw_am, bool) or not isinstance(raw_am, (int, float))):
+            raise ConfigError("defense.assumed_malicious is a fraction or auto")
         sf = v["attack.scale_factor"]
         if sf != "auto-n" and (isinstance(sf, str) or not math.isfinite(sf)):
             raise ConfigError("attack.scale_factor is a finite number or auto-n")
         self.dim()
-        # the frozen component configs validate themselves on construction
-        self.attack_config()
-        self.aggregator_config()
         if not str(v["output.dir"]):
             raise ConfigError("output.dir must not be empty")
+        # the frozen component configs validate themselves when built, so
+        # building the views is the validation of their keys
+        self.attack = AttackConfig(
+            kind=str(v["attack.kind"]),
+            malicious_fraction=float(v["attack.malicious_fraction"]),
+            start_round=int(v["attack.start_round"]),
+            gamma=float(v["attack.gamma"]),
+            scale_factor=sf if sf == "auto-n" else float(sf),
+            sh_gamma_max=float(v["attack.sh_gamma_max"]),
+            target_label=int(v["attack.target_label"]),
+            trigger_fraction=float(v["attack.trigger_fraction"]),
+        )
+        self.aggregator = AggregatorConfig(
+            family=str(v["defense.family"]),
+            amplifier=AmplifierConfig(
+                kind=str(v["defense.amplifier"]),
+                kernel=int(v["defense.kernel"]),
+                top_p=float(v["defense.top_p"]),
+                restore_size=v["defense.family"] == "fang" if raw_rs == "auto" else bool(raw_rs),
+                include_bias=bool(v["defense.include_bias"]),
+            ),
+            assumed_malicious=self.attack.malicious_fraction if raw_am == "auto" else float(raw_am),
+            neighbors=int(v["defense.neighbors"]),
+        )
+        self.validation, self.trust = (
+            ValidationSpec(
+                size=int(v[f"{s}.size"]),
+                mode=str(v[f"{s}.mode"]),
+                theta=float(v[f"{s}.theta"]),
+                biased_class=int(v[f"{s}.biased_class"]),
+            )
+            for s in ("validation", "trust")
+        )
 
     def canonical_text(self) -> str:
         return _canonical(self.values)

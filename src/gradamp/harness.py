@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import AggregatorConfig, RoundContext, aggregate_round, scored_views
-from .attacks import AttackConfig, AttackContext, craft_updates, resolve_trigger, select_malicious
+from .aggregate import RoundContext, aggregate_round, scored_views
+from .attacks import AttackContext, craft_updates, resolve_trigger, select_malicious
 from .config import ExperimentConfig
 from .data import (
     Dataset,
@@ -145,8 +145,6 @@ class _Prepared:
     malicious: list[int]
     hetero: float
     warnings: list[str]
-    attack_cfg: AttackConfig
-    agg_cfg: AggregatorConfig
 
 
 def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
@@ -178,24 +176,23 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
     if len(shards) < 2:
         raise ConfigError("fewer than two clients hold data")
 
-    agg = cfg.aggregator_config()
+    agg = cfg.aggregator
     need_validation = agg.family == "fang" or agg.amplifier.kind == "xai"
     val_pool = train_pool if bool(cfg["validation.allow_overlap"]) else server_pool
     validation = (
-        sample_validation(val_pool, cfg.validation_spec(), _subseed(seed_data, _TAG_VALIDATION))
+        sample_validation(val_pool, cfg.validation, _subseed(seed_data, _TAG_VALIDATION))
         if need_validation
         else None
     )
     trust_set = (
-        sample_validation(val_pool, cfg.trust_spec(), _subseed(seed_data, _TAG_TRUST))
+        sample_validation(val_pool, cfg.trust, _subseed(seed_data, _TAG_TRUST))
         if agg.family == "fltrust"
         else None
     )
 
-    attack_cfg = cfg.attack_config()
-    trigger = resolve_trigger(attack_cfg, train_pool.feature_shape)
+    trigger = resolve_trigger(cfg.attack, train_pool.feature_shape)
     malicious = (
-        select_malicious(len(shards), attack_cfg.malicious_fraction, int(cfg["seeds.attack"]))
+        select_malicious(len(shards), cfg.attack.malicious_fraction, int(cfg["seeds.attack"]))
         if attack_enabled
         else []
     )
@@ -210,8 +207,6 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
         malicious=malicious,
         hetero=heterogeneity(train_pool),
         warnings=warnings,
-        attack_cfg=attack_cfg,
-        agg_cfg=agg,
     )
 
 
@@ -252,7 +247,6 @@ def run_experiment(
     current_round = 0
     try:
         prep = _prepare(cfg, attack_enabled)
-        attack_cfg, agg_cfg = prep.attack_cfg, prep.agg_cfg
         n_clients = len(prep.shards)
         rounds = int(cfg["federation.rounds"])
         every = int(cfg["federation.checkpoint_every"])
@@ -278,29 +272,29 @@ def run_experiment(
         # write the rows in place, screening and the mean read them.  Under
         # fltrust the server trains its trust reference as client number N,
         # into row N, in the same train_all as the clients
-        fltrust = agg_cfg.family == "fltrust"
+        fltrust = cfg.aggregator.family == "fltrust"
         trainees = prep.shards + [prep.trust_set] if fltrust else prep.shards
         rows = np.empty((len(trainees), model.theta.size))
         updates = rows[:n_clients]
         ref_update = rows[n_clients] if fltrust else None
 
         records.append(
-            _evaluate(model, 0, prep.test_set, triggered, attack_cfg.target_label, 0.0)
+            _evaluate(model, 0, prep.test_set, triggered, cfg.attack.target_label, 0.0)
         )
         last_mark = time.perf_counter()
         for k in range(1, rounds + 1):
             current_round = k
             r = k - 1  # zero-based index used by seeds and the attack gate
             train.train_all(model, trainees, r, rows)
-            craft_updates(r, updates, model, attack_cfg, ctx)  # the clean twin has no cohort
+            craft_updates(r, updates, model, cfg.attack, ctx)  # the clean twin has no cohort
             round_ctx = RoundContext(model, prep.validation, ref_update)
-            decision = aggregate_round(updates, agg_cfg, round_ctx)
+            decision = aggregate_round(updates, cfg.aggregator, round_ctx)
             for i in range(n_clients):
                 decision_rows.append(
                     f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
                 )
             if k == dump_round:
-                _dump_amplified(out_dir, updates, agg_cfg, round_ctx)
+                _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
             model = nn.apply_update(model, decision.global_update, 1.0)
             if not np.isfinite(model.theta).all():
                 raise DivergenceError("model parameters are no longer finite")
@@ -312,7 +306,7 @@ def run_experiment(
                         k,
                         prep.test_set,
                         triggered,
-                        attack_cfg.target_label,
+                        cfg.attack.target_label,
                         (now - last_mark) * 1000.0,
                     )
                 )
@@ -401,9 +395,12 @@ def read_rounds_csv(path: str) -> list[RoundRecord]:
         header = fh.readline().strip()
         if header != "round,test_accuracy,asr":
             raise GradampError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            r, ta, s = line.strip().split(",")
-            records.append(RoundRecord(int(r), float(ta), float(s)))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                r, ta, s = line.strip().split(",")
+                records.append(RoundRecord(int(r), float(ta), float(s)))
+            except ValueError as exc:
+                raise GradampError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 
@@ -436,14 +433,13 @@ def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
     clean = run_experiment(cfg, os.path.join(out_dir, "clean"), attack_enabled=False)
     attacked = run_experiment(cfg, os.path.join(out_dir, "attacked"), attack_enabled=True)
 
-    attack_cfg = cfg.attack_config()
     rounds = int(cfg["federation.rounds"])
-    window = MonitorWindow(min(attack_cfg.start_round, rounds), rounds)
+    window = MonitorWindow(min(cfg.attack.start_round, rounds), rounds)
     ta_loss = avg_ta_loss(clean.records, attacked.records, window)
-    pulse = negative_pulse(attacked.records, attack_cfg.start_round)
+    pulse = negative_pulse(attacked.records, cfg.attack.start_round)
     s = (
         avg_asr(attacked.records, window)
-        if attack_cfg.targeted and not np.isnan(attacked.records[-1].asr)
+        if cfg.attack.targeted and not np.isnan(attacked.records[-1].asr)
         else float("nan")
     )
     row = {

@@ -21,6 +21,8 @@ from . import nn
 
 log = logging.getLogger(__name__)
 
+PULSE_WINDOW_ROUNDS = 50  # rounds after the attack start that negative_pulse watches
+
 
 @dataclass
 class RoundRecord:
@@ -92,18 +94,16 @@ def avg_asr(attacked: list[RoundRecord], window: MonitorWindow) -> float:
     return float(np.mean(values))
 
 
-def negative_pulse(
-    attacked: list[RoundRecord], start_round: int, window_rounds: int = 50
-) -> float:
+def negative_pulse(attacked: list[RoundRecord], start_round: int) -> float:
     """Worst accuracy dip after the attack starts.
 
-    Over checkpoints r in [start, start + window_rounds], the largest gap
+    Over checkpoints r in [start, start + PULSE_WINDOW_ROUNDS], the largest gap
     between the run's best accuracy strictly before r and the accuracy at
     r; floored at zero, so a monotone run scores 0.
     """
     worst = 0.0
     for rec in attacked:
-        if not start_round <= rec.round <= start_round + window_rounds:
+        if not start_round <= rec.round <= start_round + PULSE_WINDOW_ROUNDS:
             continue
         before = [x.test_accuracy for x in attacked if x.round < rec.round]
         if not before:

@@ -633,8 +633,9 @@ class LocalTraining:
         out: np.ndarray,
         clients: list[int] | None = None,
     ) -> None:
-        """Shard j trains as client ``clients[j]`` (default j, ascending)
-        into row ``clients[j]`` of ``out``; other rows are left as they are.
+        """Shard j trains as client ``clients[j]`` (default j; ids must
+        strictly ascend) into row ``clients[j]`` of ``out``; other rows are
+        left as they are.
 
         Clients with equal shard sizes train together, in stacks of at
         least one client and at most ``STACK_FLOATS`` floats.  A client
@@ -644,6 +645,8 @@ class LocalTraining:
         ``local_train`` is looked up when called, so a rebound
         ``nn.local_train`` (a profiler's hook) sees every update."""
         clients = range(len(shards)) if clients is None else clients
+        if any(a >= b for a, b in zip(clients, clients[1:])):
+            raise ConfigError(f"client ids must strictly ascend, got {list(clients)}")
         groups: dict[int, list[int]] = {}
         for j, shard in enumerate(shards):
             groups.setdefault(len(shard), []).append(j)

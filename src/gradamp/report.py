@@ -19,6 +19,7 @@ from .harness import read_manifest, read_rounds_csv
 from .seeding import rng_stream
 
 _VIEW_W, _VIEW_H = 800, 500
+_PCA_COMPONENTS, _PCA_ITERATIONS = 2, 200
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 40, 45
 _COLORS = (
     "#1f77b4",
@@ -37,20 +38,16 @@ def _px(v: float) -> str:
 
 
 def svg_line_plot(
-    series: list[tuple[str, list[float], list[float]]],
-    title: str,
-    ylabel: str,
-    path: str,
-    y_range: tuple[float, float] = (0.0, 1.0),
+    series: list[tuple[str, list[float], list[float]]], title: str, ylabel: str, path: str
 ) -> None:
-    """Write a fixed-size line chart; y is clamped to the given range."""
+    """Write a fixed-size line chart; y is clamped to [0, 1]."""
     if not series:
         raise ReportError("nothing to plot")
     xs_all = [x for _, xs, _ in series for x in xs]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1
-    y_lo, y_hi = y_range
+    y_lo, y_hi = 0.0, 1.0
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
 
@@ -115,8 +112,9 @@ def svg_line_plot(
         fh.write("\n".join(out) + "\n")
 
 
-def pca_project(x: np.ndarray, components: int = 2, iterations: int = 200) -> np.ndarray:
-    """Seeded power-iteration PCA; rows project onto the top components."""
+def pca_project(x: np.ndarray) -> np.ndarray:
+    """Seeded power-iteration PCA; rows project onto the top two components,
+    zero-padded when the rows are narrower than two."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ReportError("PCA needs at least two row vectors")
@@ -124,10 +122,10 @@ def pca_project(x: np.ndarray, components: int = 2, iterations: int = 200) -> np
     d = centered.shape[1]
     basis = []
     work = centered.copy()
-    for c in range(min(components, d)):
+    for c in range(min(_PCA_COMPONENTS, d)):
         v = rng_stream(90, c).normal(size=d)
         v /= np.linalg.norm(v)
-        for _ in range(iterations):
+        for _ in range(_PCA_ITERATIONS):
             v = work.T @ (work @ v)
             norm = np.linalg.norm(v)
             if norm == 0.0:
@@ -136,20 +134,29 @@ def pca_project(x: np.ndarray, components: int = 2, iterations: int = 200) -> np
         basis.append(v)
         work = work - np.outer(work @ v, v)
     proj = centered @ np.stack(basis, axis=1)
-    if proj.shape[1] < components:
-        proj = np.pad(proj, ((0, 0), (0, components - proj.shape[1])))
+    if proj.shape[1] < _PCA_COMPONENTS:
+        proj = np.pad(proj, ((0, 0), (0, _PCA_COMPONENTS - proj.shape[1])))
     return proj
 
 
 def _read_amplified(path: str) -> np.ndarray:
     rows: dict[int, dict[int, float]] = {}
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        for line in fh:
-            cid, idx, val = line.strip().split(",")
-            rows.setdefault(int(cid), {})[int(idx)] = float(val)
+        header = fh.readline().strip()
+        if header != "client_id,index,value":
+            raise ReportError(f"{path}: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                cid, idx, val = line.strip().split(",")
+                if int(idx) < 0:
+                    raise ValueError(f"negative index {idx}")
+                rows.setdefault(int(cid), {})[int(idx)] = float(val)
+            except ValueError as exc:
+                raise ReportError(f"{path}: line {lineno}: {exc}") from exc
+    if not rows:
+        raise ReportError(f"{path}: no rows")
     clients = sorted(rows)
-    width = max(len(v) for v in rows.values())
+    width = 1 + max(max(v) for v in rows.values())
     out = np.zeros((len(clients), width))
     for i, cid in enumerate(clients):
         for j, v in rows[cid].items():

@@ -172,6 +172,35 @@ def test_report_from_a_finished_run(tmp_path, capsys):
     assert os.path.join(rep, "ta.svg") in printed
 
 
+GOOD_ROUNDS = "round,test_accuracy,asr\n0,0.5,nan\n"
+
+
+@pytest.mark.parametrize(
+    "name, rounds, amplified, where",
+    [
+        ("rounds.csv", GOOD_ROUNDS + "1,2\n", None, "line 3"),
+        ("rounds.csv", GOOD_ROUNDS + "x,0.5,nan\n", None, "line 3"),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,1\n", "line 2"),
+        ("amplified.csv", GOOD_ROUNDS, "cid,idx\n0,0,1.0\n1,0,2.0\n", "header"),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,-1,1.0\n", "line 2"),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n", "no rows"),
+    ],
+    ids=["rounds-short-line", "rounds-bad-int", "amplified-short-line", "amplified-header",
+         "amplified-negative-index", "amplified-empty"],
+)
+def test_report_on_a_malformed_run_folder_exits_3(tmp_path, capsys, name, rounds, amplified, where):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.txt").write_text("run.id = r\n")
+    (run_dir / "rounds.csv").write_text(rounds)
+    if amplified is not None:
+        (run_dir / "amplified.csv").write_text(amplified)
+    rep = str(tmp_path / "rep")
+    assert main(["report", str(run_dir / "manifest.txt"), "--out", rep]) == 3
+    err = capsys.readouterr().err
+    assert name in err and where in err
+
+
 def test_gen_data_writes_csv(tmp_path, capsys):
     path = write_config(tmp_path)
     out_csv = str(tmp_path / "set.csv")

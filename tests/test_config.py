@@ -1,9 +1,18 @@
 """Configuration parsing, typed overrides, auto markers, and hashing."""
 
+import os
+import re
+
 import pytest
 
+from gradamp.aggregate import AggregatorConfig
+from gradamp.amplify import AmplifierConfig
+from gradamp.attacks import AttackConfig
 from gradamp.config import DEFAULTS, ExperimentConfig, parse_config_text
 from gradamp.errors import ConfigError
+from gradamp.harness import run_pair
+
+EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), "..", "docs", "example.cfg")
 
 
 def test_parse_config_text_basics():
@@ -79,6 +88,9 @@ def test_with_overrides_builds_a_new_config():
     changed = base.with_overrides({"federation.rounds": 5})
     assert changed["federation.rounds"] == 5
     assert base["federation.rounds"] == DEFAULTS["federation.rounds"]
+    flipped = base.with_overrides({"attack.kind": "l-flip"})
+    assert flipped.attack.kind == "l-flip"
+    assert base.attack.kind == DEFAULTS["attack.kind"]
 
 
 def test_dim_parses_flat_and_image_forms():
@@ -93,20 +105,20 @@ def test_dim_parses_flat_and_image_forms():
 
 def test_assumed_malicious_auto_mirrors_the_attack():
     cfg = ExperimentConfig.from_mapping({"attack.malicious_fraction": 0.2})
-    assert cfg.assumed_malicious() == 0.2
+    assert cfg.aggregator.assumed_malicious == 0.2
     pinned = ExperimentConfig.from_mapping(
         {"attack.malicious_fraction": 0.2, "defense.assumed_malicious": 0.4}
     )
-    assert pinned.assumed_malicious() == 0.4
+    assert pinned.aggregator.assumed_malicious == 0.4
 
 
 def test_restore_size_auto_follows_the_family():
     fang = ExperimentConfig.from_mapping({"defense.family": "fang"})
-    assert fang.restore_size() is True
+    assert fang.aggregator.amplifier.restore_size is True
     dist = ExperimentConfig.from_mapping({"defense.family": "dist-cos"})
-    assert dist.restore_size() is False
+    assert dist.aggregator.amplifier.restore_size is False
     forced = ExperimentConfig.from_mapping({"defense.restore_size": True})
-    assert forced.restore_size() is True
+    assert forced.aggregator.amplifier.restore_size is True
 
 
 def test_builders_assemble_typed_configs():
@@ -120,13 +132,37 @@ def test_builders_assemble_typed_configs():
             "validation.theta": 0.4,
         }
     )
-    atk = cfg.attack_config()
+    atk = cfg.attack
     assert atk.kind == "g-asc" and atk.gamma == 2.0
-    agg = cfg.aggregator_config()
+    agg = cfg.aggregator
     assert agg.family == "dist-euc"
     assert agg.amplifier.kernel == 2
-    vs = cfg.validation_spec()
+    vs = cfg.validation
     assert vs.mode == "biased" and vs.theta == 0.4
+
+
+def test_each_component_config_is_validated_once_per_run_pair(tmp_path, monkeypatch):
+    calls = {}
+    for cls in (AttackConfig, AmplifierConfig, AggregatorConfig):
+
+        def counted(self, _validate=cls.validate, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            _validate(self)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    cfg = ExperimentConfig.from_mapping(
+        {
+            "dataset.per_class": 30,
+            "federation.clients": 6,
+            "federation.rounds": 2,
+            "model.hidden": 8,
+            "attack.kind": "g-asc",
+            "attack.start_round": 0,
+            "output.dir": str(tmp_path),
+        }
+    )
+    run_pair(cfg)
+    assert calls == {"AttackConfig": 1, "AmplifierConfig": 1, "AggregatorConfig": 1}
 
 
 def test_validate_catches_cross_field_mistakes():
@@ -154,3 +190,15 @@ def test_from_file_round_trip(tmp_path):
     assert cfg["local.lr"] == 0.5
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(str(tmp_path / "missing.txt"))
+
+
+def test_example_config_is_the_annotated_defaults():
+    example = ExperimentConfig.from_file(EXAMPLE_CFG)
+    assert example.canonical_text() == ExperimentConfig.from_mapping({}).canonical_text()
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    path_keys = {"dataset.path", "dataset.images", "dataset.labels"}
+    for key in DEFAULTS:
+        # the path keys default to empty, so the file shows them commented out
+        prefix = r"#\s*" if key in path_keys else ""
+        assert re.search(rf"^{prefix}{re.escape(key)}\s*=", text, re.M), key

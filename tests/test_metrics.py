@@ -78,9 +78,9 @@ def test_negative_pulse_monotone_run_scores_zero():
 def test_negative_pulse_only_looks_inside_the_window():
     # The crash at round 80 falls outside [10, 60] and is ignored.
     attacked = recs([(0, 0.5), (30, 0.9), (80, 0.1)])
-    assert negative_pulse(attacked, start_round=10, window_rounds=50) == 0.0
+    assert negative_pulse(attacked, start_round=10) == 0.0
     # Moving the window over it picks the crash up against the 0.9 peak.
-    assert negative_pulse(attacked, start_round=60, window_rounds=50) == pytest.approx(0.8)
+    assert negative_pulse(attacked, start_round=60) == pytest.approx(0.8)
 
 
 def test_monitor_window_validation():

@@ -440,6 +440,17 @@ def test_train_all_writes_only_the_given_clients_rows():
     assert np.isnan(out[[1, 3, 4, 6]]).all()
 
 
+@pytest.mark.parametrize("clients", [[0, 2, 1, 3], [0, 1, 1, 3]], ids=["unsorted", "duplicate"])
+def test_train_all_rejects_ids_that_do_not_strictly_ascend(clients):
+    # a stack spanning rows ids[0]..ids[-1] would train unsorted ids into the wrong rows
+    model = nn.mlp_model(5, 6, 3, seed=46)
+    shards = _shards(rng_stream(47), (5,), (7, 7, 7, 7), 3)
+    train = nn.LocalTraining(epochs=1, batch_size=3, lr=0.1, seed=48)
+    out = np.zeros((4, model.theta.size))
+    with pytest.raises(ConfigError, match="ascend"):
+        train.train_all(model, shards, 0, out, clients=clients)
+
+
 @pytest.mark.parametrize(
     "model, feature_shape, lengths, stacks",
     [

@@ -136,7 +136,7 @@ def test_pca_rejects_fewer_than_two_rows():
 
 def test_pca_pads_missing_components_with_zeros():
     x = np.array([[1.0], [2.0], [4.0]])
-    proj = pca_project(x, components=2)
+    proj = pca_project(x)
     assert proj.shape == (3, 2)
     assert np.all(proj[:, 1] == 0.0)
     # The single real component keeps the data's spread.
