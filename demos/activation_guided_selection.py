@@ -48,8 +48,8 @@ def main():
     amped = amplify_xai(updates, model, validation, AmplifierConfig(kind="xai", top_p=0.5))
     full = updates.shape[1]
     print(
-        f"\namplified length {amped[0].values.size} of {full} parameters; "
-        f"selection rides along: {amped[0].selected.tolist()}"
+        f"\namplified length {amped[0].size} of {full} parameters: "
+        f"client 0's filters {xai_selection(model, updates[0], validation, 0.5).tolist()}"
     )
 
 

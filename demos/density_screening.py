@@ -26,8 +26,7 @@ from gradamp.data import partition, synth_blobs
 
 def main():
     data = synth_blobs(3, 200, 20, spread=2.0, seed=17)
-    plan = partition(data, 10, "iid", seed=18)
-    shards = [data.subset(idx) for idx in plan.shards]
+    shards = [data.subset(idx) for idx in partition(data, 10, "iid", seed=18)]
     model = nn.mlp_model(20, 16, 3, seed=19)
 
     updates = np.stack([
@@ -41,8 +40,9 @@ def main():
         updates[m] = crafted
 
     for label, amp_kind in (("raw", "none"), ("amplified", "mp")):
-        amped = amplify(updates, AmplifierConfig(kind=amp_kind, kernel=3), model)
-        whitelist, scores = density_whitelist(amped, "cos", neighbors=6,
+        amp = AmplifierConfig(kind=amp_kind, kernel=3)
+        views = [a.values for a in amplify(updates, amp, model)]
+        whitelist, scores = density_whitelist(views, "cos", neighbors=6,
                                               assumed_malicious=0.3)
         print(f"{label} vectors:")
         for i, s in enumerate(scores):

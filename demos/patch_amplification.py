@@ -42,11 +42,16 @@ def main():
     update = nn.local_train(model, x, y, epochs=1, batch_size=16, lr=0.05, seed=1)
     amped = amplify_mp(update[None], model, AmplifierConfig(kind="mp", kernel=3))[0]
     print(
-        f"\nreal update: {amped.original_size} parameters -> "
-        f"{amped.values.size} amplified values "
-        f"({amped.values.size / amped.original_size:.0%} of the original)"
+        f"\nreal update: {update.size} parameters -> "
+        f"{amped.size} amplified values "
+        f"({amped.size / update.size:.0%} of the original)"
     )
-    print(f"panel grids: {amped.grids}")
+    print("panel grids, kernel 3:")
+    for layer in model.layers:
+        for name, arr in (("weight", layer.weight), ("bias", layer.bias)):
+            if arr is not None:
+                panel = arr.reshape(arr.shape[0] if name == "weight" else 1, -1)
+                print(f"   {layer.kind} {name} {panel.shape} -> {max_filter(panel, 3).shape}")
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ import numpy as np
 
 from gradamp import nn
 from gradamp.aggregate import fltrust_aggregate
-from gradamp.amplify import AmplifierConfig, amplify
+from gradamp.amplify import AmplifierConfig, amplify_mp
 from gradamp.data import partition, synth_blobs
 
 
 def main():
     data = synth_blobs(3, 200, 20, spread=2.0, seed=31)
-    plan = partition(data, 10, "iid", seed=32)
-    shards = [data.subset(idx) for idx in plan.shards]
+    shards = [data.subset(idx) for idx in partition(data, 10, "iid", seed=32)]
     trust_set = data.subset(np.arange(len(data) - 50, len(data)))
     model = nn.mlp_model(20, 16, 3, seed=33)
 
@@ -41,10 +40,10 @@ def main():
     reference = nn.local_train(model, trust_set.features, trust_set.labels,
                                epochs=1, batch_size=64, lr=0.03, seed=99)
     amp = AmplifierConfig(kind="mp", kernel=3)
-    amped = amplify(updates, amp, model)
-    amped_ref = amplify(reference[None], amp, model)[0]
+    views = amplify_mp(updates, model, amp)
+    ref_view = amplify_mp(reference[None], model, amp)[0]
 
-    decision = fltrust_aggregate(amped, amped_ref, updates, reference)
+    decision = fltrust_aggregate(views, ref_view, updates, reference)
     print(f"reference norm: {np.linalg.norm(reference):.4f}\n")
     for i, u in enumerate(updates):
         tag = "boosted" if i in flipped else "honest"

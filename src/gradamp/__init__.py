@@ -36,7 +36,6 @@ from .attacks import (
 from .config import ExperimentConfig, parse_config_text
 from .data import (
     Dataset,
-    PartitionPlan,
     TriggerSpec,
     ValidationSpec,
     default_trigger,

@@ -1,7 +1,7 @@
-"""Byzantine-robust aggregation over amplified score vectors.
+"""Byzantine-robust aggregation over amplified score rows.
 
 Three screening families sit on a shared rule: clients are *scored* on
-their amplified vectors, but the global update is always a plain average
+their amplified rows, but the global update is always a plain average
 of the accepted clients' original updates (trust weighting for the
 bootstrapped family).  Whatever the amplifier did to the scoring view, the
 model only ever moves along real client gradients.
@@ -16,6 +16,9 @@ Families:
 
 Every entry point takes the round's updates as the rows of one (N, P)
 matrix, and ``AggregationDecision.global_update`` is a flat (P,) row.
+The screens take flat rows too: ``scored_views`` unwraps the amplifier's
+output, and each screen scores a sequence of (L,) rows or an (N, L)
+matrix, whichever it is given.
 Means are ``nn.mean_grads`` folds over row views: fedavg over the
 whitelisted rows, and each fang leave-one-out probe over the other
 clients' rows into one reused buffer.
@@ -33,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amplify import AmplifiedGradient, AmplifierConfig, amplify, xai_selection
-from .data import Dataset
+from .amplify import AmplifierConfig, amplify, xai_selection
+from .data import Dataset, exact_share
 from .errors import ConfigError
 from . import nn
 
@@ -97,26 +100,24 @@ def _keep_top(scores: np.ndarray, keep: int) -> list[int]:
 
 
 def density_whitelist(
-    amped: list[AmplifiedGradient],
-    metric: str,
-    neighbors: int,
-    assumed_malicious: float,
+    views, metric: str, neighbors: int, assumed_malicious: float
 ) -> tuple[list[int], np.ndarray]:
-    """Cross-check amplified vectors and keep the densest clients.
+    """Cross-check amplified rows and keep the densest clients.
 
     Each client's score sums its ``neighbors`` highest similarities, the
     self-similarity included, so colluders cannot ride on a single twin.
-    The whitelist keeps the ceil((1 - M_f) * N) best scores.  neighbors
-    must exceed N/2 so any honest majority overlaps every neighbourhood.
+    The whitelist keeps the ceil((1 - M_f) * N) best scores, counted on
+    the decimal M_f (``data.exact_share``).  neighbors must exceed N/2 so
+    any honest majority overlaps every neighbourhood.
     """
-    n = len(amped)
+    n = len(views)
     if n == 0:
         raise ConfigError("no updates to aggregate")
     if not neighbors > n / 2:
         raise ConfigError(f"neighbors must exceed N/2, got {neighbors} with N={n}")
     if neighbors > n:
         raise ConfigError(f"neighbors {neighbors} larger than the cohort {n}")
-    x = np.stack([a.values for a in amped])
+    x = np.asarray(views, dtype=np.float64)
     if metric == "cos":
         norms = np.linalg.norm(x, axis=1)
         sim = x @ x.T
@@ -134,17 +135,18 @@ def density_whitelist(
         raise ConfigError(f"unknown density metric {metric!r}")
     ranked = np.sort(sim, axis=1)[:, ::-1]
     scores = ranked[:, :neighbors].sum(axis=1)
-    keep = math.ceil((1.0 - assumed_malicious) * n)
+    keep = n - math.floor(exact_share(assumed_malicious, n))
     return _keep_top(scores, keep), scores
 
 
 def merged_whitelist(
-    amped: list[AmplifiedGradient], neighbors: int, assumed_malicious: float
+    views, neighbors: int, assumed_malicious: float
 ) -> tuple[list[int], np.ndarray]:
-    """Intersection of the cosine and euclidean whitelists; an empty
-    intersection falls back to the cosine list."""
-    wl_cos, scores = density_whitelist(amped, "cos", neighbors, assumed_malicious)
-    wl_euc, _ = density_whitelist(amped, "euc", neighbors, assumed_malicious)
+    """Intersection of the cosine and euclidean whitelists over one matrix
+    of the rows; an empty intersection falls back to the cosine list."""
+    x = np.asarray(views, dtype=np.float64)
+    wl_cos, scores = density_whitelist(x, "cos", neighbors, assumed_malicious)
+    wl_euc, _ = density_whitelist(x, "euc", neighbors, assumed_malicious)
     merged = sorted(set(wl_cos) & set(wl_euc))
     if not merged:
         log.warning("merged whitelist empty; falling back to the cosine whitelist")
@@ -170,7 +172,9 @@ def fang_whitelist(
     leave-one-out value means the excluded client was hurting, so the
     ceil(M_f * N) lowest are rejected under each criterion and the
     whitelist is the intersection of the two keep-sets (loss keep-set on an
-    empty intersection).
+    empty intersection).  The count is taken on the decimal M_f
+    (``data.exact_share``); an M_f that would reject every client is a
+    ``ConfigError`` before the first probe.
 
     Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)): the
     others folded afresh in ascending index order by ``nn.mean_grads`` into
@@ -185,6 +189,9 @@ def fang_whitelist(
         raise ConfigError("no updates to aggregate")
     if len(validation) == 0:
         raise ConfigError("prediction-based screening needs a validation set")
+    reject = math.ceil(exact_share(assumed_malicious, n))
+    if reject >= n:
+        raise ConfigError(f"assumed_malicious {assumed_malicious} rejects all {n} clients")
     theta = model.theta
     for row in amped_restored:
         if np.shape(row) != theta.shape:
@@ -203,7 +210,7 @@ def fang_whitelist(
         errors[i] = float(
             np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
         )
-    keep = n - math.ceil(assumed_malicious * n)
+    keep = n - reject
     keep_loss = set(_keep_top(losses, keep))
     keep_err = set(_keep_top(errors, keep))
     whitelist = sorted(keep_loss & keep_err)
@@ -218,22 +225,19 @@ def fang_whitelist(
 
 
 def fltrust_aggregate(
-    amped: list[AmplifiedGradient],
-    amped_ref: AmplifiedGradient,
-    originals: np.ndarray,
-    ref_original: np.ndarray,
+    views, ref_view: np.ndarray, originals: np.ndarray, ref_original: np.ndarray
 ) -> AggregationDecision:
     """Trust-weighted mean of norm-matched original updates.
 
     Trust score per client is the ReLU-clipped cosine between the client's
-    amplified vector and the amplified server reference; each original
-    update is rescaled to the reference norm before weighting.  All trust
-    at zero yields a zero update (round effectively skipped).
+    row in ``views`` and the server reference's amplified row ``ref_view``;
+    each original update is rescaled to the reference norm before
+    weighting.  All trust at zero yields a zero update (round skipped).
     """
-    n = len(amped)
+    n = len(views)
     if n == 0 or n != len(originals):
         raise ConfigError("amplified and original update lists disagree")
-    ts = np.array([max(0.0, _cosine(a.values, amped_ref.values)) for a in amped])
+    ts = np.array([max(0.0, _cosine(v, ref_view)) for v in views])
     ref_norm = float(np.linalg.norm(ref_original))
     total = ts.sum()
     if total == 0.0:
@@ -277,24 +281,24 @@ def _whitelist_decision(
 
 def scored_views(
     grads: np.ndarray, config: AggregatorConfig, context: RoundContext
-) -> tuple[list[AmplifiedGradient], AmplifiedGradient | None]:
-    """The amplified views ``config.family`` scores: one per row of the (N,
-    P) update matrix, plus the server reference's view for fltrust (else
-    None).  fltrust with the xai amplifier reads every view through one
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The amplified rows ``config.family`` scores: one per row of the (N,
+    P) update matrix, plus the server reference's row for fltrust (else
+    None).  fltrust with the xai amplifier reads every row through one
     filter selection, taken from the server's own reference model, so every
     trust cosine compares coordinates of the same filters.  fedavg scores
-    nothing and gets the configured amplifier's views."""
+    nothing and gets the configured amplifier's rows."""
     amp = config.amplifier
     if config.family != "fltrust":
-        return amplify(grads, amp, context.model, context.validation), None
+        return [a.values for a in amplify(grads, amp, context.model, context.validation)], None
     if context.ref_update is None:
         raise ConfigError("trust bootstrapping needs a server reference update")
     fixed = None
     if amp.kind == "xai" and context.validation is not None:
         fixed = xai_selection(context.model, context.ref_update, context.validation, amp.top_p)
-    amped = amplify(grads, amp, context.model, context.validation, fixed)
-    ref_row = context.ref_update[None]
-    return amped, amplify(ref_row, amp, context.model, context.validation, fixed)[0]
+    views = amplify(grads, amp, context.model, context.validation, fixed)
+    ref = amplify(context.ref_update[None], amp, context.model, context.validation, fixed)[0]
+    return [a.values for a in views], ref.values
 
 
 def aggregate_round(
@@ -312,19 +316,19 @@ def aggregate_round(
     if config.family == "fang" and context.validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
 
-    amped, amped_ref = scored_views(grads, config, context)
+    views, ref_view = scored_views(grads, config, context)
     if config.family == "fltrust":
-        return fltrust_aggregate(amped, amped_ref, grads, context.ref_update)
+        return fltrust_aggregate(views, ref_view, grads, context.ref_update)
     if config.family == "fang":
         # restored amplified updates drive the prediction screens
         wl, scores = fang_whitelist(
-            [a.values for a in amped], context.model, context.validation, config.assumed_malicious
+            views, context.model, context.validation, config.assumed_malicious
         )
         return _whitelist_decision(wl, scores, grads)
     neighbors = config.neighbors or n // 2 + 1
     if config.family == "dist-merged":
-        wl, scores = merged_whitelist(amped, neighbors, config.assumed_malicious)
+        wl, scores = merged_whitelist(views, neighbors, config.assumed_malicious)
     else:
         metric = "cos" if config.family == "dist-cos" else "euc"
-        wl, scores = density_whitelist(amped, metric, neighbors, config.assumed_malicious)
+        wl, scores = density_whitelist(views, metric, neighbors, config.assumed_malicious)
     return _whitelist_decision(wl, scores, grads)

@@ -1,13 +1,17 @@
 """Gradient amplification: patch max-filtering and class-activation selection.
 
-Both amplifiers map a client's update to a shorter vector that exaggerates
-the update's salient structure; aggregators score clients on these vectors
-but always apply the untouched originals.  With ``restore_size`` the output
+Both amplifiers map a client's update to a shorter row that exaggerates
+the update's salient structure; aggregators score clients on these rows
+but always apply the untouched originals.  With ``restore_size`` the row
 instead keeps the original length, zero everywhere except the surviving
 entries, so prediction-based screens can apply it as a model update.
 
 Updates arrive as the rows of one (N, P) matrix in ``ModelParams.theta``
-order.
+order, and the amplifiers return plain rows: ``amplify_mp`` an (N, L)
+matrix, ``amplify_xai`` a list of (L,) rows.  Only the ``amplify``
+dispatcher wraps each row as an ``AmplifiedGradient`` with the length P
+it came from.
+
 The max filter views each layer's slice of a row as a 2-D panel, with the
 shapes taken from the model layout:
 
@@ -22,8 +26,7 @@ compact view is ``nn.block_max`` of the stack, on a ceil grid.  The
 restored view copies each stack into its rows of the output and keeps
 there, per block, only the entry ``nn.block_argmax`` routes the block to,
 by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring).
-Both views write into one preallocated (N, length) matrix whose rows are
-the clients' ``values``.
+Both views write into one preallocated (N, L) matrix.
 
 The class-activation route scores each conv filter by the spatial mean of
 d y / d A^k (y = batch-summed true-class logit), keeps the top
@@ -68,27 +71,14 @@ class AmplifierConfig:
 
 @dataclass
 class AmplifiedGradient:
-    """Flat amplified view of one client's update.
-
-    ``grids`` records the patch grid per 2-D panel for the max filter;
-    ``selected`` records chosen filter indices (rank order) for the
-    activation route.  ``restored`` marks full-length zero-filled output.
-    """
+    """One client's amplified row and the length of the update it came from."""
 
     values: np.ndarray
-    kind: str
-    restored: bool
     original_size: int
-    grids: tuple[tuple[int, str, int, int], ...] | None = None
-    selected: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
 # max filter
-
-
-def _grid(h: int, w: int, kernel: int) -> tuple[int, int]:
-    return math.ceil(h / kernel), math.ceil(w / kernel)
 
 
 def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
@@ -105,36 +95,31 @@ def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
     return nn.block_max(mat, kernel)
 
 
-def amplify_mp(
-    rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig
-) -> list[AmplifiedGradient]:
+def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig) -> np.ndarray:
     """Max-filter each 2-D panel of each update row and concatenate.
 
     ``rows`` is the (N, P) update matrix; the panels come from ``model``'s
     layout.  Each panel is filtered per stack of clients (cache-sized
-    groups), read as a strided view of ``rows``; the rows of one (N,
-    length) result become the clients' ``values``.
+    groups), read as a strided view of ``rows``, into one (N, L) result.
     """
     n, k = len(rows), config.kernel
-    if n == 0:
-        return []
-    panels = []  # (layer, 0 weight / 1 bias, panel rows, panel cols, offset in the row)
+    panels = []  # (panel rows, panel cols, offset in the row, grid rows, grid cols)
     size = 0
-    for i, layer in enumerate(model.layers):
+    for layer in model.layers:
         for slot, arr in enumerate((layer.weight, layer.bias)):
             if arr is not None:
                 if slot == 0 or config.include_bias:
                     h = arr.shape[0] if slot == 0 else 1
-                    panels.append((i, slot, h, arr.size // h, size))
+                    w = arr.size // h
+                    panels.append((h, w, size, math.ceil(h / k), math.ceil(w / k)))
                 size += arr.size
-    grids = tuple((i, "wb"[slot], *_grid(h, w, k)) for i, slot, h, w, _ in panels)
     if config.restore_size:
         out = np.zeros((n, size))
     else:
-        out = np.empty((n, sum(ho * wo for *_, ho, wo in grids)))
+        out = np.empty((n, sum(ho * wo for *_, ho, wo in panels)))
     pos = 0
-    for (i, slot, h, w, offset), (*_, ho, wo) in zip(panels, grids):
-        m = min(n, max(1, nn.STACK_FLOATS // (h * w)))  # clients per stack
+    for h, w, offset, ho, wo in panels:
+        m = max(1, min(n, nn.STACK_FLOATS // (h * w)))  # clients per stack
         if config.restore_size:
             scratch = np.empty((m, ho, wo))
         for c0 in range(0, n, m):
@@ -142,7 +127,7 @@ def amplify_mp(
             x = rows[part, offset : offset + h * w].reshape(-1, h, w)
             if config.restore_size:
                 # Filtered in its rows of the output, so no second
-                # (N, length) array is made.
+                # (N, P) array is made.
                 kept = out[part, offset : offset + h * w].reshape(-1, h, w)
                 np.copyto(kept, x)
                 best = nn.block_max(kept, k, scratch[: len(kept)])
@@ -151,16 +136,7 @@ def amplify_mp(
             else:
                 nn.block_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo
-    return [
-        AmplifiedGradient(
-            values=row,
-            kind="mp",
-            restored=config.restore_size,
-            original_size=size,
-            grids=None if config.restore_size else grids,
-        )
-        for row in out
-    ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +186,7 @@ def amplify_xai(
     validation: Dataset,
     config: AmplifierConfig,
     fixed_selection: np.ndarray | None = None,
-) -> list[AmplifiedGradient]:
+) -> list[np.ndarray]:
     """Per client row: select filters via the client's updated model (or
     reuse a caller-supplied selection) and emit the client's original conv
     weight gradients for those filters, read through the conv weight view
@@ -218,7 +194,6 @@ def amplify_xai(
     ci = model.conv_index()
     if ci is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
-    original = model.theta.size
     out = []
     for row in rows:
         gw = nn.ModelParams(model.layers, row).layers[ci].weight
@@ -228,19 +203,11 @@ def amplify_xai(
             else xai_selection(model, row, validation, config.top_p)
         )
         if config.restore_size:
-            values = np.zeros(original)
+            values = np.zeros_like(row)
             nn.ModelParams(model.layers, values).layers[ci].weight[sel] = gw[sel]
         else:
             values = gw[sel].reshape(-1)
-        out.append(
-            AmplifiedGradient(
-                values=values,
-                kind="xai",
-                restored=config.restore_size,
-                original_size=original,
-                selected=sel,
-            )
-        )
+        out.append(values)
     return out
 
 
@@ -255,17 +222,16 @@ def amplify(
     validation: Dataset | None = None,
     fixed_selection: np.ndarray | None = None,
 ) -> list[AmplifiedGradient]:
-    """Amplified views of the (N, P) update matrix ``rows``, one per row;
-    ``kind = "none"`` passes each row through as a view."""
+    """Amplified views of the (N, P) update matrix ``rows``, one per row,
+    each recording P; ``kind = "none"`` passes each row through as a view."""
     if config.kind == "none":
-        return [
-            AmplifiedGradient(values=row, kind="none", restored=True, original_size=row.size)
-            for row in rows
-        ]
-    if model is None:
+        views = rows
+    elif model is None:
         raise ConfigError("amplification needs the model layout")
-    if config.kind == "mp":
-        return amplify_mp(rows, model, config)
-    if validation is None:
+    elif config.kind == "mp":
+        views = amplify_mp(rows, model, config)
+    elif validation is None:
         raise ConfigError("activation-guided amplification needs the model and validation set")
-    return amplify_xai(rows, model, validation, config, fixed_selection)
+    else:
+        views = amplify_xai(rows, model, validation, config, fixed_selection)
+    return [AmplifiedGradient(v, rows.shape[1]) for v in views]

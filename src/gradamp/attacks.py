@@ -30,11 +30,12 @@ the cohort's ascent from its honest rows before they are retrained.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, TriggerSpec, default_trigger, embed_trigger
+from .data import Dataset, TriggerSpec, default_trigger, embed_trigger, exact_share
 from .errors import ConfigError
 from .seeding import rng_stream
 from . import nn
@@ -79,8 +80,9 @@ class AttackConfig:
 
 
 def select_malicious(num_clients: int, fraction: float, seed: int) -> list[int]:
-    """Fixed seeded cohort of floor(fraction * N) clients for a whole run."""
-    count = int(fraction * num_clients)
+    """Fixed seeded cohort of floor(fraction * N) clients for a whole run,
+    counted on the decimal fraction (``data.exact_share``)."""
+    count = math.floor(exact_share(fraction, num_clients))
     if count == 0:
         return []
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))

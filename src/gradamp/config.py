@@ -3,7 +3,8 @@
 Keys are dotted (section.name), one per line, ``#`` starts a comment.
 Values are typed by shape: integers, floats, the literals true/false, and
 bare strings.  Unknown keys are rejected so typos fail fast instead of
-silently running defaults, and so is a ``nan`` or ``inf`` float.
+silently running defaults, and so are a ``nan`` or ``inf`` float and a
+non-ASCII string (the run folder is ASCII); comments may be any UTF-8.
 
 ``ExperimentConfig.validate`` builds the typed views once: ``attack``,
 ``aggregator`` (with its ``.amplifier``), and the ``validation`` and
@@ -195,7 +196,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_mapping(parse_config_text(text, path), path)
 
@@ -217,6 +218,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         v = self.values
+        for key, value in v.items():
+            if isinstance(value, str) and not value.isascii():
+                raise ConfigError(f"{key} must be ASCII text, got {value!r}")
         if v["dataset.kind"] not in ("blobs", "csv", "idx"):
             raise ConfigError(f"unknown dataset.kind {v['dataset.kind']!r}")
         if v["dataset.kind"] == "csv" and not v["dataset.path"]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,6 +167,13 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def exact_share(fraction: float, n: int) -> Fraction:
+    """``fraction * n`` exactly, ``fraction`` read as the decimal a config
+    states: 0.29 * 100 is 29, where the float product is 28.999999999999996.
+    Every cohort and whitelist count rounds this value."""
+    return Fraction(format_float(fraction)) * n
+
+
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write ``label,f1,...,fd`` rows that load_csv reads back exactly."""
     with open(path, "w", encoding="ascii") as fh:
@@ -178,23 +186,15 @@ def save_csv(dataset: Dataset, path: str) -> None:
 # partitioning
 
 
-@dataclass
-class PartitionPlan:
-    """Disjoint client shards; indices point into the partitioned dataset."""
-
-    shards: list[np.ndarray]
-    scheme: str
-    skew: float = 0.0
-
-
 def partition(
     dataset: Dataset,
     num_clients: int,
     scheme: str = "iid",
     skew: float = 0.5,
     seed: int = 0,
-) -> PartitionPlan:
-    """Split sample indices across clients.
+) -> list[np.ndarray]:
+    """Split sample indices across clients: one sorted index array per
+    client, pointing into ``dataset``.
 
     ``iid`` deals a random permutation into near-equal shards.
     ``label-skew`` groups clients by a master label (client i serves label
@@ -211,7 +211,7 @@ def partition(
     if scheme == "iid":
         order = rng.permutation(n)
         shards = [np.sort(s) for s in np.array_split(order, num_clients)]
-        return PartitionPlan(shards, scheme)
+        return shards
     if scheme != "label-skew":
         raise ConfigError(f"unknown partition scheme {scheme!r}")
     if not 0.0 <= skew <= 1.0:
@@ -227,8 +227,7 @@ def partition(
         else:
             pick = [c for c in range(num_clients) if c not in home] or list(range(num_clients))
         shard_lists[pick[rng.integers(len(pick))]].append(i)
-    shards = [np.asarray(sorted(s), dtype=np.int64) for s in shard_lists]
-    return PartitionPlan(shards, scheme, skew)
+    return [np.asarray(sorted(s), dtype=np.int64) for s in shard_lists]
 
 
 # ---------------------------------------------------------------------------

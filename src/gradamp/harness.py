@@ -160,14 +160,14 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
     if len(test_set) == 0:
         raise ConfigError("test split is empty; raise dataset.test_fraction or the dataset size")
     n_clients = int(cfg["federation.clients"])
-    plan = partition(
+    indices = partition(
         train_pool,
         n_clients,
         str(cfg["partition.scheme"]),
         float(cfg["partition.skew"]),
         _subseed(seed_data, _TAG_PARTITION),
     )
-    shards = [train_pool.subset(idx) for idx in plan.shards]
+    shards = [train_pool.subset(idx) for idx in indices]
     keep = [i for i, s in enumerate(shards) if len(s) > 0]
     if len(keep) < len(shards):
         dropped = sorted(set(range(len(shards))) - set(keep))
@@ -339,12 +339,11 @@ def run_experiment(
 
 
 def _dump_amplified(out_dir, updates, agg_cfg, round_ctx) -> None:
-    """The round's amplified views, as the screen scored them."""
-    amped, _ = scored_views(updates, agg_cfg, round_ctx)
-    rows = []
-    for cid, a in enumerate(amped):
-        for j, v in enumerate(a.values):
-            rows.append(f"{cid},{j},{format_float(v)}")
+    """The round's amplified rows, as the screen scored them."""
+    views, _ = scored_views(updates, agg_cfg, round_ctx)
+    rows = [
+        f"{cid},{j},{format_float(v)}" for cid, view in enumerate(views) for j, v in enumerate(view)
+    ]
     _write_rows(os.path.join(out_dir, "amplified.csv"), "client_id,index,value", rows)
 
 
@@ -392,15 +391,18 @@ def _write_run_files(
 def read_rounds_csv(path: str) -> list[RoundRecord]:
     records = []
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "round,test_accuracy,asr":
-            raise GradampError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                r, ta, s = line.strip().split(",")
-                records.append(RoundRecord(int(r), float(ta), float(s)))
-            except ValueError as exc:
-                raise GradampError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            header = fh.readline().strip()
+            if header != "round,test_accuracy,asr":
+                raise GradampError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    r, ta, s = line.strip().split(",")
+                    records.append(RoundRecord(int(r), float(ta), float(s)))
+                except ValueError as exc:
+                    raise GradampError(f"{path}: line {lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise GradampError(f"{path}: not ASCII text: {exc}") from exc
     return records
 
 
@@ -412,7 +414,7 @@ def read_manifest(path: str) -> dict[str, str]:
                 if "=" in line:
                     key, _, value = line.partition("=")
                     out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GradampError(f"cannot read manifest {path}: {exc}") from exc
     return out
 

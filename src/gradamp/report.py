@@ -142,17 +142,20 @@ def pca_project(x: np.ndarray) -> np.ndarray:
 def _read_amplified(path: str) -> np.ndarray:
     rows: dict[int, dict[int, float]] = {}
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "client_id,index,value":
-            raise ReportError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                cid, idx, val = line.strip().split(",")
-                if int(idx) < 0:
-                    raise ValueError(f"negative index {idx}")
-                rows.setdefault(int(cid), {})[int(idx)] = float(val)
-            except ValueError as exc:
-                raise ReportError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            header = fh.readline().strip()
+            if header != "client_id,index,value":
+                raise ReportError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    cid, idx, val = line.strip().split(",")
+                    if int(idx) < 0:
+                        raise ValueError(f"negative index {idx}")
+                    rows.setdefault(int(cid), {})[int(idx)] = float(val)
+                except ValueError as exc:
+                    raise ReportError(f"{path}: line {lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ReportError(f"{path}: not ASCII text: {exc}") from exc
     if not rows:
         raise ReportError(f"{path}: no rows")
     clients = sorted(rows)

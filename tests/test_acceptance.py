@@ -27,7 +27,7 @@ from gradamp.aggregate import (
     density_whitelist,
     fltrust_aggregate,
 )
-from gradamp.amplify import AmplifiedGradient, AmplifierConfig, max_filter
+from gradamp.amplify import AmplifierConfig, max_filter
 from gradamp.attacks import select_malicious
 from gradamp.config import ExperimentConfig
 from gradamp.data import Dataset
@@ -48,11 +48,6 @@ VERDICTS: list[tuple[int, str, bool, str]] = []
 def _gate(num: int, label: str, ok: bool, detail: str = "") -> bool:
     VERDICTS.append((num, label, bool(ok), detail))
     return bool(ok)
-
-
-def _wrap(vec) -> AmplifiedGradient:
-    v = np.asarray(vec, dtype=np.float64)
-    return AmplifiedGradient(values=v, kind="none", restored=False, original_size=v.size)
 
 
 def _grad(vec) -> np.ndarray:
@@ -169,7 +164,7 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def test_density_whitelist_fixture_and_cardinality():
-    fixture = [_wrap(v) for v in [(1, 0), (1, 0.01), (0.99, 0), (-1, 0)]]
+    fixture = [_grad(v) for v in [(1, 0), (1, 0.01), (0.99, 0), (-1, 0)]]
     wl, _ = density_whitelist(fixture, "cos", 3, 0.25)
     fixture_ok = wl == [0, 1, 2]
 
@@ -178,7 +173,7 @@ def test_density_whitelist_fixture_and_cardinality():
     for draw in range(200):
         n = int(rng.integers(2, 41))
         m_f = float(rng.uniform(0.0, 0.999))
-        amped = [_wrap(rng.normal(size=8)) for _ in range(n)]
+        amped = [_grad(rng.normal(size=8)) for _ in range(n)]
         metric = "cos" if draw % 2 == 0 else "euc"
         wl, _ = density_whitelist(amped, metric, n // 2 + 1, m_f)
         want = math.ceil((1.0 - m_f) * n)
@@ -197,20 +192,20 @@ def test_density_whitelist_fixture_and_cardinality():
 def test_trust_weighting_formula_suite():
     tol = 1e-12
     # clipping: identical direction scores 1, opposed scores 0
-    same = fltrust_aggregate([_wrap((3, 0))], _wrap((2, 0)), [_grad((3, 0))], _grad((2, 0)))
+    same = fltrust_aggregate([_grad((3, 0))], _grad((2, 0)), [_grad((3, 0))], _grad((2, 0)))
     opposed = fltrust_aggregate(
-        [_wrap((-6, 0))], _wrap((2, 0)), [_grad((-6, 0))], _grad((2, 0))
+        [_grad((-6, 0))], _grad((2, 0)), [_grad((-6, 0))], _grad((2, 0))
     )
     clip_ok = abs(same.scores[0] - 1.0) <= tol and abs(opposed.scores[0]) <= tol
 
     # rescaling: a lone trusted client is pulled to the reference norm
-    rescaled = fltrust_aggregate([_wrap((8, 0))], _wrap((2, 0)), [_grad((8, 0))], _grad((2, 0)))
+    rescaled = fltrust_aggregate([_grad((8, 0))], _grad((2, 0)), [_grad((8, 0))], _grad((2, 0)))
     norm_ok = abs(np.linalg.norm(rescaled.global_update) - 2.0) <= tol
 
     # two clients, trust {1, 0}, ref norm 2, client norm 4: half the client
     two = fltrust_aggregate(
-        [_wrap((4, 0)), _wrap((-6, 0))],
-        _wrap((2, 0)),
+        [_grad((4, 0)), _grad((-6, 0))],
+        _grad((2, 0)),
         [_grad((4, 0)), _grad((-6, 0))],
         _grad((2, 0)),
     )

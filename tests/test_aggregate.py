@@ -19,15 +19,10 @@ from gradamp.aggregate import (
     fltrust_aggregate,
     merged_whitelist,
 )
-from gradamp.amplify import AmplifiedGradient, AmplifierConfig
+from gradamp.amplify import AmplifierConfig
 from gradamp.data import Dataset
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
-
-
-def amp_of(vec):
-    vec = np.asarray(vec, dtype=np.float64)
-    return AmplifiedGradient(values=vec, kind="none", restored=True, original_size=vec.size)
 
 
 def dense_grads(vec):
@@ -42,7 +37,7 @@ def dense_row(weight, bias):
 
 def test_density_whitelist_frozen_fixture():
     # Three near-parallel clients and one flipped: the flipped client goes.
-    amped = [amp_of(v) for v in [(1.0, 0.0), (1.0, 0.01), (0.99, 0.0), (-1.0, 0.0)]]
+    amped = [dense_grads(v) for v in [(1.0, 0.0), (1.0, 0.01), (0.99, 0.0), (-1.0, 0.0)]]
     wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
     assert wl == [0, 1, 2]
     assert scores[0] == pytest.approx(2.0 + 1.0 / math.sqrt(1.0001), abs=1e-12)
@@ -56,7 +51,7 @@ def test_density_whitelist_cardinality_law():
     for _ in range(40):
         n = int(rng.integers(4, 26))
         mf = float(rng.uniform(0.0, 0.5))
-        amped = [amp_of(rng.normal(size=6)) for _ in range(n)]
+        amped = [dense_grads(rng.normal(size=6)) for _ in range(n)]
         wl, _ = density_whitelist(amped, "cos", n // 2 + 1, mf)
         assert len(wl) == math.ceil((1.0 - mf) * n)
         assert wl == sorted(set(wl))
@@ -64,21 +59,24 @@ def test_density_whitelist_cardinality_law():
 
 
 def test_density_zero_norm_vector_scores_zero():
-    amped = [amp_of(v) for v in [(1.0, 0.0), (0.9, 0.1), (0.0, 0.0), (0.8, 0.2)]]
+    amped = [dense_grads(v) for v in [(1.0, 0.0), (0.9, 0.1), (0.0, 0.0), (0.8, 0.2)]]
     wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
     assert scores[2] == 0.0
     assert 2 not in wl
 
 
 def test_density_identical_vectors_keep_lowest_indices():
-    amped = [amp_of((1.0, 1.0)) for _ in range(5)]
+    amped = [dense_grads((1.0, 1.0)) for _ in range(5)]
     wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.4)
     assert wl == [0, 1, 2]
     assert np.allclose(scores, scores[0])
+    # (1 - 0.7) * 10 is 3.0000000000000004 in floats; the stated 0.7 keeps 3.
+    wl, _ = density_whitelist(amped * 2, "cos", neighbors=6, assumed_malicious=0.7)
+    assert wl == [0, 1, 2]
 
 
 def test_density_euclidean_filters_far_outlier():
-    amped = [amp_of(v) for v in [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.0), (100.0, 100.0)]]
+    amped = [dense_grads(v) for v in [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.0), (100.0, 100.0)]]
     wl, scores = density_whitelist(amped, "euc", neighbors=3, assumed_malicious=0.25)
     assert wl == [0, 1, 2]
     assert scores[3] < scores[0]
@@ -89,7 +87,7 @@ def test_density_euclidean_filters_far_outlier():
 
 
 def test_density_neighborhood_bounds():
-    amped = [amp_of((1.0, 0.0)) for _ in range(4)]
+    amped = [dense_grads((1.0, 0.0)) for _ in range(4)]
     with pytest.raises(ConfigError):
         density_whitelist(amped, "cos", neighbors=2, assumed_malicious=0.25)  # K <= N/2
     with pytest.raises(ConfigError):
@@ -99,16 +97,29 @@ def test_density_neighborhood_bounds():
 
 
 def test_merged_whitelist_intersects():
-    amped = [amp_of(v) for v in [(1.0, 0.0), (1.0, 0.01), (0.99, 0.0), (-1.0, 0.0)]]
+    amped = [dense_grads(v) for v in [(1.0, 0.0), (1.0, 0.01), (0.99, 0.0), (-1.0, 0.0)]]
     wl, _ = merged_whitelist(amped, neighbors=3, assumed_malicious=0.25)
     assert wl == [0, 1, 2]
+
+
+def test_whitelists_score_a_row_list_and_its_matrix_alike():
+    rng = rng_stream(64)
+    rows = [rng.normal(size=7) for _ in range(9)]
+    matrix = np.stack(rows)
+    for metric in ("cos", "euc"):
+        wl_rows, s_rows = density_whitelist(rows, metric, 5, 0.3)
+        wl_matrix, s_matrix = density_whitelist(matrix, metric, 5, 0.3)
+        assert wl_rows == wl_matrix and s_rows.tobytes() == s_matrix.tobytes()
+    wl_rows, s_rows = merged_whitelist(rows, 5, 0.3)
+    wl_matrix, s_matrix = merged_whitelist(matrix, 5, 0.3)
+    assert wl_rows == wl_matrix and s_rows.tobytes() == s_matrix.tobytes()
 
 
 def test_merged_whitelist_disjoint_falls_back_to_cosine(caplog):
     # Two tight tiny-norm clients (euclidean favourites) against two huge
     # parallel ones; all within-pair cosines are exactly 1, so the cosine
     # list keeps {0,1} by index while euclidean keeps {2,3}.
-    amped = [amp_of(v) for v in [(1.0, 0.0), (2.0, 0.0), (0.0, 5.0), (0.0, 5.0001)]]
+    amped = [dense_grads(v) for v in [(1.0, 0.0), (2.0, 0.0), (0.0, 5.0), (0.0, 5.0001)]]
     with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
         wl, _ = merged_whitelist(amped, neighbors=3, assumed_malicious=0.5)
     assert wl == [0, 1]
@@ -158,6 +169,9 @@ def test_fang_identical_clients_keep_lowest_indices():
     wl, losses = fang_whitelist([same for _ in range(4)], model, val, 0.25)
     assert wl == [0, 1, 2]
     assert np.allclose(losses, losses[0])
+    # 0.28 * 25 is 7.000000000000001 in floats; the stated 0.28 rejects 7.
+    wl, _ = fang_whitelist([same] * 25, model, val, assumed_malicious=0.28)
+    assert wl == list(range(18))
 
 
 def test_fang_disjoint_screens_fall_back_to_loss(caplog):
@@ -176,6 +190,18 @@ def test_fang_disjoint_screens_fall_back_to_loss(caplog):
     assert wl == [0]
     assert losses[0] > losses[1]
     assert any("keeping the loss set" in r.message for r in caplog.records)
+
+
+def test_fang_that_would_keep_no_client_fails_before_probing(monkeypatch):
+    model, val = fang_setup()
+    same = dense_row(np.full((2, 2), 0.01), np.zeros(2))
+
+    def probe(*args, **kwargs):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(nn, "forward", probe)
+    with pytest.raises(ConfigError, match=r"0\.95 rejects all 10 clients"):
+        fang_whitelist([same] * 10, model, val, assumed_malicious=0.95)
 
 
 def naive_leave_one_out_losses(rows, model, val):
@@ -202,8 +228,9 @@ def test_fang_probes_equal_the_ordered_fold_bit_for_bit():
     # One Byzantine client far beyond the others' magnitude.
     huge = [r.copy() for r in rows]
     huge[2] = 1e20 * huge[2]
-    for case in (rows, huge, rows[:1]):
-        _, losses = fang_whitelist(case, model, val, assumed_malicious=0.2)
+    # A lone client keeps itself only at M_f = 0; 0.2 would reject it.
+    for case, m_f in ((rows, 0.2), (huge, 0.2), (rows[:1], 0.0)):
+        _, losses = fang_whitelist(case, model, val, assumed_malicious=m_f)
         assert losses.tobytes() == naive_leave_one_out_losses(case, model, val).tobytes()
     # The subtraction shortcut (S - x_i) / (N - 1) loses the others to
     # cancellation once x_i is huge, so the case above can tell them apart.
@@ -220,9 +247,7 @@ def test_fltrust_worked_example():
     ref = dense_grads([2.0, 0.0])
     a = dense_grads([4.0, 0.0])
     b = dense_grads([0.0, -3.0])
-    decision = fltrust_aggregate(
-        [amp_of([4.0, 0.0]), amp_of([0.0, -3.0])], amp_of([2.0, 0.0]), np.stack([a, b]), ref
-    )
+    decision = fltrust_aggregate([a, b], ref, np.stack([a, b]), ref)
     assert np.array_equal(decision.scores, [1.0, 0.0])
     assert np.array_equal(decision.global_update, [2.0, 0.0])
     assert decision.accepted.tolist() == [True, False]
@@ -231,7 +256,7 @@ def test_fltrust_worked_example():
 def test_fltrust_negative_cosine_clips_to_zero():
     ref = dense_grads([1.0, 0.0])
     opp = dense_grads([-1.0, 0.0])
-    decision = fltrust_aggregate([amp_of([-1.0, 0.0])], amp_of([1.0, 0.0]), np.stack([opp]), ref)
+    decision = fltrust_aggregate([opp], ref, np.stack([opp]), ref)
     assert decision.scores[0] == 0.0
 
 
@@ -239,7 +264,9 @@ def test_fltrust_norm_matching_is_exact():
     # Trusted client twice the reference norm: its contribution halves.
     ref = dense_grads([0.0, 8.0])
     c = dense_grads([0.0, 16.0])
-    decision = fltrust_aggregate([amp_of([0.0, 1.0])], amp_of([0.0, 2.0]), np.stack([c]), ref)
+    decision = fltrust_aggregate(
+        [dense_grads([0.0, 1.0])], dense_grads([0.0, 2.0]), np.stack([c]), ref
+    )
     assert np.array_equal(decision.global_update, [0.0, 8.0])
     assert np.linalg.norm(decision.global_update) == np.linalg.norm(ref)
 
@@ -249,8 +276,8 @@ def test_fltrust_all_zero_trust_emits_zero_update(caplog):
     opp = dense_grads([-2.0, 0.0])
     with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
         decision = fltrust_aggregate(
-            [amp_of([-2.0, 0.0]), amp_of([0.0, 0.0])],
-            amp_of([1.0, 0.0]),
+            [dense_grads([-2.0, 0.0]), dense_grads([0.0, 0.0])],
+            dense_grads([1.0, 0.0]),
             np.stack([opp, dense_grads([0.0, 0.0])]),
             ref,
         )

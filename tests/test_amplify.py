@@ -97,19 +97,18 @@ def test_restore_keeps_max_at_original_position():
     )
     cfg = AmplifierConfig(kind="mp", kernel=2, restore_size=True)
     out = amplify_mp(g, model, cfg)[0]
-    panel = out.values[:16].reshape(4, 4)
+    panel = out[:16].reshape(4, 4)
     expect = np.zeros((4, 4))
     expect[1, 1] = 4.0  # the 2x2 corner [[1,2],[3,4]] restores to [[0,0],[0,4]]
     assert np.array_equal(panel, expect)
-    assert out.restored
-    assert out.values.size == 20  # full parameter count of the 4x4+4 model
+    assert out.size == 20  # full parameter count of the 4x4+4 model
 
 
 def test_restore_all_equal_patch_takes_first_row_major():
     model, g = grads_of(np.full((2, 2), 5.0))
     cfg = AmplifierConfig(kind="mp", kernel=2, restore_size=True)
     out = amplify_mp(g, model, cfg)[0]
-    assert np.array_equal(out.values.reshape(2, 2), [[5.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(out.reshape(2, 2), [[5.0, 0.0], [0.0, 0.0]])
 
 
 def test_restore_matches_filter_values():
@@ -119,10 +118,10 @@ def test_restore_matches_filter_values():
     model, g = grads_of(mat)
     plain = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=3))[0]
     restored = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=3, restore_size=True))[0]
-    assert restored.values.size == mat.size
-    nonzero = restored.values[restored.values != 0.0]
-    assert np.array_equal(np.sort(nonzero), np.sort(plain.values))
-    assert plain.values.size == math.ceil(7 / 3) * math.ceil(5 / 3)
+    assert restored.size == mat.size
+    nonzero = restored[restored != 0.0]
+    assert np.array_equal(np.sort(nonzero), np.sort(plain))
+    assert plain.size == math.ceil(7 / 3) * math.ceil(5 / 3)
 
 
 def test_amplified_length_sums_panel_grids():
@@ -130,31 +129,29 @@ def test_amplified_length_sums_panel_grids():
     vec = rng_stream(35).normal(size=model.theta.size)
     cfg = AmplifierConfig(kind="mp", kernel=3)
     out = amplify_mp(vec[None], model, cfg)[0]
-    expect = 0
+    grids = []  # patch grid per 2-D panel, in vector order
     for dw, db in ((layer.weight, layer.bias) for layer in model.layers):
         if dw is not None:
             panel = dw.reshape(dw.shape[0], -1)
-            expect += math.ceil(panel.shape[0] / 3) * math.ceil(panel.shape[1] / 3)
+            grids.append((math.ceil(panel.shape[0] / 3), math.ceil(panel.shape[1] / 3)))
         if db is not None:
-            expect += math.ceil(db.size / 3)
-    assert out.values.size == expect
-    assert out.original_size == model.theta.size
-    # Grid metadata covers every panel in vector order.
-    assert sum(h * w for _, _, h, w in out.grids) == out.values.size
+            grids.append((1, math.ceil(db.size / 3)))
+    assert out.size == sum(h * w for h, w in grids)
+    assert amplify(vec[None], cfg, model)[0].original_size == model.theta.size
 
 
 def test_exclude_bias_drops_bias_panels():
     model, g = grads_of(np.ones((4, 4)), np.ones(4))
     with_bias = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2))[0]
     without = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2, include_bias=False))[0]
-    assert with_bias.values.size == 4 + 2  # 2x2 weight grid + ceil(4/2) bias cells
-    assert without.values.size == 4
+    assert with_bias.size == 4 + 2  # 2x2 weight grid + ceil(4/2) bias cells
+    assert without.size == 4
     # Restored output keeps full length either way; excluded biases are zero.
     restored = amplify_mp(
         g, model, AmplifierConfig(kind="mp", kernel=2, restore_size=True, include_bias=False)
     )[0]
-    assert restored.values.size == 20
-    assert np.array_equal(restored.values[16:], np.zeros(4))
+    assert restored.size == 20
+    assert np.array_equal(restored[16:], np.zeros(4))
 
 
 def test_amplify_mp_deterministic():
@@ -163,7 +160,7 @@ def test_amplify_mp_deterministic():
     cfg = AmplifierConfig(kind="mp", kernel=2)
     a = amplify_mp(g, model, cfg)[0]
     b = amplify_mp(g.copy(), model, cfg)[0]
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def naive_patch_max(mat, k, restore):
@@ -227,13 +224,13 @@ def test_patch_max_kernel_matches_naive_loops():
                 )
                 for c in range(n):
                     expect = naive_patch_max(x[c], k, restore=False)
-                    got = compact[c].values.reshape(expect.shape)
+                    got = compact[c].reshape(expect.shape)
                     # np.maximum may pick either sign of a tied zero.
                     assert np.array_equal(got, expect, equal_nan=True), (n, k, h, w, c)
                     expect = naive_patch_max(x[c], k, restore=True)
-                    assert restored[c].values.tobytes() == expect.tobytes(), (n, k, h, w, c)
+                    assert restored[c].tobytes() == expect.tobytes(), (n, k, h, w, c)
                     single = max_filter(x[c], k).ravel()
-                    assert np.array_equal(single, compact[c].values, equal_nan=True)
+                    assert np.array_equal(single, compact[c], equal_nan=True)
     # The same kernel on a ragged (B, C, h, w) stack, the maxpool layout:
     # ties, an all-zero block and one NaN block (in the last map).
     x = edge_case_stack(rng, 6, 7, 5, 3).reshape(2, 3, 7, 5)
@@ -266,11 +263,12 @@ def test_stacked_amplify_mp_equals_per_client():
                         kind="mp", kernel=k, restore_size=restore, include_bias=bias
                     )
                     stacked = amplify_mp(grads, model, cfg)
-                    for g, amp in zip(grads, stacked):
+                    assert stacked.shape[0] == len(grads)
+                    for g, row in zip(grads, stacked):
                         alone = amplify_mp(g[None], model, cfg)[0]
-                        assert amp.values.tobytes() == alone.values.tobytes()
-                        assert (amp.grids, amp.original_size) == (alone.grids, alone.original_size)
-                        assert amp.original_size == size
+                        assert row.tobytes() == alone.tobytes()
+                    wrapped = amplify(grads, cfg, model)
+                    assert [a.original_size for a in wrapped] == [size] * len(grads)
 
 
 def test_grad_cam_weights_frozen_fixture():
@@ -339,33 +337,33 @@ def test_amplify_xai_emits_original_conv_gradients():
     out = amplify_xai(updates, model, val, cfg)
     ci = model.conv_index()
     per_filter = model.layers[ci].weight[0].size
-    for g, amp in zip(updates, out):
-        assert amp.values.size == 2 * per_filter
-        for rank, f in enumerate(amp.selected):
-            chunk = amp.values[rank * per_filter : (rank + 1) * per_filter]
+    for g, values in zip(updates, out):
+        assert values.size == 2 * per_filter
+        for rank, f in enumerate(xai_selection(model, g, val, cfg.top_p)):
+            chunk = values[rank * per_filter : (rank + 1) * per_filter]
             assert np.array_equal(chunk, conv_weight(model, g)[f].ravel())
 
 
 def test_amplify_xai_top_p_one_keeps_every_filter():
     model, val, updates = xai_setup(43)
     cfg = AmplifierConfig(kind="xai", top_p=1.0)
-    amp = amplify_xai(updates[:1], model, val, cfg)[0]
+    values = amplify_xai(updates[:1], model, val, cfg)[0]
     gw = conv_weight(model, updates[0])
-    assert sorted(amp.selected.tolist()) == [0, 1, 2, 3]
-    assert np.array_equal(np.sort(amp.values), np.sort(gw.ravel()))
+    assert sorted(xai_selection(model, updates[0], val, cfg.top_p).tolist()) == [0, 1, 2, 3]
+    assert np.array_equal(np.sort(values), np.sort(gw.ravel()))
 
 
 def test_amplify_xai_restored_layout():
     model, val, updates = xai_setup(44)
     cfg = AmplifierConfig(kind="xai", top_p=0.5, restore_size=True)
-    amp = amplify_xai(updates[:1], model, val, cfg)[0]
-    assert amp.values.size == model.theta.size
+    values = amplify_xai(updates[:1], model, val, cfg)[0]
+    assert values.size == model.theta.size
     gw = conv_weight(model, updates[0])
     per_filter = gw[0].size
     expect = np.zeros(model.theta.size)
-    for f in amp.selected:
+    for f in xai_selection(model, updates[0], val, cfg.top_p):
         expect[f * per_filter : (f + 1) * per_filter] = gw[f].ravel()
-    assert np.array_equal(amp.values, expect)
+    assert np.array_equal(values, expect)
 
 
 def test_amplify_xai_fixed_selection_reused():
@@ -375,9 +373,10 @@ def test_amplify_xai_fixed_selection_reused():
     out = amplify_xai(updates, model, val, cfg, fixed_selection=fixed)
     ci = model.conv_index()
     per_filter = model.layers[ci].weight[0].size
-    for g, amp in zip(updates, out):
-        assert np.array_equal(amp.selected, fixed)
-        assert np.array_equal(amp.values[:per_filter], conv_weight(model, g)[3].ravel())
+    for g, values in zip(updates, out):
+        chunks = values.reshape(len(fixed), per_filter)
+        assert np.array_equal(chunks, conv_weight(model, g)[fixed].reshape(len(fixed), -1))
+        assert np.array_equal(values[:per_filter], conv_weight(model, g)[3].ravel())
 
 
 def test_amplify_xai_without_conv_raises():
@@ -395,7 +394,7 @@ def test_amplify_dispatcher_none_returns_full_vector():
     vec = rng_stream(49).normal(size=model.theta.size)
     out = amplify(vec[None], AmplifierConfig(kind="none"), model=None, validation=None)
     assert np.array_equal(out[0].values, vec)
-    assert out[0].restored
+    assert out[0].original_size == vec.size
 
 
 def test_amplifier_config_validation():

@@ -46,6 +46,8 @@ def test_select_malicious_floor_and_determinism():
     assert select_malicious(10, 0.0, seed=3) == []
     assert len(select_malicious(10, 0.3, seed=3)) == 3
     assert len(select_malicious(10, 0.39, seed=3)) == 3  # floor, not round
+    # 0.29 * 100 is 28.999999999999996 in floats; the stated 0.29 means 29.
+    assert len(select_malicious(100, 0.29, seed=3)) == 29
     a = select_malicious(20, 0.25, seed=3)
     assert a == select_malicious(20, 0.25, seed=3)
     assert a == sorted(set(a))
@@ -83,8 +85,8 @@ def test_sh_optimized_single_update_warns_and_uses_it(caplog):
 
 
 def shard_list(data, num_clients, seed):
-    plan = partition(data, num_clients, scheme="iid", skew=0.5, seed=seed)
-    return [data.subset(idx) for idx in plan.shards]
+    shards = partition(data, num_clients, scheme="iid", skew=0.5, seed=seed)
+    return [data.subset(idx) for idx in shards]
 
 
 def make_context(num_clients=6, fraction=0.5, trigger=None, num_classes=3):

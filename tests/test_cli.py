@@ -172,29 +172,62 @@ def test_report_from_a_finished_run(tmp_path, capsys):
     assert os.path.join(rep, "ta.svg") in printed
 
 
+@pytest.mark.parametrize(
+    "extra, tail",
+    [
+        ({}, b"# caf\xff\n"),  # a Latin-1 comment: not UTF-8
+        ({"dataset.kind": "csv", "dataset.path": "d\u00e9.csv"}, b""),
+        ({"output.dir": "runs/\u00e9"}, b""),
+    ],
+    ids=["undecodable-comment", "non-ascii-path", "non-ascii-output-dir"],
+)
+def test_non_ascii_config_input_exits_2(tmp_path, capsys, monkeypatch, extra, tail):
+    monkeypatch.chdir(tmp_path)
+    over = {**FAST, "output.dir": "out", **extra}
+    path = tmp_path / "raw.cfg"
+    path.write_bytes("".join(f"{k} = {v}\n" for k, v in over.items()).encode() + tail)
+    assert main(["run", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["raw.cfg"]
+
+
+def test_utf8_comments_still_parse(tmp_path):
+    path = tmp_path / "utf8.cfg"
+    path.write_bytes("# caf\u00e9 \u2014 r\u00e9sum\u00e9\nfederation.clients = 6 # \u00e9\n".encode())
+    assert ExperimentConfig.from_file(str(path))["federation.clients"] == 6
+
+
 GOOD_ROUNDS = "round,test_accuracy,asr\n0,0.5,nan\n"
+MANIFEST = "run.id = r\n"
 
 
 @pytest.mark.parametrize(
-    "name, rounds, amplified, where",
+    "name, rounds, amplified, where, manifest",
     [
-        ("rounds.csv", GOOD_ROUNDS + "1,2\n", None, "line 3"),
-        ("rounds.csv", GOOD_ROUNDS + "x,0.5,nan\n", None, "line 3"),
-        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,1\n", "line 2"),
-        ("amplified.csv", GOOD_ROUNDS, "cid,idx\n0,0,1.0\n1,0,2.0\n", "header"),
-        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,-1,1.0\n", "line 2"),
-        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n", "no rows"),
+        ("rounds.csv", GOOD_ROUNDS + "1,2\n", None, "line 3", MANIFEST),
+        ("rounds.csv", GOOD_ROUNDS + "x,0.5,nan\n", None, "line 3", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,1\n", "line 2", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, "cid,idx\n0,0,1.0\n1,0,2.0\n", "header", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n0,-1,1.0\n", "line 2", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, "client_id,index,value\n", "no rows", MANIFEST),
+        ("manifest.txt", GOOD_ROUNDS, None, "0xff", b"run.id = r\xff\n"),
+        ("rounds.csv", GOOD_ROUNDS.encode() + b"1,0.5,nan\xff\n", None, "0xff", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, b"client_id,index,value\n0,0,1.0\xff\n", "0xff", MANIFEST),
     ],
     ids=["rounds-short-line", "rounds-bad-int", "amplified-short-line", "amplified-header",
-         "amplified-negative-index", "amplified-empty"],
+         "amplified-negative-index", "amplified-empty", "manifest-non-ascii", "rounds-non-ascii",
+         "amplified-non-ascii"],
 )
-def test_report_on_a_malformed_run_folder_exits_3(tmp_path, capsys, name, rounds, amplified, where):
+def test_report_on_a_malformed_run_folder_exits_3(
+    tmp_path, capsys, name, rounds, amplified, where, manifest
+):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / "manifest.txt").write_text("run.id = r\n")
-    (run_dir / "rounds.csv").write_text(rounds)
-    if amplified is not None:
-        (run_dir / "amplified.csv").write_text(amplified)
+    files = {"manifest.txt": manifest, "rounds.csv": rounds, "amplified.csv": amplified}
+    for file_name, content in files.items():
+        if content is not None:
+            data = content if isinstance(content, bytes) else content.encode()
+            (run_dir / file_name).write_bytes(data)
     rep = str(tmp_path / "rep")
     assert main(["report", str(run_dir / "manifest.txt"), "--out", rep]) == 3
     err = capsys.readouterr().err

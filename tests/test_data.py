@@ -167,11 +167,11 @@ def test_csv_errors_carry_line_numbers(tmp_path):
 
 def test_partition_iid_covers_disjointly():
     d = synth_blobs(3, per_class=20, dim=4, spread=1.0, seed=7)
-    plan = partition(d, 7, scheme="iid", seed=8)
-    all_idx = np.concatenate(plan.shards)
+    shards = partition(d, 7, scheme="iid", seed=8)
+    all_idx = np.concatenate(shards)
     assert len(all_idx) == 60
     assert len(np.unique(all_idx)) == 60
-    sizes = [len(s) for s in plan.shards]
+    sizes = [len(s) for s in shards]
     assert max(sizes) - min(sizes) <= 1
 
 
@@ -185,8 +185,8 @@ def test_partition_more_clients_than_samples_rejected():
 
 def test_partition_full_skew_pins_labels_to_home_groups():
     d = synth_blobs(3, per_class=30, dim=4, spread=1.0, seed=10)
-    plan = partition(d, 6, scheme="label-skew", skew=1.0, seed=11)
-    for c, shard in enumerate(plan.shards):
+    shards = partition(d, 6, scheme="label-skew", skew=1.0, seed=11)
+    for c, shard in enumerate(shards):
         labels = d.labels[shard]
         # Client c only serves samples whose label is congruent to c mod 3.
         assert np.all(labels % 3 == c % 3)
@@ -196,9 +196,9 @@ def test_partition_neutral_skew_matches_iid_rates():
     # skew = 1/M sends every sample to each label group uniformly; group
     # occupancy should not reject a uniform fit.
     d = synth_blobs(3, per_class=1000, dim=2, spread=1.0, seed=12)
-    plan = partition(d, 6, scheme="label-skew", skew=1.0 / 3.0, seed=13)
+    shards = partition(d, 6, scheme="label-skew", skew=1.0 / 3.0, seed=13)
     group_counts = np.zeros(3)
-    for c, shard in enumerate(plan.shards):
+    for c, shard in enumerate(shards):
         group_counts[c % 3] += len(shard)
     _, p = stats.chisquare(group_counts)
     assert p > 0.01

@@ -303,9 +303,9 @@ def test_amplified_dump_holds_the_views_the_trust_screen_scored(tmp_path, monkey
     # client 4's own selection differs from the reference one in round 3.
     scored = []
 
-    def spy(amped, amped_ref, originals, ref_original):
-        scored.append([a.values.copy() for a in amped])
-        return fltrust_aggregate(amped, amped_ref, originals, ref_original)
+    def spy(views, ref_view, originals, ref_original):
+        scored.append([v.copy() for v in views])
+        return fltrust_aggregate(views, ref_view, originals, ref_original)
 
     monkeypatch.setattr(aggregate, "fltrust_aggregate", spy)
     cfg = fast_config(
