@@ -7,6 +7,11 @@
     gradamp sweep <config> --vary k=v1,v2,..  run-pair per value of one key
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
+
+``main`` sets the numeric environment of the whole process before it parses
+its arguments (``runtime.configure``): glibc's mmap and trim thresholds, and
+one BLAS thread.  Library callers of ``harness`` keep their own; every
+manifest records which held (``runtime.*``).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .config import ExperimentConfig, parse_config_text
 from .errors import ConfigError, GradampError
 from .harness import run_experiment, run_pair, sweep
 from .report import report
+from . import runtime
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,6 +66,7 @@ def _parse_vary(raw: str) -> tuple[str, list[object]]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    runtime.configure()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .amplify import AmplifierConfig
 from .attacks import AttackConfig
 from .aggregate import AggregatorConfig
-from .data import ValidationSpec, format_float
+from .data import ValidationSpec, exact_share, format_float
 from .errors import ConfigError
 
 DEFAULTS: dict[str, object] = {
@@ -279,6 +279,11 @@ class ExperimentConfig:
             assumed_malicious=self.attack.malicious_fraction if raw_am == "auto" else float(raw_am),
             neighbors=int(v["defense.neighbors"]),
         )
+        # fang rejects ceil(M_f * N) clients per screen; N can still shrink
+        # at setup (empty shards sit out), so fang_whitelist checks again
+        n, m_f = int(v["federation.clients"]), self.aggregator.assumed_malicious
+        if self.aggregator.family == "fang" and math.ceil(exact_share(m_f, n)) >= n:
+            raise ConfigError(f"defense.assumed_malicious {m_f} rejects all {n} clients")
         self.validation, self.trust = (
             ValidationSpec(
                 size=int(v[f"{s}.size"]),

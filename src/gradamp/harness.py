@@ -7,7 +7,8 @@ A run folder holds::
     decisions.csv   round, client_id, score, accepted
     timings.csv     round, wall_ms
     amplified.csv   client_id, index, value          (optional debug dump)
-    manifest.txt    hash, seeds, artifact checksums, status, warnings
+    manifest.txt    hash, seeds, artifact checksums, status, warnings, and
+                    the numeric environment (``runtime.describe``)
 
 ``run.status`` is ``ok``, ``error`` (any exception, with ``run.error``
 naming the round and the exception) or ``diverged``: the global model
@@ -62,7 +63,7 @@ from .metrics import (
     negative_pulse,
 )
 from .seeding import rng_stream
-from . import nn
+from . import nn, runtime
 
 # sub-seed tags; arbitrary but frozen, changing them changes every run
 _TAG_SPLIT = 11
@@ -377,6 +378,8 @@ def _write_run_files(
     }
     if manifest.error is not None:
         lines["run.error"] = manifest.error
+    for key, value in runtime.describe().items():
+        lines[f"runtime.{key}"] = value
     for name, digest in sorted(manifest.checksums.items()):
         lines[f"checksum.{name}"] = digest
     for i, note in enumerate(manifest.warnings):

@@ -1,14 +1,27 @@
 """Exit codes and wiring for the console entry point."""
 
+import ctypes
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from gradamp import runtime
 from gradamp.cli import _parse_vary, main
 from gradamp.config import ExperimentConfig
 from gradamp.errors import ConfigError
 from gradamp.harness import read_manifest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DETERMINISTIC = (
+    "clean/rounds.csv",
+    "clean/decisions.csv",
+    "attacked/rounds.csv",
+    "attacked/decisions.csv",
+    "metrics.csv",
+)
 
 FAST = {
     "dataset.per_class": 30,
@@ -272,3 +285,123 @@ def test_parse_vary_rejects_malformed_specs():
         _parse_vary("=1,2")
     with pytest.raises(ConfigError):
         _parse_vary("attack.gamma=")
+
+
+def test_fang_that_rejects_every_client_exits_2_before_any_run_folder(tmp_path, capsys):
+    # the config cannot be built, so it is written by hand
+    over = dict(FAST, **{"output.dir": str(tmp_path / "out"), "federation.clients": 10})
+    over.update({"defense.family": "fang", "defense.assumed_malicious": 0.95})
+    path = str(tmp_path / "cfg.txt")
+    with open(path, "w") as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
+    assert main(["run", path]) == 2
+    assert "0.95 rejects all 10 clients" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "manifest.txt")
+
+
+class FakeLibc:
+    """Answers ``mallopt`` with ``answer`` and records each call; any other
+    library fails to load, so the BLAS pin finds nothing."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(option, value):  # a function, so argtypes can be set
+            self.calls.append((option, value))
+            return answer
+
+        self.mallopt = mallopt
+
+    def __call__(self, name):
+        if name != "libc.so.6":
+            raise OSError(f"{name}: not here")
+        return self
+
+
+@pytest.fixture
+def fresh_runtime(monkeypatch):
+    monkeypatch.setattr(runtime, "_state", {"heap": "unset", "blas_threads": "unpinned"})
+
+
+def test_main_sets_the_mmap_then_the_trim_threshold(tmp_path, monkeypatch, fresh_runtime):
+    libc = FakeLibc(answer=1)
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    path = write_config(tmp_path)
+    assert main(["run", path]) == 0
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+    assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert flat["runtime.heap"] == "mmap_threshold=33554432,trim_threshold=67108864"
+    assert flat["runtime.blas_threads"] == "unpinned"
+    assert flat["runtime.numpy"] == np.__version__
+
+
+def raise_oserror(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [raise_oserror, FakeLibc(answer=0)], ids=["no-glibc", "refused"])
+def test_main_without_the_settings_records_unset_and_runs(tmp_path, monkeypatch, fresh_runtime, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    path = write_config(tmp_path)
+    assert main(["run", path]) == 0
+    if isinstance(cdll, FakeLibc):
+        assert cdll.calls == [(-3, 32 * 2**20)]  # no trim threshold alone
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert flat["run.status"] == "ok"
+    assert (flat["runtime.heap"], flat["runtime.blas_threads"]) == ("unset", "unpinned")
+
+
+def run_python(args, cwd, threads="1"):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_library_run_keeps_the_process_defaults(tmp_path):
+    path = write_config(tmp_path)
+    code = (
+        "import sys; from gradamp.config import ExperimentConfig; "
+        "from gradamp.harness import run_experiment; "
+        "run_experiment(ExperimentConfig.from_file(sys.argv[1]))"
+    )
+    run_python(["-c", code, path], tmp_path)
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert (flat["runtime.heap"], flat["runtime.blas_threads"]) == ("unset", "unpinned")
+
+
+def test_pair_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # One round of the 100,867-parameter leave-one-out workload.  Without
+    # the pin, this pair under OPENBLAS_NUM_THREADS=2 scores 4 of 10 clean
+    # and 2 of 10 attacked clients differently from one thread (by up to
+    # 3.4e-16 relative; 2-core x86-64, OpenBLAS 0.3.31).
+    path = write_config(
+        tmp_path,
+        **{
+            "dataset.per_class": 200,
+            "dataset.dim": 784,
+            "dataset.server_fraction": 0.25,
+            "federation.clients": 10,
+            "federation.rounds": 1,
+            "model.hidden": 128,
+            "local.batch": 64,
+            "validation.size": 100,
+            "attack.kind": "g-asc",
+            "attack.start_round": 0,
+            "defense.family": "fang",
+            "defense.amplifier": "mp",
+        },
+    )
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python(["-m", "gradamp.cli", "run-pair", path, "--out", str(out)], tmp_path, threads)
+        outs[threads] = {rel: (out / rel).read_bytes() for rel in DETERMINISTIC}
+        assert read_manifest(str(out / "attacked" / "manifest.txt"))["runtime.blas_threads"] in (
+            "1",
+            "unpinned",
+        )
+    assert outs["1"] == outs["2"]
