@@ -73,6 +73,8 @@ class AttackConfig:
             raise ConfigError("trigger_fraction must lie in [0, 1]")
         if self.sh_gamma_max <= 0:
             raise ConfigError("sh_gamma_max must be positive")
+        if self.target_label < 0:
+            raise ConfigError("target_label must be >= 0")
 
     @property
     def targeted(self) -> bool:

@@ -233,6 +233,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model.kind {v['model.kind']!r}")
         if v["model.kind"] == "conv" and v["dataset.kind"] == "blobs" and isinstance(self.dim(), int):
             raise ConfigError("a conv model needs image-shaped data (dataset.dim CxHxW)")
+        if v["defense.amplifier"] == "xai" and v["model.kind"] != "conv":
+            raise ConfigError("defense.amplifier xai needs a conv model (model.kind conv)")
         if int(v["federation.clients"]) < 2:
             raise ConfigError("federation.clients must be >= 2")
         if int(v["federation.rounds"]) < 0:
@@ -267,6 +269,9 @@ class ExperimentConfig:
             target_label=int(v["attack.target_label"]),
             trigger_fraction=float(v["attack.trigger_fraction"]),
         )
+        label, classes = self.attack.target_label, int(v["dataset.classes"])
+        if self.attack.targeted and v["dataset.kind"] == "blobs" and label >= classes:
+            raise ConfigError(f"attack.target_label {label} is not one of the {classes} classes")
         self.aggregator = AggregatorConfig(
             family=str(v["defense.family"]),
             amplifier=AmplifierConfig(

@@ -303,6 +303,11 @@ def _stamp(rows: np.ndarray, pattern) -> None:
         rows[(slice(None), *pos)] = val
 
 
+def _check_target(dataset: Dataset, spec: TriggerSpec) -> None:
+    if not 0 <= spec.target_label < dataset.num_classes:
+        raise ConfigError("trigger target label outside the label set")
+
+
 def embed_trigger(
     dataset: Dataset,
     spec: TriggerSpec,
@@ -318,8 +323,7 @@ def embed_trigger(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError("fraction must lie in [0, 1]")
-    if not 0 <= spec.target_label < dataset.num_classes:
-        raise ConfigError("trigger target label outside the label set")
+    _check_target(dataset, spec)
     n = len(dataset)
     count = int(round(fraction * n))
     if count == 0:
@@ -338,6 +342,7 @@ def embed_trigger(
 def make_triggered_set(dataset: Dataset, spec: TriggerSpec) -> Dataset:
     """Attack-success probes: every sample not already of the target class,
     stamped with the full pattern.  Labels keep their clean values."""
+    _check_target(dataset, spec)
     keep = np.flatnonzero(dataset.labels != spec.target_label)
     feats = dataset.features[keep].copy()
     _stamp(feats, spec.pattern)

@@ -14,15 +14,19 @@ layer whose output feature maps back the class-activation weighting used
 by the feature-map amplifier.  The loss is mean softmax cross-entropy.
 
 Kernels:
-  * Conv is im2col (Chellapilla, Puri & Simard, 2006): the forward, the
-    weight gradient and the input gradient are each one ``tensordot`` over
-    a ``sliding_window_view``.  The first layer skips its input gradient
-    unless the caller asks for the gradient w.r.t. the model input.
+  * One conv kernel, im2col (Chellapilla, Puri & Simard, 2006).
+    ``_conv_forward`` is a valid correlation over any leading stack axes:
+    one im2col copy of a ``sliding_window_view`` and one ``matmul`` per
+    model.  It is used three ways: the forward; the weight gradient, x
+    correlated with d with the batch and channel axes swapped; and the
+    input gradient, the padded d correlated with the flipped kernel.  The
+    first layer skips its input gradient unless the caller asks for the
+    gradient w.r.t. the model input.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once
-    whose (m, ...) weights view the rows of one (m, P) matrix: dense is a
-    stacked ``matmul``, relu, maxpool and softmax work over the leading
-    axes, and conv runs its ``tensordot``s per client.  Each client's
-    numbers are the bits of its own one-model run.
+    whose (m, ...) weights view the rows of one (m, P) matrix: dense and
+    conv are stacked ``matmul``s, and relu, maxpool and softmax work over
+    the leading axes.  Each client's numbers are the bits of its own
+    one-model run.
   * One block kernel serves the maxpool layer and the patch-max amplifier.
     ``block_max`` takes the maximum of each k*k block over the last two
     axes by k*k ``np.maximum`` passes over the strided cell views
@@ -287,16 +291,33 @@ def conv_model(
 # forward / backward
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _, _, h, width = x.shape
-    _, _, kh, kw = w.shape
+def _blas_ready(a: np.ndarray) -> np.ndarray:
+    """``a`` when each of its matrices is C- or F-contiguous, else a C copy:
+    the layouts ``np.dot`` hands BLAS, so ``matmul`` never takes its
+    non-BLAS loop and each product has the bits of the 2-D ``np.dot``."""
+    if a.flags.c_contiguous or a.swapaxes(-1, -2).flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
+    plus b (..., f) only when given (a zero bias would turn -0.0 into
+    +0.0): (..., n, f, ho, wo), one im2col copy and one ``matmul`` per
+    model."""
+    *stack, n, c, h, width = x.shape
+    f, _, kh, kw = w.shape[-4:]
     if h < kh or width < kw:
         raise ConfigError(f"conv input {h}x{width} smaller than kernel {kh}x{kw}")
-    # (n, c, ho, wo, kh, kw) window view; tensordot makes the im2col copy.
-    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    out = np.tensordot(w, win, axes=((1, 2, 3), (1, 4, 5)))
-    out += b[:, None, None, None]
-    return out.transpose(1, 0, 2, 3)
+    ho, wo = h - kh + 1, width - kw + 1
+    # (..., n, c, ho, wo, kh, kw) window view -> (..., c*kh*kw, n*ho*wo) columns.
+    win = np.moveaxis(sliding_window_view(x, (kh, kw), axis=(-2, -1)), (-5, -2, -1), (-6, -5, -4))
+    cols = win.reshape(*stack, c * kh * kw, n * ho * wo)
+    out = np.matmul(_blas_ready(w.reshape(*stack, f, -1)), _blas_ready(cols))
+    out = out.reshape(*stack, f, n, ho, wo)
+    if b is not None:
+        out += b[..., None, None, None]
+    return out.swapaxes(-4, -3)
 
 
 def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -355,10 +376,7 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
                 raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
             act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            if layer.weight.ndim == 4:
-                act = _conv_forward(act, layer.weight, layer.bias)
-            else:  # a client stack: each client runs its own tensordot
-                act = np.stack([_conv_forward(*c) for c in zip(act, layer.weight, layer.bias)])
+            act = _conv_forward(act, layer.weight, layer.bias)
         elif layer.kind == "maxpool":
             k = layer.pool
             ho, wo = act.shape[-2] // k, act.shape[-1] // k
@@ -434,41 +452,17 @@ def _backprop(
                 dx_cropped[cell] = np.where(miss, 0.0, d)
             d = dx
         elif layer.kind == "conv":
-            gw, gb = grads[i]
-            if layer.weight.ndim == 4:
-                d = _conv_backward(x, d, layer.weight, gw, gb, need_dx)
-            else:  # a client stack: each client runs its own tensordots
-                dx = [
-                    _conv_backward(x[c], d[c], layer.weight[c], gw[c], gb[c], need_dx)
-                    for c in range(len(x))
-                ]
-                d = np.stack(dx) if need_dx else None
+            if want_params:  # x correlated with d, batch and channel axes swapped
+                gw, gb = grads[i]
+                gw[...] = _conv_forward(x.swapaxes(-4, -3), d.swapaxes(-4, -3)).swapaxes(-4, -3)
+                d.sum(axis=(-4, -2, -1), out=gb)
+            if need_dx:  # the padded d correlated with the flipped kernel
+                kh, kw = layer.weight.shape[-2:]
+                pad = [(0, 0)] * (d.ndim - 2) + [(kh - 1, kh - 1), (kw - 1, kw - 1)]
+                d = _conv_forward(np.pad(d, pad), np.flip(layer.weight, (-2, -1)).swapaxes(-4, -3))
     if stop_after == -1:
         captured = d
     return grads, captured
-
-
-def _conv_backward(
-    x: np.ndarray,
-    d: np.ndarray,
-    w: np.ndarray,
-    gw: np.ndarray | None,
-    gb: np.ndarray | None,
-    need_dx: bool,
-) -> np.ndarray | None:
-    """One client's conv backward: the weight and bias gradients into
-    ``gw`` and ``gb`` when given, and the input gradient when asked for."""
-    _, _, kh, kw = w.shape
-    if gw is not None:
-        win = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        gw[...] = np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3)))
-        d.sum(axis=(0, 2, 3), out=gb)
-    if not need_dx:
-        return None
-    # Full correlation of the gradient with the flipped kernel.
-    padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    flipped = np.flip(w, axis=(2, 3)).swapaxes(0, 1)
-    return _conv_forward(padded, flipped, np.zeros(x.shape[1]))
 
 
 def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:

@@ -287,15 +287,42 @@ def test_parse_vary_rejects_malformed_specs():
         _parse_vary("attack.gamma=")
 
 
-def test_fang_that_rejects_every_client_exits_2_before_any_run_folder(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (
+            {
+                "federation.clients": 10,
+                "defense.family": "fang",
+                "defense.assumed_malicious": 0.95,
+            },
+            "0.95 rejects all 10 clients",
+        ),
+        ({"defense.amplifier": "xai"}, "xai needs a conv model"),
+        # fedavg never amplifies, yet the config still names an amplifier
+        # that cannot run on this model
+        ({"defense.family": "fedavg", "defense.amplifier": "xai"}, "xai needs a conv model"),
+        ({"attack.kind": "scale", "attack.target_label": 5}, "not one of the 3 classes"),
+        ({"attack.kind": "dba", "attack.target_label": 3}, "not one of the 3 classes"),
+        ({"attack.target_label": -1}, "target_label must be >= 0"),
+    ],
+    ids=[
+        "fang-rejects-all",
+        "xai-mlp",
+        "fedavg-xai-mlp",
+        "scale-target-5",
+        "dba-target-3",
+        "negative-target",
+    ],
+)
+def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):
     # the config cannot be built, so it is written by hand
-    over = dict(FAST, **{"output.dir": str(tmp_path / "out"), "federation.clients": 10})
-    over.update({"defense.family": "fang", "defense.assumed_malicious": 0.95})
+    over = dict(FAST, **{"output.dir": str(tmp_path / "out")}, **extra)
     path = str(tmp_path / "cfg.txt")
     with open(path, "w") as fh:
         fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
     assert main(["run", path]) == 2
-    assert "0.95 rejects all 10 clients" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "manifest.txt")
 
 

@@ -279,6 +279,16 @@ def test_make_triggered_set_skips_target_class():
     assert np.all(probes.features[:, 3:] == 1.0)
 
 
+@pytest.mark.parametrize("target", [-1, 3])
+def test_triggers_reject_a_target_outside_the_label_set(target):
+    d = Dataset(np.zeros((6, 7)), np.array([0, 1, 2, 1, 0, 2]), 3)
+    spec = default_trigger((7,), target_label=target)
+    with pytest.raises(ConfigError, match="outside the label set"):
+        make_triggered_set(d, spec)
+    with pytest.raises(ConfigError, match="outside the label set"):
+        embed_trigger(d, spec, fraction=0.5)
+
+
 def test_sample_validation_uniform():
     d = synth_blobs(3, per_class=20, dim=4, spread=1.0, seed=19)
     out = sample_validation(d, ValidationSpec(size=25), seed=20)

@@ -407,6 +407,31 @@ def test_missing_idx_file_marks_the_run_as_error(tmp_path):
     assert flat["run.error"].startswith("setup: ")
 
 
+def test_csv_target_label_outside_the_label_set_stops_at_setup(tmp_path):
+    # csv data learn their classes at load time, so the out-of-range
+    # backdoor target is caught when the triggered probe set is built,
+    # before round 1, not when the attack starts.
+    rows = [f"{i % 2},{i},{i + 1},{i + 2},{i + 3}" for i in range(40)]
+    data_path = tmp_path / "two.csv"
+    data_path.write_text("\n".join(rows) + "\n")
+    cfg = fast_config(
+        tmp_path,
+        "badtarget",
+        **{
+            "dataset.kind": "csv",
+            "dataset.path": str(data_path),
+            "attack.kind": "scale",
+            "attack.target_label": 2,
+        },
+    )
+    with pytest.raises(ConfigError, match="target label"):
+        run_experiment(cfg)
+    flat = read_manifest(os.path.join(str(tmp_path / "badtarget"), "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert flat["run.rounds_recorded"] == "0"
+    assert flat["run.error"].startswith("setup: ")
+
+
 def test_non_gradamp_failure_marks_the_run_as_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("disk on fire")

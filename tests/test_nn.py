@@ -4,6 +4,7 @@ builds on."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradamp import nn
 from gradamp.data import Dataset
@@ -203,9 +204,25 @@ def naive_conv_dw(x, d, kh, kw):
     return dw
 
 
+def conv_head(w, b, rng, flat):
+    return [
+        nn.Layer("conv", w, b),
+        nn.Layer("dense", rng.normal(size=(2, flat)), np.zeros(2)),
+        nn.Layer("softmax"),
+    ]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kernel", [(2, 2), (3, 3), (2, 3)])
 def test_conv_kernels_match_naive_loops(kernel):
     # Three channels and odd sizes: shapes that conv_model never makes.
+    # First one model, then a stack of three trained as one the way
+    # local_train does, where each model's forward, gradients and input
+    # gradient are the bits of its one-model call.
     kh, kw = kernel
     rng = rng_stream(30, kh, kw)
     x = rng.normal(size=(3, 3, 7, 9))
@@ -215,17 +232,90 @@ def test_conv_kernels_match_naive_loops(kernel):
     np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=0.0, atol=1e-12)
 
     flat = out[0].size
-    model = nn.ModelParams(
-        [
-            nn.Layer("conv", w, b),
-            nn.Layer("dense", rng.normal(size=(2, flat)), np.zeros(2)),
-            nn.Layer("softmax"),
-        ]
-    )
+    model = nn.ModelParams(conv_head(w, b, rng, flat))
     trace = nn.forward(model, x)
     grads, d = nn._backprop(model, trace, rng.normal(size=(3, 2)), want_params=True, stop_after=0)
     np.testing.assert_allclose(grads[0][0], naive_conv_dw(x, d, kh, kw), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(grads[0][1], d.sum(axis=(0, 2, 3)), rtol=0.0, atol=1e-12)
+
+    m = 3
+    xs = rng.normal(size=(m, *x.shape))
+    models = [
+        nn.ModelParams(conv_head(rng.normal(size=w.shape), rng.normal(size=4), rng, flat))
+        for _ in range(m)
+    ]
+    theta = np.stack([one.theta for one in models])
+    stack = nn._ClientStack(nn._views(model.layers, theta), theta)
+    dlogits = rng.normal(size=(m, 3, 2))
+    trace = nn.forward(stack, xs)
+    grads, dx = nn._backprop(stack, trace, dlogits, want_params=True, stop_after=-1)
+    for c, one in enumerate(models):
+        layer = one.layers[0]
+        one_trace = nn.forward(one, xs[c])
+        conv_out = one_trace.inputs[1]
+        np.testing.assert_allclose(
+            conv_out, naive_conv(xs[c], layer.weight, layer.bias), rtol=0.0, atol=1e-12
+        )
+        _, d = nn._backprop(one, one_trace, dlogits[c], want_params=False, stop_after=0)
+        one_grads, one_dx = nn._backprop(
+            one, one_trace, dlogits[c], want_params=True, stop_after=-1
+        )
+        np.testing.assert_allclose(
+            one_grads[0][0], naive_conv_dw(xs[c], d, kh, kw), rtol=0.0, atol=1e-12
+        )
+        for got, want in zip(trace.inputs[1:], one_trace.inputs[1:]):
+            assert_same_bits(got[c], want)
+        assert_same_bits(trace.probs[c], one_trace.probs)
+        for got, want in zip(grads, one_grads):
+            for g, o in zip(got, want):
+                if o is not None:
+                    assert_same_bits(g[c], o)
+        assert_same_bits(dx[c], one_dx)
+
+
+def tensordot_conv(x, w, b=None):
+    """The im2col forward as one ``np.tensordot``: the reference formula."""
+    kh, kw = w.shape[2:]
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.tensordot(w, win, axes=((1, 2, 3), (1, 4, 5)))
+    if b is not None:
+        out += b[:, None, None, None]
+    return out.transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "n, c, f, kernel, size",
+    [
+        (3, 3, 4, (2, 3), (7, 9)),
+        # One channel and one filter: the flipped kernel's matrix is a
+        # strided view, which matmul would multiply without BLAS.
+        (2, 1, 1, (3, 3), (6, 6)),
+        # A 1x1 kernel on a batch of one: the weight gradient's columns are
+        # an F-ordered view, which BLAS takes transposed.
+        (1, 3, 2, (1, 1), (5, 6)),
+        (1, 1, 1, (1, 1), (4, 4)),
+    ],
+    ids=["general", "one-channel-one-filter", "1x1-batch-1", "1x1-one-of-each"],
+)
+def test_conv_products_keep_the_bits_of_the_tensordot_formulas(n, c, f, kernel, size):
+    kh, kw = kernel
+    rng = rng_stream(35, n, c, f, kh)
+    x = rng.normal(size=(n, c, *size))
+    w = rng.normal(size=(f, c, kh, kw))
+    b = rng.normal(size=f)
+    out = tensordot_conv(x, w, b)
+    model = nn.ModelParams(conv_head(w, b, rng, out[0].size))
+    trace = nn.forward(model, x)
+    assert_same_bits(trace.inputs[1], out)
+
+    dlogits = rng.normal(size=(n, 2))
+    _, d = nn._backprop(model, trace, dlogits, want_params=False, stop_after=0)
+    grads, dx = nn._backprop(model, trace, dlogits, want_params=True, stop_after=-1)
+    win = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    assert_same_bits(grads[0][0], np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3))))
+    assert_same_bits(grads[0][1], d.sum(axis=(0, 2, 3)))
+    padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    assert_same_bits(dx, tensordot_conv(padded, np.flip(w, axis=(2, 3)).swapaxes(0, 1)))
 
 
 def naive_pool(x, k):
