@@ -28,9 +28,12 @@ there, per block, only the entry ``nn.block_argmax`` routes the block to,
 by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring).
 Both views write into one preallocated (N, L) matrix.
 
-The class-activation route scores each conv filter by the spatial mean of
-d y / d A^k (y = batch-summed true-class logit), keeps the top
-ceil(top_p * filters) filters, and emits the client's original conv weight
+The class-activation route scores each conv filter by its Grad-CAM
+weight, the spatial mean of d y / d A^k (y = batch-summed true-class
+logit).  ``nn.activation_weights`` reads the weights off the gradient at
+the pooled output; ``grad_cam_weights`` of the full walk
+``nn.feature_map_grads`` is the reference.  The route keeps the top
+ceil(top_p * filters) filters and emits the client's original conv weight
 gradients for those filters in rank order, read through the conv weight
 view of a model built on the client's row.
 """
@@ -144,7 +147,8 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
 
 
 def grad_cam_weights(feature_map_grads: np.ndarray) -> np.ndarray:
-    """Per-filter importance: spatial mean of the captured d y / d A^k."""
+    """Per-filter importance: spatial mean of the captured d y / d A^k
+    (the reference for ``nn.activation_weights``)."""
     g = np.asarray(feature_map_grads, dtype=np.float64)
     if g.ndim != 3:
         raise ConfigError(f"expected (filters, H, W) gradients, got shape {g.shape}")
@@ -176,8 +180,7 @@ def xai_selection(
         raise ConfigError("validation set is empty")
     updated = nn.apply_update(model, update, 1.0)
     trace = nn.forward(updated, validation.features)
-    fmg = nn.feature_map_grads(updated, trace, validation.labels)
-    return select_top(grad_cam_weights(fmg), top_p)
+    return select_top(nn.activation_weights(updated, trace, validation.labels), top_p)
 
 
 def amplify_xai(

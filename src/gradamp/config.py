@@ -289,6 +289,11 @@ class ExperimentConfig:
         n, m_f = int(v["federation.clients"]), self.aggregator.assumed_malicious
         if self.aggregator.family == "fang" and math.ceil(exact_share(m_f, n)) >= n:
             raise ConfigError(f"defense.assumed_malicious {m_f} rejects all {n} clients")
+        # the density screen's K (0 = N//2 + 1) must exceed N/2 and be at
+        # most N; for the same reason density_whitelist checks again
+        k = self.aggregator.neighbors
+        if k and not n / 2 < k <= n:
+            raise ConfigError(f"defense.neighbors {k} must exceed N/2 and be at most N = {n}")
         self.validation, self.trust = (
             ValidationSpec(
                 size=int(v[f"{s}.size"]),
@@ -298,6 +303,9 @@ class ExperimentConfig:
             )
             for s in ("validation", "trust")
         )
+        for s, spec in (("validation", self.validation), ("trust", self.trust)):
+            if v["dataset.kind"] == "blobs" and not 0 <= spec.biased_class < classes:
+                raise ConfigError(f"{s}.biased_class {spec.biased_class} is not one of the {classes} classes")
 
     def canonical_text(self) -> str:
         return _canonical(self.values)

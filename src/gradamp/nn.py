@@ -65,7 +65,12 @@ Conventions:
   * Feature-map gradients are d y / d A summed over the batch, where y is
     the pre-softmax logit of each sample's true class, summed over the
     batch.  ``feature_map_grads`` computes them with a walk that stops at
-    the conv layer's output and forms no parameter gradient.
+    the conv layer's output and forms no parameter gradient; it is the
+    reference.  The activation-guided amplifier needs only their spatial
+    means, the Grad-CAM weights, and ``activation_weights`` reads those off
+    the gradient at the pooled output of the conv -> relu -> maxpool head
+    without routing a maxpool backward.  The two differ only in the order
+    of summation.
 """
 
 from __future__ import annotations
@@ -495,6 +500,25 @@ def feature_map_grads(model: ModelParams, trace: ForwardTrace, labels: np.ndarra
         raise ConfigError("feature-map capture needs a conv layer")
     _, dmaps = _backprop(model, trace, _onehot(trace, labels), want_params=False, stop_after=ci)
     return dmaps.sum(axis=0)
+
+
+def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+    """Per-filter Grad-CAM weight: the spatial mean of ``feature_map_grads``,
+    read off the gradient G at the pooled output of a conv -> relu ->
+    maxpool head.  Each pooled cell's gradient reaches exactly one conv
+    position, and the relu passes it there iff the pooled value is > 0, so
+    the sum over positions is that of G * [pooled > 0] and no routing pass
+    is needed.  The mask is a product, as in the relu backward, so a NaN
+    in G still propagates.  The mean divides by the conv output's full
+    H*W, cropped trailing cells included."""
+    ci = model.conv_index()
+    if ci is None:
+        raise ConfigError("feature-map capture needs a conv layer")
+    if [layer.kind for layer in model.layers[ci + 1 : ci + 3]] != ["relu", "maxpool"]:
+        raise ConfigError("activation weights need conv -> relu -> maxpool")
+    _, d = _backprop(model, trace, _onehot(trace, labels), want_params=False, stop_after=ci + 2)
+    h, w = trace.inputs[ci + 1].shape[-2:]
+    return (d * (trace.inputs[ci + 3] > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
 
 
 def loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:

@@ -331,6 +331,20 @@ def test_xai_selection_matches_weight_ranking():
                 )
 
 
+def test_xai_selection_routes_no_maxpool_backward(monkeypatch):
+    # The weights are read off the pooled-output gradient; a walk down to
+    # the conv output would route every pooled cell through block_argmax.
+    def refuse(*args, **kwargs):
+        raise AssertionError("xai selection walked the maxpool backward")
+
+    monkeypatch.setattr(nn, "block_argmax", refuse)
+    monkeypatch.setattr(nn, "feature_map_grads", refuse)
+    model, val, updates = xai_setup(47, filters=6)
+    assert xai_selection(model, updates[0], val, 0.5).size == 3
+    out = amplify_xai(updates, model, val, AmplifierConfig(kind="xai", top_p=0.5))
+    assert len(out) == len(updates)
+
+
 def test_amplify_xai_emits_original_conv_gradients():
     model, val, updates = xai_setup(42)
     cfg = AmplifierConfig(kind="xai", top_p=0.5)

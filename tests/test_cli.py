@@ -305,6 +305,23 @@ def test_parse_vary_rejects_malformed_specs():
         ({"attack.kind": "scale", "attack.target_label": 5}, "not one of the 3 classes"),
         ({"attack.kind": "dba", "attack.target_label": 3}, "not one of the 3 classes"),
         ({"attack.target_label": -1}, "target_label must be >= 0"),
+        # dist-cos draws no validation set, yet the key is checked alike
+        *(
+            (
+                {"defense.family": family, "validation.mode": "biased", "validation.biased_class": 7},
+                "validation.biased_class 7 is not one of the 3 classes",
+            )
+            for family in ("fang", "dist-cos")
+        ),
+        ({"trust.biased_class": -1}, "trust.biased_class -1 is not one of the 3 classes"),
+        # density_whitelist would fail only after a round of training
+        *(
+            (
+                {"federation.clients": 4, "defense.neighbors": k},
+                f"defense.neighbors {k} must exceed N/2 and be at most N = 4",
+            )
+            for k in (1, 5, 100)
+        ),
     ],
     ids=[
         "fang-rejects-all",
@@ -313,6 +330,12 @@ def test_parse_vary_rejects_malformed_specs():
         "scale-target-5",
         "dba-target-3",
         "negative-target",
+        "fang-biased-class-7",
+        "dist-cos-biased-class-7",
+        "trust-biased-class-negative",
+        "neighbors-1-of-4",
+        "neighbors-5-of-4",
+        "neighbors-100-of-4",
     ],
 )
 def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):

@@ -176,6 +176,15 @@ def test_validate_catches_cross_field_mistakes():
         ExperimentConfig.from_mapping({"attack.kind": "bad"}).validate()
     with pytest.raises(ConfigError, match="neighbors"):
         ExperimentConfig.from_mapping({"defense.neighbors": -5}).validate()
+    with pytest.raises(ConfigError, match="neighbors 2 must exceed N/2"):
+        ExperimentConfig.from_mapping({"federation.clients": 4, "defense.neighbors": 2})
+    for k in (3, 4):
+        ExperimentConfig.from_mapping({"federation.clients": 4, "defense.neighbors": k})
+    # only blobs fix the label set before setup; a file's labels are
+    # checked when the validation set is drawn
+    ExperimentConfig.from_mapping(
+        {"dataset.kind": "csv", "dataset.path": "x.csv", "validation.biased_class": 7}
+    )
     ExperimentConfig.from_mapping({}).validate()
     ExperimentConfig.from_mapping(
         {"model.kind": "conv", "dataset.dim": "1x8x8"}

@@ -7,6 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradamp import nn
+from gradamp.amplify import grad_cam_weights, select_top
 from gradamp.data import Dataset
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
@@ -386,6 +387,52 @@ def test_first_layer_conv_input_gradient_matches_finite_differences():
         numeric[idx] = (fd_loss(model, up, y) - fd_loss(model, down, y)) / (2.0 * FD_STEP)
     assert dx.shape == x.shape
     assert rel_err(dx, numeric) <= FD_TOL
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+def test_activation_weights_match_the_walk(pool):
+    # Odd conv outputs (7x7 and 7x10) so pools 2 and 3 crop trailing cells.
+    # Filters 0 and 2 are relu-dead (exact ties at 0); sample 0 is all
+    # zeros, so every block of it ties at relu(bias); sample 1 has a NaN
+    # pixel that only conv position (0, 0) sees, one NaN block per filter.
+    for seed in range(6):
+        c, h, w, kernel = [(1, 9, 9, 3), (2, 8, 11, 2)][seed % 2]
+        rng = rng_stream(36, pool, seed)
+        model = nn.conv_model((c, h, w), 3, seed=rng, filters=6, kernel=kernel, pool=pool)
+        conv = model.layers[0]
+        conv.bias[:] = rng.normal(size=6)
+        conv.bias[[0, 2]] = -1e3
+        x = rng.normal(size=(8, c, h, w))
+        x[0] = 0.0
+        x[1, 0, 0, 0] = np.nan
+        y = rng.integers(0, 3, size=8)
+        trace = nn.forward(model, x)
+        pooled = trace.inputs[3]
+        assert np.isnan(pooled[1, :, 0, 0]).all() and np.isnan(pooled).sum() == 6
+
+        alpha = nn.activation_weights(model, trace, y)
+        walk = grad_cam_weights(nn.feature_map_grads(model, trace, y))
+        assert alpha[0] == 0.0 and alpha[2] == 0.0 and np.isfinite(alpha).all()
+        np.testing.assert_allclose(alpha, walk, rtol=1e-12, atol=0.0)
+        for top_p in (0.2, 0.5, 1.0):
+            assert np.array_equal(select_top(alpha, top_p), select_top(walk, top_p))
+
+        # A NaN dense weight gives a NaN gradient at one pooled cell of
+        # every sample; both forms carry it into that filter's weight.
+        model.layers[3].weight[0, 0] = np.nan
+        nan_alpha = nn.activation_weights(model, trace, y)
+        nan_walk = grad_cam_weights(nn.feature_map_grads(model, trace, y))
+        assert np.isnan(nan_alpha).tolist() == [True] + [False] * 5
+        np.testing.assert_allclose(nan_alpha, nan_walk, rtol=1e-12, atol=0.0)
+
+
+def test_activation_weights_need_relu_then_maxpool_after_the_conv():
+    rng = rng_stream(38)
+    x = rng.normal(size=(2, 1, 5, 5))
+    model = nn.ModelParams(conv_head(rng.normal(size=(2, 1, 3, 3)), np.zeros(2), rng, 18))
+    trace = nn.forward(model, x)
+    with pytest.raises(ConfigError, match="relu -> maxpool"):
+        nn.activation_weights(model, trace, np.array([0, 1]))
 
 
 def test_model_validation():
