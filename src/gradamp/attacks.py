@@ -87,7 +87,7 @@ def select_malicious(num_clients: int, fraction: float, seed: int) -> list[int]:
     count = math.floor(exact_share(fraction, num_clients))
     if count == 0:
         return []
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    rng = rng_stream(seed, 0xC0)
     return sorted(int(i) for i in rng.choice(num_clients, size=count, replace=False))
 
 

@@ -214,6 +214,8 @@ class ExperimentConfig:
             dims = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"dataset.dim: {exc}") from exc
+        if min(dims) < 1:
+            raise ConfigError(f"dataset.dim parts must be >= 1, got {self.values['dataset.dim']}")
         return dims if len(dims) == 3 else dims[0]
 
     def validate(self) -> None:
@@ -245,6 +247,15 @@ class ExperimentConfig:
             raise ConfigError("local.epochs and local.batch must be >= 1")
         if float(v["local.lr"]) <= 0:
             raise ConfigError("local.lr must be positive")
+        # size floors, checked whatever the dataset and model kinds read
+        if int(v["dataset.classes"]) < 2:
+            raise ConfigError("dataset.classes must be >= 2")
+        if int(v["dataset.per_class"]) < 1:
+            raise ConfigError("dataset.per_class must be >= 1")
+        if int(v["model.hidden"]) < 0:
+            raise ConfigError("model.hidden must be >= 0")
+        if min(int(v[f"model.{k}"]) for k in ("filters", "kernel", "pool")) < 1:
+            raise ConfigError("model.filters, model.kernel and model.pool must be >= 1")
         raw_rs = v["defense.restore_size"]
         if raw_rs != "auto" and not isinstance(raw_rs, bool):
             raise ConfigError("defense.restore_size is true, false, or auto")

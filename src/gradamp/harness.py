@@ -20,6 +20,11 @@ rounds.csv, decisions.csv, and the pair-level metrics.csv; wall-clock
 numbers live only in timings.csv and the manifest, so reruns can be
 compared checksum for checksum.
 
+The round loop is ``_prepare``, which builds a run's state at round 0,
+plus that state's ``step``, which plays one round on it; ``run_experiment``
+checkpoints round 0, steps to ``federation.rounds`` and writes the folder
+whatever happened.
+
 Round k (1-based) trains every client on the model left by round k-1;
 the attack, when enabled, rewrites malicious updates from round
 start_round + 1 onward, so start_round >= rounds means it never fires.
@@ -41,7 +46,6 @@ from .attacks import AttackContext, craft_updates, resolve_trigger, select_malic
 from .config import ExperimentConfig
 from .data import (
     Dataset,
-    TriggerSpec,
     format_float,
     load_csv,
     load_idx,
@@ -88,8 +92,6 @@ def _sha256(path: str) -> str:
 class RunManifest:
     run_dir: str
     run_id: str
-    config_hash: str
-    seeds: dict[str, int]
     status: str
     wall_ms: float
     records: list[RoundRecord]
@@ -136,19 +138,72 @@ def build_model(cfg: ExperimentConfig, feature_shape: tuple[int, ...], num_class
 
 
 @dataclass
-class _Prepared:
-    shards: list[Dataset]
+class _Run:
+    """One run between rounds: ``_prepare`` builds it at round 0 and each
+    ``step`` plays the next round on it.
+
+    ``rows`` holds one update per trainee, rewritten every round: training
+    and crafting write the rows in place, screening and the mean read
+    them.  The trainees are the client shards, plus fltrust's trust set as
+    trainee N, so the server trains its reference into row N in the same
+    ``train_all`` as the clients."""
+
+    cfg: ExperimentConfig
+    attack: AttackContext  # holds the shards and the clients' training recipe
+    trainees: list[Dataset]
     test_set: Dataset
     validation: Dataset | None
-    trust_set: Dataset | None
+    triggered: Dataset | None
     model: nn.ModelParams
-    trigger: TriggerSpec | None
-    malicious: list[int]
+    rows: np.ndarray
     hetero: float
     warnings: list[str]
+    records: list[RoundRecord] = field(default_factory=list)
+    decision_rows: list[str] = field(default_factory=list)
+    round: int = 0
+    mark: float = 0.0  # perf_counter at the last checkpoint
+
+    def checkpoint(self) -> None:
+        """Record the model's accuracy and attack success at ``round``, with
+        the wall ms since the previous checkpoint (0 at round 0)."""
+        now = time.perf_counter()
+        wall_ms = (now - self.mark) * 1000.0 if self.records else 0.0
+        ta = accuracy(self.model, self.test_set)
+        s = (
+            asr(self.model, self.triggered, self.cfg.attack.target_label)
+            if self.triggered is not None
+            else float("nan")
+        )
+        self.records.append(RoundRecord(round=self.round, test_accuracy=ta, asr=s, wall_ms=wall_ms))
+        self.mark = now
+
+    def step(self, out_dir: str) -> None:
+        """Play round ``round + 1``: train, craft, screen, write the decision
+        rows, dump, apply, and checkpoint on the cadence."""
+        cfg = self.cfg
+        self.round = k = self.round + 1
+        r = k - 1  # zero-based index used by seeds and the attack gate
+        n = len(self.attack.shards)
+        updates = self.rows[:n]
+        self.attack.train.train_all(self.model, self.trainees, r, self.rows)
+        craft_updates(r, updates, self.model, cfg.attack, self.attack)  # the clean twin has no cohort
+        ref_update = self.rows[n] if len(self.trainees) > n else None
+        round_ctx = RoundContext(self.model, self.validation, ref_update)
+        decision = aggregate_round(updates, cfg.aggregator, round_ctx)
+        for i in range(n):
+            self.decision_rows.append(
+                f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
+            )
+        if k == int(cfg["output.dump_amplified_round"]):
+            _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
+        self.model = nn.apply_update(self.model, decision.global_update, 1.0)
+        if not np.isfinite(self.model.theta).all():
+            raise DivergenceError("model parameters are no longer finite")
+        if k % int(cfg["federation.checkpoint_every"]) == 0 or k == int(cfg["federation.rounds"]):
+            self.checkpoint()
 
 
-def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
+def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
     warnings: list[str] = []
     seed_data = int(cfg["seeds.data"])
     full = build_dataset(cfg)
@@ -185,11 +240,9 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
         if need_validation
         else None
     )
-    trust_set = (
-        sample_validation(val_pool, cfg.trust, _subseed(seed_data, _TAG_TRUST))
-        if agg.family == "fltrust"
-        else None
-    )
+    trainees = shards
+    if agg.family == "fltrust":
+        trainees = shards + [sample_validation(val_pool, cfg.trust, _subseed(seed_data, _TAG_TRUST))]
 
     trigger = resolve_trigger(cfg.attack, train_pool.feature_shape)
     malicious = (
@@ -198,30 +251,26 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Prepared:
         else []
     )
     model = build_model(cfg, train_pool.feature_shape, full.num_classes)
-    return _Prepared(
-        shards=shards,
+    hetero = heterogeneity(train_pool)
+    train = nn.LocalTraining(
+        int(cfg["local.epochs"]),
+        int(cfg["local.batch"]),
+        float(cfg["local.lr"]),
+        int(cfg["seeds.clients"]),
+    )
+    triggered = make_triggered_set(test_set, trigger) if trigger is not None else None
+    return _Run(
+        cfg=cfg,
+        attack=AttackContext(malicious, shards, train, int(cfg["seeds.attack"]), trigger),
+        trainees=trainees,
         test_set=test_set,
         validation=validation,
-        trust_set=trust_set,
+        triggered=triggered if triggered is not None and len(triggered) > 0 else None,
         model=model,
-        trigger=trigger,
-        malicious=malicious,
-        hetero=heterogeneity(train_pool),
+        rows=np.empty((len(trainees), model.theta.size)),
+        hetero=hetero,
         warnings=warnings,
     )
-
-
-def _evaluate(
-    model: nn.ModelParams,
-    round_idx: int,
-    test_set: Dataset,
-    triggered: Dataset | None,
-    target_label: int,
-    wall_ms: float,
-) -> RoundRecord:
-    ta = accuracy(model, test_set)
-    s = asr(model, triggered, target_label) if triggered is not None else float("nan")
-    return RoundRecord(round=round_idx, test_accuracy=ta, asr=s, wall_ms=wall_ms)
 
 
 def _write_rows(path: str, header: str, rows: list[str]) -> None:
@@ -238,104 +287,31 @@ def run_experiment(
     out_dir = out_dir or str(cfg["output.dir"])
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
-
-    run_id = cfg.config_hash()[:12] + ("-attacked" if attack_enabled else "-clean")
-    records: list[RoundRecord] = []
-    decision_rows: list[str] = []
-    prep = None
+    run = None
     status = "ok"
     error_note = None
-    current_round = 0
     try:
-        prep = _prepare(cfg, attack_enabled)
-        n_clients = len(prep.shards)
-        rounds = int(cfg["federation.rounds"])
-        every = int(cfg["federation.checkpoint_every"])
-        train = nn.LocalTraining(
-            int(cfg["local.epochs"]),
-            int(cfg["local.batch"]),
-            float(cfg["local.lr"]),
-            int(cfg["seeds.clients"]),
-        )
-        dump_round = int(cfg["output.dump_amplified_round"])
-
-        triggered = (
-            make_triggered_set(prep.test_set, prep.trigger) if prep.trigger is not None else None
-        )
-        if triggered is not None and len(triggered) == 0:
-            triggered = None
-
-        ctx = AttackContext(
-            prep.malicious, prep.shards, train, int(cfg["seeds.attack"]), prep.trigger
-        )
-        model = prep.model
-        # one row per client, rewritten every round: training and crafting
-        # write the rows in place, screening and the mean read them.  Under
-        # fltrust the server trains its trust reference as client number N,
-        # into row N, in the same train_all as the clients
-        fltrust = cfg.aggregator.family == "fltrust"
-        trainees = prep.shards + [prep.trust_set] if fltrust else prep.shards
-        rows = np.empty((len(trainees), model.theta.size))
-        updates = rows[:n_clients]
-        ref_update = rows[n_clients] if fltrust else None
-
-        records.append(
-            _evaluate(model, 0, prep.test_set, triggered, cfg.attack.target_label, 0.0)
-        )
-        last_mark = time.perf_counter()
-        for k in range(1, rounds + 1):
-            current_round = k
-            r = k - 1  # zero-based index used by seeds and the attack gate
-            train.train_all(model, trainees, r, rows)
-            craft_updates(r, updates, model, cfg.attack, ctx)  # the clean twin has no cohort
-            round_ctx = RoundContext(model, prep.validation, ref_update)
-            decision = aggregate_round(updates, cfg.aggregator, round_ctx)
-            for i in range(n_clients):
-                decision_rows.append(
-                    f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
-                )
-            if k == dump_round:
-                _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
-            model = nn.apply_update(model, decision.global_update, 1.0)
-            if not np.isfinite(model.theta).all():
-                raise DivergenceError("model parameters are no longer finite")
-            if k % every == 0 or k == rounds:
-                now = time.perf_counter()
-                records.append(
-                    _evaluate(
-                        model,
-                        k,
-                        prep.test_set,
-                        triggered,
-                        cfg.attack.target_label,
-                        (now - last_mark) * 1000.0,
-                    )
-                )
-                last_mark = now
+        run = _prepare(cfg, attack_enabled)
+        run.checkpoint()
+        while run.round < int(cfg["federation.rounds"]):
+            run.step(out_dir)
     except BaseException as exc:
         status = "diverged" if isinstance(exc, DivergenceError) else "error"
-        where = f"round {current_round}" if current_round else "setup"
+        where = f"round {run.round}" if run is not None and run.round else "setup"
         error_note = f"{where}: {type(exc).__name__}: {exc}"
         raise
     finally:
-        wall_ms = (time.perf_counter() - started) * 1000.0
         manifest = RunManifest(
             run_dir=out_dir,
-            run_id=run_id,
-            config_hash=cfg.config_hash(),
-            seeds={
-                "data": int(cfg["seeds.data"]),
-                "clients": int(cfg["seeds.clients"]),
-                "attack": int(cfg["seeds.attack"]),
-            },
+            run_id=cfg.config_hash()[:12] + ("-attacked" if attack_enabled else "-clean"),
             status=status,
-            wall_ms=wall_ms,
-            records=records,
-            heterogeneity=prep.hetero if prep is not None else float("nan"),
-            warnings=list(prep.warnings) if prep is not None else [],
+            wall_ms=(time.perf_counter() - started) * 1000.0,
+            records=run.records if run is not None else [],
+            heterogeneity=run.hetero if run is not None else float("nan"),
+            warnings=run.warnings if run is not None else [],
             error=error_note,
         )
-        _write_run_files(out_dir, cfg, manifest, decision_rows)
+        _write_run_files(out_dir, cfg, manifest, run.decision_rows if run is not None else [])
     return manifest
 
 
@@ -366,15 +342,15 @@ def _write_run_files(
     for name in ("rounds.csv", "decisions.csv"):
         manifest.checksums[name] = _sha256(os.path.join(out_dir, name))
     lines = {
-        "config.hash": manifest.config_hash,
+        "config.hash": cfg.config_hash(),
         "metric.heterogeneity": format_float(manifest.heterogeneity),
         "run.id": manifest.run_id,
         "run.rounds_recorded": str(len(manifest.records)),
         "run.status": manifest.status,
         "run.wall_ms": format_float(manifest.wall_ms),
-        "seed.attack": str(manifest.seeds["attack"]),
-        "seed.clients": str(manifest.seeds["clients"]),
-        "seed.data": str(manifest.seeds["data"]),
+        "seed.attack": str(int(cfg["seeds.attack"])),
+        "seed.clients": str(int(cfg["seeds.clients"])),
+        "seed.data": str(int(cfg["seeds.data"])),
     }
     if manifest.error is not None:
         lines["run.error"] = manifest.error

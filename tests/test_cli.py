@@ -48,6 +48,15 @@ def write_config(tmp_path, name="cfg.txt", **extra):
     return path
 
 
+def write_raw_config(tmp_path, **extra):
+    """FAST plus ``extra`` written by hand, for configs that cannot be built."""
+    over = dict(FAST, **{"output.dir": str(tmp_path / "out")}, **extra)
+    path = str(tmp_path / "cfg.txt")
+    with open(path, "w") as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
+    return path
+
+
 def test_run_succeeds(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", path]) == 0
@@ -89,7 +98,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 def test_degenerate_model_size_exits_2(tmp_path, capsys, key, value):
     conv = {"dataset.dim": "1x8x8", "model.kind": "conv", "defense.amplifier": "xai"}
     extra = {} if key == "model.hidden" else conv
-    path = write_config(tmp_path, **extra, **{key: value})
+    path = write_raw_config(tmp_path, **extra, **{key: value})
     assert main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -106,10 +115,7 @@ def test_degenerate_model_size_exits_2(tmp_path, capsys, key, value):
     ],
 )
 def test_non_finite_value_exits_2(tmp_path, capsys, key, value):
-    over = dict(FAST, **{"output.dir": str(tmp_path / "out"), key: value})
-    path = str(tmp_path / "cfg.txt")
-    with open(path, "w") as fh:
-        fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
+    path = write_raw_config(tmp_path, **{key: value})
     assert main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -322,6 +328,21 @@ def test_parse_vary_rejects_malformed_specs():
             )
             for k in (1, 5, 100)
         ),
+        # size floors: each of these used to leave a run folder behind
+        *(
+            ({"dataset.dim": dim}, f"dataset.dim parts must be >= 1, got {dim}")
+            for dim in ("-2", "0", "0x5x5", "3x0x4")
+        ),
+        ({"dataset.classes": 1}, "dataset.classes must be >= 2"),
+        ({"dataset.per_class": 0}, "dataset.per_class must be >= 1"),
+        ({"model.hidden": -1}, "model.hidden must be >= 0"),
+        *(
+            (
+                {"model.kind": "conv", "dataset.dim": "1x6x6", key: 0},
+                "model.filters, model.kernel and model.pool must be >= 1",
+            )
+            for key in ("model.filters", "model.kernel", "model.pool")
+        ),
     ],
     ids=[
         "fang-rejects-all",
@@ -336,14 +357,20 @@ def test_parse_vary_rejects_malformed_specs():
         "neighbors-1-of-4",
         "neighbors-5-of-4",
         "neighbors-100-of-4",
+        "dim-negative",
+        "dim-0",
+        "dim-0x5x5",
+        "dim-3x0x4",
+        "classes-1",
+        "per-class-0",
+        "hidden-negative",
+        "conv-filters-0",
+        "conv-kernel-0",
+        "conv-pool-0",
     ],
 )
 def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):
-    # the config cannot be built, so it is written by hand
-    over = dict(FAST, **{"output.dir": str(tmp_path / "out")}, **extra)
-    path = str(tmp_path / "cfg.txt")
-    with open(path, "w") as fh:
-        fh.write("".join(f"{k} = {v}\n" for k, v in over.items()))
+    path = write_raw_config(tmp_path, **extra)
     assert main(["run", path]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "manifest.txt")

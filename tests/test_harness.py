@@ -251,8 +251,8 @@ def test_fltrust_reference_is_the_trust_set_trained_as_client_n(tmp_path, monkey
         },
     )
     assert run_experiment(cfg).status == "ok"
-    trust_set = harness._prepare(cfg, True).trust_set
     n = int(cfg["federation.clients"])
+    trust_set = harness._prepare(cfg, True).trainees[n]
     assert len(seen) == int(cfg["federation.rounds"])
     for r, (model, ref_update) in enumerate(seen):
         expect = nn.local_train(
@@ -443,6 +443,34 @@ def test_non_gradamp_failure_marks_the_run_as_error(tmp_path, monkeypatch):
     flat = read_manifest(os.path.join(str(tmp_path / "fire"), "manifest.txt"))
     assert flat["run.status"] == "error"
     assert flat["run.error"] == "round 1: RuntimeError: disk on fire"
+
+
+def test_run_that_fails_mid_run_keeps_its_completed_rounds(tmp_path, monkeypatch):
+    calls = []
+    aggregate_round = harness.aggregate_round
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("screen lost")
+        return aggregate_round(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "aggregate_round", third_call_fails)
+    cfg = fast_config(tmp_path, "mid")
+    with pytest.raises(RuntimeError):
+        run_experiment(cfg)
+    d = str(tmp_path / "mid")
+    n = int(cfg["federation.clients"])
+    with open(os.path.join(d, "decisions.csv")) as fh:
+        body = fh.read().splitlines()[1:]
+    assert len(body) == 2 * n
+    assert {int(line.split(",")[0]) for line in body} == {1, 2}
+    records = read_rounds_csv(os.path.join(d, "rounds.csv"))
+    assert [r.round for r in records] == [0, 2]  # checkpoint_every = 2
+    flat = read_manifest(os.path.join(d, "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert flat["run.rounds_recorded"] == str(len(records))
+    assert flat["run.error"].startswith("round 3: ")
 
 
 def test_sweep_writes_one_folder_per_value(tmp_path):
