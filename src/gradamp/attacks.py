@@ -9,7 +9,7 @@ Once active:
     l-flip+g-asc   sum of the two perturbations, both from the own shard
     scale          retrain on a trigger-augmented shard, scale by lambda
                    (lambda "auto-n" means the federation size N)
-    dba            trigger split in four; each member stamps one part,
+    dba            trigger split in four regions; each member stamps one,
                    assigned round-robin over the cohort, no scaling
     sh-optimized   collude on mu - gamma * sigma over the honest updates,
                    gamma halved from gamma_max until the craft would pass a
@@ -178,14 +178,14 @@ def craft_updates(
     elif ctx.trigger is None:
         raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
     else:
-        # scale stamps the whole trigger and boosts by lambda; dba assigns
-        # the quadrant parts round-robin over the cohort, no scaling
+        # member ``rank`` stamps region rank mod the region count: scale's one
+        # region, boosted by lambda, or dba's four round-robin, no scaling
         poisoned = [
             embed_trigger(
                 ctx.shards[m],
                 ctx.trigger,
                 cfg.trigger_fraction,
-                part_index=0 if cfg.kind == "scale" else rank % ctx.trigger.split_parts,
+                part_index=rank % len(ctx.trigger.regions),
                 seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
             )
             for rank, m in enumerate(mal)

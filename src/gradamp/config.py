@@ -8,7 +8,9 @@ non-ASCII string (the run folder is ASCII); comments may be any UTF-8.
 
 ``ExperimentConfig.validate`` builds the typed views once: ``attack``,
 ``aggregator`` (with its ``.amplifier``), and the ``validation`` and
-``trust`` draws.  A few keys take a literal or a marker; the first two
+``trust`` draws.  For blobs, whose size and shape the config fixes, it
+also runs setup's own rules on them: the pool sizes of the split, the
+trigger and the conv geometry.  A few keys take a literal or a marker; the first two
 resolve in ``validate``, the last two at run time, where N is known:
 
     defense.restore_size       auto -> true for family fang, else false
@@ -30,10 +32,11 @@ import math
 from dataclasses import dataclass, field
 
 from .amplify import AmplifierConfig
-from .attacks import AttackConfig
+from .attacks import AttackConfig, resolve_trigger
 from .aggregate import AggregatorConfig
-from .data import ValidationSpec, exact_share, format_float
+from .data import ValidationSpec, exact_share, format_float, split_sizes
 from .errors import ConfigError
+from .nn import pooled_shape
 
 DEFAULTS: dict[str, object] = {
     "dataset.kind": "blobs",          # blobs | csv | idx
@@ -256,6 +259,20 @@ class ExperimentConfig:
             raise ConfigError("model.hidden must be >= 0")
         if min(int(v[f"model.{k}"]) for k in ("filters", "kernel", "pool")) < 1:
             raise ConfigError("model.filters, model.kernel and model.pool must be >= 1")
+        blobs, classes, dim = v["dataset.kind"] == "blobs", int(v["dataset.classes"]), self.dim()
+        shape = (dim,) if isinstance(dim, int) else dim  # the blobs feature shape
+        if blobs and v["model.kind"] == "conv":
+            pooled_shape(shape, int(v["model.kernel"]), int(v["model.pool"]))
+        # split_pools' sizes; csv and idx learn n at setup, so n = 0 checks
+        # their fractions alone
+        n_rows = classes * int(v["dataset.per_class"]) if blobs else 0
+        test_fraction = float(v["dataset.test_fraction"])
+        n_pool, _, n_test = split_sizes(n_rows, test_fraction, float(v["dataset.server_fraction"]))
+        if blobs and n_test == 0:
+            raise ConfigError(f"dataset.test_fraction {test_fraction} leaves no test sample of {n_rows}")
+        n = int(v["federation.clients"])
+        if blobs and n > n_pool:
+            raise ConfigError(f"federation.clients {n} exceeds the {n_pool} samples of the client pool")
         raw_rs = v["defense.restore_size"]
         if raw_rs != "auto" and not isinstance(raw_rs, bool):
             raise ConfigError("defense.restore_size is true, false, or auto")
@@ -265,7 +282,6 @@ class ExperimentConfig:
         sf = v["attack.scale_factor"]
         if sf != "auto-n" and (isinstance(sf, str) or not math.isfinite(sf)):
             raise ConfigError("attack.scale_factor is a finite number or auto-n")
-        self.dim()
         if not str(v["output.dir"]):
             raise ConfigError("output.dir must not be empty")
         # the frozen component configs validate themselves when built, so
@@ -280,9 +296,11 @@ class ExperimentConfig:
             target_label=int(v["attack.target_label"]),
             trigger_fraction=float(v["attack.trigger_fraction"]),
         )
-        label, classes = self.attack.target_label, int(v["dataset.classes"])
-        if self.attack.targeted and v["dataset.kind"] == "blobs" and label >= classes:
+        label = self.attack.target_label
+        if self.attack.targeted and blobs and label >= classes:
             raise ConfigError(f"attack.target_label {label} is not one of the {classes} classes")
+        if blobs:  # csv and idx triggers resolve at setup, on the loaded shape
+            resolve_trigger(self.attack, shape)
         self.aggregator = AggregatorConfig(
             family=str(v["defense.family"]),
             amplifier=AmplifierConfig(
@@ -297,7 +315,7 @@ class ExperimentConfig:
         )
         # fang rejects ceil(M_f * N) clients per screen; N can still shrink
         # at setup (empty shards sit out), so fang_whitelist checks again
-        n, m_f = int(v["federation.clients"]), self.aggregator.assumed_malicious
+        m_f = self.aggregator.assumed_malicious
         if self.aggregator.family == "fang" and math.ceil(exact_share(m_f, n)) >= n:
             raise ConfigError(f"defense.assumed_malicious {m_f} rejects all {n} clients")
         # the density screen's K (0 = N//2 + 1) must exceed N/2 and be at
@@ -315,7 +333,7 @@ class ExperimentConfig:
             for s in ("validation", "trust")
         )
         for s, spec in (("validation", self.validation), ("trust", self.trust)):
-            if v["dataset.kind"] == "blobs" and not 0 <= spec.biased_class < classes:
+            if blobs and not 0 <= spec.biased_class < classes:
                 raise ConfigError(f"{s}.biased_class {spec.biased_class} is not one of the {classes} classes")
 
     def canonical_text(self) -> str:

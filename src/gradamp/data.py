@@ -4,6 +4,9 @@ Features are float64 arrays shaped (n, d) for tabular data or
 (n, channels, H, W) for images; labels are an int vector.  Image loaders
 normalize to [0, 1]; tabular features pass through untouched.  Every
 random choice flows through an explicit seed.
+
+A backdoor trigger is its stamp regions, each a tuple of slices over the
+feature shape whose cells a stamp sets to 1.0.
 """
 
 from __future__ import annotations
@@ -236,71 +239,43 @@ def partition(
 
 @dataclass(frozen=True)
 class TriggerSpec:
-    """Sparse stamp: ((index tuple, value), ...) plus the label it buys.
+    """Stamp regions plus the label they buy.  A region is a tuple of slices
+    over the feature shape; a stamp sets each of its cells to 1.0."""
 
-    split_parts 4 carves the stamp into quadrant sub-patches (consecutive
-    chunks for flat tabular positions) for distributed embedding.
-    """
-
-    pattern: tuple[tuple[tuple[int, ...], float], ...]
+    regions: tuple[tuple[slice, ...], ...]
     target_label: int
-    split_parts: int = 1
 
 
 def default_trigger(
     feature_shape: tuple[int, ...], target_label: int, split_parts: int = 1
 ) -> TriggerSpec:
-    """3x3 bottom-right white patch on images; last 4 features = 1 on tabular."""
+    """3x3 bottom-right patch on every channel of an image; the last 4
+    features on tabular data.  split_parts 4 gives DBA's four disjoint
+    parts: the patch cut after its second row and column, row-major (2x2,
+    2x1, 1x2 and 1x1 cells), or the four single features."""
+    if split_parts not in (1, 4):
+        raise ConfigError("triggers split into 1 or 4 parts only")
     if len(feature_shape) == 3:
-        c, h, w = feature_shape
+        _, h, w = feature_shape
         if h < 3 or w < 3:
             raise ConfigError("image too small for the 3x3 corner trigger")
-        pattern = tuple(
-            ((ch, r, col), 1.0)
-            for ch in range(c)
-            for r in range(h - 3, h)
-            for col in range(w - 3, w)
-        )
+        rows = [slice(h - 3, h)] if split_parts == 1 else [slice(h - 3, h - 1), slice(h - 1, h)]
+        cols = [slice(w - 3, w)] if split_parts == 1 else [slice(w - 3, w - 1), slice(w - 1, w)]
+        regions = tuple((slice(None), r, c) for r in rows for c in cols)
     elif len(feature_shape) == 1:
         d = feature_shape[0]
         if d < 4:
             raise ConfigError("need at least 4 features for the tabular trigger")
-        pattern = tuple(((j,), 1.0) for j in range(d - 4, d))
+        width = 4 // split_parts
+        regions = tuple((slice(j, j + width),) for j in range(d - 4, d, width))
     else:
         raise ConfigError(f"unsupported feature shape {feature_shape}")
-    return TriggerSpec(pattern, target_label, split_parts)
+    return TriggerSpec(regions, target_label)
 
 
-def trigger_part(spec: TriggerSpec, part_index: int) -> tuple[tuple[tuple[int, ...], float], ...]:
-    """The sub-pattern a given participant stamps; parts are disjoint and
-    union back to the full pattern."""
-    if spec.split_parts == 1:
-        if part_index != 0:
-            raise ConfigError("part_index must be 0 for an unsplit trigger")
-        return spec.pattern
-    if spec.split_parts != 4:
-        raise ConfigError("triggers split into 1 or 4 parts only")
-    if not 0 <= part_index < 4:
-        raise ConfigError(f"part_index {part_index} out of range")
-    if len(spec.pattern[0][0]) >= 2:
-        rs = [pos[-2] for pos, _ in spec.pattern]
-        cs = [pos[-1] for pos, _ in spec.pattern]
-        rmid = (min(rs) + max(rs)) / 2.0
-        cmid = (min(cs) + max(cs)) / 2.0
-        part = tuple(
-            (pos, val)
-            for pos, val in spec.pattern
-            if 2 * (pos[-2] > rmid) + (pos[-1] > cmid) == part_index
-        )
-        return part
-    ordered = sorted(spec.pattern, key=lambda pv: pv[0])
-    chunks = np.array_split(np.arange(len(ordered)), 4)
-    return tuple(ordered[i] for i in chunks[part_index])
-
-
-def _stamp(rows: np.ndarray, pattern) -> None:
-    for pos, val in pattern:
-        rows[(slice(None), *pos)] = val
+def _stamp(rows: np.ndarray, regions) -> None:
+    for region in regions:
+        rows[(slice(None), *region)] = 1.0
 
 
 def _check_target(dataset: Dataset, spec: TriggerSpec) -> None:
@@ -317,12 +292,14 @@ def embed_trigger(
 ) -> Dataset:
     """Append stamped, relabeled copies of a seeded sample choice.
 
-    Copies round(fraction * n) rows, stamps part ``part_index`` of the
-    pattern onto the copies, relabels them to the target, and appends them,
+    Copies round(fraction * n) rows, stamps region ``part_index`` of the
+    trigger onto the copies, relabels them to the target, and appends them,
     so the poisoned shard keeps every clean row.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError("fraction must lie in [0, 1]")
+    if not 0 <= part_index < len(spec.regions):
+        raise ConfigError(f"part_index {part_index} out of range")
     _check_target(dataset, spec)
     n = len(dataset)
     count = int(round(fraction * n))
@@ -331,7 +308,7 @@ def embed_trigger(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n, size=count, replace=False)
     copies = dataset.features[chosen].copy()
-    _stamp(copies, trigger_part(spec, part_index))
+    _stamp(copies, [spec.regions[part_index]])
     feats = np.concatenate([dataset.features, copies])
     labels = np.concatenate(
         [dataset.labels, np.full(count, spec.target_label, dtype=np.int64)]
@@ -341,11 +318,11 @@ def embed_trigger(
 
 def make_triggered_set(dataset: Dataset, spec: TriggerSpec) -> Dataset:
     """Attack-success probes: every sample not already of the target class,
-    stamped with the full pattern.  Labels keep their clean values."""
+    stamped with every region.  Labels keep their clean values."""
     _check_target(dataset, spec)
     keep = np.flatnonzero(dataset.labels != spec.target_label)
     feats = dataset.features[keep].copy()
-    _stamp(feats, spec.pattern)
+    _stamp(feats, spec.regions)
     return Dataset(feats, dataset.labels[keep].copy(), dataset.num_classes)
 
 
@@ -360,22 +337,24 @@ class ValidationSpec:
     theta: float = 0.5
     biased_class: int = 1
 
+    def __post_init__(self) -> None:
+        if self.size < 1:
+            raise ConfigError("validation size must be >= 1")
+        if self.mode not in ("uniform", "biased"):
+            raise ConfigError(f"unknown validation mode {self.mode!r}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ConfigError("theta must lie in [0, 1]")
+
 
 def sample_validation(dataset: Dataset, spec: ValidationSpec, seed: int) -> Dataset:
     """Uniform draw, or a draw biased so that round(theta * size) samples
     carry ``biased_class`` and the rest come uniformly from other classes."""
     n = len(dataset)
-    if spec.size < 1:
-        raise ConfigError("validation size must be >= 1")
     rng = np.random.default_rng(seed)
     if spec.mode == "uniform":
         if spec.size > n:
             raise SamplingError(f"asked for {spec.size} of {n} samples")
         return dataset.subset(np.sort(rng.choice(n, size=spec.size, replace=False)))
-    if spec.mode != "biased":
-        raise ConfigError(f"unknown validation mode {spec.mode!r}")
-    if not 0.0 <= spec.theta <= 1.0:
-        raise ConfigError("theta must lie in [0, 1]")
     if not 0 <= spec.biased_class < dataset.num_classes:
         raise ConfigError("biased_class outside the label set")
     want_biased = int(round(spec.theta * spec.size))
@@ -394,17 +373,25 @@ def sample_validation(dataset: Dataset, spec: ValidationSpec, seed: int) -> Data
     return dataset.subset(np.sort(np.concatenate(take)))
 
 
+def split_sizes(n: int, test_fraction: float, server_fraction: float) -> tuple[int, int, int]:
+    """(client, server, test) pool sizes of ``split_pools`` on ``n`` samples:
+    the test and server pools take their rounded fractions of n, the
+    client pool the rest."""
+    # written so that a NaN fraction fails it
+    if not (test_fraction >= 0 and server_fraction >= 0 and test_fraction + server_fraction < 1):
+        raise ConfigError("test and server fractions must leave room for clients")
+    n_test = int(round(test_fraction * n))
+    n_server = int(round(server_fraction * n))
+    return n - n_test - n_server, n_server, n_test
+
+
 def split_pools(
     dataset: Dataset, test_fraction: float, server_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded (client pool, server pool, test set) split of one dataset."""
-    # written so that a NaN fraction fails it
-    if not (test_fraction >= 0 and server_fraction >= 0 and test_fraction + server_fraction < 1):
-        raise ConfigError("test and server fractions must leave room for clients")
     n = len(dataset)
+    _, n_server, n_test = split_sizes(n, test_fraction, server_fraction)
     order = np.random.default_rng(seed).permutation(n)
-    n_test = int(round(test_fraction * n))
-    n_server = int(round(server_fraction * n))
     test = dataset.subset(order[:n_test])
     server = dataset.subset(order[n_test : n_test + n_server])
     train = dataset.subset(order[n_test + n_server :])

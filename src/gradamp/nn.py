@@ -258,6 +258,17 @@ def mlp_model(in_dim: int, hidden: int, num_classes: int, seed: int | np.random.
     return ModelParams(layers)
 
 
+def pooled_shape(in_shape: tuple[int, int, int], kernel: int, pool: int) -> tuple[int, int]:
+    """(H, W) of the feature maps after the valid conv and the maxpool."""
+    _, h, w = in_shape
+    if h < kernel or w < kernel:
+        raise ConfigError(f"input {h}x{w} smaller than conv kernel {kernel}")
+    hp, wp = (h - kernel + 1) // pool, (w - kernel + 1) // pool
+    if hp < 1 or wp < 1:
+        raise ConfigError("feature maps vanish after pooling; shrink kernel or pool")
+    return hp, wp
+
+
 def conv_model(
     in_shape: tuple[int, int, int],
     num_classes: int,
@@ -269,16 +280,11 @@ def conv_model(
     """conv -> relu -> maxpool -> dense -> softmax on (channels, H, W) input."""
     if min(filters, kernel, pool) < 1:
         raise ConfigError(f"conv filters, kernel, pool must be >= 1, got {filters}, {kernel}, {pool}")
+    hp, wp = pooled_shape(in_shape, kernel, pool)
     rng = _rng(seed)
-    c, h, w = in_shape
-    if h < kernel or w < kernel:
-        raise ConfigError(f"input {h}x{w} smaller than conv kernel {kernel}")
+    c = in_shape[0]
     fan_in = c * kernel * kernel
     cw = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(filters, c, kernel, kernel))
-    ho, wo = h - kernel + 1, w - kernel + 1
-    hp, wp = ho // pool, wo // pool
-    if hp < 1 or wp < 1:
-        raise ConfigError("feature maps vanish after pooling; shrink kernel or pool")
     flat = filters * hp * wp
     dw = rng.normal(0.0, 1.0 / np.sqrt(flat), size=(num_classes, flat))
     return ModelParams(

@@ -234,7 +234,7 @@ def test_scale_attack_trains_on_a_stamped_shard():
 
 def test_dba_assigns_parts_round_robin():
     trigger = resolve_trigger(AttackConfig(kind="dba"), feature_shape=(1, 8, 8))
-    assert trigger.split_parts == 4
+    assert len(trigger.regions) == 4
     data = synth_blobs(2, per_class=24, dim=(1, 8, 8), spread=1.0, seed=76)
     shards = shard_list(data, 6, seed=77)
     ctx = AttackContext(
@@ -278,7 +278,7 @@ def test_resolve_trigger_only_for_targeted_kinds():
     spec = resolve_trigger(AttackConfig(kind="scale", target_label=2), (1, 8, 8))
     assert spec is not None
     assert spec.target_label == 2
-    assert spec.split_parts == 1
+    assert len(spec.regions) == 1
 
 
 def test_attack_config_validation():

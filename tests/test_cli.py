@@ -343,6 +343,36 @@ def test_parse_vary_rejects_malformed_specs():
             )
             for key in ("model.filters", "model.kernel", "model.pool")
         ),
+        # the draw specs check themselves, drawn by the family or not
+        ({"validation.mode": "nope"}, "unknown validation mode 'nope'"),
+        ({"trust.theta": 2.0}, "theta must lie in [0, 1]"),
+        ({"defense.family": "fang", "validation.size": 0}, "validation size must be >= 1"),
+        # the trigger and the conv geometry fit the blobs shape
+        ({"attack.kind": "scale", "dataset.dim": 3}, "need at least 4 features for the tabular trigger"),
+        ({"attack.kind": "dba", "dataset.dim": "1x2x2"}, "image too small for the 3x3 corner trigger"),
+        ({"model.kind": "conv", "dataset.dim": "1x2x2"}, "input 2x2 smaller than conv kernel 3"),
+        ({"model.kind": "conv", "dataset.dim": "1x3x3"}, "feature maps vanish after pooling"),
+        # the split fractions, whatever the dataset kind, and the blobs sizes
+        *(
+            (
+                {**source, "dataset.test_fraction": 0.6, "dataset.server_fraction": 0.5},
+                "test and server fractions must leave room for clients",
+            )
+            for source in (
+                {},
+                {"dataset.kind": "csv", "dataset.path": "absent.csv"},
+                {"dataset.kind": "idx", "dataset.images": "absent.idx", "dataset.labels": "absent.idx"},
+            )
+        ),
+        ({"dataset.test_fraction": -0.1}, "test and server fractions must leave room for clients"),
+        (
+            {"dataset.per_class": 1, "dataset.test_fraction": 0.1},
+            "dataset.test_fraction 0.1 leaves no test sample of 3",
+        ),
+        (
+            {"federation.clients": 1000},
+            "federation.clients 1000 exceeds the 50 samples of the client pool",
+        ),
     ],
     ids=[
         "fang-rejects-all",
@@ -367,6 +397,19 @@ def test_parse_vary_rejects_malformed_specs():
         "conv-filters-0",
         "conv-kernel-0",
         "conv-pool-0",
+        "validation-mode-nope",
+        "trust-theta-2",
+        "fang-validation-size-0",
+        "scale-dim-3",
+        "dba-dim-1x2x2",
+        "conv-dim-1x2x2",
+        "conv-dim-1x3x3",
+        "fractions-no-room-blobs",
+        "fractions-no-room-csv",
+        "fractions-no-room-idx",
+        "test-fraction-negative",
+        "empty-test-split",
+        "clients-exceed-pool",
     ],
 )
 def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):

@@ -21,7 +21,6 @@ from gradamp.data import (
     save_csv,
     split_pools,
     synth_blobs,
-    trigger_part,
 )
 from gradamp.errors import ConfigError, IngestionError, SamplingError
 
@@ -204,39 +203,49 @@ def test_partition_neutral_skew_matches_iid_rates():
     assert p > 0.01
 
 
+def _cells(shape, region):
+    """The cells of an array shaped ``shape`` that ``region`` stamps."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[region] = True
+    return {tuple(int(i) for i in cell) for cell in np.argwhere(mask)}
+
+
 def test_default_trigger_geometry():
     img = default_trigger((2, 8, 8), target_label=1)
-    assert len(img.pattern) == 2 * 9  # 3x3 patch on both channels
-    rows = {pos[1] for pos, _ in img.pattern}
-    cols = {pos[2] for pos, _ in img.pattern}
-    assert rows == {5, 6, 7} and cols == {5, 6, 7}
+    assert len(img.regions) == 1
+    patch = {(ch, r, c) for ch in (0, 1) for r in (5, 6, 7) for c in (5, 6, 7)}
+    assert _cells((2, 8, 8), img.regions[0]) == patch  # 3x3 on both channels
     tab = default_trigger((10,), target_label=0)
-    assert [pos[0] for pos, _ in tab.pattern] == [6, 7, 8, 9]
+    assert [_cells((10,), region) for region in tab.regions] == [{(6,), (7,), (8,), (9,)}]
     with pytest.raises(ConfigError):
         default_trigger((1, 2, 2), 0)
     with pytest.raises(ConfigError):
         default_trigger((3,), 0)
+    with pytest.raises(ConfigError, match="1 or 4 parts only"):
+        default_trigger((10,), 0, split_parts=2)
 
 
-def test_trigger_part_quadrants_partition_the_pattern():
-    spec = default_trigger((1, 8, 8), target_label=0, split_parts=4)
-    parts = [trigger_part(spec, i) for i in range(4)]
-    assert sorted(len(p) for p in parts) == [1, 2, 2, 4]
-    seen = [pos for part in parts for pos, _ in part]
-    assert len(seen) == len(set(seen)) == 9
-    assert set(seen) == {pos for pos, _ in spec.pattern}
+def test_split_trigger_quadrants_partition_the_patch():
+    spec = default_trigger((2, 8, 8), target_label=0, split_parts=4)
+    parts = [_cells((2, 8, 8), region) for region in spec.regions]
+    # row-major around the cut after row and col 6: 2x2, 2x1, 1x2, 1x1
+    assert parts == [
+        {(ch, r, c) for ch in (0, 1) for r in rows for c in cols}
+        for rows, cols in (((5, 6), (5, 6)), ((5, 6), (7,)), ((7,), (5, 6)), ((7,), (7,)))
+    ]
+    assert [len(p) // 2 for p in parts] == [4, 2, 2, 1]  # cells per channel
+    assert sum(len(p) for p in parts) == len(set().union(*parts))  # disjoint
+    assert set().union(*parts) == _cells((2, 8, 8), default_trigger((2, 8, 8), 0).regions[0])
 
 
-def test_trigger_part_tabular_chunks():
+def test_split_trigger_tabular_parts_are_single_features():
     spec = default_trigger((12,), target_label=0, split_parts=4)
-    parts = [trigger_part(spec, i) for i in range(4)]
-    assert [len(p) for p in parts] == [1, 1, 1, 1]
-    with pytest.raises(ConfigError):
-        trigger_part(spec, 4)
-    unsplit = default_trigger((12,), target_label=0)
-    assert trigger_part(unsplit, 0) == unsplit.pattern
-    with pytest.raises(ConfigError):
-        trigger_part(unsplit, 1)
+    assert [_cells((12,), region) for region in spec.regions] == [{(8,)}, {(9,)}, {(10,)}, {(11,)}]
+    d = Dataset(np.zeros((4, 12)), np.arange(4) % 2, 2)
+    with pytest.raises(ConfigError, match="part_index 4 out of range"):
+        embed_trigger(d, spec, 0.5, part_index=4)
+    with pytest.raises(ConfigError, match="part_index 1 out of range"):
+        embed_trigger(d, default_trigger((12,), target_label=0), 0.5, part_index=1)
 
 
 def test_embed_trigger_appends_stamped_copies():

@@ -390,6 +390,43 @@ def test_failed_run_reports_the_round(tmp_path):
     assert "run.error" in flat
 
 
+@pytest.mark.parametrize(
+    "extra,check",
+    [
+        ({"attack.kind": "scale", "dataset.dim": 4}, lambda run: len(run.attack.trigger.regions) == 1),
+        ({"attack.kind": "scale", "dataset.dim": "1x3x3"}, lambda run: len(run.attack.trigger.regions) == 1),
+        (
+            {"attack.kind": "dba", "model.kind": "conv", "dataset.dim": "1x3x3", "model.pool": 1},
+            lambda run: len(run.attack.trigger.regions) == 4,
+        ),
+        ({"model.kind": "conv", "dataset.dim": "1x4x4"}, lambda run: run.model.layers[3].weight.shape == (3, 8)),
+        (
+            {"defense.family": "fang", "validation.mode": "biased", "validation.theta": 1.0, "validation.size": 4},
+            lambda run: set(run.validation.labels) == {1},
+        ),
+        ({"defense.family": "fang", "validation.size": 1}, lambda run: len(run.validation) == 1),
+        ({"federation.clients": 50}, lambda run: len(run.attack.shards) == 50),  # 90 - 22 - 18
+        ({"dataset.test_fraction": 0.006}, lambda run: len(run.test_set) == 1),  # round(0.54)
+    ],
+    ids=[
+        "scale-dim-4",
+        "scale-mlp-1x3x3",
+        "dba-conv-1x3x3-pool-1",
+        "conv-1x4x4",
+        "validation-theta-1",
+        "validation-size-1",
+        "clients-fill-the-pool",
+        "one-test-sample",
+    ],
+)
+def test_config_just_inside_a_bound_builds_a_run(tmp_path, extra, check):
+    # the neighbours of the exit-2 rows in test_cli: validate must not
+    # reject a config that can run
+    cfg = fast_config(tmp_path, "inside", **extra)
+    assert check(harness._prepare(cfg, True))
+    assert not os.path.exists(tmp_path / "inside")
+
+
 def test_missing_idx_file_marks_the_run_as_error(tmp_path):
     # A missing source file fails setup as an IngestionError, and the
     # manifest says error with no rounds, never ok.
