@@ -177,12 +177,14 @@ def fang_whitelist(
     ``ConfigError`` before the first probe.
 
     Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)): the
-    others folded afresh in ascending index order by ``nn.mean_grads`` into
-    one reused buffer, then subtracted as ``nn.apply_update`` would, so the
-    losses equal those of a mean-then-apply probe bit for bit.  The
-    shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks its
-    own magnitude, and subtracting a huge x_i back out of S cancels away
-    every other client's contribution.
+    others in the ascending left fold of ``nn.mean_grads``, then subtracted
+    as ``nn.apply_update`` would, so the losses equal those of a
+    mean-then-apply probe bit for bit.  A running buffer keeps the fold's
+    prefix x_0 + ... + x_{i-1}, and probe i continues a copy of it with
+    x_{i+1} ... x_{N-1}, so the probes add about N^2 / 2 rows, not N^2.
+    The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
+    its own magnitude, and subtracting a huge x_i back out of S cancels
+    away every other client's contribution.
     """
     n = len(amped_restored)
     if n == 0:
@@ -198,12 +200,22 @@ def fang_whitelist(
             raise ConfigError(
                 f"restored update has shape {np.shape(row)}, model has {theta.size} parameters"
             )
-    buf = np.empty_like(theta)
+    prefix, buf = np.empty((2, theta.size))  # prefix: x_0 + ... + x_{i-1}
+    scale = 1.0 / max(n - 1, 1)  # a lone client is its own probe
     losses = np.zeros(n)
     errors = np.zeros(n)
     for i in range(n):
-        others = [amped_restored[j] for j in range(n) if j != i] or [amped_restored[i]]
-        nn.mean_grads(others, out=buf)
+        if i == 0:
+            np.copyto(buf, amped_restored[min(1, n - 1)])
+            np.copyto(prefix, amped_restored[0])
+            rest = amped_restored[2:]
+        else:
+            np.copyto(buf, prefix)
+            prefix += amped_restored[i]
+            rest = amped_restored[i + 1 :]
+        for row in rest:
+            buf += row
+        buf *= scale
         np.subtract(theta, buf, out=buf)
         trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features)
         losses[i] = nn.loss_value(trace, validation.labels)

@@ -108,7 +108,8 @@ def sh_optimized(honest: np.ndarray, gamma_max: float) -> tuple[np.ndarray, floa
     ``honest`` is the (N, P) matrix of every client's honest update.  The
     stand-in screen accepts a craft whose cosine to the honest mean is at
     least the median honest cosine; gamma halves from gamma_max until that
-    holds, at most 20 times, else falls back to the mean itself.
+    holds, at most 20 times, else logs a warning and falls back to the
+    mean itself.
     """
     x = honest
     if len(x) < 2:
@@ -133,6 +134,7 @@ def sh_optimized(honest: np.ndarray, gamma_max: float) -> tuple[np.ndarray, floa
             break
         gamma /= 2.0
     if chosen is None:
+        log.warning("no shift passed the cosine screen in 20 halvings; crafting the mean")
         gamma = 0.0
         chosen = mu
     return chosen, gamma

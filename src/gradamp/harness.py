@@ -25,6 +25,16 @@ plus that state's ``step``, which plays one round on it; ``run_experiment``
 checkpoints round 0, steps to ``federation.rounds`` and writes the folder
 whatever happened.
 
+``run_pair`` runs the clean twin first.  The twins are identical through
+round start_round, so the clean twin leaves a snapshot of its state at
+round min(start_round, rounds), and the attacked twin resumes from it with
+its cohort set instead of repeating setup and those rounds.  Every
+deterministic file is the same as a standalone attacked run's, including
+an amplified.csv dumped inside the shared rounds, which is copied from the
+clean folder.  In the attacked folder the timings.csv rows up to
+start_round are the clean twin's, and ``run.wall_ms`` covers only the
+resumed rounds.
+
 Round k (1-based) trains every client on the model left by round k-1;
 the attack, when enabled, rewrites malicious updates from round
 start_round + 1 onward, so start_round >= rounds means it never fires.
@@ -36,8 +46,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -162,6 +173,28 @@ class _Run:
     decision_rows: list[str] = field(default_factory=list)
     round: int = 0
     mark: float = 0.0  # perf_counter at the last checkpoint
+    amplified: str | None = None  # the amplified.csv this run dumped
+
+    def snapshot(self) -> _Run:
+        """A copy to resume from.  The lists that grow are copied; the rest
+        is shared: ``model`` is rebound each round, never mutated, and
+        ``rows`` is rewritten each round, so the copy may step only once
+        this run has stopped stepping."""
+        return replace(
+            self,
+            records=list(self.records),
+            decision_rows=list(self.decision_rows),
+            warnings=list(self.warnings),
+        )
+
+    def resume(self, out_dir: str) -> None:
+        """Turn a clean snapshot into its attacked twin: set the cohort,
+        carry a dump from the shared rounds into ``out_dir`` and restart the
+        checkpoint clock."""
+        self.attack = replace(self.attack, malicious=_cohort(self.cfg, len(self.attack.shards)))
+        if self.amplified is not None:
+            self.amplified = shutil.copyfile(self.amplified, os.path.join(out_dir, "amplified.csv"))
+        self.mark = time.perf_counter()
 
     def checkpoint(self) -> None:
         """Record the model's accuracy and attack success at ``round``, with
@@ -195,7 +228,7 @@ class _Run:
                 f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
             )
         if k == int(cfg["output.dump_amplified_round"]):
-            _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
+            self.amplified = _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
         self.model = nn.apply_update(self.model, decision.global_update, 1.0)
         if not np.isfinite(self.model.theta).all():
             raise DivergenceError("model parameters are no longer finite")
@@ -245,11 +278,7 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
         trainees = shards + [sample_validation(val_pool, cfg.trust, _subseed(seed_data, _TAG_TRUST))]
 
     trigger = resolve_trigger(cfg.attack, train_pool.feature_shape)
-    malicious = (
-        select_malicious(len(shards), cfg.attack.malicious_fraction, int(cfg["seeds.attack"]))
-        if attack_enabled
-        else []
-    )
+    malicious = _cohort(cfg, len(shards)) if attack_enabled else []
     model = build_model(cfg, train_pool.feature_shape, full.num_classes)
     hetero = heterogeneity(train_pool)
     train = nn.LocalTraining(
@@ -273,6 +302,10 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
     )
 
 
+def _cohort(cfg: ExperimentConfig, n_clients: int) -> list[int]:
+    return select_malicious(n_clients, cfg.attack.malicious_fraction, int(cfg["seeds.attack"]))
+
+
 def _write_rows(path: str, header: str, rows: list[str]) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(header + "\n")
@@ -281,19 +314,37 @@ def _write_rows(path: str, header: str, rows: list[str]) -> None:
 
 
 def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | None = None, attack_enabled: bool = True
+    cfg: ExperimentConfig,
+    out_dir: str | None = None,
+    attack_enabled: bool = True,
+    prefix: list[_Run] | None = None,
 ) -> RunManifest:
-    """Execute one full run and write its folder; returns the manifest."""
+    """Execute one full run and write its folder; returns the manifest.
+
+    ``prefix`` is a one-slot holder that a pair's twins share: a clean run
+    puts a snapshot of its state at round min(attack.start_round,
+    federation.rounds) into it, and an attacked run takes that snapshot and
+    resumes from it instead of running setup and those rounds again."""
     out_dir = out_dir or str(cfg["output.dir"])
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
+    rounds = int(cfg["federation.rounds"])
     run = None
     status = "ok"
     error_note = None
     try:
-        run = _prepare(cfg, attack_enabled)
-        run.checkpoint()
-        while run.round < int(cfg["federation.rounds"]):
+        if attack_enabled and prefix:
+            resumed = prefix.pop()
+            resumed.resume(out_dir)  # a failure here is still a setup failure
+            run = resumed
+        else:
+            run = _prepare(cfg, attack_enabled)
+            run.checkpoint()
+        if prefix is not None and not attack_enabled:
+            while run.round < min(cfg.attack.start_round, rounds):
+                run.step(out_dir)
+            prefix.append(run.snapshot())
+        while run.round < rounds:
             run.step(out_dir)
     except BaseException as exc:
         status = "diverged" if isinstance(exc, DivergenceError) else "error"
@@ -315,13 +366,16 @@ def run_experiment(
     return manifest
 
 
-def _dump_amplified(out_dir, updates, agg_cfg, round_ctx) -> None:
-    """The round's amplified rows, as the screen scored them."""
+def _dump_amplified(out_dir, updates, agg_cfg, round_ctx) -> str:
+    """Write the round's amplified rows, as the screen scored them, and
+    return the file's path."""
     views, _ = scored_views(updates, agg_cfg, round_ctx)
     rows = [
         f"{cid},{j},{format_float(v)}" for cid, view in enumerate(views) for j, v in enumerate(view)
     ]
-    _write_rows(os.path.join(out_dir, "amplified.csv"), "client_id,index,value", rows)
+    path = os.path.join(out_dir, "amplified.csv")
+    _write_rows(path, "client_id,index,value", rows)
+    return path
 
 
 def _write_run_files(
@@ -408,11 +462,15 @@ class PairSummary:
 
 def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
     """Attacked run plus its clean twin (same seeds, attack disabled), and
-    the joint metrics table."""
+    the joint metrics table.  The attacked twin resumes from the clean
+    twin's state at round min(attack.start_round, federation.rounds)."""
     out_dir = out_dir or str(cfg["output.dir"])
     os.makedirs(out_dir, exist_ok=True)
-    clean = run_experiment(cfg, os.path.join(out_dir, "clean"), attack_enabled=False)
-    attacked = run_experiment(cfg, os.path.join(out_dir, "attacked"), attack_enabled=True)
+    prefix: list[_Run] = []
+    clean = run_experiment(cfg, os.path.join(out_dir, "clean"), attack_enabled=False, prefix=prefix)
+    attacked = run_experiment(
+        cfg, os.path.join(out_dir, "attacked"), attack_enabled=True, prefix=prefix
+    )
 
     rounds = int(cfg["federation.rounds"])
     window = MonitorWindow(min(cfg.attack.start_round, rounds), rounds)

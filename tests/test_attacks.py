@@ -64,15 +64,17 @@ def test_sh_optimized_halves_until_the_screen_passes():
     assert np.array_equal(crafted, [0.5, 0.5])
 
 
-def test_sh_optimized_falls_back_to_the_mean():
+def test_sh_optimized_falls_back_to_the_mean(caplog):
     # All honest cosines to the mean are exactly 1, and gamma_max is so
     # large that twenty halvings still leave the craft pointing backwards.
     view = np.stack(
         [dense_grads([1.0, 0.0]), dense_grads([1.0, 0.0]), dense_grads([3.0, 0.0])]
     )
-    crafted, gamma = sh_optimized(view, gamma_max=1e7)
+    with caplog.at_level(logging.WARNING, logger="gradamp.attacks"):
+        crafted, gamma = sh_optimized(view, gamma_max=1e7)
     assert gamma == 0.0
     assert np.allclose(crafted, [5.0 / 3.0, 0.0], atol=1e-12)
+    assert any("20 halvings" in r.message for r in caplog.records)
 
 
 def test_sh_optimized_single_update_warns_and_uses_it(caplog):

@@ -190,6 +190,66 @@ def test_run_pair_metrics_table(tmp_path):
     assert float(fields[6]) == pytest.approx(summary.attacked.heterogeneity)
 
 
+def _manifest_lines_but_wall_ms(path):
+    with open(path, "rb") as fh:
+        return [line for line in fh.read().splitlines() if not line.startswith(b"run.wall_ms = ")]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"attack.kind": "g-asc", "attack.start_round": 2, "output.dump_amplified_round": 4},
+        {"defense.family": "fltrust", "attack.kind": "l-flip", "attack.start_round": 0},
+        {"attack.kind": "g-asc", "attack.start_round": 3, "output.dump_amplified_round": 2},
+        {"attack.kind": "g-asc", "attack.start_round": 99},
+    ],
+    ids=["fork-mid-run", "fltrust-fork-at-0", "dump-inside-prefix", "fork-past-the-end"],
+)
+def test_resumed_attacked_twin_matches_a_standalone_attacked_run(tmp_path, extra):
+    cfg = fast_config(tmp_path, "pair", **extra)
+    summary = run_pair(cfg)
+    alone = run_experiment(cfg, str(tmp_path / "alone"), attack_enabled=True)
+    assert summary.attacked.status == alone.status == "ok"
+    for name in ("config.txt", "rounds.csv", "decisions.csv", "amplified.csv"):
+        resumed = os.path.join(summary.attacked.run_dir, name)
+        standalone = os.path.join(alone.run_dir, name)
+        assert os.path.exists(resumed) == os.path.exists(standalone), name
+        if os.path.exists(standalone):
+            assert read_bytes(resumed) == read_bytes(standalone), name
+    assert _manifest_lines_but_wall_ms(summary.attacked.path) == _manifest_lines_but_wall_ms(
+        alone.path
+    )
+    # the resumed run appended to copies: the clean twin kept its own records
+    clean_rounds = read_rounds_csv(os.path.join(summary.clean.run_dir, "rounds.csv"))
+    assert [r.round for r in summary.clean.records] == [r.round for r in clean_rounds]
+
+
+def test_clean_twin_leaves_unaliased_state_at_the_fork(tmp_path):
+    cfg = fast_config(tmp_path, "fork", **{"attack.kind": "g-asc", "attack.start_round": 2})
+    prefix = []
+    clean = run_experiment(cfg, attack_enabled=False, prefix=prefix)
+    (snap,) = prefix
+    # the clean twin stepped on to round 4 without touching the snapshot
+    assert snap.round == 2 and [r.round for r in snap.records] == [0, 2]
+    assert len(snap.decision_rows) == 2 * 6
+    assert [r.round for r in clean.records] == [0, 2, 4]
+    assert snap.attack.malicious == []
+
+
+def test_attacked_twin_that_cannot_resume_reports_setup(tmp_path, monkeypatch):
+    def no_cohort(*args):
+        raise RuntimeError("no cohort")
+
+    monkeypatch.setattr(harness, "select_malicious", no_cohort)  # only the attacked twin draws
+    cfg = fast_config(tmp_path, "no-resume", **{"attack.kind": "g-asc", "attack.start_round": 2})
+    with pytest.raises(RuntimeError):
+        run_pair(cfg)
+    clean = read_manifest(str(tmp_path / "no-resume" / "clean" / "manifest.txt"))
+    attacked = read_manifest(str(tmp_path / "no-resume" / "attacked" / "manifest.txt"))
+    assert clean["run.status"] == "ok"
+    assert attacked["run.error"] == "setup: RuntimeError: no cohort"
+
+
 def test_targeted_run_records_attack_success(tmp_path):
     cfg = fast_config(
         tmp_path,
