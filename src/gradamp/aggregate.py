@@ -108,7 +108,9 @@ def density_whitelist(
     self-similarity included, so colluders cannot ride on a single twin.
     The whitelist keeps the ceil((1 - M_f) * N) best scores, counted on
     the decimal M_f (``data.exact_share``).  neighbors must exceed N/2 so
-    any honest majority overlaps every neighbourhood.
+    any honest majority overlaps every neighbourhood.  A zero row's
+    cosines are 0; a non-finite cosine between non-zero rows (an
+    overflowing norm) is 0 too, and logged.
     """
     n = len(views)
     if n == 0:
@@ -123,10 +125,16 @@ def density_whitelist(
         sim = x @ x.T
         with np.errstate(invalid="ignore", divide="ignore"):
             sim = sim / np.outer(norms, norms)
-        sim[~np.isfinite(sim)] = 0.0
         zero = norms == 0.0
         sim[zero, :] = 0.0
         sim[:, zero] = 0.0
+        bad = ~np.isfinite(sim)
+        if bad.any():
+            log.warning(
+                "%d non-finite cosine similarities between non-zero rows; scoring them 0",
+                int(bad.sum()),
+            )
+            sim[bad] = 0.0
     elif metric == "euc":
         sq = np.sum(x * x, axis=1)
         d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)

@@ -51,13 +51,14 @@ Conventions:
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
-    learning rate, client seed) and the one place that derives a training
-    stream ``rng_stream(seed, round, client)``.  Its one method,
-    ``train_all``, is the one training path: every update of a round, the
-    honest rows, the cohort's retrained rows and the fltrust reference,
-    comes from it.  It trains its shards in stacks of equal shard size,
-    each at least one client and at most ``STACK_FLOATS`` floats of
-    parameters and batch traces (the cap the patch max also uses).
+    learning rate, client seed).  Its one method, ``train_all``, builds a
+    call's training streams ``rng_stream(seed, round, client)`` in one
+    ``round_streams`` pass.  It is the one training path: every update of
+    a round, the honest rows, the cohort's retrained rows and the fltrust
+    reference, comes from it.  It trains its shards in stacks of equal
+    shard size, each at least one client and at most ``STACK_FLOATS``
+    floats of parameters and batch traces (the cap the patch max also
+    uses).
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -83,7 +84,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import ConfigError
-from .seeding import rng_stream
+from .seeding import round_streams
 
 LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
 
@@ -638,10 +639,11 @@ class _ClientStack:
 class LocalTraining:
     """A run's one client-training recipe, with one method: ``train_all``
     runs ``local_train`` for each client on the stream
-    ``rng_stream(seed, round_idx, client)``.  Honest clients, the
-    data-poisoning attackers and the fltrust server reference all train
-    through it, so a poisoned update differs from the honest one only in
-    its data.
+    ``rng_stream(seed, round_idx, client)``, built for all of the call's
+    clients by one ``round_streams(seed, round_idx, clients)``.  Honest
+    clients, the data-poisoning attackers and the fltrust server reference
+    all train through it, so a poisoned update differs from the honest one
+    only in its data.
     """
 
     epochs: int
@@ -659,7 +661,8 @@ class LocalTraining:
     ) -> None:
         """Shard j trains as client ``clients[j]`` (default j; ids must
         strictly ascend) into row ``clients[j]`` of ``out``; other rows are
-        left as they are.
+        left as they are.  The call's streams come from one
+        ``round_streams`` pass, and each stack takes its clients' slice.
 
         Clients with equal shard sizes train together, in stacks of at
         least one client and at most ``STACK_FLOATS`` floats.  A client
@@ -671,6 +674,7 @@ class LocalTraining:
         clients = range(len(shards)) if clients is None else clients
         if any(a >= b for a, b in zip(clients, clients[1:])):
             raise ConfigError(f"client ids must strictly ascend, got {list(clients)}")
+        streams = round_streams(self.seed, round_idx, clients)
         groups: dict[int, list[int]] = {}
         for j, shard in enumerate(shards):
             groups.setdefault(len(shard), []).append(j)
@@ -687,7 +691,7 @@ class LocalTraining:
                     self.epochs,
                     self.batch_size,
                     self.lr,
-                    [rng_stream(self.seed, round_idx, i) for i in ids],
+                    [streams[j] for j in part],
                 )
                 rows = out[ids[0] : ids[-1] + 1]
                 if len(rows) == len(ids):  # consecutive clients train in their rows

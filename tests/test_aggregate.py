@@ -58,11 +58,26 @@ def test_density_whitelist_cardinality_law():
         assert all(0 <= i < n for i in wl)
 
 
-def test_density_zero_norm_vector_scores_zero():
+def test_density_zero_norm_vector_scores_zero(caplog):
     amped = [dense_grads(v) for v in [(1.0, 0.0), (0.9, 0.1), (0.0, 0.0), (0.8, 0.2)]]
-    wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
+    with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
+        wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
     assert scores[2] == 0.0
     assert 2 not in wl
+    assert caplog.records == []  # a zero row's cosines are 0 on purpose: no warning
+
+
+def test_density_non_finite_cosines_score_zero_with_a_warning(caplog):
+    # (1e200, 1e200)'s norm overflows: its self-cosine is inf/inf, NaN,
+    # while its cosines with the finite rows are finite over inf, 0
+    amped = [dense_grads(v) for v in [(1.0, 0.0), (0.9, 0.1), (1e200, 1e200), (0.8, 0.2)]]
+    with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"), np.errstate(over="ignore"):
+        wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 non-finite cosine similarities between non-zero rows; scoring them 0"
+    ]
+    assert scores[2] == 0.0 and np.isfinite(scores).all()
+    assert wl == [0, 1, 3]
 
 
 def test_density_identical_vectors_keep_lowest_indices():
