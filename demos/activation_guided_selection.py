@@ -1,22 +1,17 @@
 """Pick conv filters by activation importance and amplify with them.
 
-A small conv model runs a clean validation batch, the captured
-feature-map gradients collapse into one importance weight per filter,
-and the top fraction of filters contributes its gradient coordinates
-to the amplified vector.  Every client can end up with a different
-selection because each client's update shifts the model differently.
+A small conv model runs a clean validation batch, its feature-map
+gradients collapse into one Grad-CAM weight per filter
+(``nn.activation_weights``), and the top fraction of filters contributes
+its gradient coordinates to the amplified vector.  Every client can end
+up with a different selection because each client's update shifts the
+model differently.
 """
 
 import numpy as np
 
 from gradamp import nn
-from gradamp.amplify import (
-    AmplifierConfig,
-    amplify_xai,
-    grad_cam_weights,
-    select_top,
-    xai_selection,
-)
+from gradamp.amplify import AmplifierConfig, amplify_xai, select_top, xai_selection
 from gradamp.data import synth_blobs
 
 
@@ -26,7 +21,7 @@ def main():
     validation = data.subset(np.arange(30))
 
     trace = nn.forward(model, validation.features)
-    alpha = grad_cam_weights(nn.feature_map_grads(model, trace, validation.labels))
+    alpha = nn.activation_weights(model, trace, validation.labels)
     print("filter importance weights:")
     for k, a in enumerate(alpha):
         print(f"   filter {k}: {a:+.5f}")

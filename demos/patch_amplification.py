@@ -11,7 +11,7 @@ cheaper.
 import numpy as np
 
 from gradamp import nn
-from gradamp.amplify import AmplifierConfig, amplify_mp, max_filter
+from gradamp.amplify import AmplifierConfig, amplify_mp
 
 
 def show(mat):
@@ -24,7 +24,7 @@ def main():
     mat = np.round(rng.normal(scale=2.0, size=(4, 6)), 2)
     print("input 4x6 matrix:")
     show(mat)
-    out = max_filter(mat, 2)
+    out = nn.block_max(mat, 2)
     print("\nper-patch signed max, kernel 2 (2x3 output):")
     show(out)
 
@@ -34,7 +34,7 @@ def main():
     print("\nmostly-negative matrix:")
     show(dark)
     print("\nkernel 2 output (one patch rescued by the lone positive):")
-    show(max_filter(dark, 2))
+    show(nn.block_max(dark, 2))
 
     model = nn.mlp_model(20, 16, 3, seed=3)
     x = rng.normal(size=(32, 20))
@@ -51,7 +51,7 @@ def main():
         for name, arr in (("weight", layer.weight), ("bias", layer.bias)):
             if arr is not None:
                 panel = arr.reshape(arr.shape[0] if name == "weight" else 1, -1)
-                print(f"   {layer.kind} {name} {panel.shape} -> {max_filter(panel, 3).shape}")
+                print(f"   {layer.kind} {name} {panel.shape} -> {nn.block_max(panel, 3).shape}")
 
 
 if __name__ == "__main__":

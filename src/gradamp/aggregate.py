@@ -90,9 +90,12 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _keep_top(scores: np.ndarray, keep: int) -> list[int]:
-    """Indices of the ``keep`` largest scores, lower index winning ties."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return sorted(order[:keep])
+    """Indices of the ``keep`` largest scores, lower index winning ties; a
+    NaN ranks below every number."""
+    vals = np.asarray(scores, dtype=np.float64).tolist()
+    # v == v is False only for NaN; one tolist, no numpy call per score
+    ranks = [(False, -v, i) if v == v else (True, 0.0, i) for i, v in enumerate(vals)]
+    return sorted(i for *_, i in sorted(ranks)[:keep])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,9 @@ def density_whitelist(
     the decimal M_f (``data.exact_share``).  neighbors must exceed N/2 so
     any honest majority overlaps every neighbourhood.  A zero row's
     cosines are 0; a non-finite cosine between non-zero rows (an
-    overflowing norm) is 0 too, and logged.
+    overflowing norm or a NaN entry) is 0 too, and a non-finite euclidean
+    similarity is -inf; both are counted in one logged warning.  Neither
+    metric lets numpy warn about the overflow.
     """
     n = len(views)
     if n == 0:
@@ -119,28 +124,27 @@ def density_whitelist(
         raise ConfigError(f"neighbors must exceed N/2, got {neighbors} with N={n}")
     if neighbors > n:
         raise ConfigError(f"neighbors {neighbors} larger than the cohort {n}")
-    x = np.asarray(views, dtype=np.float64)
-    if metric == "cos":
-        norms = np.linalg.norm(x, axis=1)
-        sim = x @ x.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = sim / np.outer(norms, norms)
-        zero = norms == 0.0
-        sim[zero, :] = 0.0
-        sim[:, zero] = 0.0
-        bad = ~np.isfinite(sim)
-        if bad.any():
-            log.warning(
-                "%d non-finite cosine similarities between non-zero rows; scoring them 0",
-                int(bad.sum()),
-            )
-            sim[bad] = 0.0
-    elif metric == "euc":
-        sq = np.sum(x * x, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-        sim = -np.sqrt(d2)
-    else:
+    if metric not in ("cos", "euc"):
         raise ConfigError(f"unknown density metric {metric!r}")
+    x = np.asarray(views, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if metric == "cos":
+            norms = np.linalg.norm(x, axis=1)
+            sim = (x @ x.T) / np.outer(norms, norms)
+            zero = norms == 0.0
+            sim[zero, :] = 0.0
+            sim[:, zero] = 0.0
+        else:
+            sq = np.sum(x * x, axis=1)
+            sim = -np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+    bad = ~np.isfinite(sim)
+    if bad.any():
+        if metric == "cos":
+            note, fill = "cosine similarities between non-zero rows; scoring them 0", 0.0
+        else:
+            note, fill = "euclidean similarities; scoring them -inf", -np.inf
+        log.warning("%d non-finite %s", int(bad.sum()), note)
+        sim[bad] = fill
     ranked = np.sort(sim, axis=1)[:, ::-1]
     scores = ranked[:, :neighbors].sum(axis=1)
     keep = n - math.floor(exact_share(assumed_malicious, n))
@@ -180,7 +184,9 @@ def fang_whitelist(
     leave-one-out value means the excluded client was hurting, so the
     ceil(M_f * N) lowest are rejected under each criterion and the
     whitelist is the intersection of the two keep-sets (loss keep-set on an
-    empty intersection).  The count is taken on the decimal M_f
+    empty intersection).  A probe whose loss is not finite scores +inf:
+    the model is broken even without client i, so i is not the one
+    breaking it.  The count is taken on the decimal M_f
     (``data.exact_share``); an M_f that would reject every client is a
     ``ConfigError`` before the first probe.
 
@@ -226,7 +232,8 @@ def fang_whitelist(
         buf *= scale
         np.subtract(theta, buf, out=buf)
         trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features)
-        losses[i] = nn.loss_value(trace, validation.labels)
+        loss = nn.loss_value(trace, validation.labels)
+        losses[i] = loss if math.isfinite(loss) else math.inf
         errors[i] = float(
             np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
         )
@@ -252,7 +259,8 @@ def fltrust_aggregate(
     Trust score per client is the ReLU-clipped cosine between the client's
     row in ``views`` and the server reference's amplified row ``ref_view``;
     each original update is rescaled to the reference norm before
-    weighting.  All trust at zero yields a zero update (round skipped).
+    weighting.  A zero-trust row adds nothing, not even 0 * NaN, and all
+    trust at zero yields a zero update (round skipped).
     """
     n = len(views)
     if n == 0 or n != len(originals):
@@ -262,10 +270,12 @@ def fltrust_aggregate(
     total = ts.sum()
     if total == 0.0:
         log.warning("all trust scores zero; emitting a zero update")
-        update = 0.0 * originals[0]
+        update = np.zeros_like(originals[0])
     else:
         update = None
         for w, g in zip(ts, originals):
+            if w == 0.0:
+                continue
             gn = float(np.linalg.norm(g))
             scale = 0.0 if gn == 0.0 else w * ref_norm / gn
             term = (scale / total) * g

@@ -30,12 +30,11 @@ Both views write into one preallocated (N, L) matrix.
 
 The class-activation route scores each conv filter by its Grad-CAM
 weight, the spatial mean of d y / d A^k (y = batch-summed true-class
-logit).  ``nn.activation_weights`` reads the weights off the gradient at
-the pooled output; ``grad_cam_weights`` of the full walk
-``nn.feature_map_grads`` is the reference.  The route keeps the top
-ceil(top_p * filters) filters and emits the client's original conv weight
-gradients for those filters in rank order, read through the conv weight
-view of a model built on the client's row.
+logit), which ``nn.activation_weights`` reads off the gradient at the
+pooled output.  The route keeps the top ceil(top_p * filters) filters and
+emits the client's original conv weight gradients for those filters in
+rank order, read through the conv weight view of a model built on the
+client's row.
 """
 
 from __future__ import annotations
@@ -84,20 +83,6 @@ class AmplifiedGradient:
 # max filter
 
 
-def max_filter(mat: np.ndarray, kernel: int) -> np.ndarray:
-    """Per-patch signed maximum over a kernel x kernel tiling.
-
-    Output is ceil(H/k) x ceil(W/k); edge patches may be ragged and are
-    reduced as-is.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ConfigError(f"max_filter expects a matrix, got shape {mat.shape}")
-    if kernel < 1:
-        raise ConfigError("kernel must be >= 1")
-    return nn.block_max(mat, kernel)
-
-
 def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig) -> np.ndarray:
     """Max-filter each 2-D panel of each update row and concatenate.
 
@@ -144,15 +129,6 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
 
 # ---------------------------------------------------------------------------
 # class-activation route
-
-
-def grad_cam_weights(feature_map_grads: np.ndarray) -> np.ndarray:
-    """Per-filter importance: spatial mean of the captured d y / d A^k
-    (the reference for ``nn.activation_weights``)."""
-    g = np.asarray(feature_map_grads, dtype=np.float64)
-    if g.ndim != 3:
-        raise ConfigError(f"expected (filters, H, W) gradients, got shape {g.shape}")
-    return g.mean(axis=(1, 2))
 
 
 def select_top(alpha: np.ndarray, top_p: float) -> np.ndarray:

@@ -9,19 +9,18 @@ list of layers drawn from five kinds:
     relu     elementwise max(x, 0)
     softmax  final probability layer (must be last, appears exactly once)
 
-A model carries at most one conv layer; when present it is the designated
-layer whose output feature maps back the class-activation weighting used
-by the feature-map amplifier.  The loss is mean softmax cross-entropy.
+A conv layer may only be the first layer, so a model carries at most one;
+its output feature maps back the class-activation weighting used by the
+feature-map amplifier.  The loss is mean softmax cross-entropy.
 
 Kernels:
   * One conv kernel, im2col (Chellapilla, Puri & Simard, 2006).
     ``_conv_forward`` is a valid correlation over any leading stack axes:
     one im2col copy of a ``sliding_window_view`` and one ``matmul`` per
-    model.  It is used three ways: the forward; the weight gradient, x
-    correlated with d with the batch and channel axes swapped; and the
-    input gradient, the padded d correlated with the flipped kernel.  The
-    first layer skips its input gradient unless the caller asks for the
-    gradient w.r.t. the model input.
+    model.  It is used twice: the forward, and the weight gradient, x
+    correlated with d with the batch and channel axes swapped.  The
+    backward forms no gradient at the model input, and the conv is the
+    first layer, so a conv never needs its input gradient.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once
     whose (m, ...) weights view the rows of one (m, P) matrix: dense and
     conv are stacked ``matmul``s, and relu, maxpool and softmax work over
@@ -63,15 +62,13 @@ Conventions:
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
     per-layer rows in ``BENCHMARK.json`` name them.
-  * Feature-map gradients are d y / d A summed over the batch, where y is
-    the pre-softmax logit of each sample's true class, summed over the
-    batch.  ``feature_map_grads`` computes them with a walk that stops at
-    the conv layer's output and forms no parameter gradient; it is the
-    reference.  The activation-guided amplifier needs only their spatial
-    means, the Grad-CAM weights, and ``activation_weights`` reads those off
-    the gradient at the pooled output of the conv -> relu -> maxpool head
-    without routing a maxpool backward.  The two differ only in the order
-    of summation.
+  * ``activation_weights`` gives each conv filter its Grad-CAM weight
+    (Selvaraju et al., 2017): the spatial mean of d y / d A for the conv
+    output A, summed over the batch, where y is the batch-summed
+    pre-softmax logit of each sample's true class.  It takes only
+    ``conv_model``'s layout and reads the weights off the gradient at the
+    pooled output, one product with the dense weight, with no backward
+    pass and no maxpool routing.
 """
 
 from __future__ import annotations
@@ -142,16 +139,13 @@ class ModelParams:
     """
 
     def __init__(self, layers: list[Layer], theta: np.ndarray | None = None) -> None:
-        conv_count = 0
-        for layer in layers:
+        for i, layer in enumerate(layers):
             if layer.kind not in LAYER_KINDS:
                 raise ConfigError(f"unknown layer kind {layer.kind!r}")
-            if layer.kind == "conv":
-                conv_count += 1
+            if layer.kind == "conv" and i > 0:
+                raise ConfigError(f"a conv layer must be the first layer, got one at layer {i}")
             if layer.kind == "maxpool" and layer.pool < 1:
                 raise ConfigError(f"maxpool kernel must be >= 1, got {layer.pool}")
-        if conv_count > 1:
-            raise ConfigError("at most one conv layer is supported")
         if not layers or layers[-1].kind != "softmax":
             raise ConfigError("model must end with a softmax layer")
         arrays = [a for layer in layers for a in (layer.weight, layer.bias) if a is not None]
@@ -164,10 +158,7 @@ class ModelParams:
         self.layers = _views(layers, theta)
 
     def conv_index(self) -> int | None:
-        for i, layer in enumerate(self.layers):
-            if layer.kind == "conv":
-                return i
-        return None
+        return 0 if self.layers[0].kind == "conv" else None
 
 
 @dataclass
@@ -408,50 +399,33 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
 
 
 def _backprop(
-    model: ModelParams,
-    trace: ForwardTrace,
-    dlogits: np.ndarray,
-    want_params: bool,
-    stop_after: int | None = None,
-    out: np.ndarray | None = None,
-) -> tuple[list[tuple[np.ndarray | None, np.ndarray | None]], np.ndarray | None]:
-    """Push dlogits back through the graph.
-
-    Returns (per-layer parameter grads, gradient w.r.t. the output of layer
-    ``stop_after``; -1 means the model input).  The parameter grads are
-    views of one flat buffer shaped like ``model.theta``: ``out`` when
-    given, else a new one.  When want_params is False the parameter slots
-    stay None and the walk ends at the captured layer.  The input gradient
-    of the first layer is computed only for ``stop_after == -1``, the one
-    caller that reads it.
+    model: ModelParams, trace: ForwardTrace, dlogits: np.ndarray, out: np.ndarray | None = None
+) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Push dlogits back through the graph and return the per-layer
+    parameter gradients, views of one flat buffer shaped like
+    ``model.theta``: ``out`` when given, else a new one.  Parameter-free
+    layers hold (None, None).  The first layer's input gradient is never
+    formed, so a conv, always the first layer, forms only its weight and
+    bias gradients.
     """
-    if want_params:
-        out = np.empty_like(model.theta) if out is None else out
-        lead = model.theta.ndim - 1
-        grads = [(v.weight, v.bias) for v in _views(model.layers, out, lead)]
-    else:
-        grads = [(None, None) for _ in model.layers]
-    d = dlogits
-    captured = None
+    out = np.empty_like(model.theta) if out is None else out
+    grads = [(v.weight, v.bias) for v in _views(model.layers, out, model.theta.ndim - 1)]
+    d = dlogits  # already the gradient at the softmax layer's input
     for i in range(len(model.layers) - 1, -1, -1):
-        if i == stop_after:
-            captured = d
-            if not want_params:
-                break
         layer = model.layers[i]
         x = trace.inputs[i]
-        need_dx = i > 0 or stop_after == -1
-        if layer.kind == "softmax":
-            # dlogits is already the gradient at this layer's input.
-            pass
-        elif layer.kind == "dense":
+        gw, gb = grads[i]
+        if layer.kind == "dense":
             w = layer.weight
-            if want_params:
-                gw, gb = grads[i]
-                np.matmul(d.swapaxes(-1, -2), x.reshape(x.shape[: w.ndim - 1] + (-1,)), out=gw)
-                d.sum(axis=-2, out=gb)
-            if need_dx:
+            np.matmul(d.swapaxes(-1, -2), x.reshape(x.shape[: w.ndim - 1] + (-1,)), out=gw)
+            d.sum(axis=-2, out=gb)
+            if i > 0:
                 d = (d @ w).reshape(x.shape)
+        elif layer.kind == "conv":  # x correlated with d, batch and channel axes swapped
+            gw[...] = _conv_forward(x.swapaxes(-4, -3), d.swapaxes(-4, -3)).swapaxes(-4, -3)
+            d.sum(axis=(-4, -2, -1), out=gb)
+        elif i == 0:
+            pass  # no gradient at the model input
         elif layer.kind == "relu":
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
@@ -463,18 +437,7 @@ def _backprop(
             for cell, miss in block_argmax(x[crop], pooled, k):
                 dx_cropped[cell] = np.where(miss, 0.0, d)
             d = dx
-        elif layer.kind == "conv":
-            if want_params:  # x correlated with d, batch and channel axes swapped
-                gw, gb = grads[i]
-                gw[...] = _conv_forward(x.swapaxes(-4, -3), d.swapaxes(-4, -3)).swapaxes(-4, -3)
-                d.sum(axis=(-4, -2, -1), out=gb)
-            if need_dx:  # the padded d correlated with the flipped kernel
-                kh, kw = layer.weight.shape[-2:]
-                pad = [(0, 0)] * (d.ndim - 2) + [(kh - 1, kh - 1), (kw - 1, kw - 1)]
-                d = _conv_forward(np.pad(d, pad), np.flip(layer.weight, (-2, -1)).swapaxes(-4, -3))
-    if stop_after == -1:
-        captured = d
-    return grads, captured
+    return grads
 
 
 def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
@@ -494,38 +457,28 @@ def backward(
     flat buffer shaped like ``model.theta`` (``out`` when given)."""
     onehot = _onehot(trace, labels)
     dlogits = (trace.probs - onehot) / onehot.shape[-2]
-    grads, _ = _backprop(model, trace, dlogits, want_params=True, out=out)
-    return GradientSet(grads)
-
-
-def feature_map_grads(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
-    """d y / d A for the conv layer's output A, summed over the batch, where
-    y is the batch-summed true-class logit.  Only the layers above the conv
-    layer are walked and no parameter gradient is formed."""
-    ci = model.conv_index()
-    if ci is None:
-        raise ConfigError("feature-map capture needs a conv layer")
-    _, dmaps = _backprop(model, trace, _onehot(trace, labels), want_params=False, stop_after=ci)
-    return dmaps.sum(axis=0)
+    return GradientSet(_backprop(model, trace, dlogits, out))
 
 
 def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
-    """Per-filter Grad-CAM weight: the spatial mean of ``feature_map_grads``,
-    read off the gradient G at the pooled output of a conv -> relu ->
-    maxpool head.  Each pooled cell's gradient reaches exactly one conv
-    position, and the relu passes it there iff the pooled value is > 0, so
-    the sum over positions is that of G * [pooled > 0] and no routing pass
-    is needed.  The mask is a product, as in the relu backward, so a NaN
-    in G still propagates.  The mean divides by the conv output's full
-    H*W, cropped trailing cells included."""
-    ci = model.conv_index()
-    if ci is None:
-        raise ConfigError("feature-map capture needs a conv layer")
-    if [layer.kind for layer in model.layers[ci + 1 : ci + 3]] != ["relu", "maxpool"]:
-        raise ConfigError("activation weights need conv -> relu -> maxpool")
-    _, d = _backprop(model, trace, _onehot(trace, labels), want_params=False, stop_after=ci + 2)
-    h, w = trace.inputs[ci + 1].shape[-2:]
-    return (d * (trace.inputs[ci + 3] > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
+    """Per-filter Grad-CAM weight, the spatial mean of d y / d A over the
+    conv output A (see the module docstring), for ``conv_model``'s layout
+    conv -> relu -> maxpool -> dense -> softmax.
+
+    The gradient G at the pooled output is the one-hot labels times the
+    dense weight, the product the backward makes at the dense layer.  Each
+    pooled cell's gradient reaches exactly one conv position, and the relu
+    passes it there iff the pooled value is > 0, so the sum over positions
+    is that of G * [pooled > 0] and no routing pass is needed.  The mask is
+    a product, as in the relu backward, so a NaN in G still propagates.
+    The mean divides by the conv output's full H*W, cropped trailing cells
+    included."""
+    if [layer.kind for layer in model.layers] != ["conv", "relu", "maxpool", "dense", "softmax"]:
+        raise ConfigError("activation weights need conv -> relu -> maxpool -> dense -> softmax")
+    pooled = trace.inputs[3]
+    g = (_onehot(trace, labels) @ model.layers[3].weight).reshape(pooled.shape)
+    h, w = trace.inputs[1].shape[-2:]
+    return (g * (pooled > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
 
 
 def loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:

@@ -4,6 +4,7 @@ model only ever moves along original updates."""
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gradamp import nn
 from gradamp.aggregate import (
     AggregatorConfig,
     RoundContext,
+    _keep_top,
     aggregate_round,
     density_whitelist,
     fang_whitelist,
@@ -71,13 +73,51 @@ def test_density_non_finite_cosines_score_zero_with_a_warning(caplog):
     # (1e200, 1e200)'s norm overflows: its self-cosine is inf/inf, NaN,
     # while its cosines with the finite rows are finite over inf, 0
     amped = [dense_grads(v) for v in [(1.0, 0.0), (0.9, 0.1), (1e200, 1e200), (0.8, 0.2)]]
-    with caplog.at_level(logging.WARNING, logger="gradamp.aggregate"), np.errstate(over="ignore"):
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
+        warnings.simplefilter("error")  # and numpy prints nothing
         wl, scores = density_whitelist(amped, "cos", neighbors=3, assumed_malicious=0.25)
     assert [r.getMessage() for r in caplog.records] == [
         "1 non-finite cosine similarities between non-zero rows; scoring them 0"
     ]
     assert scores[2] == 0.0 and np.isfinite(scores).all()
     assert wl == [0, 1, 3]
+
+
+def test_keep_top_ranks_nan_below_every_number():
+    nan, inf = math.nan, math.inf
+    assert _keep_top([1.0, nan, 0.5, nan, 2.0], 3) == [0, 2, 4]
+    assert _keep_top(np.array([nan, -inf, nan, 3.0]), 2) == [1, 3]
+    assert _keep_top([nan, nan, nan], 2) == [0, 1]
+
+
+@pytest.mark.parametrize("family", ["dist-cos", "dist-euc", "dist-merged", "fang", "fltrust"])
+@pytest.mark.parametrize("bad", ["huge", "nan"])
+@pytest.mark.parametrize("culprit", range(6))
+def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog):
+    # Six similar MLP updates; the culprit's row is scaled by 1e305 (its
+    # norm and products overflow) or holds one NaN.
+    model = nn.mlp_model(6, 5, 3, seed=64)
+    rng = rng_stream(65)
+    base = 0.05 * rng.normal(size=model.theta.size)
+    grads = base + 0.01 * rng.normal(size=(6, model.theta.size))
+    if bad == "huge":
+        grads[culprit] *= 1e305
+    else:
+        grads[culprit, 3] = np.nan
+    context = RoundContext(
+        model,
+        validation=Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3),
+        ref_update=base,
+    )
+    config = AggregatorConfig(family=family, amplifier=AmplifierConfig(kind="none"))
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
+        if family.startswith("dist-"):
+            warnings.simplefilter("error")  # the density screens let numpy print nothing
+        decision = aggregate_round(grads, config, context)
+    assert not decision.accepted[culprit] and decision.accepted.any()
+    assert np.isfinite(decision.global_update).all()
+    if family in ("dist-euc", "dist-merged"):
+        assert any("non-finite euclidean" in r.getMessage() for r in caplog.records)
 
 
 def test_density_identical_vectors_keep_lowest_indices():

@@ -12,8 +12,6 @@ from gradamp.amplify import (
     amplify,
     amplify_mp,
     amplify_xai,
-    grad_cam_weights,
-    max_filter,
     select_top,
     xai_selection,
 )
@@ -35,22 +33,22 @@ def brute_force_max(mat, kernel):
 
 
 def test_max_filter_frozen_fixtures():
-    assert np.array_equal(max_filter([[1.0, 2.0], [3.0, 4.0]], 2), [[4.0]])
+    assert np.array_equal(nn.block_max(np.array([[1.0, 2.0], [3.0, 4.0]]), 2), [[4.0]])
     mat = np.arange(1.0, 17.0).reshape(4, 4)
-    assert np.array_equal(max_filter(mat, 2), [[6.0, 8.0], [14.0, 16.0]])
+    assert np.array_equal(nn.block_max(mat, 2), [[6.0, 8.0], [14.0, 16.0]])
     # Signed: all-negative patches keep their (negative) maximum.
-    assert np.array_equal(max_filter([[-5.0, -1.0], [-3.0, -2.0]], 2), [[-1.0]])
+    assert np.array_equal(nn.block_max(np.array([[-5.0, -1.0], [-3.0, -2.0]]), 2), [[-1.0]])
 
 
 def test_max_filter_kernel_one_is_identity():
     mat = rng_stream(30).normal(size=(5, 7))
-    assert np.array_equal(max_filter(mat, 1), mat)
+    assert np.array_equal(nn.block_max(mat, 1), mat)
 
 
 def test_max_filter_ragged_edges():
     # 3x5 with kernel 2: output 2x3, edge patches reduced as-is.
     mat = np.arange(15.0).reshape(3, 5)
-    got = max_filter(mat, 2)
+    got = nn.block_max(mat, 2)
     assert got.shape == (2, 3)
     assert np.array_equal(got, brute_force_max(mat, 2))
     # Bottom-right corner patch is the lone cell 14.
@@ -64,20 +62,13 @@ def test_max_filter_matches_brute_force():
         w = int(rng.integers(1, 13))
         k = int(rng.integers(1, 6))
         mat = rng.normal(size=(h, w))
-        assert np.array_equal(max_filter(mat, k), brute_force_max(mat, k))
+        assert np.array_equal(nn.block_max(mat, k), brute_force_max(mat, k))
 
 
 def test_max_filter_positive_scale_equivariance():
     rng = rng_stream(32)
     mat = rng.normal(size=(6, 9))
-    assert np.array_equal(max_filter(3.0 * mat, 2), 3.0 * max_filter(mat, 2))
-
-
-def test_max_filter_rejects_bad_input():
-    with pytest.raises(ConfigError):
-        max_filter(np.zeros((2, 2, 2)), 2)
-    with pytest.raises(ConfigError):
-        max_filter(np.zeros((2, 2)), 0)
+    assert np.array_equal(nn.block_max(3.0 * mat, 2), 3.0 * nn.block_max(mat, 2))
 
 
 def grads_of(matrix, bias=None):
@@ -229,7 +220,7 @@ def test_patch_max_kernel_matches_naive_loops():
                     assert np.array_equal(got, expect, equal_nan=True), (n, k, h, w, c)
                     expect = naive_patch_max(x[c], k, restore=True)
                     assert restored[c].tobytes() == expect.tobytes(), (n, k, h, w, c)
-                    single = max_filter(x[c], k).ravel()
+                    single = nn.block_max(x[c], k).ravel()
                     assert np.array_equal(single, compact[c], equal_nan=True)
     # The same kernel on a ragged (B, C, h, w) stack, the maxpool layout:
     # ties, an all-zero block and one NaN block (in the last map).
@@ -269,15 +260,6 @@ def test_stacked_amplify_mp_equals_per_client():
                         assert row.tobytes() == alone.tobytes()
                     wrapped = amplify(grads, cfg, model)
                     assert [a.original_size for a in wrapped] == [size] * len(grads)
-
-
-def test_grad_cam_weights_frozen_fixture():
-    maps = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    assert np.array_equal(grad_cam_weights(maps), [2.5])
-    two = np.stack([maps[0], -maps[0]])
-    assert np.array_equal(grad_cam_weights(two), [2.5, -2.5])
-    with pytest.raises(ConfigError):
-        grad_cam_weights(np.zeros((2, 2)))
 
 
 def test_select_top_frozen_fixture():
@@ -324,7 +306,7 @@ def test_xai_selection_matches_weight_ranking():
         for update in updates:
             updated = nn.apply_update(model, update, 1.0)
             trace = nn.forward(updated, val.features)
-            alpha = grad_cam_weights(nn.feature_map_grads(updated, trace, val.labels))
+            alpha = nn.activation_weights(updated, trace, val.labels)
             for top_p in (0.2, 0.5, 0.75, 1.0):
                 assert np.array_equal(
                     xai_selection(model, update, val, top_p), select_top(alpha, top_p)
@@ -338,7 +320,6 @@ def test_xai_selection_routes_no_maxpool_backward(monkeypatch):
         raise AssertionError("xai selection walked the maxpool backward")
 
     monkeypatch.setattr(nn, "block_argmax", refuse)
-    monkeypatch.setattr(nn, "feature_map_grads", refuse)
     model, val, updates = xai_setup(47, filters=6)
     assert xai_selection(model, updates[0], val, 0.5).size == 3
     out = amplify_xai(updates, model, val, AmplifierConfig(kind="xai", top_p=0.5))

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradamp import nn
-from gradamp.amplify import grad_cam_weights, select_top
+from gradamp.amplify import select_top
 from gradamp.data import Dataset
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
@@ -86,43 +86,18 @@ def test_gradients_match_finite_differences_mlp(hidden):
 
 
 def test_gradients_match_finite_differences_conv():
-    model = nn.conv_model((1, 6, 6), 3, seed=5, filters=2, kernel=3, pool=2)
-    rng = rng_stream(6)
-    x = rng.normal(size=(4, 1, 6, 6))
-    y = rng.integers(0, 3, size=4)
-    trace = nn.forward(model, x)
-    analytic = nn.backward(model, trace, y).to_vector()
-    numeric = fd_gradient(model, x, y)
-    assert rel_err(analytic, numeric) <= FD_TOL
-
-
-def test_feature_map_gradients_match_finite_differences():
-    model = nn.conv_model((1, 6, 6), 3, seed=7, filters=2, kernel=3, pool=2)
-    rng = rng_stream(8)
-    x = rng.normal(size=(5, 1, 6, 6))
-    y = rng.integers(0, 3, size=5)
-    trace = nn.forward(model, x)
-    fmg = nn.feature_map_grads(model, trace, y)
-
-    ci = model.conv_index()
-    tail = nn.ModelParams(model.layers[ci + 1 :])
-    maps = trace.inputs[ci + 1]
-
-    def summed_true_logit(a):
-        logits = nn.forward(tail, a).logits
-        return float(logits[np.arange(len(y)), y].sum())
-
-    numeric = np.zeros_like(fmg)
-    for k in range(fmg.shape[0]):
-        for i in range(fmg.shape[1]):
-            for j in range(fmg.shape[2]):
-                up, down = maps.copy(), maps.copy()
-                up[:, k, i, j] += FD_STEP
-                down[:, k, i, j] -= FD_STEP
-                numeric[k, i, j] = (
-                    summed_true_logit(up) - summed_true_logit(down)
-                ) / (2.0 * FD_STEP)
-    assert rel_err(fmg, numeric) <= FD_TOL
+    # The 7x8 and 8x7 inputs give 5x6 and 6x5 conv outputs, so the maxpool
+    # crops trailing cells and its backward scatters the routed gradient
+    # back into the full map.
+    for shape, pool, seed in (((1, 6, 6), 2, ()), ((1, 7, 8), 2, (1,)), ((2, 8, 7), 3, (2,))):
+        model = nn.conv_model(shape, 3, seed=5, filters=2, kernel=3, pool=pool)
+        rng = rng_stream(6, *seed)
+        x = rng.normal(size=(4, *shape))
+        y = rng.integers(0, 3, size=4)
+        trace = nn.forward(model, x)
+        analytic = nn.backward(model, trace, y).to_vector()
+        numeric = fd_gradient(model, x, y)
+        assert rel_err(analytic, numeric) <= FD_TOL, (shape, pool)
 
 
 def test_capture_without_conv_layer_raises():
@@ -130,7 +105,7 @@ def test_capture_without_conv_layer_raises():
     x = rng_stream(11).normal(size=(2, 4))
     trace = nn.forward(model, x)
     with pytest.raises(ConfigError):
-        nn.feature_map_grads(model, trace, np.array([0, 1]))
+        nn.activation_weights(model, trace, np.array([0, 1]))
 
 
 def test_perfect_predictions_give_zero_gradient():
@@ -159,26 +134,6 @@ def test_maxpool_drops_trailing_cells():
     pooled = trace.inputs[1]
     assert pooled.shape == (1, 1, 2, 2)
     assert np.array_equal(pooled[0, 0], [[6.0, 8.0], [16.0, 18.0]])
-
-
-def test_maxpool_routes_gradient_to_first_max():
-    # All-equal block: the gradient lands on the first flattened position.
-    model = nn.ModelParams(
-        [
-            nn.Layer("maxpool", pool=2),
-            nn.Layer("dense", np.ones((2, 1)), np.zeros(2)),
-            nn.Layer("softmax"),
-        ]
-    )
-    x = np.full((1, 1, 2, 2), 3.0)
-    trace = nn.forward(model, x)
-    # stop_after=-1 captures the gradient w.r.t. the model input.
-    _, captured = nn._backprop(
-        model, trace, np.array([[1.0, 0.0]]), want_params=False, stop_after=-1
-    )
-    assert captured.shape == x.shape
-    assert captured[0, 0, 0, 0] != 0.0
-    assert np.count_nonzero(captured) == 1
 
 
 def naive_conv(x, w, b):
@@ -213,6 +168,12 @@ def conv_head(w, b, rng, flat):
     ]
 
 
+def conv_output_grad(model, trace, dlogits):
+    """The gradient at a ``conv_head``'s conv output: dlogits times the
+    dense weight, reshaped to the output's maps."""
+    return (dlogits @ model.layers[1].weight).reshape(trace.inputs[1].shape)
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -222,8 +183,8 @@ def assert_same_bits(got, want):
 def test_conv_kernels_match_naive_loops(kernel):
     # Three channels and odd sizes: shapes that conv_model never makes.
     # First one model, then a stack of three trained as one the way
-    # local_train does, where each model's forward, gradients and input
-    # gradient are the bits of its one-model call.
+    # local_train does, where each model's forward and gradients are the
+    # bits of its one-model call.
     kh, kw = kernel
     rng = rng_stream(30, kh, kw)
     x = rng.normal(size=(3, 3, 7, 9))
@@ -235,7 +196,9 @@ def test_conv_kernels_match_naive_loops(kernel):
     flat = out[0].size
     model = nn.ModelParams(conv_head(w, b, rng, flat))
     trace = nn.forward(model, x)
-    grads, d = nn._backprop(model, trace, rng.normal(size=(3, 2)), want_params=True, stop_after=0)
+    dlogits = rng.normal(size=(3, 2))
+    grads = nn._backprop(model, trace, dlogits)
+    d = conv_output_grad(model, trace, dlogits)
     np.testing.assert_allclose(grads[0][0], naive_conv_dw(x, d, kh, kw), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(grads[0][1], d.sum(axis=(0, 2, 3)), rtol=0.0, atol=1e-12)
 
@@ -249,7 +212,7 @@ def test_conv_kernels_match_naive_loops(kernel):
     stack = nn._ClientStack(nn._views(model.layers, theta), theta)
     dlogits = rng.normal(size=(m, 3, 2))
     trace = nn.forward(stack, xs)
-    grads, dx = nn._backprop(stack, trace, dlogits, want_params=True, stop_after=-1)
+    grads = nn._backprop(stack, trace, dlogits)
     for c, one in enumerate(models):
         layer = one.layers[0]
         one_trace = nn.forward(one, xs[c])
@@ -257,10 +220,8 @@ def test_conv_kernels_match_naive_loops(kernel):
         np.testing.assert_allclose(
             conv_out, naive_conv(xs[c], layer.weight, layer.bias), rtol=0.0, atol=1e-12
         )
-        _, d = nn._backprop(one, one_trace, dlogits[c], want_params=False, stop_after=0)
-        one_grads, one_dx = nn._backprop(
-            one, one_trace, dlogits[c], want_params=True, stop_after=-1
-        )
+        d = conv_output_grad(one, one_trace, dlogits[c])
+        one_grads = nn._backprop(one, one_trace, dlogits[c])
         np.testing.assert_allclose(
             one_grads[0][0], naive_conv_dw(xs[c], d, kh, kw), rtol=0.0, atol=1e-12
         )
@@ -271,7 +232,6 @@ def test_conv_kernels_match_naive_loops(kernel):
             for g, o in zip(got, want):
                 if o is not None:
                     assert_same_bits(g[c], o)
-        assert_same_bits(dx[c], one_dx)
 
 
 def tensordot_conv(x, w, b=None):
@@ -288,8 +248,6 @@ def tensordot_conv(x, w, b=None):
     "n, c, f, kernel, size",
     [
         (3, 3, 4, (2, 3), (7, 9)),
-        # One channel and one filter: the flipped kernel's matrix is a
-        # strided view, which matmul would multiply without BLAS.
         (2, 1, 1, (3, 3), (6, 6)),
         # A 1x1 kernel on a batch of one: the weight gradient's columns are
         # an F-ordered view, which BLAS takes transposed.
@@ -310,18 +268,17 @@ def test_conv_products_keep_the_bits_of_the_tensordot_formulas(n, c, f, kernel, 
     assert_same_bits(trace.inputs[1], out)
 
     dlogits = rng.normal(size=(n, 2))
-    _, d = nn._backprop(model, trace, dlogits, want_params=False, stop_after=0)
-    grads, dx = nn._backprop(model, trace, dlogits, want_params=True, stop_after=-1)
+    grads = nn._backprop(model, trace, dlogits)
+    d = conv_output_grad(model, trace, dlogits)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     assert_same_bits(grads[0][0], np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3))))
     assert_same_bits(grads[0][1], d.sum(axis=(0, 2, 3)))
-    padded = np.pad(d, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    assert_same_bits(dx, tensordot_conv(padded, np.flip(w, axis=(2, 3)).swapaxes(0, 1)))
 
 
 def naive_pool(x, k):
-    """Block max and argmax-routed backward, one block at a time; NaN
-    blocks pool to NaN and route to their first NaN, like argmax."""
+    """Block max and the position each block routes its gradient to, one
+    block at a time: its first maximum, or for a NaN block (which pools to
+    NaN) its first NaN, like argmax."""
     n, c, h, w = x.shape
     ho, wo = h // k, w // k
     pooled = np.zeros((n, c, ho, wo))
@@ -347,46 +304,27 @@ def test_maxpool_matches_naive_loops_on_ties_and_nan():
     x[1, 2, 0:3, 3:6] = 0.7
     x[1, 0, 7, 5] = np.nan
     x[1, 0, 8, 4] = np.nan
-    pooled_ref, first = naive_pool(x, k)
+    pooled_ref, _ = naive_pool(x, k)
     assert np.sum(pooled_ref == 0.0) >= 1 and np.sum(np.isnan(pooled_ref)) == 1
 
     model = nn.ModelParams([nn.Layer("maxpool", pool=k), nn.Layer("softmax")])
     trace = nn.forward(model, x)
     np.testing.assert_array_equal(trace.inputs[1], pooled_ref)
 
-    upstream = rng.normal(size=pooled_ref.shape)
-    _, dx = nn._backprop(model, trace, upstream, want_params=False, stop_after=-1)
-    expect = np.zeros_like(x)
-    for idx in np.ndindex(*pooled_ref.shape):
-        r, col = first[idx]
-        expect[idx[0], idx[1], r, col] = upstream[idx]
-    np.testing.assert_array_equal(dx, expect)
 
-
-def test_first_layer_conv_input_gradient_matches_finite_differences():
-    # The input gradient of a first-layer conv is built only on request;
-    # stop_after=-1 must still return it, with or without parameter grads.
-    model = nn.conv_model((2, 6, 7), 3, seed=32, filters=3, kernel=3, pool=2)
-    rng = rng_stream(33)
-    x = rng.normal(size=(3, 2, 6, 7))
-    y = rng.integers(0, 3, size=3)
-    trace = nn.forward(model, x)
-    onehot = np.eye(3)[y]
-    dlogits = (trace.probs - onehot) / len(y)
-    _, dx = nn._backprop(model, trace, dlogits, want_params=False, stop_after=-1)
-    grads, dx_too = nn._backprop(model, trace, dlogits, want_params=True, stop_after=-1)
-    assert np.array_equal(dx, dx_too)
-    assert np.array_equal(
-        nn.GradientSet(grads).to_vector(), nn.backward(model, trace, y).to_vector()
-    )
-    numeric = np.zeros_like(x)
-    for idx in np.ndindex(*x.shape):
-        up, down = x.copy(), x.copy()
-        up[idx] += FD_STEP
-        down[idx] -= FD_STEP
-        numeric[idx] = (fd_loss(model, up, y) - fd_loss(model, down, y)) / (2.0 * FD_STEP)
-    assert dx.shape == x.shape
-    assert rel_err(dx, numeric) <= FD_TOL
+def naive_grad_cam(model, trace, y):
+    """Grad-CAM weights one pooled cell at a time: the cell's gradient
+    (one-hot labels times the dense weight) goes to the conv position its
+    block routes to, through the relu mask there; the maps are summed over
+    the batch and averaged over the conv output."""
+    conv_out = trace.inputs[1]
+    pooled, first = naive_pool(trace.inputs[2], model.layers[2].pool)
+    g = (np.eye(trace.probs.shape[-1])[y] @ model.layers[3].weight).reshape(pooled.shape)
+    maps = np.zeros(conv_out.shape[1:])
+    for s, k, i, j in np.ndindex(*pooled.shape):
+        r, c = first[s, k, i, j]
+        maps[k, r, c] += g[s, k, i, j] * (conv_out[s, k, r, c] > 0.0)
+    return maps.mean(axis=(1, 2))
 
 
 @pytest.mark.parametrize("pool", [1, 2, 3])
@@ -411,7 +349,7 @@ def test_activation_weights_match_the_walk(pool):
         assert np.isnan(pooled[1, :, 0, 0]).all() and np.isnan(pooled).sum() == 6
 
         alpha = nn.activation_weights(model, trace, y)
-        walk = grad_cam_weights(nn.feature_map_grads(model, trace, y))
+        walk = naive_grad_cam(model, trace, y)
         assert alpha[0] == 0.0 and alpha[2] == 0.0 and np.isfinite(alpha).all()
         np.testing.assert_allclose(alpha, walk, rtol=1e-12, atol=0.0)
         for top_p in (0.2, 0.5, 1.0):
@@ -421,7 +359,7 @@ def test_activation_weights_match_the_walk(pool):
         # every sample; both forms carry it into that filter's weight.
         model.layers[3].weight[0, 0] = np.nan
         nan_alpha = nn.activation_weights(model, trace, y)
-        nan_walk = grad_cam_weights(nn.feature_map_grads(model, trace, y))
+        nan_walk = naive_grad_cam(model, trace, y)
         assert np.isnan(nan_alpha).tolist() == [True] + [False] * 5
         np.testing.assert_allclose(nan_alpha, nan_walk, rtol=1e-12, atol=0.0)
 
@@ -438,10 +376,20 @@ def test_activation_weights_need_relu_then_maxpool_after_the_conv():
 def test_model_validation():
     with pytest.raises(ConfigError):
         nn.ModelParams([nn.Layer("dense", np.eye(2), np.zeros(2))])  # no softmax
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="conv layer must be the first layer, got one at layer 1"):
         nn.ModelParams(
             [
                 nn.Layer("conv", np.zeros((1, 1, 2, 2)), np.zeros(1)),
+                nn.Layer("conv", np.zeros((1, 1, 2, 2)), np.zeros(1)),
+                nn.Layer("softmax"),
+            ]
+        )
+    # The backward forms no input gradient for a conv, so one may come only first.
+    with pytest.raises(ConfigError, match="got one at layer 2"):
+        nn.ModelParams(
+            [
+                nn.Layer("maxpool", pool=1),
+                nn.Layer("relu"),
                 nn.Layer("conv", np.zeros((1, 1, 2, 2)), np.zeros(1)),
                 nn.Layer("softmax"),
             ]
