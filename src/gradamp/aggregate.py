@@ -83,10 +83,13 @@ def fedavg(rows) -> np.ndarray:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    """Cosine of two rows, 0 for a zero row; an overflow gives a non-finite
+    or 0 cosine without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        return float(np.dot(a, b) / (na * nb))
 
 
 def _keep_top(scores: np.ndarray, keep: int) -> list[int]:
@@ -175,6 +178,7 @@ def fang_whitelist(
     model: nn.ModelParams,
     validation: Dataset,
     assumed_malicious: float,
+    cols: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray]:
     """Loss and error leave-one-out screens over restored amplified updates.
 
@@ -184,9 +188,11 @@ def fang_whitelist(
     leave-one-out value means the excluded client was hurting, so the
     ceil(M_f * N) lowest are rejected under each criterion and the
     whitelist is the intersection of the two keep-sets (loss keep-set on an
-    empty intersection).  A probe whose loss is not finite scores +inf:
-    the model is broken even without client i, so i is not the one
-    breaking it.  The count is taken on the decimal M_f
+    empty intersection).  A probe whose loss is not finite scores +inf
+    under both screens: the model is broken even without client i, so i
+    is not the one breaking it.  The probes let numpy warn about no
+    overflow.  ``cols`` is the validation batch already ``nn.lower``ed,
+    when the caller has it.  The count is taken on the decimal M_f
     (``data.exact_share``); an M_f that would reject every client is a
     ``ConfigError`` before the first probe.
 
@@ -218,25 +224,27 @@ def fang_whitelist(
     scale = 1.0 / max(n - 1, 1)  # a lone client is its own probe
     losses = np.zeros(n)
     errors = np.zeros(n)
-    for i in range(n):
-        if i == 0:
-            np.copyto(buf, amped_restored[min(1, n - 1)])
-            np.copyto(prefix, amped_restored[0])
-            rest = amped_restored[2:]
-        else:
-            np.copyto(buf, prefix)
-            prefix += amped_restored[i]
-            rest = amped_restored[i + 1 :]
-        for row in rest:
-            buf += row
-        buf *= scale
-        np.subtract(theta, buf, out=buf)
-        trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features)
-        loss = nn.loss_value(trace, validation.labels)
-        losses[i] = loss if math.isfinite(loss) else math.inf
-        errors[i] = float(
-            np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(n):
+            if i == 0:
+                np.copyto(buf, amped_restored[min(1, n - 1)])
+                np.copyto(prefix, amped_restored[0])
+                rest = amped_restored[2:]
+            else:
+                np.copyto(buf, prefix)
+                prefix += amped_restored[i]
+                rest = amped_restored[i + 1 :]
+            for row in rest:
+                buf += row
+            buf *= scale
+            np.subtract(theta, buf, out=buf)
+            trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features, cols)
+            loss = nn.loss_value(trace, validation.labels)
+            if math.isfinite(loss):
+                losses[i] = loss
+                errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
+            else:
+                losses[i] = errors[i] = math.inf
     keep = n - reject
     keep_loss = set(_keep_top(losses, keep))
     keep_err = set(_keep_top(errors, keep))
@@ -297,6 +305,7 @@ class RoundContext:
     model: nn.ModelParams
     validation: Dataset | None = None     # screening and filter selection
     ref_update: np.ndarray | None = None  # server-trained trust reference, flat
+    validation_cols: np.ndarray | None = None  # validation features nn.lower'ed, conv only
 
 
 def _whitelist_decision(
@@ -319,15 +328,16 @@ def scored_views(
     trust cosine compares coordinates of the same filters.  fedavg scores
     nothing and gets the configured amplifier's rows."""
     amp = config.amplifier
+    model, validation, cols = context.model, context.validation, context.validation_cols
     if config.family != "fltrust":
-        return [a.values for a in amplify(grads, amp, context.model, context.validation)], None
+        return [a.values for a in amplify(grads, amp, model, validation, cols=cols)], None
     if context.ref_update is None:
         raise ConfigError("trust bootstrapping needs a server reference update")
     fixed = None
-    if amp.kind == "xai" and context.validation is not None:
-        fixed = xai_selection(context.model, context.ref_update, context.validation, amp.top_p)
-    views = amplify(grads, amp, context.model, context.validation, fixed)
-    ref = amplify(context.ref_update[None], amp, context.model, context.validation, fixed)[0]
+    if amp.kind == "xai" and validation is not None:
+        fixed = xai_selection(model, context.ref_update, validation, amp.top_p, cols)
+    views = amplify(grads, amp, model, validation, fixed, cols)
+    ref = amplify(context.ref_update[None], amp, model, validation, fixed, cols)[0]
     return [a.values for a in views], ref.values
 
 
@@ -352,7 +362,11 @@ def aggregate_round(
     if config.family == "fang":
         # restored amplified updates drive the prediction screens
         wl, scores = fang_whitelist(
-            views, context.model, context.validation, config.assumed_malicious
+            views,
+            context.model,
+            context.validation,
+            config.assumed_malicious,
+            context.validation_cols,
         )
         return _whitelist_decision(wl, scores, grads)
     neighbors = config.neighbors or n // 2 + 1

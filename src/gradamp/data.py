@@ -152,10 +152,13 @@ def load_csv(path: str) -> Dataset:
         elif len(parts) != width:
             raise IngestionError(f"{path}: line {lineno}: {len(parts)} fields, expected {width}")
         try:
-            labels.append(int(parts[0]))
+            label = int(parts[0])
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
+        if not -(2**63) <= label < 2**63:
+            raise IngestionError(f"{path}: line {lineno}: label {label} outside int64")
+        labels.append(label)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     feats = np.asarray(rows)

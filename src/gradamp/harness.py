@@ -164,6 +164,10 @@ class _Run:
     trainees: list[Dataset]
     test_set: Dataset
     validation: Dataset | None
+    # the validation features nn.lower'ed once for a conv model: every round
+    # runs them through up to 2N models; the test and triggered sets run
+    # only at checkpoints and are lowered there
+    validation_cols: np.ndarray | None
     triggered: Dataset | None
     model: nn.ModelParams
     rows: np.ndarray
@@ -221,7 +225,7 @@ class _Run:
         self.attack.train.train_all(self.model, self.trainees, r, self.rows)
         craft_updates(r, updates, self.model, cfg.attack, self.attack)  # the clean twin has no cohort
         ref_update = self.rows[n] if len(self.trainees) > n else None
-        round_ctx = RoundContext(self.model, self.validation, ref_update)
+        round_ctx = RoundContext(self.model, self.validation, ref_update, self.validation_cols)
         decision = aggregate_round(updates, cfg.aggregator, round_ctx)
         for i in range(n):
             self.decision_rows.append(
@@ -288,12 +292,19 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
         int(cfg["seeds.clients"]),
     )
     triggered = make_triggered_set(test_set, trigger) if trigger is not None else None
+    conv = model.conv_index()
+    validation_cols = (
+        nn.lower(validation.features, model.layers[conv].weight)
+        if validation is not None and conv is not None
+        else None
+    )
     return _Run(
         cfg=cfg,
         attack=AttackContext(malicious, shards, train, int(cfg["seeds.attack"]), trigger),
         trainees=trainees,
         test_set=test_set,
         validation=validation,
+        validation_cols=validation_cols,
         triggered=triggered if triggered is not None and len(triggered) > 0 else None,
         model=model,
         rows=np.empty((len(trainees), model.theta.size)),

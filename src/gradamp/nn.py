@@ -14,13 +14,17 @@ its output feature maps back the class-activation weighting used by the
 feature-map amplifier.  The loss is mean softmax cross-entropy.
 
 Kernels:
-  * One conv kernel, im2col (Chellapilla, Puri & Simard, 2006).
-    ``_conv_forward`` is a valid correlation over any leading stack axes:
-    one im2col copy of a ``sliding_window_view`` and one ``matmul`` per
-    model.  It is used twice: the forward, and the weight gradient, x
-    correlated with d with the batch and channel axes swapped.  The
-    backward forms no gradient at the model input, and the conv is the
-    first layer, so a conv never needs its input gradient.
+  * One lowering per conv batch, im2col (Chellapilla, Puri & Simard,
+    2006).  ``lower`` copies a ``sliding_window_view`` of the batch into
+    (..., c*kh*kw, n*ho*wo) columns, over any leading stack axes.  The
+    conv is the first layer, so the columns depend on the batch alone:
+    ``forward`` takes them ready-made (the harness lowers the validation
+    batch once per run) or lowers the batch itself, and keeps them in the
+    trace.  ``_conv_forward`` is one ``matmul`` per model over them, and
+    the weight gradient is d (..., f, n*ho*wo) times their transpose,
+    laid out as a second lowering would hand it to BLAS.  The backward
+    forms no gradient at the model input, so a conv never needs its input
+    gradient.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once
     whose (m, ...) weights view the rows of one (m, P) matrix: dense and
     conv are stacked ``matmul``s, and relu, maxpool and softmax work over
@@ -166,12 +170,15 @@ class ForwardTrace:
     """Activations recorded during ``forward``.
 
     ``inputs[i]`` is the array fed into layer i, so ``inputs[i + 1]`` is
-    layer i's output; ``logits`` are the pre-softmax scores.
+    layer i's output; ``logits`` are the pre-softmax scores.  ``cols`` is
+    the lowered batch the conv multiplied (see ``lower``), kept for its
+    weight gradient; None for a model without a conv.
     """
 
     inputs: list[np.ndarray]
     logits: np.ndarray
     probs: np.ndarray
+    cols: np.ndarray | None = None
 
 
 @dataclass
@@ -303,23 +310,35 @@ def _blas_ready(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
-    plus b (..., f) only when given (a zero bias would turn -0.0 into
-    +0.0): (..., n, f, ho, wo), one im2col copy and one ``matmul`` per
-    model."""
+def lower(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The im2col columns (..., c*kh*kw, n*ho*wo) of the batch x (..., n, c,
+    h, w) for a valid correlation with a kernel shaped like w (..., f, c,
+    kh, kw): column (s, i, j) holds sample s's c x kh x kw window at (i, j).
+    One copy of a ``sliding_window_view``, or a view of x where the
+    reshape needs no copy, as for a 1x1 kernel on a batch of one."""
+    x = np.asarray(x, dtype=np.float64)
     *stack, n, c, h, width = x.shape
-    f, _, kh, kw = w.shape[-4:]
+    kh, kw = w.shape[-2:]
     if h < kh or width < kw:
         raise ConfigError(f"conv input {h}x{width} smaller than kernel {kh}x{kw}")
     ho, wo = h - kh + 1, width - kw + 1
-    # (..., n, c, ho, wo, kh, kw) window view -> (..., c*kh*kw, n*ho*wo) columns.
+    # (..., n, c, ho, wo, kh, kw) window view -> (..., c, kh, kw, n, ho, wo)
     win = np.moveaxis(sliding_window_view(x, (kh, kw), axis=(-2, -1)), (-5, -2, -1), (-6, -5, -4))
-    cols = win.reshape(*stack, c * kh * kw, n * ho * wo)
+    return win.reshape(*stack, c * kh * kw, n * ho * wo)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
+    plus b (..., f): (..., n, f, ho, wo), one ``matmul`` per model over
+    ``cols``, x's ``lower``."""
+    *stack, n, c, h, width = x.shape
+    f, _, kh, kw = w.shape[-4:]
+    ho, wo = h - kh + 1, width - kw + 1
+    if cols.shape[-2:] != (c * kh * kw, n * ho * wo):
+        raise ConfigError(f"lowered batch of shape {cols.shape} for conv input {x.shape}")
     out = np.matmul(_blas_ready(w.reshape(*stack, f, -1)), _blas_ready(cols))
     out = out.reshape(*stack, f, n, ho, wo)
-    if b is not None:
-        out += b[..., None, None, None]
+    out += b[..., None, None, None]
     return out.swapaxes(-4, -3)
 
 
@@ -361,12 +380,14 @@ def block_argmax(x: np.ndarray, best: np.ndarray, k: int):
             yield cell, miss
 
 
-def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
+def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
     """Run the batch through every layer, recording inputs along the way.
 
     ``model`` may also be a client stack (``local_train``'s), whose (m, ...)
     layers take an (m, batch, ...) input: client c sees only its own batch
-    and weights."""
+    and weights.  ``cols`` is x already ``lower``ed for the model's conv,
+    which is then not lowered again; the conv is the first layer, so its
+    columns depend on the batch alone."""
     act = np.asarray(x, dtype=np.float64)
     inputs: list[np.ndarray] = []
     logits = None
@@ -379,7 +400,8 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
                 raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
             act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            act = _conv_forward(act, layer.weight, layer.bias)
+            cols = lower(act, layer.weight) if cols is None else cols
+            act = _conv_forward(act, layer.weight, layer.bias, cols)
         elif layer.kind == "maxpool":
             k = layer.pool
             ho, wo = act.shape[-2] // k, act.shape[-1] // k
@@ -395,7 +417,7 @@ def forward(model: ModelParams, x: np.ndarray) -> ForwardTrace:
             shifted = act - act.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             act = e / e.sum(axis=-1, keepdims=True)
-    return ForwardTrace(inputs=inputs, logits=logits, probs=act)
+    return ForwardTrace(inputs=inputs, logits=logits, probs=act, cols=cols)
 
 
 def _backprop(
@@ -421,8 +443,17 @@ def _backprop(
             d.sum(axis=-2, out=gb)
             if i > 0:
                 d = (d @ w).reshape(x.shape)
-        elif layer.kind == "conv":  # x correlated with d, batch and channel axes swapped
-            gw[...] = _conv_forward(x.swapaxes(-4, -3), d.swapaxes(-4, -3)).swapaxes(-4, -3)
+        elif layer.kind == "conv":
+            # d (..., f, n*ho*wo) times the transposed columns.  Lowering x
+            # again with the batch and channel axes swapped, ho x wo windows,
+            # gives those columns as a copy exactly when the forward's were
+            # one, else as this same view of x: each operand keeps the
+            # layout that lowering handed BLAS, and so the bits.
+            cols_t = trace.cols.swapaxes(-1, -2)
+            if not np.may_share_memory(trace.cols, x):
+                cols_t = np.ascontiguousarray(cols_t)
+            dm = d.swapaxes(-4, -3).reshape(*d.shape[:-4], d.shape[-3], -1)
+            gw[...] = np.matmul(_blas_ready(dm), _blas_ready(cols_t)).reshape(gw.shape)
             d.sum(axis=(-4, -2, -1), out=gb)
         elif i == 0:
             pass  # no gradient at the model input

@@ -111,11 +111,14 @@ def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog)
     )
     config = AggregatorConfig(family=family, amplifier=AmplifierConfig(kind="none"))
     with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
-        if family.startswith("dist-"):
-            warnings.simplefilter("error")  # the density screens let numpy print nothing
+        warnings.simplefilter("error")  # no screen lets numpy print anything
         decision = aggregate_round(grads, config, context)
     assert not decision.accepted[culprit] and decision.accepted.any()
     assert np.isfinite(decision.global_update).all()
+    if family == "fang":
+        # every probe holding the culprit is broken and scores +inf under
+        # both screens, so the keep-sets agree: N - ceil(0.3 * 6) clients
+        assert decision.accepted.sum() == 4
     if family in ("dist-euc", "dist-merged"):
         assert any("non-finite euclidean" in r.getMessage() for r in caplog.records)
 

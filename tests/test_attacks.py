@@ -2,6 +2,9 @@
 vectors, the deviation search, and the round gate."""
 
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from gradamp import nn
 from gradamp.attacks import (
     AttackConfig,
     AttackContext,
+    _median,
     craft_updates,
     flip_labels,
     grad_ascent,
@@ -17,6 +21,7 @@ from gradamp.attacks import (
     select_malicious,
     sh_optimized,
 )
+from gradamp.config import ExperimentConfig
 from gradamp.data import Dataset, embed_trigger, partition, synth_blobs
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
@@ -84,6 +89,50 @@ def test_sh_optimized_single_update_warns_and_uses_it(caplog):
     assert np.array_equal(crafted, [3.0, 4.0])
     assert gamma == 8.0  # sigma is zero, the first candidate already passes
     assert any("single honest update" in r.message for r in caplog.records)
+
+
+def test_median_has_the_bits_of_np_median():
+    # Few distinct values give ties and both zeros at the middle; a NaN of
+    # either sign makes the whole median NaN.
+    rng = rng_stream(66)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, -np.nan])
+    for n in range(1, 61):
+        for draw in (
+            rng.choice(pool[:4], size=n),
+            rng.choice(pool, size=n),
+            np.round(rng.normal(size=n)) * rng.choice([1.0, -1.0], size=n),
+            rng.normal(size=n),
+        ):
+            values = draw.tolist()
+            got, want = np.float64(_median(values)), np.float64(np.median(values))
+            assert got.tobytes() == want.tobytes(), values
+
+
+def test_an_sh_optimized_pair_never_imports_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma on its first call, ~17 ms
+    # inside a round of a fresh process.
+    cfg = {
+        "dataset.per_class": 30,
+        "federation.clients": 6,
+        "federation.rounds": 2,
+        "model.hidden": 8,
+        "attack.kind": "sh-optimized",
+        "attack.start_round": 0,
+        "output.dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.txt"
+    path.write_text(ExperimentConfig.from_mapping(cfg).canonical_text())
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys; from gradamp.cli import main; "
+        "assert main(['run-pair', sys.argv[1]]) == 0; print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def shard_list(data, num_clients, seed):

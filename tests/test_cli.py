@@ -128,6 +128,22 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "label", ["99999999999999999999", "-99999999999999999999"], ids=["above-int64", "below-int64"]
+)
+def test_a_bad_csv_data_file_exits_3_at_setup(tmp_path, capsys, label):
+    rows = [f"{i % 3},{i},{i + 1}" for i in range(60)]
+    rows[6] = f"{label},1.0,2.0"
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path, **{"dataset.kind": "csv", "dataset.path": str(data)})
+    assert main(["run", path]) == 3
+    assert f"line 7: label {label} outside int64" in capsys.readouterr().err
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert flat["run.error"].startswith("setup: IngestionError: ")
+
+
 def test_non_finite_model_ends_the_pair_as_diverged(tmp_path, capsys):
     # A 1e300 boost overflows the plain mean once the attack is on; the run
     # must stop as diverged at that round instead of reporting ok.

@@ -162,6 +162,10 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("-1,1.0\n")
     with pytest.raises(IngestionError, match="negative label"):
         load_csv(str(path))
+    for label in ("99999999999999999999", str(2**63), str(-(2**63) - 1)):
+        path.write_text(f"0,1.0\n{label},2.0\n")
+        with pytest.raises(IngestionError, match=f"line 2: label {label} outside int64"):
+            load_csv(str(path))
 
 
 def test_partition_iid_covers_disjointly():

@@ -290,6 +290,47 @@ def test_fltrust_xai_pipeline_runs(tmp_path):
     assert len(records) == 3
 
 
+def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeypatch):
+    # Every xai selection and leave-one-out probe runs the validation batch
+    # through a conv; only _prepare lowers it.  The attacked twin resumes
+    # from the clean twin's round-0 snapshot, so the pair prepares once.
+    runs, lowered = [], []
+    lower, prepare = nn.lower, harness._prepare
+
+    def count(x, w):
+        lowered.append(x)
+        return lower(x, w)
+
+    def keep(cfg, attack_enabled):
+        runs.append(prepare(cfg, attack_enabled))
+        return runs[-1]
+
+    monkeypatch.setattr(nn, "lower", count)
+    monkeypatch.setattr(harness, "_prepare", keep)
+    cfg = fast_config(
+        tmp_path,
+        "fang-xai",
+        **{
+            "model.kind": "conv",
+            "dataset.dim": "1x8x8",
+            "model.filters": 4,
+            "federation.rounds": 2,
+            "defense.family": "fang",
+            "defense.amplifier": "xai",
+            "attack.kind": "dba",
+            "attack.start_round": 0,
+        },
+    )
+    summary = run_pair(cfg)
+    assert summary.attacked.status == "ok" and len(runs) == 1
+    features = runs[0].validation.features
+    assert sum(x is features for x in lowered) == 1
+    assert runs[0].validation_cols.shape == (9, len(features) * 36)
+    # a model without a conv lowers nothing
+    mlp = harness._prepare(fast_config(tmp_path, "fang-mlp", **{"defense.family": "fang"}), True)
+    assert mlp.validation is not None and mlp.validation_cols is None
+
+
 def test_fltrust_reference_is_the_trust_set_trained_as_client_n(tmp_path, monkeypatch):
     # the server's reference trains in the clients' train_all, as client N
     seen = []

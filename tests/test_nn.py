@@ -190,7 +190,7 @@ def test_conv_kernels_match_naive_loops(kernel):
     x = rng.normal(size=(3, 3, 7, 9))
     w = rng.normal(size=(4, 3, kh, kw))
     b = rng.normal(size=4)
-    out = nn._conv_forward(x, w, b)
+    out = nn._conv_forward(x, w, b, nn.lower(x, w))
     np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=0.0, atol=1e-12)
 
     flat = out[0].size
@@ -273,6 +273,33 @@ def test_conv_products_keep_the_bits_of_the_tensordot_formulas(n, c, f, kernel, 
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     assert_same_bits(grads[0][0], np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3))))
     assert_same_bits(grads[0][1], d.sum(axis=(0, 2, 3)))
+
+
+def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
+    # One model on a shared batch, as the validation probes run it, and a
+    # client stack on its own batches, as local_train runs it.
+    rng = rng_stream(36)
+    model = nn.conv_model((2, 7, 6), 3, seed=rng, filters=3, kernel=3, pool=2)
+    m = 3
+    theta = model.theta + 0.1 * rng.normal(size=(m, model.theta.size))
+    stack = nn._ClientStack(nn._views(model.layers, theta), theta)
+    for net, x in ((model, rng.normal(size=(5, 2, 7, 6))), (stack, rng.normal(size=(m, 5, 2, 7, 6)))):
+        cols = nn.lower(x, net.layers[0].weight)
+        want = nn.forward(net, x)
+        got = nn.forward(net, x, cols)
+        assert got.cols is cols
+        assert_same_bits(want.cols, cols)
+        for a, b in zip(got.inputs + [got.logits, got.probs], want.inputs + [want.logits, want.probs]):
+            assert_same_bits(a, b)
+        dlogits = rng.normal(size=want.probs.shape)
+        for a, b in zip(nn._backprop(net, got, dlogits), nn._backprop(net, want, dlogits)):
+            for ga, gb in zip(a, b):
+                if gb is not None:
+                    assert_same_bits(ga, gb)
+    with pytest.raises(ConfigError, match="lowered batch"):
+        nn.forward(model, x[0, :4], cols)
+    mlp = nn.mlp_model(4, 3, 2, seed=0)
+    assert nn.forward(mlp, rng.normal(size=(2, 4))).cols is None
 
 
 def naive_pool(x, k):
