@@ -19,9 +19,9 @@ matrix, and ``AggregationDecision.global_update`` is a flat (P,) row.
 The screens take flat rows too: ``scored_views`` unwraps the amplifier's
 output, and each screen scores a sequence of (L,) rows or an (N, L)
 matrix, whichever it is given.
-Means are ``nn.mean_grads`` folds over row views: fedavg over the
-whitelisted rows, and each fang leave-one-out probe over the other
-clients' rows into one reused buffer.
+Plain means are ``nn.mean_grads`` folds over row views: fedavg's over
+every row, a whitelist's over its accepted rows.  The fang probes sum
+the same ascending fold from a running prefix (see ``fang_whitelist``).
 
 Tie-breaks everywhere favor lower client indices, keeping decisions
 deterministic.
@@ -76,10 +76,6 @@ class AggregationDecision:
     global_update: np.ndarray        # flat (P,) update the server applies
     scores: np.ndarray               # S_i, leave-one-out loss, or trust score
     accepted: np.ndarray             # bool per client
-
-
-def fedavg(rows) -> np.ndarray:
-    return nn.mean_grads(rows)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -178,7 +174,6 @@ def fang_whitelist(
     model: nn.ModelParams,
     validation: Dataset,
     assumed_malicious: float,
-    cols: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray]:
     """Loss and error leave-one-out screens over restored amplified updates.
 
@@ -191,10 +186,9 @@ def fang_whitelist(
     empty intersection).  A probe whose loss is not finite scores +inf
     under both screens: the model is broken even without client i, so i
     is not the one breaking it.  The probes let numpy warn about no
-    overflow.  ``cols`` is the validation batch already ``nn.lower``ed,
-    when the caller has it.  The count is taken on the decimal M_f
-    (``data.exact_share``); an M_f that would reject every client is a
-    ``ConfigError`` before the first probe.
+    overflow, and run the validation set's ``cols`` when it has them.  The
+    count is taken on the decimal M_f (``data.exact_share``); an M_f that
+    would reject every client is a ``ConfigError`` before the first probe.
 
     Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)): the
     others in the ascending left fold of ``nn.mean_grads``, then subtracted
@@ -238,7 +232,7 @@ def fang_whitelist(
                 buf += row
             buf *= scale
             np.subtract(theta, buf, out=buf)
-            trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features, cols)
+            trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features, validation.cols)
             loss = nn.loss_value(trace, validation.labels)
             if math.isfinite(loss):
                 losses[i] = loss
@@ -305,7 +299,6 @@ class RoundContext:
     model: nn.ModelParams
     validation: Dataset | None = None     # screening and filter selection
     ref_update: np.ndarray | None = None  # server-trained trust reference, flat
-    validation_cols: np.ndarray | None = None  # validation features nn.lower'ed, conv only
 
 
 def _whitelist_decision(
@@ -314,7 +307,7 @@ def _whitelist_decision(
     accepted = np.zeros(len(originals), dtype=bool)
     accepted[whitelist] = True
     # row views, not originals[whitelist], which would copy the rows
-    update = fedavg([originals[i] for i in whitelist])
+    update = nn.mean_grads([originals[i] for i in whitelist])
     return AggregationDecision(update, scores, accepted)
 
 
@@ -328,16 +321,16 @@ def scored_views(
     trust cosine compares coordinates of the same filters.  fedavg scores
     nothing and gets the configured amplifier's rows."""
     amp = config.amplifier
-    model, validation, cols = context.model, context.validation, context.validation_cols
+    model, validation = context.model, context.validation
     if config.family != "fltrust":
-        return [a.values for a in amplify(grads, amp, model, validation, cols=cols)], None
+        return [a.values for a in amplify(grads, amp, model, validation)], None
     if context.ref_update is None:
         raise ConfigError("trust bootstrapping needs a server reference update")
     fixed = None
     if amp.kind == "xai" and validation is not None:
-        fixed = xai_selection(model, context.ref_update, validation, amp.top_p, cols)
-    views = amplify(grads, amp, model, validation, fixed, cols)
-    ref = amplify(context.ref_update[None], amp, model, validation, fixed, cols)[0]
+        fixed = xai_selection(model, context.ref_update, validation, amp.top_p)
+    views = amplify(grads, amp, model, validation, fixed)
+    ref = amplify(context.ref_update[None], amp, model, validation, fixed)[0]
     return [a.values for a in views], ref.values
 
 
@@ -352,7 +345,7 @@ def aggregate_round(
     if n == 0:
         raise ConfigError("no updates to aggregate")
     if config.family == "fedavg":
-        return AggregationDecision(fedavg(grads), np.ones(n), np.ones(n, dtype=bool))
+        return AggregationDecision(nn.mean_grads(grads), np.ones(n), np.ones(n, dtype=bool))
     if config.family == "fang" and context.validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
 
@@ -362,11 +355,7 @@ def aggregate_round(
     if config.family == "fang":
         # restored amplified updates drive the prediction screens
         wl, scores = fang_whitelist(
-            views,
-            context.model,
-            context.validation,
-            config.assumed_malicious,
-            context.validation_cols,
+            views, context.model, context.validation, config.assumed_malicious
         )
         return _whitelist_decision(wl, scores, grads)
     neighbors = config.neighbors or n // 2 + 1

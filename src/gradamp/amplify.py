@@ -146,18 +146,17 @@ def xai_selection(
     update: np.ndarray,
     validation: Dataset,
     top_p: float,
-    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Filters chosen after applying the flat ``update`` to the model and
-    running the clean validation batch through it: rank filters by
-    activation weight, descending, and keep the top ceil(top_p * filters).
-    ``cols`` is the batch already ``nn.lower``ed, when the caller has it."""
+    running the clean validation batch through it (its ``cols`` when set):
+    rank filters by activation weight, descending, and keep the top
+    ceil(top_p * filters)."""
     if model.conv_index() is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
     if len(validation) == 0:
         raise ConfigError("validation set is empty")
-    updated = nn.apply_update(model, update, 1.0)
-    trace = nn.forward(updated, validation.features, cols)
+    updated = nn.apply_update(model, update)
+    trace = nn.forward(updated, validation.features, validation.cols)
     return select_top(nn.activation_weights(updated, trace, validation.labels), top_p)
 
 
@@ -167,13 +166,11 @@ def amplify_xai(
     validation: Dataset,
     config: AmplifierConfig,
     fixed_selection: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Per client row: select filters via the client's updated model (or
     reuse a caller-supplied selection) and emit the client's original conv
     weight gradients for those filters, read through the conv weight view
-    of ``nn.ModelParams(model.layers, row)``.  ``cols`` is the validation
-    batch already lowered, as in ``xai_selection``."""
+    of ``nn.ModelParams(model.layers, row)``."""
     ci = model.conv_index()
     if ci is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
@@ -183,7 +180,7 @@ def amplify_xai(
         sel = (
             np.asarray(fixed_selection, dtype=np.int64)
             if fixed_selection is not None
-            else xai_selection(model, row, validation, config.top_p, cols)
+            else xai_selection(model, row, validation, config.top_p)
         )
         if config.restore_size:
             values = np.zeros_like(row)
@@ -204,11 +201,9 @@ def amplify(
     model: nn.ModelParams | None = None,
     validation: Dataset | None = None,
     fixed_selection: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
 ) -> list[AmplifiedGradient]:
     """Amplified views of the (N, P) update matrix ``rows``, one per row,
-    each recording P; ``kind = "none"`` passes each row through as a view.
-    ``cols`` is the validation batch already lowered (``xai`` only)."""
+    each recording P; ``kind = "none"`` passes each row through as a view."""
     if config.kind == "none":
         views = rows
     elif model is None:
@@ -218,5 +213,5 @@ def amplify(
     elif validation is None:
         raise ConfigError("activation-guided amplification needs the model and validation set")
     else:
-        views = amplify_xai(rows, model, validation, config, fixed_selection, cols)
+        views = amplify_xai(rows, model, validation, config, fixed_selection)
     return [AmplifiedGradient(v, rows.shape[1]) for v in views]

@@ -12,6 +12,7 @@ feature shape whose cells a stamp sets to 1.0.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +26,17 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
+    """Features, labels and the class count.  ``cols`` is ``features``
+    already ``nn.lower``ed for a run's conv, so each model a screen runs
+    the set through skips the lowering; only its shape is checked, so it
+    must be these features' lowering.  The harness sets it once per run,
+    on a conv model's validation set; every other set, a ``subset``
+    included, keeps None."""
+
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+    cols: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -125,13 +134,15 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     feats = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     feats = feats.reshape(n, 1, rows, cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(feats, labels, int(labels.max()) + 1 if ln else 0)
+    num_classes = _class_count(labels_path, labels, lambda i: f"byte {8 + i}")
+    return Dataset(feats, labels, num_classes)
 
 
 def load_csv(path: str) -> Dataset:
     """Headerless rows of ``label,f1,...,fd``; features pass through as-is."""
     rows: list[list[float]] = []
     labels: list[int] = []
+    linenos: list[int] = []
     width = None
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -159,13 +170,35 @@ def load_csv(path: str) -> Dataset:
         if not -(2**63) <= label < 2**63:
             raise IngestionError(f"{path}: line {lineno}: label {label} outside int64")
         labels.append(label)
+        linenos.append(lineno)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     feats = np.asarray(rows)
     lab = np.asarray(labels, dtype=np.int64)
     if lab.min() < 0:
-        raise IngestionError(f"{path}: negative label")
-    return Dataset(feats, lab, int(lab.max()) + 1)
+        raise IngestionError(f"{path}: line {linenos[int(lab.argmin())]}: negative label")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise IngestionError(f"{path}: line {linenos[int(finite.argmin())]}: non-finite feature")
+    return Dataset(feats, lab, _class_count(path, lab, lambda i: f"line {linenos[i]}"))
+
+
+def _class_count(path: str, labels: np.ndarray, where: Callable[[int], str]) -> int:
+    """max label + 1 of a loaded file's non-negative labels, once they are
+    at least two distinct values and the max + 1 is no more than the rows,
+    so a stray huge label cannot ask for an output layer that wide.
+    ``where(i)`` names row i's place in the file."""
+    n = len(labels)
+    if n == 0 or (labels == labels[0]).all():
+        what = f"every label is {labels[0]}, {where(0)} to {where(n - 1)}" if n else "no labels"
+        raise IngestionError(f"{path}: {what}; need at least two distinct labels")
+    top = int(labels.argmax())
+    classes = int(labels[top]) + 1
+    if classes > n:
+        raise IngestionError(
+            f"{path}: {where(top)}: label {classes - 1} asks for {classes} classes from {n} rows"
+        )
+    return classes
 
 
 def format_float(x: float) -> str:

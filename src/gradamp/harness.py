@@ -164,10 +164,6 @@ class _Run:
     trainees: list[Dataset]
     test_set: Dataset
     validation: Dataset | None
-    # the validation features nn.lower'ed once for a conv model: every round
-    # runs them through up to 2N models; the test and triggered sets run
-    # only at checkpoints and are lowered there
-    validation_cols: np.ndarray | None
     triggered: Dataset | None
     model: nn.ModelParams
     rows: np.ndarray
@@ -225,7 +221,7 @@ class _Run:
         self.attack.train.train_all(self.model, self.trainees, r, self.rows)
         craft_updates(r, updates, self.model, cfg.attack, self.attack)  # the clean twin has no cohort
         ref_update = self.rows[n] if len(self.trainees) > n else None
-        round_ctx = RoundContext(self.model, self.validation, ref_update, self.validation_cols)
+        round_ctx = RoundContext(self.model, self.validation, ref_update)
         decision = aggregate_round(updates, cfg.aggregator, round_ctx)
         for i in range(n):
             self.decision_rows.append(
@@ -233,7 +229,7 @@ class _Run:
             )
         if k == int(cfg["output.dump_amplified_round"]):
             self.amplified = _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
-        self.model = nn.apply_update(self.model, decision.global_update, 1.0)
+        self.model = nn.apply_update(self.model, decision.global_update)
         if not np.isfinite(self.model.theta).all():
             raise DivergenceError("model parameters are no longer finite")
         if k % int(cfg["federation.checkpoint_every"]) == 0 or k == int(cfg["federation.rounds"]):
@@ -293,18 +289,16 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
     )
     triggered = make_triggered_set(test_set, trigger) if trigger is not None else None
     conv = model.conv_index()
-    validation_cols = (
-        nn.lower(validation.features, model.layers[conv].weight)
-        if validation is not None and conv is not None
-        else None
-    )
+    if validation is not None and conv is not None:
+        # every round runs the validation set through up to 2N models; the
+        # test and triggered sets run only at checkpoints and lower there
+        validation.cols = nn.lower(validation.features, model.layers[conv].weight)
     return _Run(
         cfg=cfg,
         attack=AttackContext(malicious, shards, train, int(cfg["seeds.attack"]), trigger),
         trainees=trainees,
         test_set=test_set,
         validation=validation,
-        validation_cols=validation_cols,
         triggered=triggered if triggered is not None and len(triggered) > 0 else None,
         model=model,
         rows=np.empty((len(trainees), model.theta.size)),

@@ -18,13 +18,13 @@ Kernels:
     2006).  ``lower`` copies a ``sliding_window_view`` of the batch into
     (..., c*kh*kw, n*ho*wo) columns, over any leading stack axes.  The
     conv is the first layer, so the columns depend on the batch alone:
-    ``forward`` takes them ready-made (the harness lowers the validation
-    batch once per run) or lowers the batch itself, and keeps them in the
-    trace.  ``_conv_forward`` is one ``matmul`` per model over them, and
-    the weight gradient is d (..., f, n*ho*wo) times their transpose,
-    laid out as a second lowering would hand it to BLAS.  The backward
-    forms no gradient at the model input, so a conv never needs its input
-    gradient.
+    ``forward`` takes them ready-made (a validation ``Dataset``'s
+    ``cols``, lowered once per run) or lowers the batch itself, and keeps
+    them in the trace.  ``_conv_forward`` is one ``matmul`` per model over
+    them, and the weight gradient is d (..., f, n*ho*wo) times their
+    transpose, laid out as a second lowering would hand it to BLAS.  The
+    backward forms no gradient at the model input, so a conv never needs
+    its input gradient.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once
     whose (m, ...) weights view the rows of one (m, P) matrix: dense and
     conv are stacked ``matmul``s, and relu, maxpool and softmax work over
@@ -48,9 +48,11 @@ Conventions:
     A client "update" is ``theta_before - theta_after`` as one flat float64
     row in ``ModelParams.theta`` order (``ModelParams(model.layers, row)``
     views a row as per-layer arrays); a round's updates are the rows of one
-    (N, P) matrix.  The server applies an update as ``theta - scale *
-    update`` (``apply_update``), so with scale 1 it lands exactly on the
-    client's trained weights.  ``mean_grads`` is the one mean over rows.
+    (N, P) matrix.  The server applies an update as ``theta - update``
+    (``apply_update``), so a client's own update lands exactly on its
+    trained weights.  ``mean_grads`` averages rows by an ascending left
+    fold; the fang probes in ``aggregate`` sum the same fold from a
+    running prefix instead of calling it.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
@@ -210,16 +212,13 @@ class GradientSet:
         return GradientSet(out)
 
 
-def mean_grads(rows, out: np.ndarray | None = None) -> np.ndarray:
-    """Mean of flat update rows: an ascending left fold, then ``*= 1/len``.
-    ``rows`` is a sequence of (P,) arrays or an (N, P) matrix; the result
-    goes to ``out`` when given, else to a new array."""
+def mean_grads(rows) -> np.ndarray:
+    """Mean of flat update rows, a new array: an ascending left fold, then
+    ``*= 1/len``.  ``rows`` is a sequence of (P,) arrays or an (N, P)
+    matrix."""
     if len(rows) == 0:
         raise ConfigError("cannot average an empty update list")
-    if out is None:
-        out = np.array(rows[0], dtype=np.float64)
-    else:
-        np.copyto(out, rows[0])
+    out = np.array(rows[0], dtype=np.float64)
     for row in rows[1:]:
         out += row
     out *= 1.0 / len(rows)
@@ -527,13 +526,13 @@ def predict(model: ModelParams, features: np.ndarray) -> np.ndarray:
 # training and parameter updates
 
 
-def apply_update(model: ModelParams, update: np.ndarray, scale: float) -> ModelParams:
-    """A new model at ``model.theta - scale * update``; ``model`` is left as is."""
+def apply_update(model: ModelParams, update: np.ndarray) -> ModelParams:
+    """A new model at ``model.theta - update``; ``model`` is left as is."""
     if np.shape(update) != model.theta.shape:
         raise ConfigError(
             f"update has shape {np.shape(update)}, model has {model.theta.size} parameters"
         )
-    return ModelParams(model.layers, model.theta - scale * update)
+    return ModelParams(model.layers, model.theta - update)
 
 
 def local_train(

@@ -107,8 +107,8 @@ def _fd_param_gradient(model, x, y):
     for j in range(out.size):
         bump = np.zeros_like(out)
         bump[j] = FD_STEP
-        up = nn.apply_update(model, bump, -1.0)
-        down = nn.apply_update(model, bump, 1.0)
+        up = nn.apply_update(model, -bump)
+        down = nn.apply_update(model, bump)
         out[j] = (loss_at(up) - loss_at(down)) / (2.0 * FD_STEP)
     return out
 

@@ -17,7 +17,6 @@ from gradamp.aggregate import (
     aggregate_round,
     density_whitelist,
     fang_whitelist,
-    fedavg,
     fltrust_aggregate,
     merged_whitelist,
 )
@@ -273,7 +272,7 @@ def naive_leave_one_out_losses(rows, model, val):
         for j in others[1:]:
             acc = acc + rows[j]
         mean = acc * (1.0 / len(others))
-        trace = nn.forward(nn.apply_update(model, mean, 1.0), val.features)
+        trace = nn.forward(nn.apply_update(model, mean), val.features)
         losses.append(nn.loss_value(trace, val.labels))
     return np.array(losses)
 
@@ -345,7 +344,7 @@ def test_fltrust_all_zero_trust_emits_zero_update(caplog):
 
 def test_fedavg_is_plain_mean():
     grads = np.stack([dense_grads([1.0, 2.0]), dense_grads([3.0, 6.0])])
-    assert np.array_equal(fedavg(grads), [2.0, 4.0])
+    assert np.array_equal(nn.mean_grads(grads), [2.0, 4.0])
 
 
 def round_setup(n=5, dim=4):

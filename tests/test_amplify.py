@@ -304,7 +304,7 @@ def test_xai_selection_matches_weight_ranking():
     for seed in (41, 44, 45, 46):
         model, val, updates = xai_setup(seed, filters=6)
         for update in updates:
-            updated = nn.apply_update(model, update, 1.0)
+            updated = nn.apply_update(model, update)
             trace = nn.forward(updated, val.features)
             alpha = nn.activation_weights(updated, trace, val.labels)
             for top_p in (0.2, 0.5, 0.75, 1.0):

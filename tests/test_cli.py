@@ -129,16 +129,27 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "label", ["99999999999999999999", "-99999999999999999999"], ids=["above-int64", "below-int64"]
+    "classes,line7,message",
+    [
+        (3, "99999999999999999999,1.0,2.0", "line 7: label 99999999999999999999 outside int64"),
+        (3, "-99999999999999999999,1.0,2.0", "line 7: label -99999999999999999999 outside int64"),
+        (1, None, "every label is 0, line 1 to line 60; need at least two distinct labels"),
+        (3, "1000,1.0,2.0", "line 7: label 1000 asks for 1001 classes from 60 rows"),
+        (3, "1,nan,2.0", "line 7: non-finite feature"),
+        (3, "1,1.0,inf", "line 7: non-finite feature"),
+        (3, "1,1e400,2.0", "line 7: non-finite feature"),
+    ],
+    ids=["above-int64", "below-int64", "one-label", "label-beyond-rows", "nan", "inf", "1e400"],
 )
-def test_a_bad_csv_data_file_exits_3_at_setup(tmp_path, capsys, label):
-    rows = [f"{i % 3},{i},{i + 1}" for i in range(60)]
-    rows[6] = f"{label},1.0,2.0"
+def test_a_bad_csv_data_file_exits_3_at_setup(tmp_path, capsys, classes, line7, message):
+    rows = [f"{i % classes},{i},{i + 1}" for i in range(60)]
+    if line7 is not None:
+        rows[6] = line7
     data = tmp_path / "data.csv"
     data.write_text("\n".join(rows) + "\n")
     path = write_config(tmp_path, **{"dataset.kind": "csv", "dataset.path": str(data)})
     assert main(["run", path]) == 3
-    assert f"line 7: label {label} outside int64" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
     assert flat["run.status"] == "error"
     assert flat["run.error"].startswith("setup: IngestionError: ")

@@ -168,6 +168,45 @@ def test_csv_errors_carry_line_numbers(tmp_path):
             load_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0,1.0\n\n0,2.0\n", "every label is 0, line 1 to line 3; need at least two distinct labels"),
+        ("0,1.0\n5,2.0\n1,3.0\n", "line 2: label 5 asks for 6 classes from 3 rows"),
+        (f"0,1.0\n{2**40},2.0\n", f"line 2: label {2**40} asks for {2**40 + 1} classes from 2 rows"),
+        ("0,1.0\n1,nan\n", "line 2: non-finite feature"),
+        ("0,1.0\n1,-inf\n", "line 2: non-finite feature"),
+        ("0,1.0,2.0\n1,2.0,1e400\n", "line 2: non-finite feature"),
+    ],
+    ids=["one-label", "label-beyond-rows", "label-2**40", "nan", "inf", "1e400"],
+)
+def test_csv_rejects_data_no_classifier_can_train_on(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=message):
+        load_csv(str(path))
+
+
+def test_csv_keeps_a_finite_extreme_feature(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("0,1e308\n1,-1e308\n")
+    assert load_csv(str(path)).features[:, 0].tolist() == [1e308, -1e308]
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ((1, 1, 1, 1), "every label is 1, byte 8 to byte 11; need at least two distinct labels"),
+        ((0, 1, 9, 1), "byte 10: label 9 asks for 10 classes from 4 rows"),
+    ],
+    ids=["one-label", "label-beyond-rows"],
+)
+def test_idx_rejects_labels_no_classifier_can_train_on(tmp_path, labels, message):
+    ipath, lpath = idx_pair(tmp_path, labels=labels)
+    with pytest.raises(IngestionError, match=f"lbls.idx: {message}"):
+        load_idx(ipath, lpath)
+
+
 def test_partition_iid_covers_disjointly():
     d = synth_blobs(3, per_class=20, dim=4, spread=1.0, seed=7)
     shards = partition(d, 7, scheme="iid", seed=8)

@@ -290,9 +290,11 @@ def test_fltrust_xai_pipeline_runs(tmp_path):
     assert len(records) == 3
 
 
-def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeypatch):
-    # Every xai selection and leave-one-out probe runs the validation batch
-    # through a conv; only _prepare lowers it.  The attacked twin resumes
+@pytest.mark.parametrize("family", ["fang", "fltrust"])
+def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeypatch, family):
+    # Every xai selection, leave-one-out probe and fltrust reference
+    # selection runs the validation batch through a conv; only _prepare
+    # lowers it, into the validation set's cols.  The attacked twin resumes
     # from the clean twin's round-0 snapshot, so the pair prepares once.
     runs, lowered = [], []
     lower, prepare = nn.lower, harness._prepare
@@ -309,13 +311,13 @@ def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeyp
     monkeypatch.setattr(harness, "_prepare", keep)
     cfg = fast_config(
         tmp_path,
-        "fang-xai",
+        f"{family}-xai",
         **{
             "model.kind": "conv",
             "dataset.dim": "1x8x8",
             "model.filters": 4,
             "federation.rounds": 2,
-            "defense.family": "fang",
+            "defense.family": family,
             "defense.amplifier": "xai",
             "attack.kind": "dba",
             "attack.start_round": 0,
@@ -323,12 +325,13 @@ def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeyp
     )
     summary = run_pair(cfg)
     assert summary.attacked.status == "ok" and len(runs) == 1
-    features = runs[0].validation.features
-    assert sum(x is features for x in lowered) == 1
-    assert runs[0].validation_cols.shape == (9, len(features) * 36)
+    validation = runs[0].validation
+    assert sum(x is validation.features for x in lowered) == 1
+    assert validation.cols.shape == (9, len(validation) * 36)
+    assert validation.subset(np.arange(3)).cols is None
     # a model without a conv lowers nothing
     mlp = harness._prepare(fast_config(tmp_path, "fang-mlp", **{"defense.family": "fang"}), True)
-    assert mlp.validation is not None and mlp.validation_cols is None
+    assert mlp.validation is not None and mlp.validation.cols is None
 
 
 def test_fltrust_reference_is_the_trust_set_trained_as_client_n(tmp_path, monkeypatch):

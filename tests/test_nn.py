@@ -25,8 +25,8 @@ def perturbed(model, index, delta):
     """Model with parameter ``index`` (vector order) shifted by delta."""
     vec = np.zeros(model.theta.size)
     vec[index] = delta
-    # apply_update computes W - scale * U, so scale -1 adds the bump.
-    return nn.apply_update(model, vec, -1.0)
+    # apply_update computes W - U, so the negated bump adds it.
+    return nn.apply_update(model, -vec)
 
 
 def fd_gradient(model, features, labels):
@@ -431,7 +431,7 @@ def test_vector_round_trip():
     vec = rng.normal(size=model.theta.size)
     view = nn.ModelParams(model.layers, vec)
     assert view.theta is vec
-    moved = nn.apply_update(model, vec, 0.5)
+    moved = nn.apply_update(model, 0.5 * vec)
     for m in (model, view, moved):
         arrays = [a for lay in m.layers for a in (lay.weight, lay.bias) if a is not None]
         assert len(arrays) == 4
@@ -478,7 +478,7 @@ def test_apply_update_scale_one_lands_on_trained_weights():
         [nn.Layer("dense", w * 0.5, np.array([0.25, 1.0])), nn.Layer("softmax")]
     )
     update = model.theta - target.theta
-    moved = nn.apply_update(model, update, 1.0)
+    moved = nn.apply_update(model, update)
     assert np.array_equal(moved.layers[0].weight, target.layers[0].weight)
     assert np.array_equal(moved.layers[0].bias, target.layers[0].bias)
 
@@ -487,7 +487,7 @@ def test_apply_update_shape_mismatch_raises():
     model = nn.mlp_model(3, 0, 2, seed=15)
     bad = np.zeros(2 * 4 + 2)
     with pytest.raises(ConfigError):
-        nn.apply_update(model, bad, 1.0)
+        nn.apply_update(model, bad)
 
 
 def test_local_train_is_deterministic_and_seed_sensitive():
@@ -640,8 +640,8 @@ def test_local_train_update_is_before_minus_after():
     trace = nn.forward(model, x)
     grads = nn.backward(model, trace, y)
     assert np.allclose(update, 0.5 * grads.to_vector(), atol=1e-15)
-    landed = nn.apply_update(model, update, 1.0)
-    expect = nn.apply_update(model, grads.to_vector(), 0.5)
+    landed = nn.apply_update(model, update)
+    expect = nn.apply_update(model, 0.5 * grads.to_vector())
     for a, b in zip(landed.layers, expect.layers):
         if a.weight is not None:
             assert np.allclose(a.weight, b.weight, atol=1e-15)
@@ -660,7 +660,7 @@ def test_one_round_of_training_reduces_loss():
     y = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
     before = fd_loss(model, x, y)
     update = nn.local_train(model, x, y, epochs=3, batch_size=16, lr=0.2, seed=23)
-    after = fd_loss(nn.apply_update(model, update, 1.0), x, y)
+    after = fd_loss(nn.apply_update(model, update), x, y)
     assert after < before
 
 
