@@ -21,7 +21,9 @@ output, and each screen scores a sequence of (L,) rows or an (N, L)
 matrix, whichever it is given.
 Plain means are ``nn.mean_grads`` folds over row views: fedavg's over
 every row, a whitelist's over its accepted rows.  The fang probes sum
-the same ascending fold from a running prefix (see ``fang_whitelist``).
+the same ascending fold from a running prefix, one probe ahead: while
+probe i runs the validation set, probe i + 1's fold runs on the worker
+thread of ``runtime`` when there is one (see ``fang_whitelist``).
 
 Tie-breaks everywhere favor lower client indices, keeping decisions
 deterministic.
@@ -39,7 +41,7 @@ import numpy as np
 from .amplify import AmplifierConfig, amplify, xai_selection
 from .data import Dataset, exact_share
 from .errors import ConfigError
-from . import nn
+from . import nn, runtime
 
 log = logging.getLogger(__name__)
 
@@ -196,6 +198,13 @@ def fang_whitelist(
     mean-then-apply probe bit for bit.  A running buffer keeps the fold's
     prefix x_0 + ... + x_{i-1}, and probe i continues a copy of it with
     x_{i+1} ... x_{N-1}, so the probes add about N^2 / 2 rows, not N^2.
+    The fold runs one probe ahead, into the other of two buffers: probe
+    i + 1's fold goes to ``runtime.worker()`` while this thread runs probe
+    i's forward, loss and error.  It runs inline when there is no worker or
+    the rows are shorter than ``nn.STACK_FLOATS``, where handing it over
+    costs more than the fold.  Either way it is the same operations in the
+    same order, so the losses keep their bits; an exception in the fold is
+    raised here.
     The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
     its own magnitude, and subtracting a huge x_i back out of S cancels
     away every other client's contribution.
@@ -214,31 +223,51 @@ def fang_whitelist(
             raise ConfigError(
                 f"restored update has shape {np.shape(row)}, model has {theta.size} parameters"
             )
-    prefix, buf = np.empty((2, theta.size))  # prefix: x_0 + ... + x_{i-1}
+    prefix, *bufs = np.empty((3, theta.size))  # prefix: x_0 + ... + x_{i-1}
     scale = 1.0 / max(n - 1, 1)  # a lone client is its own probe
-    losses = np.zeros(n)
-    errors = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(n):
+
+    def fold(i: int) -> np.ndarray:
+        """Probe i's parameters into ``bufs[i % 2]``; advances the prefix, so
+        probe i's fold must end before probe i + 1's starts."""
+        buf = bufs[i % 2]
+        # numpy's error state is per thread: the worker needs its own
+        with np.errstate(over="ignore", invalid="ignore"):
             if i == 0:
                 np.copyto(buf, amped_restored[min(1, n - 1)])
                 np.copyto(prefix, amped_restored[0])
                 rest = amped_restored[2:]
             else:
                 np.copyto(buf, prefix)
-                prefix += amped_restored[i]
+                np.add(prefix, amped_restored[i], out=prefix)
                 rest = amped_restored[i + 1 :]
             for row in rest:
                 buf += row
             buf *= scale
             np.subtract(theta, buf, out=buf)
-            trace = nn.forward(nn.ModelParams(model.layers, buf), validation.features, validation.cols)
-            loss = nn.loss_value(trace, validation.labels)
-            if math.isfinite(loss):
-                losses[i] = loss
-                errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
-            else:
-                losses[i] = errors[i] = math.inf
+        return buf
+
+    # a fold shorter than STACK_FLOATS costs less than handing it over
+    pool = runtime.worker() if theta.size >= nn.STACK_FLOATS else None
+    ahead = None  # probe i's fold, running on the worker
+    losses = np.zeros(n)
+    errors = np.zeros(n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(n):
+                probe = fold(i) if ahead is None else ahead.result()
+                ahead = pool.submit(fold, i + 1) if pool is not None and i + 1 < n else None
+                trace = nn.forward(
+                    nn.ModelParams(model.layers, probe), validation.features, validation.cols
+                )
+                loss = nn.loss_value(trace, validation.labels)
+                if math.isfinite(loss):
+                    losses[i] = loss
+                    errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
+                else:
+                    losses[i] = errors[i] = math.inf
+    finally:
+        if ahead is not None:  # a probe or a fold raised: let the fold ahead end first
+            ahead.exception()
     keep = n - reject
     keep_loss = set(_keep_top(losses, keep))
     keep_err = set(_keep_top(errors, keep))

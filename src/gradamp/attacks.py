@@ -18,7 +18,9 @@ Once active:
 Data-poisoning kinds retrain the whole cohort in one stacked
 ``train_all`` of the run's one ``nn.LocalTraining`` recipe, the one the
 honest pass used, so they reuse the honest per-(round, client) stream and
-the only difference is the poisoned shard.
+the only difference is the poisoned shard.  ``retrained_clients`` names
+the cohort whose rows l-flip, scale and dba retrain from nothing, so the
+honest pass skips them and each client trains once per round.
 
 A round's updates are the rows of one (N, P) matrix.  ``craft_updates``
 overwrites the malicious rows of that matrix in place, so no second N x P
@@ -44,6 +46,7 @@ log = logging.getLogger(__name__)
 
 ATTACK_KINDS = ("none", "l-flip", "g-asc", "l-flip+g-asc", "scale", "dba", "sh-optimized")
 TARGETED_KINDS = ("scale", "dba")
+RETRAINED_KINDS = ("l-flip", "scale", "dba")  # crafts that never read the honest row
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,16 @@ class AttackContext:
     train: nn.LocalTraining  # the honest clients' recipe
     seed_attack: int
     trigger: TriggerSpec | None = None
+
+
+def retrained_clients(round_idx: int, cfg: AttackConfig, ctx: AttackContext) -> list[int]:
+    """The clients whose rows ``craft_updates`` retrains and overwrites in
+    round ``round_idx`` without reading them: the cohort under l-flip,
+    scale and dba once the attack is on, else none.  l-flip+g-asc reads
+    its cohort's honest rows, so it names none."""
+    if cfg.kind in RETRAINED_KINDS and round_idx >= cfg.start_round:
+        return list(ctx.malicious)
+    return []
 
 
 def craft_updates(

@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 
 ``main`` sets the numeric environment of the whole process before it parses
 its arguments (``runtime.configure``): glibc's mmap and trim thresholds, and
-one BLAS thread.  Library callers of ``harness`` keep their own; every
-manifest records which held (``runtime.*``).
+one BLAS thread, and enables one worker thread when two or more CPUs are
+allowed.  Library callers of ``harness`` keep their own and run serially;
+every manifest records which held (``runtime.*``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from .config import ExperimentConfig, parse_config_text
 from .errors import ConfigError, GradampError
 from .harness import run_experiment, run_pair, sweep
-from .report import report
 from . import runtime
 
 
@@ -80,6 +80,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"negative_pulse={row['negative_pulse']:.4f} metrics at {summary.metrics_path}"
             )
         elif args.command == "report":
+            from .report import report  # only this command pays for the import
+
             written = report(args.manifests, args.out)
             for path in written:
                 print(path)

@@ -53,7 +53,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregate import RoundContext, aggregate_round, scored_views
-from .attacks import AttackContext, craft_updates, resolve_trigger, select_malicious
+from .attacks import (
+    AttackContext,
+    craft_updates,
+    resolve_trigger,
+    retrained_clients,
+    select_malicious,
+)
 from .config import ExperimentConfig
 from .data import (
     Dataset,
@@ -218,7 +224,10 @@ class _Run:
         r = k - 1  # zero-based index used by seeds and the attack gate
         n = len(self.attack.shards)
         updates = self.rows[:n]
-        self.attack.train.train_all(self.model, self.trainees, r, self.rows)
+        # the craft retrains some of the cohort's rows; only the others train here
+        skip = set(retrained_clients(r, cfg.attack, self.attack))
+        ids = [i for i in range(len(self.trainees)) if i not in skip]
+        self.attack.train.train_all(self.model, [self.trainees[i] for i in ids], r, self.rows, ids)
         craft_updates(r, updates, self.model, cfg.attack, self.attack)  # the clean twin has no cohort
         ref_update = self.rows[n] if len(self.trainees) > n else None
         round_ctx = RoundContext(self.model, self.validation, ref_update)

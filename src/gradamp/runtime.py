@@ -1,4 +1,5 @@
-"""The process's numeric environment: heap thresholds and BLAS threads.
+"""The process's numeric environment: heap thresholds, BLAS threads and
+one worker thread.
 
 ``configure()`` is the first thing ``cli.main`` does.  It acts on the whole
 process:
@@ -12,12 +13,21 @@ process:
 - numpy's bundled OpenBLAS goes to one thread, at runtime.  Its threaded
   GEMM, dot and norm round differently at one and at two threads, so the
   thread count is part of the byte promise.
+- one worker thread, when ``os.sched_getaffinity`` allows the process two
+  or more CPUs.  ``worker()`` creates it on first use; the fang screen
+  (``aggregate.fang_whitelist``) folds its next leave-one-out probe there
+  while this thread runs the current one, on rows of at least
+  ``nn.STACK_FLOATS`` floats.  The worker runs that fold alone, which
+  calls numpy only, so every public gradamp function still runs on the
+  main thread.  It moves work, not numbers: the fold is the same
+  operations on the same buffers.
 
-The heap setting changes no number.  Off glibc, or where the BLAS call
-cannot reach the library, that part is left alone and recorded as
-``unset`` or ``unpinned``.  Importing gradamp sets nothing: library callers
-keep their own heap and thread count.  Every manifest records
-``describe()`` under ``runtime.*``.
+The heap setting and the worker change no number.  Off glibc, or where
+the BLAS call cannot reach the library, that part is left alone and
+recorded as ``unset`` or ``unpinned``.  Importing gradamp sets nothing:
+library callers keep their own heap and thread count, and run serially
+(``workers`` 0).  Every manifest records ``describe()`` under
+``runtime.*``.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ _HEAP = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20))
 
 # what configure() achieved; module-level, as what it records belongs to
 # the process, not to a run
-_state = {"heap": "unset", "blas_threads": "unpinned"}
+_state = {"heap": "unset", "blas_threads": "unpinned", "workers": "0"}
+_pool = []  # the worker's executor, once made
 
 
 def _blas_build() -> dict:
@@ -76,13 +87,29 @@ def _pin_blas() -> str:
 
 
 def configure() -> None:
-    """Set the heap thresholds and one BLAS thread for this process."""
+    """Set the heap thresholds and one BLAS thread for this process, and
+    enable the worker when two or more CPUs are allowed."""
     _state["heap"] = _set_heap()
     _state["blas_threads"] = _pin_blas()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    _state["workers"] = "1" if cpus >= 2 else "0"
+
+
+def worker():
+    """The process's one worker thread, a single-thread executor created on
+    first use, or None when ``configure`` did not enable it."""
+    if _state.get("workers") != "1":
+        return None
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool.append(ThreadPoolExecutor(1, thread_name_prefix="gradamp-worker"))
+    return _pool[0]
 
 
 def describe() -> dict[str, str]:
-    """Heap setting, BLAS thread count, numpy version and BLAS build."""
+    """Heap setting, BLAS thread count, worker count, numpy version and
+    BLAS build."""
     blas = _blas_build()
     name = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
     return {**_state, "numpy": np.__version__, "blas": name}

@@ -4,12 +4,14 @@ model only ever moves along original updates."""
 
 import logging
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from gradamp import nn
+from gradamp import nn, runtime
 from gradamp.aggregate import (
     AggregatorConfig,
     RoundContext,
@@ -89,13 +91,21 @@ def test_keep_top_ranks_nan_below_every_number():
     assert _keep_top([nan, nan, nan], 2) == [0, 1]
 
 
-@pytest.mark.parametrize("family", ["dist-cos", "dist-euc", "dist-merged", "fang", "fltrust"])
+@pytest.mark.parametrize(
+    "family", ["dist-cos", "dist-euc", "dist-merged", "fang", "fltrust", "fang-on-worker"]
+)
 @pytest.mark.parametrize("bad", ["huge", "nan"])
 @pytest.mark.parametrize("culprit", range(6))
-def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog):
+def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog, request):
     # Six similar MLP updates; the culprit's row is scaled by 1e305 (its
-    # norm and products overflow) or holds one NaN.
-    model = nn.mlp_model(6, 5, 3, seed=64)
+    # norm and products overflow) or holds one NaN.  fang-on-worker is fang
+    # on rows of nn.STACK_FLOATS or more (65,543), so five of the six
+    # folds run on the runtime worker, under their own numpy error state.
+    on_worker = family == "fang-on-worker"
+    if on_worker:
+        family, folds = "fang", request.getfixturevalue("fold_worker")
+    model = nn.mlp_model(6, 6554 if on_worker else 5, 3, seed=64)
+    assert (model.theta.size >= nn.STACK_FLOATS) == on_worker
     rng = rng_stream(65)
     base = 0.05 * rng.normal(size=model.theta.size)
     grads = base + 0.01 * rng.normal(size=(6, model.theta.size))
@@ -118,8 +128,72 @@ def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog)
         # every probe holding the culprit is broken and scores +inf under
         # both screens, so the keep-sets agree: N - ceil(0.3 * 6) clients
         assert decision.accepted.sum() == 4
+        assert np.isfinite(decision.scores[culprit])
+        assert (np.delete(decision.scores, culprit) == math.inf).all()
+    if on_worker:
+        assert len(folds) == 5 and threading.main_thread() not in folds
     if family in ("dist-euc", "dist-merged"):
         assert any("non-finite euclidean" in r.getMessage() for r in caplog.records)
+
+
+class OffMainTrap(np.ndarray):
+    """An update row whose arithmetic raises off the main thread."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("folded off the main thread")
+        inputs = tuple(np.asarray(x) if isinstance(x, OffMainTrap) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_worker_folds_keep_the_bits_of_inline_folds(monkeypatch, fold_worker):
+    # The probes share the prefix and two buffers with the worker; a fold
+    # that ran early or late would change a loss.  A short switch interval
+    # hands the interpreter back and forth as often as it can.
+    model = nn.mlp_model(6, 6554, 3, seed=64)
+    rng = rng_stream(68)
+    val = Dataset(rng.normal(size=(10, 6)), rng.integers(0, 3, size=10), 3)
+    cases = [list(0.5 * rng.normal(size=(n, model.theta.size))) for n in (1, 2, 3, 7, 7, 7)]
+    with monkeypatch.context() as m:
+        m.setattr(runtime, "worker", lambda: None)
+        inline = [fang_whitelist(rows, model, val, 0.0)[1] for rows in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = [fang_whitelist(rows, model, val, 0.0)[1] for rows in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fold_worker) == 0 + 1 + 2 + 3 * 6
+    for want, got in zip(inline, ahead):
+        assert want.tobytes() == got.tobytes()
+
+
+def test_a_fold_that_overflows_on_the_worker_warns_nothing(fold_worker):
+    # One bad row cannot make a fold warn (inf and NaN add quietly); two
+    # rows near the float64 maximum overflow in every fold that adds both,
+    # which only the fold's own error state keeps quiet on the worker.
+    model = nn.mlp_model(6, 6554, 3, seed=64)
+    rng = rng_stream(67)
+    rows = list(0.01 * rng.normal(size=(6, model.theta.size)))
+    rows[1] = rows[4] = np.full(model.theta.size, 1e308)
+    val = Dataset(rng.normal(size=(10, 6)), rng.integers(0, 3, size=10), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, losses = fang_whitelist(rows, model, val, assumed_malicious=0.3)
+    assert (losses == math.inf).all()  # every probe holds a 1e308 row
+    assert len(fold_worker) == 5 and threading.main_thread() not in fold_worker
+
+
+def test_a_fold_that_raises_on_the_worker_raises_in_fang_whitelist(fold_worker):
+    model = nn.mlp_model(6, 6554, 3, seed=64)
+    rng = rng_stream(66)
+    rows = list(0.01 * rng.normal(size=(3, model.theta.size)))
+    # probe 0's fold, on this thread, adds the trap; probe 1's, on the worker, raises
+    rows[2] = rows[2].view(OffMainTrap)
+    val = Dataset(rng.normal(size=(10, 6)), rng.integers(0, 3, size=10), 3)
+    with pytest.raises(RuntimeError, match="folded off the main thread"):
+        fang_whitelist(rows, model, val, assumed_malicious=0.3)
+    assert len(fold_worker) == 1 and threading.main_thread() not in fold_worker
 
 
 def test_density_identical_vectors_keep_lowest_indices():

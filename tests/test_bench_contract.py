@@ -8,7 +8,9 @@ attribute the function no longer has, only shows up as a failed traced
 run.  ``perfbench/pair.py`` times setup and rounds by rebinding module
 functions; a call path that bypasses a rebound name silently skews
 ``setup_s`` and ``round_ms``.  These checks read BENCHMARK.json and the
-perfbench sources (parsed, not imported) and fail fast instead.
+perfbench sources (parsed, not imported) and fail fast instead.  The
+tracer keeps one span stack, so every traced call must also enter on the
+main thread, even while the runtime worker folds the fang probes.
 """
 
 import ast
@@ -17,6 +19,9 @@ import importlib
 import inspect
 import json
 import os
+import sys
+import threading
+import types
 import typing
 from collections import Counter
 
@@ -247,3 +252,56 @@ def test_round_marks_see_every_run_round_and_training_call(tmp_path, monkeypatch
     assert calls["run_experiment"] == 2
     assert calls["aggregate_round"] == 2 * rounds
     assert calls["local_train"] >= 2 * rounds * clients
+
+
+def _main_thread_only(fn, name: str, calls: Counter, strays: list):
+    """``fn`` counting its calls under ``name`` and recording any call that
+    enters off the main thread."""
+
+    def checked(*args, **kwargs):
+        calls[name] += 1
+        if threading.current_thread() is not threading.main_thread():
+            strays.append((name, threading.current_thread().name))
+        return fn(*args, **kwargs)
+
+    return checked
+
+
+def test_every_traced_call_enters_on_the_main_thread(
+    tmp_path, monkeypatch, fold_worker, wide_fang_pair
+):
+    calls: Counter[str] = Counter()
+    strays: list[tuple[str, str]] = []
+    wrapped = {}
+    for short in TRACER["TRACED_MODULES"]:
+        module = importlib.import_module(f"gradamp.{short}")
+        for attr, obj in list(vars(module).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                wrapped[obj] = _main_thread_only(obj, f"{short}.{attr}", calls, strays)
+                monkeypatch.setattr(module, attr, wrapped[obj])
+            elif inspect.isclass(obj):
+                for mattr, member in list(vars(obj).items()):
+                    if mattr.startswith("_"):
+                        continue
+                    name = f"{short}.{attr}.{mattr}"
+                    if inspect.isfunction(member):
+                        new = _main_thread_only(member, name, calls, strays)
+                    elif isinstance(member, (classmethod, staticmethod)):
+                        inner = _main_thread_only(member.__func__, name, calls, strays)
+                        new = type(member)(inner)
+                    else:
+                        continue
+                    monkeypatch.setattr(obj, mattr, new)
+    # names other modules imported by value, as the tracer rebinds them
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gradamp.") and isinstance(module, types.ModuleType):
+            for attr, obj in list(vars(module).items()):
+                if isinstance(obj, types.FunctionType) and obj in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[obj])
+    cfg = ExperimentConfig.from_mapping({**wide_fang_pair, "output.dir": str(tmp_path)})
+    run_pair(cfg, str(tmp_path))
+    assert fold_worker and threading.main_thread() not in fold_worker
+    assert calls["aggregate.fang_whitelist"] == 5 and calls["nn.forward"] > 20
+    assert strays == []

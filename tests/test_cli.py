@@ -467,7 +467,9 @@ class FakeLibc:
 
 @pytest.fixture
 def fresh_runtime(monkeypatch):
-    monkeypatch.setattr(runtime, "_state", {"heap": "unset", "blas_threads": "unpinned"})
+    monkeypatch.setattr(
+        runtime, "_state", {"heap": "unset", "blas_threads": "unpinned", "workers": "0"}
+    )
 
 
 def test_main_sets_the_mmap_then_the_trim_threshold(tmp_path, monkeypatch, fresh_runtime):
@@ -481,6 +483,32 @@ def test_main_sets_the_mmap_then_the_trim_threshold(tmp_path, monkeypatch, fresh
     assert flat["runtime.heap"] == "mmap_threshold=33554432,trim_threshold=67108864"
     assert flat["runtime.blas_threads"] == "unpinned"
     assert flat["runtime.numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("cpus, workers", [({0}, "0"), ({0, 1}, "1"), ({0, 1, 2, 3}, "1")])
+def test_main_enables_one_worker_with_two_or_more_cpus(
+    tmp_path, monkeypatch, fresh_runtime, cpus, workers
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    path = write_config(tmp_path)
+    assert main(["run", path]) == 0
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert flat["runtime.workers"] == workers
+    assert (runtime.worker() is not None) == (workers == "1")
+
+
+def test_run_pair_never_imports_the_report_module(tmp_path):
+    path = write_config(tmp_path)
+    code = (
+        "import sys; from gradamp.cli import main; "
+        "assert main(['run-pair', sys.argv[1]]) == 0; print('gradamp.report' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def raise_oserror(name):
@@ -518,6 +546,7 @@ def test_a_library_run_keeps_the_process_defaults(tmp_path):
     run_python(["-c", code, path], tmp_path)
     flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
     assert (flat["runtime.heap"], flat["runtime.blas_threads"]) == ("unset", "unpinned")
+    assert flat["runtime.workers"] == "0"
 
 
 def test_pair_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,7 +1,10 @@
 """Round-loop integration checks: run folders, determinism, the clean
 twin contract, and the no-attack fidelity guarantee."""
 
+import inspect
 import os
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -222,6 +225,71 @@ def test_resumed_attacked_twin_matches_a_standalone_attacked_run(tmp_path, extra
     # the resumed run appended to copies: the clean twin kept its own records
     clean_rounds = read_rounds_csv(os.path.join(summary.clean.run_dir, "rounds.csv"))
     assert [r.round for r in summary.clean.records] == [r.round for r in clean_rounds]
+
+
+PAIR_FILES = (
+    "clean/rounds.csv",
+    "clean/decisions.csv",
+    "attacked/rounds.csv",
+    "attacked/decisions.csv",
+    "metrics.csv",
+)
+
+
+def pair_bytes(out_dir):
+    return {rel: read_bytes(os.path.join(out_dir, rel)) for rel in PAIR_FILES}
+
+
+@pytest.mark.parametrize("kind", ["l-flip", "scale", "dba"])
+@pytest.mark.parametrize("family", ["dist-cos", "fltrust"])
+def test_the_cohort_trains_once_per_attacked_round(tmp_path, monkeypatch, kind, family):
+    extra = {"attack.kind": kind, "attack.start_round": 1, "defense.family": family}
+    cfg = fast_config(tmp_path, "pair", **extra)
+    run_pair(cfg)
+    with monkeypatch.context() as m:  # train the cohort's honest rows as well
+        m.setattr(harness, "retrained_clients", lambda *args: [])
+        run_pair(cfg, str(tmp_path / "twice"))
+    assert pair_bytes(tmp_path / "pair") == pair_bytes(tmp_path / "twice")
+
+    # per round of a standalone attacked run: the clients every train_all
+    # call named, and the clients every local_train stack trained
+    named, stacked = Counter(), Counter()
+    current = []
+    train_all, local_train = nn.LocalTraining.train_all, nn.local_train
+    seed_of = inspect.signature(local_train)
+
+    def spy_train_all(self, model, shards, round_idx, out, clients=None):
+        current[:] = [round_idx]
+        named.update((round_idx, c) for c in (range(len(shards)) if clients is None else clients))
+        return train_all(self, model, shards, round_idx, out, clients)
+
+    def spy_local_train(*args, **kwargs):
+        stacked[current[0]] += len(seed_of.bind(*args, **kwargs).arguments["seed"])
+        return local_train(*args, **kwargs)
+
+    monkeypatch.setattr(nn.LocalTraining, "train_all", spy_train_all)
+    monkeypatch.setattr(nn, "local_train", spy_local_train)
+    run_experiment(cfg, str(tmp_path / "alone"), attack_enabled=True)
+    trainees = 6 + (family == "fltrust")  # fltrust's reference trains as client N
+    for r in range(4):
+        assert sorted(c for rr, c in named.elements() if rr == r) == list(range(trainees)), r
+        assert stacked[r] == trainees, r
+
+
+def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
+    tmp_path, monkeypatch, fold_worker, wide_fang_pair
+):
+    cfg = ExperimentConfig.from_mapping({**wide_fang_pair, "output.dir": str(tmp_path / "x")})
+    with monkeypatch.context() as m:
+        m.setattr(harness.runtime, "worker", lambda: None)
+        run_pair(cfg, str(tmp_path / "serial"))
+    assert fold_worker == []
+    run_pair(cfg, str(tmp_path / "worker"))
+    # 3 of 4 folds per screen run ahead; 5 screens: the clean twin's 3
+    # rounds and the attacked twin's 2 after the fork at round 1
+    assert len(fold_worker) == 3 * 5
+    assert threading.main_thread() not in fold_worker
+    assert pair_bytes(tmp_path / "serial") == pair_bytes(tmp_path / "worker")
 
 
 def test_clean_twin_leaves_unaliased_state_at_the_fork(tmp_path):
