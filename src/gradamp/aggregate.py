@@ -72,6 +72,12 @@ class AggregatorConfig:
         ):
             raise ConfigError("prediction-based screening needs restore_size amplification")
 
+    @property
+    def draws_validation(self) -> bool:
+        """Whether a run draws the validation set: the fang probes and the
+        class-activation route score on it."""
+        return self.family == "fang" or self.amplifier.kind == "xai"
+
 
 @dataclass
 class AggregationDecision:

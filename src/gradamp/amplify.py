@@ -23,9 +23,10 @@ It runs on client stacks: each panel's stack is a strided (m, h, w) view
 of the update matrix, all N clients at once for small panels and
 cache-sized groups for large ones, so nothing is copied to stack it.  The
 compact view is ``nn.block_max`` of the stack, on a ceil grid.  The
-restored view copies each stack into its rows of the output and keeps
-there, per block, only the entry ``nn.block_argmax`` routes the block to,
-by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring).
+restored view keeps, per block, only the entry ``nn.block_keep`` marks,
+by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring):
+one AND of the stack's bits with the mask's writes the kept entries'
+bits, and +0.0 elsewhere, straight into the stack's rows of the output.
 Both views write into one preallocated (N, L) matrix.
 
 The class-activation route scores each conv filter by its Grad-CAM
@@ -102,7 +103,8 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
                     panels.append((h, w, size, math.ceil(h / k), math.ceil(w / k)))
                 size += arr.size
     if config.restore_size:
-        out = np.zeros((n, size))
+        # the panels write every entry unless the biases are left out
+        out = np.empty((n, size)) if config.include_bias else np.zeros((n, size))
     else:
         out = np.empty((n, sum(ho * wo for *_, ho, wo in panels)))
     pos = 0
@@ -114,13 +116,10 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
             part = slice(c0, c0 + m)
             x = rows[part, offset : offset + h * w].reshape(-1, h, w)
             if config.restore_size:
-                # Filtered in its rows of the output, so no second
-                # (N, P) array is made.
+                best = nn.block_max(x, k, scratch[: len(x)])
+                keep = np.negative(nn.block_keep(x, best, k), dtype=np.int64)
                 kept = out[part, offset : offset + h * w].reshape(-1, h, w)
-                np.copyto(kept, x)
-                best = nn.block_max(kept, k, scratch[: len(kept)])
-                for cell, miss in nn.block_argmax(kept, best, k):
-                    np.copyto(kept[cell], 0.0, where=miss)
+                np.bitwise_and(x.view(np.int64), keep, out=kept.view(np.int64))
             else:
                 nn.block_max(x, k, out[part, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo

@@ -267,7 +267,7 @@ class ExperimentConfig:
         # their fractions alone
         n_rows = classes * int(v["dataset.per_class"]) if blobs else 0
         test_fraction = float(v["dataset.test_fraction"])
-        n_pool, _, n_test = split_sizes(n_rows, test_fraction, float(v["dataset.server_fraction"]))
+        n_pool, n_server, n_test = split_sizes(n_rows, test_fraction, float(v["dataset.server_fraction"]))
         if blobs and n_test == 0:
             raise ConfigError(f"dataset.test_fraction {test_fraction} leaves no test sample of {n_rows}")
         n = int(v["federation.clients"])
@@ -332,9 +332,17 @@ class ExperimentConfig:
             )
             for s in ("validation", "trust")
         )
+        # the draws setup makes, each against its whole pool; whether a
+        # biased draw's class holds enough is known only after the split
+        overlap = bool(v["validation.allow_overlap"])
+        pool, pool_name = (n_pool, "client pool") if overlap else (n_server, "server pool")
+        agg = self.aggregator
+        drawn = {"validation": agg.draws_validation, "trust": agg.family == "fltrust"}
         for s, spec in (("validation", self.validation), ("trust", self.trust)):
             if blobs and not 0 <= spec.biased_class < classes:
                 raise ConfigError(f"{s}.biased_class {spec.biased_class} is not one of the {classes} classes")
+            if blobs and drawn[s] and spec.size > pool:
+                raise ConfigError(f"{s}.size {spec.size} exceeds the {pool} samples of the {pool_name}")
 
     def canonical_text(self) -> str:
         return _canonical(self.values)

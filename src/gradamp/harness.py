@@ -275,11 +275,10 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
         raise ConfigError("fewer than two clients hold data")
 
     agg = cfg.aggregator
-    need_validation = agg.family == "fang" or agg.amplifier.kind == "xai"
     val_pool = train_pool if bool(cfg["validation.allow_overlap"]) else server_pool
     validation = (
         sample_validation(val_pool, cfg.validation, _subseed(seed_data, _TAG_VALIDATION))
-        if need_validation
+        if agg.draws_validation
         else None
     )
     trainees = shards

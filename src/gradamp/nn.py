@@ -35,11 +35,15 @@ Kernels:
     axes by k*k ``np.maximum`` passes over the strided cell views
     ``x[..., a::k, b::k]``, with no padding or block copy: on a ceil grid
     edge blocks are ragged and reduced as-is, and a block holding a NaN
-    reduces to NaN.  ``block_argmax`` routes each block to one kept entry,
-    its first maximum in row-major order or its first NaN (``argmax``'s
-    rule, which decides the all-zero blocks after a relu).  Maxpool crops
-    the trailing rows and columns, pools with ``block_max`` and sends each
-    block's gradient to its kept entry.
+    reduces to NaN.  ``block_keep`` marks each block's kept entry in a
+    bool mask shaped like the input: its first maximum in row-major order
+    or its first NaN (``argmax``'s rule, which decides the all-zero blocks
+    after a relu).  Callers select by the mask's bits: the values' int64
+    view AND the mask negated to int64 keeps the kept entries' bits, NaN
+    payloads, infinities and -0.0 included, and writes +0.0 elsewhere.
+    Maxpool crops the trailing rows and columns, pools with ``block_max``,
+    and in the backward spreads each block's gradient to its k*k cells and
+    selects it there.
 
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
@@ -359,24 +363,31 @@ def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def block_argmax(x: np.ndarray, best: np.ndarray, k: int):
-    """Route each k*k block of ``x`` to one kept entry: its first cell in
-    row-major order that equals ``best`` (the block's ``block_max``) or is
-    NaN.  Yields, per cell offset in row-major order, the cell's index into
-    ``x`` and the mask of blocks whose kept entry is not in that cell.  The
-    mask is final when yielded, so the caller may overwrite the cell."""
-    open_blocks = np.ones(best.shape, dtype=bool)
+def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
+    """Bool mask shaped like ``x`` marking each k*k block's kept entry: its
+    first cell in row-major order that equals ``best`` (the block's
+    ``block_max``) or is NaN.  A block holding a NaN has a NaN maximum, so
+    the NaN tests run only when some block's maximum is NaN."""
+    keep = np.empty(x.shape, dtype=bool)
+    hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
+    open_blocks = np.empty(best.shape, dtype=bool)
+    nans = np.isnan(best).any()
     for a in range(k):
         for b in range(k):
-            cell = (..., slice(a, None, k), slice(b, None, k))
-            win = x[cell]
+            win = x[..., a::k, b::k]
             ha, wb = win.shape[-2:]
-            hit = win == best[..., :ha, :wb]
-            hit |= np.isnan(win)
-            hit &= open_blocks[..., :ha, :wb]
-            miss = ~hit
-            open_blocks[..., :ha, :wb] &= miss
-            yield cell, miss
+            hit = hits[: win.size].reshape(win.shape)
+            np.equal(win, best[..., :ha, :wb], out=hit)
+            if nans:
+                hit |= np.isnan(win)
+            if a or b:
+                still = open_blocks[..., :ha, :wb]
+                hit &= still
+                np.not_equal(still, hit, out=still)
+            else:
+                np.logical_not(hit, out=open_blocks)
+            keep[..., a::k, b::k] = hit
+    return keep
 
 
 def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
@@ -462,10 +473,15 @@ def _backprop(
             pooled = trace.inputs[i + 1]
             k = layer.pool
             crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
+            # d to all k*k cells of its block; the AND keeps the routed one
             dx = np.zeros_like(x)
             dx_cropped = dx[crop]
-            for cell, miss in block_argmax(x[crop], pooled, k):
-                dx_cropped[cell] = np.where(miss, 0.0, d)
+            for a in range(k):
+                for b in range(k):
+                    dx_cropped[..., a::k, b::k] = d
+            keep = np.negative(block_keep(x[crop], pooled, k), dtype=np.int64)
+            bits = dx_cropped.view(np.int64)
+            np.bitwise_and(bits, keep, out=bits)
             d = dx
     return grads
 

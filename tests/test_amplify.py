@@ -18,6 +18,7 @@ from gradamp.amplify import (
 from gradamp.data import Dataset
 from gradamp.errors import ConfigError
 from gradamp.seeding import rng_stream
+from test_nn import naive_pool
 
 
 def brute_force_max(mat, kernel):
@@ -226,15 +227,52 @@ def test_patch_max_kernel_matches_naive_loops():
     # ties, an all-zero block and one NaN block (in the last map).
     x = edge_case_stack(rng, 6, 7, 5, 3).reshape(2, 3, 7, 5)
     best = nn.block_max(x, 3)
-    kept = x.copy()
-    for cell, miss in nn.block_argmax(kept, best, 3):
-        np.copyto(kept[cell], 0.0, where=miss)
+    kept = np.empty_like(x)
+    keep = np.negative(nn.block_keep(x, best, 3), dtype=np.int64)
+    np.bitwise_and(x.view(np.int64), keep, out=kept.view(np.int64))
     assert np.isnan(best).sum() == 1
     for b, c in np.ndindex(2, 3):
         expect = naive_patch_max(x[b, c], 3, restore=False)
         assert np.array_equal(best[b, c], expect, equal_nan=True), (b, c)
         expect = naive_patch_max(x[b, c], 3, restore=True)
         assert kept[b, c].tobytes() == expect.tobytes(), (b, c)
+
+
+def first_max_mask(x, k, ceil=True):
+    """True at ``naive_pool``'s position of each block, False elsewhere."""
+    _, first = naive_pool(x, k, ceil)
+    mask = np.zeros(x.shape, dtype=bool)
+    for idx in np.ndindex(first.shape[:-1]):
+        mask[(*idx[:-2], *first[idx])] = True
+    return mask, first[..., 0].size
+
+
+def test_block_keep_marks_the_first_max_or_nan_of_each_block():
+    # Stacks of one and three clients, kernels 1-4, ragged and exact edges;
+    # the planted blocks (ties, all-zero of both signs, -inf, NaN) plus a
+    # +inf tie and a lone +inf in every stack.
+    rng = rng_stream(48)
+    for n in (1, 3):
+        for k in (1, 2, 3, 4):
+            for h, w in ((7, 9), (8, 8), (5, 3), (1, 10)):
+                x = edge_case_stack(rng, n, h, w, k)
+                x[0, -1, :2] = np.inf
+                x[-1, 0, -1] = np.inf
+                keep = nn.block_keep(x, nn.block_max(x, k), k)
+                expect, blocks = first_max_mask(x, k)
+                assert keep.dtype == bool and keep.shape == x.shape
+                assert keep.sum() == blocks, (n, k, h, w)
+                assert np.array_equal(keep, expect), (n, k, h, w)
+    # The maxpool layout: a ragged (B, C, h, w) stack on the ceil grid, and
+    # cropped to whole blocks as the maxpool backward routes it.
+    x = edge_case_stack(rng, 6, 7, 5, 3).reshape(2, 3, 7, 5)
+    assert np.isnan(x).sum() == 1
+    keep = nn.block_keep(x, nn.block_max(x, 3), 3)
+    assert np.array_equal(keep, first_max_mask(x, 3)[0])
+    crop = x[..., :6, :3]
+    keep = nn.block_keep(crop, nn.block_max(crop, 3), 3)
+    expect, blocks = first_max_mask(x, 3, ceil=False)
+    assert keep.sum() == blocks and np.array_equal(keep, expect[..., :6, :3])
 
 
 def test_stacked_amplify_mp_equals_per_client():
@@ -315,11 +353,11 @@ def test_xai_selection_matches_weight_ranking():
 
 def test_xai_selection_routes_no_maxpool_backward(monkeypatch):
     # The weights are read off the pooled-output gradient; a walk down to
-    # the conv output would route every pooled cell through block_argmax.
+    # the conv output would route every pooled cell through block_keep.
     def refuse(*args, **kwargs):
         raise AssertionError("xai selection walked the maxpool backward")
 
-    monkeypatch.setattr(nn, "block_argmax", refuse)
+    monkeypatch.setattr(nn, "block_keep", refuse)
     model, val, updates = xai_setup(47, filters=6)
     assert xai_selection(model, updates[0], val, 0.5).size == 3
     out = amplify_xai(updates, model, val, AmplifierConfig(kind="xai", top_p=0.5))

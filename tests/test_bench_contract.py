@@ -305,3 +305,27 @@ def test_every_traced_call_enters_on_the_main_thread(
     assert fold_worker and threading.main_thread() not in fold_worker
     assert calls["aggregate.fang_whitelist"] == 5 and calls["nn.forward"] > 20
     assert strays == []
+
+
+def test_no_traced_function_is_a_generator():
+    # The tracer's span around a generator function closes when the
+    # generator is made, so its work would land in the caller's self time.
+    generators = []
+    for short in TRACER["TRACED_MODULES"]:
+        module = importlib.import_module(f"gradamp.{short}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {attr: obj}
+            if inspect.isclass(obj):
+                members = {
+                    f"{attr}.{m}": getattr(member, "__func__", member)
+                    for m, member in vars(obj).items()
+                    if not m.startswith("_")
+                }
+            generators += [
+                f"{short}.{name}"
+                for name, fn in members.items()
+                if inspect.isgeneratorfunction(fn) or inspect.isasyncgenfunction(fn)
+            ]
+    assert generators == []

@@ -121,9 +121,13 @@ def test_non_finite_value_exits_2(tmp_path, capsys, key, value):
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    # A trust shard larger than the server pool fails at setup, which is
-    # a runtime error rather than a config-shape one.
-    path = write_config(tmp_path, **{"defense.family": "fltrust", "trust.size": 10_000})
+    # A biased trust draw that fits the 18-sample server pool but not the
+    # few class-1 samples the seeded split leaves there fails at setup,
+    # which is a runtime error rather than a config-shape one.
+    path = write_config(
+        tmp_path,
+        **{"defense.family": "fltrust", "trust.mode": "biased", "trust.theta": 1.0, "trust.size": 18},
+    )
     assert main(["run", path]) == 3
     assert "error:" in capsys.readouterr().err
 
@@ -400,6 +404,34 @@ def test_parse_vary_rejects_malformed_specs():
             {"federation.clients": 1000},
             "federation.clients 1000 exceeds the 50 samples of the client pool",
         ),
+        # a draw larger than its whole pool: 18 server samples, 50 client
+        # samples with overlap, none without a server share
+        ({"defense.family": "fang", "validation.size": 19}, "validation.size 19 exceeds the 18 samples of the server pool"),
+        (
+            {"defense.family": "fang", "validation.mode": "biased", "validation.size": 19},
+            "validation.size 19 exceeds the 18 samples of the server pool",
+        ),
+        (
+            {"model.kind": "conv", "dataset.dim": "1x6x6", "defense.amplifier": "xai", "validation.size": 19},
+            "validation.size 19 exceeds the 18 samples of the server pool",
+        ),
+        ({"defense.family": "fltrust", "trust.size": 10_000}, "trust.size 10000 exceeds the 18 samples of the server pool"),
+        (
+            {"defense.family": "fltrust", "trust.mode": "biased", "trust.size": 19},
+            "trust.size 19 exceeds the 18 samples of the server pool",
+        ),
+        (
+            {"defense.family": "fang", "validation.allow_overlap": True, "validation.size": 51},
+            "validation.size 51 exceeds the 50 samples of the client pool",
+        ),
+        (
+            {"defense.family": "fang", "dataset.server_fraction": 0},
+            "validation.size 12 exceeds the 0 samples of the server pool",
+        ),
+        (
+            {"defense.family": "fltrust", "dataset.server_fraction": 0},
+            "trust.size 12 exceeds the 0 samples of the server pool",
+        ),
     ],
     ids=[
         "fang-rejects-all",
@@ -437,6 +469,14 @@ def test_parse_vary_rejects_malformed_specs():
         "test-fraction-negative",
         "empty-test-split",
         "clients-exceed-pool",
+        "fang-validation-exceeds-server-pool",
+        "fang-biased-validation-exceeds-server-pool",
+        "xai-validation-exceeds-server-pool",
+        "fltrust-trust-exceeds-server-pool",
+        "fltrust-biased-trust-exceeds-server-pool",
+        "overlap-validation-exceeds-client-pool",
+        "fang-no-server-pool",
+        "fltrust-no-server-pool",
     ],
 )
 def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):

@@ -548,12 +548,13 @@ def test_skewed_split_can_drop_empty_shards(tmp_path):
 
 
 def test_failed_run_reports_the_round(tmp_path):
-    # fltrust needs a trust shard; an oversized draw breaks during setup
-    # and the manifest records the error.
+    # fltrust needs a trust shard; a biased draw that fits the server pool
+    # but not its class-1 samples breaks during setup and the manifest
+    # records the error.
     cfg = fast_config(
         tmp_path,
         "boom",
-        **{"defense.family": "fltrust", "trust.size": 10_000},
+        **{"defense.family": "fltrust", "trust.mode": "biased", "trust.theta": 1.0, "trust.size": 18},
     )
     with pytest.raises(Exception):
         run_experiment(cfg)
@@ -577,6 +578,14 @@ def test_failed_run_reports_the_round(tmp_path):
             lambda run: set(run.validation.labels) == {1},
         ),
         ({"defense.family": "fang", "validation.size": 1}, lambda run: len(run.validation) == 1),
+        # a draw as large as its whole pool: the server's 18, or the
+        # clients' 50 with overlap; a family that draws none is not checked
+        ({"defense.family": "fang", "validation.size": 18}, lambda run: len(run.validation) == 18),
+        (
+            {"defense.family": "fltrust", "validation.allow_overlap": True, "trust.size": 50},
+            lambda run: len(run.trainees) == 7 and len(run.trainees[-1]) == 50,
+        ),
+        ({"defense.family": "dist-cos", "validation.size": 10_000}, lambda run: run.validation is None),
         ({"federation.clients": 50}, lambda run: len(run.attack.shards) == 50),  # 90 - 22 - 18
         ({"dataset.test_fraction": 0.006}, lambda run: len(run.test_set) == 1),  # round(0.54)
     ],
@@ -587,6 +596,9 @@ def test_failed_run_reports_the_round(tmp_path):
         "conv-1x4x4",
         "validation-theta-1",
         "validation-size-1",
+        "validation-fills-the-server-pool",
+        "trust-fills-the-client-pool",
+        "dist-cos-draws-no-validation",
         "clients-fill-the-pool",
         "one-test-sample",
     ],

@@ -100,6 +100,50 @@ def test_gradients_match_finite_differences_conv():
         assert rel_err(analytic, numeric) <= FD_TOL, (shape, pool)
 
 
+def test_conv_backward_routes_pooled_ties_to_the_first_max():
+    # Each filter reads only its window's centre, drawn from {0.5, 1}, so
+    # most pool blocks hold a positive tie between positions whose 3x3
+    # windows differ elsewhere: finite differences cannot see which tied
+    # entry takes the pooled gradient, but the weight gradient can.
+    k = 2
+    model = nn.conv_model((1, 9, 8), 3, seed=7, filters=2, kernel=3, pool=k)
+    conv = model.layers[0]
+    conv.weight[...] = 0.0
+    conv.weight[:, 0, 1, 1] = (1.0, 0.5)
+    conv.bias[...] = 0.25
+    rng = rng_stream(8)
+    x = rng.normal(size=(3, 1, 9, 8))
+    x[:, :, 1:-1, 1:-1] = rng.choice((0.5, 1.0), size=(3, 1, 7, 6))
+    y = rng.integers(0, 3, size=3)
+    trace = nn.forward(model, x)
+    got = nn.backward(model, trace, y).layers[0][0]
+
+    relu_out, pooled = trace.inputs[2], trace.inputs[3]
+    dlogits = (trace.probs - np.eye(3)[y]) / len(y)
+    dpooled = (dlogits @ model.layers[3].weight).reshape(pooled.shape)
+    _, first = naive_pool(relu_out, k)
+
+    def routed(position):
+        """The conv weight gradient with each pooled gradient sent to
+        ``position(s, f, i, j)`` of its block (relu'd outputs are positive)."""
+        gw = np.zeros(conv.weight.shape)
+        for s, f, i, j in np.ndindex(*pooled.shape):
+            r, c = position(s, f, i, j)
+            gw[f] += dpooled[s, f, i, j] * x[s, :, r : r + 3, c : c + 3]
+        return gw
+
+    def last(s, f, i, j):
+        block = relu_out[s, f, i * k : (i + 1) * k, j * k : (j + 1) * k]
+        at = np.flatnonzero(block == pooled[s, f, i, j])[-1]
+        return i * k + at // k, j * k + at % k
+
+    want = routed(lambda *cell: first[cell])
+    assert (relu_out > 0.0).all()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    # The ties decide the gradient: routing to the last tie moves it.
+    assert np.abs(routed(last) - want).max() > 1e-3
+
+
 def test_capture_without_conv_layer_raises():
     model = nn.mlp_model(4, 3, 2, seed=0)
     x = rng_stream(11).normal(size=(2, 4))
@@ -302,22 +346,21 @@ def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
     assert nn.forward(mlp, rng.normal(size=(2, 4))).cols is None
 
 
-def naive_pool(x, k):
-    """Block max and the position each block routes its gradient to, one
-    block at a time: its first maximum, or for a NaN block (which pools to
-    NaN) its first NaN, like argmax."""
-    n, c, h, w = x.shape
-    ho, wo = h // k, w // k
-    pooled = np.zeros((n, c, ho, wo))
-    first = np.zeros((n, c, ho, wo, 2), dtype=int)
-    for s in range(n):
-        for ch in range(c):
-            for i in range(ho):
-                for j in range(wo):
-                    block = x[s, ch, i * k : (i + 1) * k, j * k : (j + 1) * k]
-                    at = int(np.argmax(block))
-                    pooled[s, ch, i, j] = block.flat[at]
-                    first[s, ch, i, j] = (i * k + at // k, j * k + at % k)
+def naive_pool(x, k, ceil=False):
+    """Block max over the last two axes and the position each block routes
+    its gradient to, one block at a time: its first maximum, or for a NaN
+    block (which pools to NaN) its first NaN, like argmax.  Trailing cells
+    are dropped, as maxpool crops them, or with ``ceil`` reduced as ragged
+    edge blocks, as the patch max grids them."""
+    *lead, h, w = x.shape
+    ho, wo = (-(-h // k), -(-w // k)) if ceil else (h // k, w // k)
+    pooled = np.zeros((*lead, ho, wo))
+    first = np.zeros((*lead, ho, wo, 2), dtype=int)
+    for *at_lead, i, j in np.ndindex(*lead, ho, wo):
+        block = x[(*at_lead, slice(i * k, (i + 1) * k), slice(j * k, (j + 1) * k))]
+        at = int(np.argmax(block))
+        pooled[(*at_lead, i, j)] = block.flat[at]
+        first[(*at_lead, i, j)] = (i * k + at // block.shape[1], j * k + at % block.shape[1])
     return pooled, first
 
 
