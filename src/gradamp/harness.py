@@ -16,9 +16,17 @@ held a non-finite parameter after a round's server step, which raises
 ``DivergenceError`` and ends the run there.
 
 The configuration and its three seeds fully determine every byte of
-rounds.csv, decisions.csv, and the pair-level metrics.csv; wall-clock
-numbers live only in timings.csv and the manifest, so reruns can be
-compared checksum for checksum.
+config.txt, rounds.csv, decisions.csv, amplified.csv and the pair-level
+metrics.csv; wall-clock numbers live only in timings.csv and the manifest,
+so reruns can be compared checksum for checksum.  The manifest lists a
+``checksum.<name>`` (sha256) for every deterministic file of the folder.
+
+Every file a run, pair, sweep or report leaves goes through ``_write_lines``:
+ASCII lines, written under a temporary name that then replaces the file,
+with the manifest last, so a folder never holds a torn file.  A rerun into
+a folder removes the amplified.csv of an earlier run that it did not dump
+itself.  ``_read_rows`` is the one reader of the header-plus-rows files
+(rounds.csv, amplified.csv).
 
 The round loop is ``_prepare``, which builds a run's state at round 0,
 plus that state's ``step``, which plays one round on it; ``run_experiment``
@@ -30,10 +38,9 @@ round start_round, so the clean twin leaves a snapshot of its state at
 round min(start_round, rounds), and the attacked twin resumes from it with
 its cohort set instead of repeating setup and those rounds.  Every
 deterministic file is the same as a standalone attacked run's, including
-an amplified.csv dumped inside the shared rounds, which is copied from the
-clean folder.  In the attacked folder the timings.csv rows up to
-start_round are the clean twin's, and ``run.wall_ms`` covers only the
-resumed rounds.
+an amplified.csv dumped inside the shared rounds: the snapshot carries the
+dumped rows.  In the attacked folder the timings.csv rows up to start_round
+are the clean twin's, and ``run.wall_ms`` covers only the resumed rounds.
 
 Round k (1-based) trains every client on the model left by round k-1;
 the attack, when enabled, rewrites malicious updates from round
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
+import re
 import time
 from dataclasses import dataclass, field, replace
 
@@ -72,7 +79,7 @@ from .data import (
     split_pools,
     synth_blobs,
 )
-from .errors import ConfigError, DivergenceError, GradampError
+from .errors import ConfigError, DivergenceError, GradampError, ReportError
 from .metrics import (
     MonitorWindow,
     RoundRecord,
@@ -98,11 +105,42 @@ def _subseed(*key: int) -> int:
     return int(rng_stream(*key).integers(2**63))
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+# the columns of the header-plus-rows files, shared by writer and reader
+_ROUND_COLUMNS = {"round": int, "test_accuracy": float, "asr": float}
+_AMPLIFIED_COLUMNS = {"client_id": int, "index": int, "value": float}
+
+
+def _write_lines(path: str, lines: list[str]) -> str:
+    """Write ``lines`` as ASCII text to a temporary name that then replaces
+    ``path``; returns the sha256 of the bytes written."""
+    data = "".join(line + "\n" for line in lines).encode("ascii")
+    with open(path + ".tmp", "wb") as fh:
+        fh.write(data)
+    os.replace(path + ".tmp", path)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_rows(path: str, columns: dict[str, type]) -> list[tuple]:
+    """The rows of a header-plus-rows file, typed by ``columns``; row i sits
+    on line i + 2."""
     with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+        data = fh.read()
+    try:
+        header, *lines = data.decode("ascii").splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not ASCII text: {exc}") from exc
+    if header.strip() != ",".join(columns):
+        raise ReportError(f"{path}: unexpected header {header!r}")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.strip().split(",")
+        try:
+            if len(fields) != len(columns):
+                raise ValueError(f"{len(fields)} fields, expected {len(columns)}")
+            rows.append(tuple(kind(f) for kind, f in zip(columns.values(), fields)))
+        except ValueError as exc:
+            raise ReportError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
 
 
 @dataclass
@@ -179,7 +217,7 @@ class _Run:
     decision_rows: list[str] = field(default_factory=list)
     round: int = 0
     mark: float = 0.0  # perf_counter at the last checkpoint
-    amplified: str | None = None  # the amplified.csv this run dumped
+    amplified: np.ndarray | None = None  # the rows the dump round scored
 
     def snapshot(self) -> _Run:
         """A copy to resume from.  The lists that grow are copied; the rest
@@ -193,13 +231,10 @@ class _Run:
             warnings=list(self.warnings),
         )
 
-    def resume(self, out_dir: str) -> None:
-        """Turn a clean snapshot into its attacked twin: set the cohort,
-        carry a dump from the shared rounds into ``out_dir`` and restart the
-        checkpoint clock."""
+    def resume(self) -> None:
+        """Turn a clean snapshot into its attacked twin: set the cohort and
+        restart the checkpoint clock."""
         self.attack = replace(self.attack, malicious=_cohort(self.cfg, len(self.attack.shards)))
-        if self.amplified is not None:
-            self.amplified = shutil.copyfile(self.amplified, os.path.join(out_dir, "amplified.csv"))
         self.mark = time.perf_counter()
 
     def checkpoint(self) -> None:
@@ -216,8 +251,8 @@ class _Run:
         self.records.append(RoundRecord(round=self.round, test_accuracy=ta, asr=s, wall_ms=wall_ms))
         self.mark = now
 
-    def step(self, out_dir: str) -> None:
-        """Play round ``round + 1``: train, craft, screen, write the decision
+    def step(self) -> None:
+        """Play round ``round + 1``: train, craft, screen, record the decision
         rows, dump, apply, and checkpoint on the cadence."""
         cfg = self.cfg
         self.round = k = self.round + 1
@@ -237,7 +272,9 @@ class _Run:
                 f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
             )
         if k == int(cfg["output.dump_amplified_round"]):
-            self.amplified = _dump_amplified(out_dir, updates, cfg.aggregator, round_ctx)
+            # a copy: without an amplifier the views are the rows, rewritten next round
+            views, _ = scored_views(updates, cfg.aggregator, round_ctx)
+            self.amplified = np.array(views, dtype=np.float64)
         self.model = nn.apply_update(self.model, decision.global_update)
         if not np.isfinite(self.model.theta).all():
             raise DivergenceError("model parameters are no longer finite")
@@ -319,13 +356,6 @@ def _cohort(cfg: ExperimentConfig, n_clients: int) -> list[int]:
     return select_malicious(n_clients, cfg.attack.malicious_fraction, int(cfg["seeds.attack"]))
 
 
-def _write_rows(path: str, header: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
@@ -348,17 +378,17 @@ def run_experiment(
     try:
         if attack_enabled and prefix:
             resumed = prefix.pop()
-            resumed.resume(out_dir)  # a failure here is still a setup failure
+            resumed.resume()  # a failure here is still a setup failure
             run = resumed
         else:
             run = _prepare(cfg, attack_enabled)
             run.checkpoint()
         if prefix is not None and not attack_enabled:
             while run.round < min(cfg.attack.start_round, rounds):
-                run.step(out_dir)
+                run.step()
             prefix.append(run.snapshot())
         while run.round < rounds:
-            run.step(out_dir)
+            run.step()
     except BaseException as exc:
         status = "diverged" if isinstance(exc, DivergenceError) else "error"
         where = f"round {run.round}" if run is not None and run.round else "setup"
@@ -375,39 +405,39 @@ def run_experiment(
             warnings=run.warnings if run is not None else [],
             error=error_note,
         )
-        _write_run_files(out_dir, cfg, manifest, run.decision_rows if run is not None else [])
+        _write_run_files(out_dir, cfg, manifest, run)
     return manifest
 
 
-def _dump_amplified(out_dir, updates, agg_cfg, round_ctx) -> str:
-    """Write the round's amplified rows, as the screen scored them, and
-    return the file's path."""
-    views, _ = scored_views(updates, agg_cfg, round_ctx)
-    rows = [
-        f"{cid},{j},{format_float(v)}" for cid, view in enumerate(views) for j, v in enumerate(view)
-    ]
-    path = os.path.join(out_dir, "amplified.csv")
-    _write_rows(path, "client_id,index,value", rows)
-    return path
-
-
 def _write_run_files(
-    out_dir: str, cfg: ExperimentConfig, manifest: RunManifest, decision_rows: list[str]
+    out_dir: str, cfg: ExperimentConfig, manifest: RunManifest, run: _Run | None
 ) -> None:
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii", newline="") as fh:
-        fh.write(cfg.canonical_text())
-    round_rows = [
-        f"{rec.round},{format_float(rec.test_accuracy)},{format_float(rec.asr)}"
-        for rec in manifest.records
-    ]
-    _write_rows(os.path.join(out_dir, "rounds.csv"), "round,test_accuracy,asr", round_rows)
-    _write_rows(
-        os.path.join(out_dir, "decisions.csv"), "round,client_id,score,accepted", decision_rows
-    )
-    timing_rows = [f"{rec.round},{format_float(rec.wall_ms)}" for rec in manifest.records]
-    _write_rows(os.path.join(out_dir, "timings.csv"), "round,wall_ms", timing_rows)
-    for name in ("rounds.csv", "decisions.csv"):
-        manifest.checksums[name] = _sha256(os.path.join(out_dir, name))
+    """Write the folder, the manifest last, and checksum every file but the
+    wall-clock timings.csv; an amplified.csv this run did not dump goes."""
+    files = {
+        "config.txt": cfg.canonical_text().splitlines(),
+        "rounds.csv": [",".join(_ROUND_COLUMNS)]
+        + [
+            f"{rec.round},{format_float(rec.test_accuracy)},{format_float(rec.asr)}"
+            for rec in manifest.records
+        ],
+        "decisions.csv": ["round,client_id,score,accepted"]
+        + (run.decision_rows if run is not None else []),
+        "timings.csv": ["round,wall_ms"]
+        + [f"{rec.round},{format_float(rec.wall_ms)}" for rec in manifest.records],
+    }
+    if run is not None and run.amplified is not None:
+        files["amplified.csv"] = [",".join(_AMPLIFIED_COLUMNS)] + [
+            f"{cid},{j},{format_float(v)}"
+            for cid, view in enumerate(run.amplified)
+            for j, v in enumerate(view)
+        ]
+    elif os.path.exists(os.path.join(out_dir, "amplified.csv")):
+        os.remove(os.path.join(out_dir, "amplified.csv"))
+    for name, rows in files.items():
+        digest = _write_lines(os.path.join(out_dir, name), rows)
+        if name != "timings.csv":
+            manifest.checksums[name] = digest
     lines = {
         "config.hash": cfg.config_hash(),
         "metric.heterogeneity": format_float(manifest.heterogeneity),
@@ -429,27 +459,11 @@ def _write_run_files(
         lines[f"warning.{i}"] = note
     for name in ("rounds.csv", "decisions.csv", "timings.csv"):
         lines[f"artifact.{name.split('.')[0]}"] = name
-    with open(manifest.path, "w", encoding="ascii", newline="") as fh:
-        for key in sorted(lines):
-            fh.write(f"{key} = {lines[key]}\n")
+    _write_lines(manifest.path, [f"{key} = {lines[key]}" for key in sorted(lines)])
 
 
 def read_rounds_csv(path: str) -> list[RoundRecord]:
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            header = fh.readline().strip()
-            if header != "round,test_accuracy,asr":
-                raise GradampError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    r, ta, s = line.strip().split(",")
-                    records.append(RoundRecord(int(r), float(ta), float(s)))
-                except ValueError as exc:
-                    raise GradampError(f"{path}: line {lineno}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise GradampError(f"{path}: not ASCII text: {exc}") from exc
-    return records
+    return [RoundRecord(*row) for row in _read_rows(path, _ROUND_COLUMNS)]
 
 
 def read_manifest(path: str) -> dict[str, str]:
@@ -504,7 +518,7 @@ def run_pair(cfg: ExperimentConfig, out_dir: str | None = None) -> PairSummary:
         "heterogeneity": attacked.heterogeneity,
     }
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    _write_rows(metrics_path, ",".join(row), [_metrics_line(row)])
+    _write_lines(metrics_path, [",".join(row), _metrics_line(row)])
     return PairSummary(clean, attacked, metrics_path, row)
 
 
@@ -519,16 +533,20 @@ def sweep(
     """run_pair once per value of one overridden key; summary in sweep.csv."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # one folder name per value, a single path component inside out_root
+    slugs = [re.sub(r"[^A-Za-z0-9._-]", "_", f"{vary_key.replace('.', '-')}-{v}") for v in values]
+    repeated = sorted({slug for slug in slugs if slugs.count(slug) > 1})
+    if repeated:
+        raise ConfigError(f"sweep values share the folder names {repeated}")
     out_root = out_root or str(cfg["output.dir"])
     os.makedirs(out_root, exist_ok=True)
     summaries = []
     rows = []
-    for value in values:
+    for value, slug in zip(values, slugs):
         sub = cfg.with_overrides({vary_key: value})
-        slug = f"{vary_key.replace('.', '-')}-{value}"
         summary = run_pair(sub, os.path.join(out_root, slug))
         summaries.append(summary)
         rows.append(f"{value},{_metrics_line(summary.metrics_row)}")
     header = "value," + ",".join(summaries[0].metrics_row)
-    _write_rows(os.path.join(out_root, "sweep.csv"), header, rows)
+    _write_lines(os.path.join(out_root, "sweep.csv"), [header, *rows])
     return summaries

@@ -5,17 +5,25 @@ the report step stays as deterministic as the runs it reads.  The PCA
 projection uses two-component power iteration over a run's dumped
 amplified vectors, which is where colluding cohorts become visible as a
 separated cluster.
+
+Every run is tabled with its ``run.status``; every run with a checkpoint
+is drawn, whatever its status.  A file the report reads must match the
+sha256 its manifest lists for it, and an amplified.csv must be dense:
+each client holds the indices 0..L-1 once each, with one L for all.
+Files are read through the harness's ``_read_rows`` and written through
+its ``_write_lines``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
 
 from .data import format_float
 from .errors import ReportError
-from .harness import read_manifest, read_rounds_csv
+from .harness import _AMPLIFIED_COLUMNS, _read_rows, _write_lines, read_manifest, read_rounds_csv
 from .seeding import rng_stream
 
 _VIEW_W, _VIEW_H = 800, 500
@@ -108,8 +116,7 @@ def svg_line_plot(
         )
         out.append(f'<text x="{lx + 28}" y="{ly + 4}" font-size="11">{label}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write_lines(path, out)
 
 
 def pca_project(x: np.ndarray) -> np.ndarray:
@@ -118,6 +125,8 @@ def pca_project(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ReportError("PCA needs at least two row vectors")
+    if not np.isfinite(x).all():
+        raise ReportError("PCA needs finite row vectors")
     centered = x - x.mean(axis=0)
     d = centered.shape[1]
     basis = []
@@ -139,40 +148,44 @@ def pca_project(x: np.ndarray) -> np.ndarray:
     return proj
 
 
+def _checked(path: str, info: dict[str, str]) -> str:
+    """``path``, once its bytes match the ``checksum.<name>`` that the
+    manifest ``info`` lists for it; a manifest without one checks nothing."""
+    digest = info.get(f"checksum.{os.path.basename(path)}")
+    if digest is not None:
+        with open(path, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != digest:
+                raise ReportError(f"{path}: sha256 does not match the manifest's checksum")
+    return path
+
+
 def _read_amplified(path: str) -> np.ndarray:
-    rows: dict[int, dict[int, float]] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            header = fh.readline().strip()
-            if header != "client_id,index,value":
-                raise ReportError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    cid, idx, val = line.strip().split(",")
-                    if int(idx) < 0:
-                        raise ValueError(f"negative index {idx}")
-                    rows.setdefault(int(cid), {})[int(idx)] = float(val)
-                except ValueError as exc:
-                    raise ReportError(f"{path}: line {lineno}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ReportError(f"{path}: not ASCII text: {exc}") from exc
+    """The dumped rows, one per client in client order; the file must be
+    dense, which bounds the matrix by its line count."""
+    rows = _read_rows(path, _AMPLIFIED_COLUMNS)
     if not rows:
         raise ReportError(f"{path}: no rows")
-    clients = sorted(rows)
-    width = 1 + max(max(v) for v in rows.values())
-    out = np.zeros((len(clients), width))
-    for i, cid in enumerate(clients):
-        for j, v in rows[cid].items():
-            out[i, j] = v
+    slot = {cid: i for i, cid in enumerate(sorted({cid for cid, _, _ in rows}))}
+    width = len(rows) // len(slot)
+    out = np.zeros((len(slot), width))
+    seen = np.zeros(out.shape, dtype=bool)
+    for lineno, (cid, idx, val) in enumerate(rows, start=2):
+        if not 0 <= idx < width or seen[slot[cid], idx]:
+            raise ReportError(
+                f"{path}: line {lineno}: index {idx} of client {cid} breaks the dense "
+                f"layout ({len(slot)} clients, indices 0..{width - 1} once each)"
+            )
+        seen[slot[cid], idx] = True
+        out[slot[cid], idx] = val
     return out
 
 
 def report(manifest_paths: list[str], out_dir: str) -> list[str]:
     """Summary table plus accuracy/ASR plots for a set of stored runs.
 
-    Emits report.csv, ta.svg, asr.svg (when any run measured attack
-    success), and pca.csv from the first run that dumped amplified
-    vectors.  Returns the written paths.
+    Emits report.csv, ta.svg (when any run has a checkpoint), asr.svg (when
+    any run measured attack success), and pca.csv from the first run that
+    dumped amplified vectors.  Returns the written paths.
     """
     if not manifest_paths:
         raise ReportError("no manifests given")
@@ -189,11 +202,15 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
         rounds_path = os.path.join(run_dir, info.get("artifact.rounds", "rounds.csv"))
         if not os.path.exists(rounds_path):
             raise ReportError(f"{path}: missing rounds table {rounds_path}")
-        records = read_rounds_csv(rounds_path)
-        xs = [float(r.round) for r in records]
-        ta_series.append((label, xs, [r.test_accuracy for r in records]))
-        if records and not any(np.isnan(r.asr) for r in records):
-            asr_series.append((label, xs, [r.asr for r in records]))
+        records = read_rounds_csv(_checked(rounds_path, info))
+        try:
+            xs = [float(r.round) for r in records]
+        except OverflowError as exc:
+            raise ReportError(f"{rounds_path}: round: {exc}") from exc
+        if records:
+            ta_series.append((label, xs, [r.test_accuracy for r in records]))
+            if not any(np.isnan(r.asr) for r in records):
+                asr_series.append((label, xs, [r.asr for r in records]))
         table_rows.append(
             ",".join(
                 [
@@ -202,33 +219,31 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
                     format_float(records[-1].test_accuracy) if records else "nan",
                     format_float(records[-1].asr) if records else "nan",
                     info.get("metric.heterogeneity", "nan"),
+                    info.get("run.status", "unknown"),
                 ]
             )
         )
         amp_path = os.path.join(run_dir, "amplified.csv")
         if pca_source is None and os.path.exists(amp_path):
-            pca_source = amp_path
+            pca_source = _checked(amp_path, info)
 
     table_path = os.path.join(out_dir, "report.csv")
-    with open(table_path, "w", encoding="ascii", newline="") as fh:
-        fh.write("run_id,checkpoints,final_ta,final_asr,heterogeneity\n")
-        for row in table_rows:
-            fh.write(row + "\n")
+    _write_lines(table_path, ["run_id,checkpoints,final_ta,final_asr,heterogeneity,status", *table_rows])
     written.append(table_path)
-
-    ta_path = os.path.join(out_dir, "ta.svg")
-    svg_line_plot(ta_series, "Test accuracy", "test accuracy", ta_path)
-    written.append(ta_path)
-    if asr_series:
-        asr_path = os.path.join(out_dir, "asr.svg")
-        svg_line_plot(asr_series, "Attack success rate", "attack success", asr_path)
-        written.append(asr_path)
+    for series, name, title, ylabel in (
+        (ta_series, "ta.svg", "Test accuracy", "test accuracy"),
+        (asr_series, "asr.svg", "Attack success rate", "attack success"),
+    ):
+        if series:
+            svg_line_plot(series, title, ylabel, os.path.join(out_dir, name))
+            written.append(os.path.join(out_dir, name))
     if pca_source is not None:
         proj = pca_project(_read_amplified(pca_source))
         pca_path = os.path.join(out_dir, "pca.csv")
-        with open(pca_path, "w", encoding="ascii", newline="") as fh:
-            fh.write("client_id,pc1,pc2\n")
-            for cid, (p1, p2) in enumerate(proj):
-                fh.write(f"{cid},{format_float(p1)},{format_float(p2)}\n")
+        _write_lines(
+            pca_path,
+            ["client_id,pc1,pc2"]
+            + [f"{cid},{format_float(p1)},{format_float(p2)}" for cid, (p1, p2) in enumerate(proj)],
+        )
         written.append(pca_path)
     return written

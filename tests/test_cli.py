@@ -248,6 +248,7 @@ def test_utf8_comments_still_parse(tmp_path):
 
 
 GOOD_ROUNDS = "round,test_accuracy,asr\n0,0.5,nan\n"
+AMP = "client_id,index,value\n"
 MANIFEST = "run.id = r\n"
 
 
@@ -263,10 +264,16 @@ MANIFEST = "run.id = r\n"
         ("manifest.txt", GOOD_ROUNDS, None, "0xff", b"run.id = r\xff\n"),
         ("rounds.csv", GOOD_ROUNDS.encode() + b"1,0.5,nan\xff\n", None, "0xff", MANIFEST),
         ("amplified.csv", GOOD_ROUNDS, b"client_id,index,value\n0,0,1.0\xff\n", "0xff", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, AMP + "0,0,1.0\n0,5,2.0\n1,0,3.0\n1,1,4.0\n", "line 3", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, AMP + "0,0,1.0\n0,0,2.0\n1,0,3.0\n1,1,4.0\n", "line 3", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, AMP + "0,0,1.0\n0,1,2.0\n1,0,3.0\n", "line 3", MANIFEST),
+        ("amplified.csv", GOOD_ROUNDS, AMP + f"0,0,1.0\n0,{2**63},2.0\n1,0,3.0\n1,1,4.0\n", "line 3",
+         MANIFEST),
     ],
     ids=["rounds-short-line", "rounds-bad-int", "amplified-short-line", "amplified-header",
          "amplified-negative-index", "amplified-empty", "manifest-non-ascii", "rounds-non-ascii",
-         "amplified-non-ascii"],
+         "amplified-non-ascii", "amplified-gap", "amplified-repeated-index", "amplified-short-client",
+         "amplified-huge-index"],
 )
 def test_report_on_a_malformed_run_folder_exits_3(
     tmp_path, capsys, name, rounds, amplified, where, manifest
@@ -306,6 +313,20 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert os.path.isdir(base / "attack-gamma-0.5")
     assert os.path.isdir(base / "attack-gamma-2.0")
     assert os.path.exists(base / "sweep.csv")
+
+
+def test_sweep_rejects_values_that_share_a_folder(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["sweep", path, "--vary", "federation.rounds=1,1"]) == 2
+    assert "federation-rounds-1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_sweep_folders_stay_inside_out(tmp_path):
+    path = write_config(tmp_path)
+    assert main(["sweep", path, "--vary", "dataset.path=../../../x"]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["dataset-path-.._.._.._x", "sweep.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "out"]
 
 
 def test_parse_vary_types_each_value():

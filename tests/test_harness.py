@@ -710,3 +710,23 @@ def test_sweep_rejects_empty_values(tmp_path):
     cfg = fast_config(tmp_path, "swe")
     with pytest.raises(ConfigError):
         sweep(cfg, "attack.gamma", [], str(tmp_path / "swe"))
+
+
+def test_manifest_checksums_every_deterministic_file(tmp_path):
+    import hashlib
+
+    manifest = run_experiment(fast_config(tmp_path, "sums", **{"output.dump_amplified_round": 2}))
+    flat = read_manifest(manifest.path)
+    listed = {key[len("checksum."):]: value for key, value in flat.items() if key.startswith("checksum.")}
+    # timings.csv holds wall-clock numbers, so it has no checksum to compare
+    assert sorted(listed) == ["amplified.csv", "config.txt", "decisions.csv", "rounds.csv"]
+    for name, digest in listed.items():
+        assert hashlib.sha256(read_bytes(os.path.join(manifest.run_dir, name))).hexdigest() == digest
+
+
+def test_a_rerun_without_a_dump_removes_the_stale_amplified_csv(tmp_path):
+    run_experiment(fast_config(tmp_path, "again", **{"output.dump_amplified_round": 2}))
+    manifest = run_experiment(fast_config(tmp_path, "again"))
+    assert not os.path.exists(os.path.join(manifest.run_dir, "amplified.csv"))
+    assert "checksum.amplified.csv" not in read_manifest(manifest.path)
+    assert not [name for name in os.listdir(manifest.run_dir) if name.endswith(".tmp")]

@@ -185,12 +185,13 @@ def test_report_table_and_accuracy_plot(run_folders, tmp_path):
     assert table in written
     with open(table) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "run_id,checkpoints,final_ta,final_asr,heterogeneity"
+    assert lines[0] == "run_id,checkpoints,final_ta,final_asr,heterogeneity,status"
     fields = lines[1].split(",")
     assert fields[0] == plain.run_id
     assert fields[1] == "3"  # checkpoints 0, 2, 4
     assert 0.0 <= float(fields[2]) <= 1.0
     assert float(fields[4]) > 0.0
+    assert fields[5] == "ok"
     assert os.path.exists(os.path.join(out, "ta.svg"))
     # Untargeted runs have no attack-success series to draw.
     assert not os.path.exists(os.path.join(out, "asr.svg"))
@@ -240,3 +241,49 @@ def test_report_requires_the_rounds_table(run_folders, tmp_path):
     shutil.copy(plain.path, orphan)
     with pytest.raises(ReportError, match="missing rounds table"):
         report([orphan], str(tmp_path / "rep"))
+
+
+def _setup_failure(base):
+    """A run that ends ``error`` at setup: fltrust's biased trust draw fits
+    the server pool but not its class-1 samples, so no checkpoint exists."""
+    cfg = fast_config(
+        base,
+        "failed",
+        **{"defense.family": "fltrust", "trust.mode": "biased", "trust.theta": 1.0, "trust.size": 18},
+    )
+    with pytest.raises(Exception):
+        run_experiment(cfg)
+    return str(base / "failed" / "manifest.txt")
+
+
+def test_report_tables_a_run_without_checkpoints_and_does_not_draw_it(run_folders, tmp_path):
+    plain, _, _ = run_folders
+    failed = _setup_failure(tmp_path)
+    out = str(tmp_path / "alone")
+    assert report([failed], out) == [os.path.join(out, "report.csv")]
+    with open(os.path.join(out, "report.csv")) as fh:
+        row = fh.read().splitlines()[1].split(",")
+    assert row[1:4] == ["0", "nan", "nan"] and row[5] == "error"
+    assert not os.path.exists(os.path.join(out, "ta.svg"))
+    out = str(tmp_path / "mixed")
+    report([failed, plain.path], out)
+    with open(os.path.join(out, "ta.svg")) as fh:
+        text = fh.read()
+    assert text.count("<polyline") == 1 and f">{plain.run_id}</text>" in text
+
+
+@pytest.mark.parametrize("name", ["rounds.csv", "amplified.csv"])
+def test_report_rejects_a_file_that_differs_from_its_checksum(run_folders, tmp_path, name):
+    _, _, dumped = run_folders
+    shutil.copytree(dumped.run_dir, tmp_path / "run")
+    with open(tmp_path / "run" / name, "a") as fh:
+        fh.write("0,0,0.5\n" if name == "amplified.csv" else "9,0.5,nan\n")
+    with pytest.raises(ReportError, match=f"{name}: sha256"):
+        report([str(tmp_path / "run" / "manifest.txt")], str(tmp_path / "rep"))
+
+
+def test_pca_rejects_non_finite_rows():
+    x = np.ones((3, 4))
+    x[1, 2] = np.inf
+    with pytest.raises(ReportError, match="finite"):
+        pca_project(x)
