@@ -4,10 +4,10 @@ The cohort is a fixed seeded choice of floor(M_f * N) clients.  Before the
 attack's start round every member submits its honest update bit for bit.
 Once active:
 
-    l-flip         retrain on the own shard with labels y -> M - 1 - y
+    l-flip         train on the own shard with labels y -> M - 1 - y
     g-asc          collude on -gamma times the average honest update
     l-flip+g-asc   sum of the two perturbations, both from the own shard
-    scale          retrain on a trigger-augmented shard, scale by lambda
+    scale          train on a trigger-augmented shard, scale by lambda
                    (lambda "auto-n" means the federation size N)
     dba            trigger split in four regions; each member stamps one,
                    assigned round-robin over the cohort, no scaling
@@ -15,18 +15,16 @@ Once active:
                    gamma halved from gamma_max until the craft would pass a
                    stand-in cosine screen (at most 20 halvings)
 
-Data-poisoning kinds retrain the whole cohort in one stacked
-``train_all`` of the run's one ``nn.LocalTraining`` recipe, the one the
-honest pass used, so they reuse the honest per-(round, client) stream and
-the only difference is the poisoned shard.  ``retrained_clients`` names
-the cohort whose rows l-flip, scale and dba retrain from nothing, so the
-honest pass skips them and each client trains once per round.
-
-A round's updates are the rows of one (N, P) matrix.  ``craft_updates``
-overwrites the malicious rows of that matrix in place, so no second N x P
-array is made.  A crafted row reads only honest rows: the colluding kinds
-compute their one crafted row before writing it, and l-flip+g-asc takes
-the cohort's ascent from its honest rows before they are retrained.
+The kinds split along the line between data poisoning and local model
+poisoning (Fang et al., 2020).  ``poisoned_shards`` gives each cohort
+member the shard it trains on in place of its own; it trains in the
+round's one ``train_all`` of the run's ``nn.LocalTraining`` recipe, on the
+honest per-(round, client) stream, so only the data differs.
+``craft_updates`` then only rewrites the malicious rows of the round's
+(N, P) update matrix in place: g-asc and sh-optimized compute their one
+crafted row from the matrix before writing it, scale boosts its rows by
+lambda, and l-flip+g-asc adds the ascent of its members' honest updates,
+which it retrains into a buffer of its own.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ log = logging.getLogger(__name__)
 
 ATTACK_KINDS = ("none", "l-flip", "g-asc", "l-flip+g-asc", "scale", "dba", "sh-optimized")
 TARGETED_KINDS = ("scale", "dba")
-RETRAINED_KINDS = ("l-flip", "scale", "dba")  # crafts that never read the honest row
 
 
 @dataclass(frozen=True)
@@ -171,14 +168,31 @@ class AttackContext:
     trigger: TriggerSpec | None = None
 
 
-def retrained_clients(round_idx: int, cfg: AttackConfig, ctx: AttackContext) -> list[int]:
-    """The clients whose rows ``craft_updates`` retrains and overwrites in
-    round ``round_idx`` without reading them: the cohort under l-flip,
-    scale and dba once the attack is on, else none.  l-flip+g-asc reads
-    its cohort's honest rows, so it names none."""
-    if cfg.kind in RETRAINED_KINDS and round_idx >= cfg.start_round:
-        return list(ctx.malicious)
-    return []
+def poisoned_shards(round_idx: int, cfg: AttackConfig, ctx: AttackContext) -> dict[int, Dataset]:
+    """The shard each cohort member trains on in round ``round_idx`` in
+    place of its own: flipped labels under l-flip and l-flip+g-asc, a
+    stamped copy under scale and dba; none before the attack is on."""
+    mal = ctx.malicious
+    if round_idx < cfg.start_round or not mal:
+        return {}
+    if cfg.kind in ("l-flip", "l-flip+g-asc"):
+        return {m: flip_labels(ctx.shards[m]) for m in mal}
+    if not cfg.targeted:
+        return {}
+    if ctx.trigger is None:
+        raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
+    # member ``rank`` stamps region rank mod the region count: scale's one
+    # region or dba's four round-robin
+    return {
+        m: embed_trigger(
+            ctx.shards[m],
+            ctx.trigger,
+            cfg.trigger_fraction,
+            part_index=rank % len(ctx.trigger.regions),
+            seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
+        )
+        for rank, m in enumerate(mal)
+    }
 
 
 def craft_updates(
@@ -188,40 +202,22 @@ def craft_updates(
     cfg: AttackConfig,
     ctx: AttackContext,
 ) -> np.ndarray:
-    """Overwrite the malicious rows of the (N, P) honest update matrix in
-    place once the attack is on, and return the matrix."""
+    """Overwrite the malicious rows of the (N, P) update matrix in place
+    once the attack is on, and return the matrix.  The rows arrive trained
+    on ``poisoned_shards``."""
     mal = ctx.malicious
-    if cfg.kind == "none" or round_idx < cfg.start_round or not mal:
+    if round_idx < cfg.start_round or not mal:
         return updates
     if cfg.kind == "g-asc":
         updates[mal] = grad_ascent(nn.mean_grads(updates), cfg.gamma)
     elif cfg.kind == "sh-optimized":
         updates[mal] = sh_optimized(updates, cfg.sh_gamma_max)[0]
-    elif cfg.kind in ("l-flip", "l-flip+g-asc"):
-        ascent = grad_ascent(updates[mal], cfg.gamma) if cfg.kind == "l-flip+g-asc" else None
-        flipped = [flip_labels(ctx.shards[m]) for m in mal]
-        ctx.train.train_all(model, flipped, round_idx, updates, mal)
-        if ascent is not None:
-            updates[mal] += ascent
-    elif ctx.trigger is None:
-        raise ConfigError(f"attack {cfg.kind!r} needs a trigger")
-    else:
-        # member ``rank`` stamps region rank mod the region count: scale's one
-        # region, boosted by lambda, or dba's four round-robin, no scaling
-        poisoned = [
-            embed_trigger(
-                ctx.shards[m],
-                ctx.trigger,
-                cfg.trigger_fraction,
-                part_index=rank % len(ctx.trigger.regions),
-                seed=rng_stream(ctx.seed_attack, round_idx, m).integers(2**32),
-            )
-            for rank, m in enumerate(mal)
-        ]
-        ctx.train.train_all(model, poisoned, round_idx, updates, mal)
-        if cfg.kind == "scale":
-            n = len(ctx.shards)
-            updates[mal] *= float(n if cfg.scale_factor == "auto-n" else cfg.scale_factor)
+    elif cfg.kind == "scale":
+        updates[mal] *= float(len(ctx.shards) if cfg.scale_factor == "auto-n" else cfg.scale_factor)
+    elif cfg.kind == "l-flip+g-asc":
+        honest = np.empty((len(mal), updates.shape[1]))
+        ctx.train.train_all(model, [ctx.shards[m] for m in mal], round_idx, honest, mal)
+        updates[mal] += grad_ascent(honest, cfg.gamma)
     return updates
 
 

@@ -43,8 +43,8 @@ dumped rows.  In the attacked folder the timings.csv rows up to start_round
 are the clean twin's, and ``run.wall_ms`` covers only the resumed rounds.
 
 Round k (1-based) trains every client on the model left by round k-1;
-the attack, when enabled, rewrites malicious updates from round
-start_round + 1 onward, so start_round >= rounds means it never fires.
+the attack, when enabled, poisons the cohort's shards and updates from
+round start_round + 1 onward, so start_round >= rounds means it never fires.
 Checkpoints land every ``checkpoint_every`` rounds plus round 0 (the
 untouched initial model) and the final round.
 """
@@ -63,8 +63,8 @@ from .aggregate import RoundContext, aggregate_round, scored_views
 from .attacks import (
     AttackContext,
     craft_updates,
+    poisoned_shards,
     resolve_trigger,
-    retrained_clients,
     select_malicious,
 )
 from .config import ExperimentConfig
@@ -200,8 +200,9 @@ class _Run:
     ``rows`` holds one update per trainee, rewritten every round: training
     and crafting write the rows in place, screening and the mean read
     them.  The trainees are the client shards, plus fltrust's trust set as
-    trainee N, so the server trains its reference into row N in the same
-    ``train_all`` as the clients."""
+    trainee N.  A round trains them all in one ``train_all``, the cohort on
+    its ``poisoned_shards`` and the server's reference into row N, and
+    ``craft_updates`` then rewrites the cohort's rows."""
 
     cfg: ExperimentConfig
     attack: AttackContext  # holds the shards and the clients' training recipe
@@ -259,11 +260,10 @@ class _Run:
         r = k - 1  # zero-based index used by seeds and the attack gate
         n = len(self.attack.shards)
         updates = self.rows[:n]
-        # the craft retrains some of the cohort's rows; only the others train here
-        skip = set(retrained_clients(r, cfg.attack, self.attack))
-        ids = [i for i in range(len(self.trainees)) if i not in skip]
-        self.attack.train.train_all(self.model, [self.trainees[i] for i in ids], r, self.rows, ids)
-        craft_updates(r, updates, self.model, cfg.attack, self.attack)  # the clean twin has no cohort
+        poisoned = poisoned_shards(r, cfg.attack, self.attack)  # the clean twin has no cohort
+        shards = [poisoned.get(i, shard) for i, shard in enumerate(self.trainees)]
+        self.attack.train.train_all(self.model, shards, r, self.rows)
+        craft_updates(r, updates, self.model, cfg.attack, self.attack)
         ref_update = self.rows[n] if len(self.trainees) > n else None
         round_ctx = RoundContext(self.model, self.validation, ref_update)
         decision = aggregate_round(updates, cfg.aggregator, round_ctx)
@@ -457,8 +457,6 @@ def _write_run_files(
         lines[f"checksum.{name}"] = digest
     for i, note in enumerate(manifest.warnings):
         lines[f"warning.{i}"] = note
-    for name in ("rounds.csv", "decisions.csv", "timings.csv"):
-        lines[f"artifact.{name.split('.')[0]}"] = name
     _write_lines(manifest.path, [f"{key} = {lines[key]}" for key in sorted(lines)])
 
 

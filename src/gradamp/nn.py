@@ -60,14 +60,14 @@ Conventions:
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
-    learning rate, client seed).  Its one method, ``train_all``, builds a
-    call's training streams ``rng_stream(seed, round, client)`` in one
-    ``round_streams`` pass.  It is the one training path: every update of
-    a round, the honest rows, the cohort's retrained rows and the fltrust
-    reference, comes from it.  It trains its shards in stacks of equal
-    shard size, each at least one client and at most ``STACK_FLOATS``
-    floats of parameters and batch traces (the cap the patch max also
-    uses).
+    learning rate, client seed).  Its one method, ``train_all``, trains
+    shard j into row j on the stream ``rng_stream(seed, round, client)``,
+    built for the whole call in one ``round_streams`` pass.  It is the one
+    training path: a round's honest rows, the cohort's rows on its
+    poisoned shards and the fltrust reference come from one call.  It
+    trains its shards in stacks of equal shard size, each at least one
+    client and at most ``STACK_FLOATS`` floats of parameters and batch
+    traces (the cap the patch max also uses).
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -641,8 +641,8 @@ class LocalTraining:
     ``rng_stream(seed, round_idx, client)``, built for all of the call's
     clients by one ``round_streams(seed, round_idx, clients)``.  Honest
     clients, the data-poisoning attackers and the fltrust server reference
-    all train through it, so a poisoned update differs from the honest one
-    only in its data.
+    train through it in one call per round, so a poisoned update differs
+    from the honest one only in its data.
     """
 
     epochs: int
@@ -658,10 +658,10 @@ class LocalTraining:
         out: np.ndarray,
         clients: list[int] | None = None,
     ) -> None:
-        """Shard j trains as client ``clients[j]`` (default j; ids must
-        strictly ascend) into row ``clients[j]`` of ``out``; other rows are
-        left as they are.  The call's streams come from one
-        ``round_streams`` pass, and each stack takes its clients' slice.
+        """Shard j trains into row j of ``out`` on the stream of client
+        ``clients[j]`` (default j); rows past the last shard are left as
+        they are.  The call's streams come from one ``round_streams`` pass,
+        and each stack takes its clients' slice.
 
         Clients with equal shard sizes train together, in stacks of at
         least one client and at most ``STACK_FLOATS`` floats.  A client
@@ -671,8 +671,6 @@ class LocalTraining:
         ``local_train`` is looked up when called, so a rebound
         ``nn.local_train`` (a profiler's hook) sees every update."""
         clients = range(len(shards)) if clients is None else clients
-        if any(a >= b for a, b in zip(clients, clients[1:])):
-            raise ConfigError(f"client ids must strictly ascend, got {list(clients)}")
         streams = round_streams(self.seed, round_idx, clients)
         groups: dict[int, list[int]] = {}
         for j, shard in enumerate(shards):
@@ -682,7 +680,6 @@ class LocalTraining:
             per_stack = max(1, STACK_FLOATS // (model.theta.size + trace))
             for start in range(0, len(members), per_stack):
                 part = members[start : start + per_stack]
-                ids = [clients[j] for j in part]
                 args = (
                     model,
                     np.stack([shards[j].features for j in part]),
@@ -692,8 +689,8 @@ class LocalTraining:
                     self.lr,
                     [streams[j] for j in part],
                 )
-                rows = out[ids[0] : ids[-1] + 1]
-                if len(rows) == len(ids):  # consecutive clients train in their rows
+                rows = out[part[0] : part[-1] + 1]
+                if len(rows) == len(part):  # consecutive shards train in their rows
                     local_train(*args, out=rows)
                 else:
-                    out[ids] = local_train(*args)
+                    out[part] = local_train(*args)

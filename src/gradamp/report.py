@@ -121,12 +121,16 @@ def svg_line_plot(
 
 def pca_project(x: np.ndarray) -> np.ndarray:
     """Seeded power-iteration PCA; rows project onto the top two components,
-    zero-padded when the rows are narrower than two."""
+    zero-padded when the rows are narrower than two.  The rows are scaled
+    by a power of two to a largest magnitude in [0.5, 1), so no product
+    overflows, and the projection is scaled back; both scalings are exact."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ReportError("PCA needs at least two row vectors")
     if not np.isfinite(x).all():
         raise ReportError("PCA needs finite row vectors")
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    x = np.ldexp(x, -exponent)
     centered = x - x.mean(axis=0)
     d = centered.shape[1]
     basis = []
@@ -145,7 +149,7 @@ def pca_project(x: np.ndarray) -> np.ndarray:
     proj = centered @ np.stack(basis, axis=1)
     if proj.shape[1] < _PCA_COMPONENTS:
         proj = np.pad(proj, ((0, 0), (0, _PCA_COMPONENTS - proj.shape[1])))
-    return proj
+    return np.ldexp(proj, exponent)
 
 
 def _checked(path: str, info: dict[str, str]) -> str:
@@ -185,7 +189,9 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
 
     Emits report.csv, ta.svg (when any run has a checkpoint), asr.svg (when
     any run measured attack success), and pca.csv from the first run that
-    dumped amplified vectors.  Returns the written paths.
+    dumped amplified vectors; an earlier report's outputs that this one
+    does not write are removed.  Each run's rounds.csv is the one beside
+    its manifest.  Returns the written paths.
     """
     if not manifest_paths:
         raise ReportError("no manifests given")
@@ -199,7 +205,7 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
         info = read_manifest(path)
         run_dir = os.path.dirname(path) or "."
         label = info.get("run.id", os.path.basename(run_dir))
-        rounds_path = os.path.join(run_dir, info.get("artifact.rounds", "rounds.csv"))
+        rounds_path = os.path.join(run_dir, "rounds.csv")
         if not os.path.exists(rounds_path):
             raise ReportError(f"{path}: missing rounds table {rounds_path}")
         records = read_rounds_csv(_checked(rounds_path, info))
@@ -246,4 +252,8 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
             + [f"{cid},{format_float(p1)},{format_float(p2)}" for cid, (p1, p2) in enumerate(proj)],
         )
         written.append(pca_path)
+    for name in ("ta.svg", "asr.svg", "pca.csv"):
+        path = os.path.join(out_dir, name)
+        if path not in written and os.path.exists(path):
+            os.remove(path)
     return written

@@ -3,6 +3,7 @@ vectors, the deviation search, and the round gate."""
 
 import logging
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from gradamp.attacks import (
     craft_updates,
     flip_labels,
     grad_ascent,
+    poisoned_shards,
     resolve_trigger,
     select_malicious,
     sh_optimized,
@@ -169,6 +171,17 @@ def honest_updates(model, ctx, round_idx):
     return np.stack(rows)
 
 
+def poisoned_updates(model, ctx, cfg, round_idx):
+    """The round's (N, P) update matrix from one ``train_all``, the cohort
+    on its poisoned shards."""
+    poisoned = poisoned_shards(round_idx, cfg, ctx)
+    assert sorted(poisoned) == ctx.malicious
+    shards = [poisoned.get(i, shard) for i, shard in enumerate(ctx.shards)]
+    out = np.empty((len(shards), model.theta.size))
+    ctx.train.train_all(model, shards, round_idx, out)
+    return out
+
+
 def test_cohort_honest_before_start_round():
     ctx = make_context()
     model = nn.mlp_model(4, 5, 3, seed=75)
@@ -200,10 +213,9 @@ def test_label_flip_retrains_with_the_honest_seed():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=7)
     cfg = AttackConfig(kind="l-flip", malicious_fraction=0.5, start_round=0)
-    before = honest.copy()
-    out = craft_updates(7, honest, model, cfg, ctx)
+    out = poisoned_updates(model, ctx, cfg, 7)
     m = ctx.malicious[0]
-    assert not np.array_equal(out[m], before[m])
+    assert not np.array_equal(out[m], honest[m])
     expect = nn.local_train(
         model,
         ctx.shards[m].features,
@@ -221,17 +233,13 @@ def test_combined_attack_sums_both_perturbations():
     model = nn.mlp_model(4, 5, 3, seed=75)
     honest = honest_updates(model, ctx, round_idx=2)
     cfg = AttackConfig(kind="l-flip+g-asc", malicious_fraction=0.5, start_round=0, gamma=1.5)
-    out = craft_updates(2, honest.copy(), model, cfg, ctx)
-    flip_only = craft_updates(
-        2,
-        honest.copy(),
-        model,
-        AttackConfig(kind="l-flip", malicious_fraction=0.5, start_round=0),
-        ctx,
-    )
-    for m in ctx.malicious:
-        expect = flip_only[m] - 1.5 * honest[m]
-        assert np.allclose(out[m], expect, atol=1e-15)
+    # the rows arrive trained on the flipped shards; the craft adds the ascent
+    # of the honest rows it retrains
+    flipped = poisoned_updates(model, ctx, cfg, 2)
+    out = craft_updates(2, flipped.copy(), model, cfg, ctx)
+    for i in range(len(ctx.shards)):
+        expect = flipped[i] - 1.5 * honest[i] if i in ctx.malicious else flipped[i]
+        assert np.array_equal(out[i], expect), i
 
 
 def test_scale_attack_is_linear_in_lambda():
@@ -258,11 +266,10 @@ def test_scale_attack_trains_on_a_stamped_shard():
     trigger = resolve_trigger(AttackConfig(kind="scale", target_label=1), feature_shape=(4,))
     ctx = make_context(trigger=trigger)
     model = nn.mlp_model(4, 5, 3, seed=75)
-    honest = honest_updates(model, ctx, round_idx=3)
     cfg = AttackConfig(
         kind="scale", malicious_fraction=0.5, start_round=0, scale_factor=1.0, target_label=1
     )
-    out = craft_updates(3, honest, model, cfg, ctx)
+    out = poisoned_updates(model, ctx, cfg, 3)
     m = ctx.malicious[0]
     poisoned = embed_trigger(
         ctx.shards[m],
@@ -296,9 +303,8 @@ def test_dba_assigns_parts_round_robin():
         trigger=trigger,
     )
     model = nn.conv_model((1, 8, 8), 2, seed=80, filters=2, kernel=3, pool=2)
-    honest = honest_updates(model, ctx, round_idx=0)
     cfg = AttackConfig(kind="dba", malicious_fraction=0.9, start_round=0)
-    out = craft_updates(0, honest, model, cfg, ctx)
+    out = poisoned_updates(model, ctx, cfg, 0)
     for rank, m in enumerate(ctx.malicious):
         poisoned = embed_trigger(
             shards[m],
@@ -316,11 +322,14 @@ def test_dba_assigns_parts_round_robin():
 
 def test_targeted_attack_without_trigger_raises():
     ctx = make_context(trigger=None)
-    model = nn.mlp_model(4, 5, 3, seed=75)
-    honest = honest_updates(model, ctx, round_idx=0)
-    cfg = AttackConfig(kind="scale", malicious_fraction=0.5, start_round=0)
-    with pytest.raises(ConfigError):
-        craft_updates(0, honest, model, cfg, ctx)
+    cfg = AttackConfig(kind="scale", malicious_fraction=0.5, start_round=1)
+    with pytest.raises(ConfigError, match="needs a trigger"):
+        poisoned_shards(1, cfg, ctx)
+    # no shard is poisoned before the start round, without a cohort or
+    # under a kind that poisons updates only
+    assert poisoned_shards(0, cfg, ctx) == {}
+    assert poisoned_shards(1, cfg, replace(ctx, malicious=[])) == {}
+    assert poisoned_shards(1, replace(cfg, kind="g-asc"), ctx) == {}
 
 
 def test_resolve_trigger_only_for_targeted_kinds():

@@ -39,6 +39,8 @@ BASE = {
 
 CONV = {"dataset.dim": "1x8x8", "model.kind": "conv", "model.filters": 4}
 
+SKEW = {"partition.scheme": "label-skew", "partition.skew": 0.8}
+
 CASES = {
     "fedavg-none-lflip-gasc": {
         "defense.family": "fedavg",
@@ -78,6 +80,20 @@ CASES = {
         "defense.amplifier": "xai",
         "attack.kind": "scale",
         "output.dump_amplified_round": 3,
+    },
+    # unequal shards [7, 5, 10, 4, 8, 10, 2, 8]: train_all stacks clients
+    # that do not sit in consecutive rows
+    "skew-disteuc-mp-lflip-gasc": {
+        **SKEW,
+        "defense.family": "dist-euc",
+        "defense.amplifier": "mp",
+        "attack.kind": "l-flip+g-asc",
+    },
+    "skew-disteuc-mp-scale": {
+        **SKEW,
+        "defense.family": "dist-euc",
+        "defense.amplifier": "mp",
+        "attack.kind": "scale",
     },
 }
 
@@ -141,6 +157,20 @@ GOLDEN = {
         "attacked/rounds.csv": "47f898b1cd6e0cbfd50bdc18045e8a2ee230cc5cb8247b27ad9678c0eb90391d",
         "attacked/decisions.csv": "21057a30152101ad1182cd2814b9aa8e4ef92486a7ffa53c6b47ec9ec965fa41",
         "metrics.csv": "bcb498a8dd4e66b2b9d5561953167c4a33860f47e623af94e43dd89d988e804b",
+    },
+    "skew-disteuc-mp-lflip-gasc": {
+        "clean/rounds.csv": "b4c6229d4f46a1803159394731474af504edc8cb907a21f525e6e849a9317100",
+        "clean/decisions.csv": "71a41dc64d4e96882dbef251b3c27819ba31583cc730aed13546ebc570ca542e",
+        "attacked/rounds.csv": "d87aebfca06227f7d06fe77ad911e9ae7030a9b7d677228eecdb334a2c2bd324",
+        "attacked/decisions.csv": "1de5d286a81a7b2d1f03d319054f4d4c9b8d907870aa53579e09ffb24f7c9575",
+        "metrics.csv": "2c9160a790b83b0e7fe1aaaecf5dea3758f4561ffcee7ecd0828e702a02acbe3",
+    },
+    "skew-disteuc-mp-scale": {
+        "clean/rounds.csv": "d6f12c0abc9b0a5b33eec73c089c1cb455a3ef1e8f44aa0af0b52684df356684",
+        "clean/decisions.csv": "71a41dc64d4e96882dbef251b3c27819ba31583cc730aed13546ebc570ca542e",
+        "attacked/rounds.csv": "d6f12c0abc9b0a5b33eec73c089c1cb455a3ef1e8f44aa0af0b52684df356684",
+        "attacked/decisions.csv": "e4d480d51947e26b713a7e5c874021fd7153f15bf125bcfdcfaa8773a992b0ef",
+        "metrics.csv": "492c999e85402513da107c872f1897c62fa6ee6b1fda9e1150277e68e3ee4312",
     },
 }
 

@@ -240,40 +240,52 @@ def pair_bytes(out_dir):
     return {rel: read_bytes(os.path.join(out_dir, rel)) for rel in PAIR_FILES}
 
 
-@pytest.mark.parametrize("kind", ["l-flip", "scale", "dba"])
+@pytest.mark.parametrize(
+    "kind", ["none", "g-asc", "sh-optimized", "l-flip", "l-flip+g-asc", "scale", "dba"]
+)
 @pytest.mark.parametrize("family", ["dist-cos", "fltrust"])
 def test_the_cohort_trains_once_per_attacked_round(tmp_path, monkeypatch, kind, family):
-    extra = {"attack.kind": kind, "attack.start_round": 1, "defense.family": family}
-    cfg = fast_config(tmp_path, "pair", **extra)
-    run_pair(cfg)
-    with monkeypatch.context() as m:  # train the cohort's honest rows as well
-        m.setattr(harness, "retrained_clients", lambda *args: [])
-        run_pair(cfg, str(tmp_path / "twice"))
-    assert pair_bytes(tmp_path / "pair") == pair_bytes(tmp_path / "twice")
-
-    # per round of a standalone attacked run: the clients every train_all
-    # call named, and the clients every local_train stack trained
-    named, stacked = Counter(), Counter()
-    current = []
+    # every train_all call of an attacked run, as (round, the clients it
+    # named, its shards), and the clients each call's local_train stacks trained
+    calls, stacked = [], Counter()
     train_all, local_train = nn.LocalTraining.train_all, nn.local_train
     seed_of = inspect.signature(local_train)
 
     def spy_train_all(self, model, shards, round_idx, out, clients=None):
-        current[:] = [round_idx]
-        named.update((round_idx, c) for c in (range(len(shards)) if clients is None else clients))
+        named = list(range(len(shards)) if clients is None else clients)
+        calls.append((round_idx, named, list(shards)))
         return train_all(self, model, shards, round_idx, out, clients)
 
     def spy_local_train(*args, **kwargs):
-        stacked[current[0]] += len(seed_of.bind(*args, **kwargs).arguments["seed"])
+        stacked[len(calls) - 1] += len(seed_of.bind(*args, **kwargs).arguments["seed"])
         return local_train(*args, **kwargs)
 
     monkeypatch.setattr(nn.LocalTraining, "train_all", spy_train_all)
     monkeypatch.setattr(nn, "local_train", spy_local_train)
-    run_experiment(cfg, str(tmp_path / "alone"), attack_enabled=True)
-    trainees = 6 + (family == "fltrust")  # fltrust's reference trains as client N
+    extra = {
+        "attack.kind": kind,
+        "attack.start_round": 1,
+        "attack.malicious_fraction": 0.5,
+        "defense.family": family,
+    }
+    cfg = fast_config(tmp_path, "alone", **extra)
+    run_experiment(cfg, attack_enabled=True)
+    trainees = list(range(6 + (family == "fltrust")))  # fltrust's reference trains as client N
+    cohort = harness._cohort(cfg, 6)
+    poisons = kind in ("l-flip", "l-flip+g-asc", "scale", "dba")
+    expect = []
     for r in range(4):
-        assert sorted(c for rr, c in named.elements() if rr == r) == list(range(trainees)), r
-        assert stacked[r] == trainees, r
+        # the cohort trains on its poisoned shards in the round's one call
+        expect.append((r, trainees, cohort if poisons and r >= 1 else []))
+        if kind == "l-flip+g-asc" and r >= 1:  # the craft retrains the cohort's honest rows
+            expect.append((r, cohort, []))
+    own = calls[0][2]  # round 0 trains every trainee on its own shard
+    got = [
+        (r, named, [c for c, shard in zip(named, shards) if shard is not own[c]])
+        for r, named, shards in calls
+    ]
+    assert got == expect
+    assert [stacked[i] for i in range(len(calls))] == [len(named) for _, named, _ in calls]
 
 
 def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(

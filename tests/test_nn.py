@@ -571,11 +571,11 @@ def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
     data = Dataset(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20), 3)
     train = nn.LocalTraining(epochs=2, batch_size=8, lr=0.1, seed=20)
     expect = _one_client(model, data, 20, 3, 1)
-    out = np.empty((3, model.theta.size))
+    out = np.empty((1, model.theta.size))
     train.train_all(model, [data], 3, out, [1])
-    assert np.array_equal(out[1], expect)
+    assert np.array_equal(out[0], expect)
     train.train_all(model, [data], 3, out, [2])
-    assert not np.array_equal(out[2], expect)
+    assert not np.array_equal(out[0], expect)
     # nn.local_train is looked up per call, so a rebound one sees every update
     seen = []
     monkeypatch.setattr(nn, "local_train", lambda *args, **kwargs: seen.append(args) or expect)
@@ -583,27 +583,18 @@ def test_local_training_is_local_train_on_the_client_stream(monkeypatch):
     assert len(seen) == 1
 
 
-def test_train_all_writes_only_the_given_clients_rows():
+def test_train_all_writes_shard_j_into_row_j():
     model = nn.mlp_model(5, 6, 3, seed=46)
-    # equal lengths stack clients 0, 2 and 5 (not consecutive rows) in one call
-    shards = _shards(rng_stream(47), (5,), (7, 7, 7), 3)
+    # clients name the streams only, in any order: shards 0 and 2 stack (length
+    # 7, not consecutive rows), shard 1 trains alone
+    shards = _shards(rng_stream(47), (5,), (7, 9, 7), 3)
+    clients = [5, 0, 2]
     train = nn.LocalTraining(epochs=2, batch_size=3, lr=0.1, seed=48)
-    out = np.full((7, model.theta.size), np.nan)
-    train.train_all(model, shards, 4, out, clients=[0, 2, 5])
-    for shard, i in zip(shards, [0, 2, 5]):
-        assert np.array_equal(out[i], _one_client(model, shard, 48, 4, i, batch=3))
-    assert np.isnan(out[[1, 3, 4, 6]]).all()
-
-
-@pytest.mark.parametrize("clients", [[0, 2, 1, 3], [0, 1, 1, 3]], ids=["unsorted", "duplicate"])
-def test_train_all_rejects_ids_that_do_not_strictly_ascend(clients):
-    # a stack spanning rows ids[0]..ids[-1] would train unsorted ids into the wrong rows
-    model = nn.mlp_model(5, 6, 3, seed=46)
-    shards = _shards(rng_stream(47), (5,), (7, 7, 7, 7), 3)
-    train = nn.LocalTraining(epochs=1, batch_size=3, lr=0.1, seed=48)
-    out = np.zeros((4, model.theta.size))
-    with pytest.raises(ConfigError, match="ascend"):
-        train.train_all(model, shards, 0, out, clients=clients)
+    out = np.full((5, model.theta.size), np.nan)
+    train.train_all(model, shards, 4, out, clients)
+    for j, (shard, c) in enumerate(zip(shards, clients)):
+        assert np.array_equal(out[j], _one_client(model, shard, 48, 4, c, batch=3)), j
+    assert np.isnan(out[3:]).all()
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,14 @@ summary builder that reads finished run folders."""
 
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from gradamp.config import ExperimentConfig
 from gradamp.errors import ReportError
-from gradamp.harness import run_experiment
+from gradamp.harness import read_manifest, run_experiment
 from gradamp.report import pca_project, report, svg_line_plot
 
 FAST = {
@@ -150,6 +151,16 @@ def test_pca_is_translation_invariant():
     np.testing.assert_allclose(pca_project(x), pca_project(shifted), atol=1e-8)
 
 
+def test_pca_projects_large_finite_rows_without_overflow():
+    x = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proj = pca_project(x)
+    assert np.isfinite(proj).all()
+    # the first two rows lie sqrt(2) * 1e200 apart in the plane they span
+    np.testing.assert_allclose(np.hypot(*(proj[0] - proj[1])), np.sqrt(2.0) * 1e200, rtol=1e-12)
+
+
 # ------------------------------------------------------------- report
 
 
@@ -226,6 +237,29 @@ def test_report_projects_the_first_amplified_dump(run_folders, tmp_path):
     for line in lines[1:]:
         _, p1, p2 = line.split(",")
         float(p1), float(p2)  # repr round-trip
+
+
+def test_report_removes_the_outputs_it_does_not_write(run_folders, tmp_path):
+    plain, targeted, dumped = run_folders
+    out = str(tmp_path / "rep")
+    assert len(report([targeted.path, dumped.path], out)) == 4
+    written = report([plain.path], out)
+    assert written == [os.path.join(out, "report.csv"), os.path.join(out, "ta.svg")]
+    assert sorted(os.listdir(out)) == ["report.csv", "ta.svg"]
+
+
+def test_report_reads_the_rounds_table_beside_the_manifest(run_folders, tmp_path):
+    plain, _, _ = run_folders
+    run_dir = tmp_path / "run"
+    shutil.copytree(plain.run_dir, run_dir)
+    assert not any(key.startswith("artifact.") for key in read_manifest(str(run_dir / "manifest.txt")))
+    # a hand-edited manifest that names another rounds file is not followed
+    (run_dir / "other.csv").write_text("round,test_accuracy,asr\n9,0.5,nan\n")
+    with open(run_dir / "manifest.txt", "a") as fh:
+        fh.write("artifact.rounds = other.csv\n")
+    out = tmp_path / "rep"
+    report([str(run_dir / "manifest.txt")], str(out))
+    assert (out / "report.csv").read_text().splitlines()[1].split(",")[1] == "3"
 
 
 def test_report_rejects_an_empty_manifest_list(tmp_path):
