@@ -327,15 +327,6 @@ def fltrust_aggregate(
 # round-level entry point
 
 
-@dataclass
-class RoundContext:
-    """Server-side state an aggregation step may need."""
-
-    model: nn.ModelParams
-    validation: Dataset | None = None     # screening and filter selection
-    ref_update: np.ndarray | None = None  # server-trained trust reference, flat
-
-
 def _whitelist_decision(
     whitelist: list[int], scores: np.ndarray, originals: np.ndarray
 ) -> AggregationDecision:
@@ -347,56 +338,60 @@ def _whitelist_decision(
 
 
 def scored_views(
-    grads: np.ndarray, config: AggregatorConfig, context: RoundContext
+    updates: np.ndarray,
+    config: AggregatorConfig,
+    model: nn.ModelParams,
+    validation: Dataset | None = None,
+    reference: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """The amplified rows ``config.family`` scores: one per row of the (N,
-    P) update matrix, plus the server reference's row for fltrust (else
-    None).  fltrust with the xai amplifier reads every row through one
-    filter selection, taken from the server's own reference model, so every
-    trust cosine compares coordinates of the same filters.  fedavg scores
-    nothing and gets the configured amplifier's rows."""
+    P) update matrix, plus the row of ``reference``, the server-trained
+    trust update, for fltrust (else None).  fltrust with the xai amplifier
+    reads every row through one filter selection, taken from the server's
+    own reference model, so every trust cosine compares coordinates of the
+    same filters.  fedavg scores nothing and gets the configured
+    amplifier's rows."""
     amp = config.amplifier
-    model, validation = context.model, context.validation
     if config.family != "fltrust":
-        return [a.values for a in amplify(grads, amp, model, validation)], None
-    if context.ref_update is None:
+        return [a.values for a in amplify(updates, amp, model, validation)], None
+    if reference is None:
         raise ConfigError("trust bootstrapping needs a server reference update")
     fixed = None
     if amp.kind == "xai" and validation is not None:
-        fixed = xai_selection(model, context.ref_update, validation, amp.top_p)
-    views = amplify(grads, amp, model, validation, fixed)
-    ref = amplify(context.ref_update[None], amp, model, validation, fixed)[0]
+        fixed = xai_selection(model, reference, validation, amp.top_p)
+    views = amplify(updates, amp, model, validation, fixed)
+    ref = amplify(reference[None], amp, model, validation, fixed)[0]
     return [a.values for a in views], ref.values
 
 
 def aggregate_round(
-    grads: np.ndarray,
+    updates: np.ndarray,
     config: AggregatorConfig,
-    context: RoundContext,
+    model: nn.ModelParams,
+    validation: Dataset | None = None,
+    reference: np.ndarray | None = None,
 ) -> AggregationDecision:
     """Score the rows of the (N, P) update matrix on their ``scored_views``,
-    update from the original rows."""
-    n = len(grads)
+    update from the original rows; fang probes the model on ``validation``."""
+    n = len(updates)
     if n == 0:
         raise ConfigError("no updates to aggregate")
     if config.family == "fedavg":
-        return AggregationDecision(nn.mean_grads(grads), np.ones(n), np.ones(n, dtype=bool))
-    if config.family == "fang" and context.validation is None:
+        return AggregationDecision(nn.mean_grads(updates), np.ones(n), np.ones(n, dtype=bool))
+    if config.family == "fang" and validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
 
-    views, ref_view = scored_views(grads, config, context)
+    views, ref_view = scored_views(updates, config, model, validation, reference)
     if config.family == "fltrust":
-        return fltrust_aggregate(views, ref_view, grads, context.ref_update)
+        return fltrust_aggregate(views, ref_view, updates, reference)
     if config.family == "fang":
         # restored amplified updates drive the prediction screens
-        wl, scores = fang_whitelist(
-            views, context.model, context.validation, config.assumed_malicious
-        )
-        return _whitelist_decision(wl, scores, grads)
+        wl, scores = fang_whitelist(views, model, validation, config.assumed_malicious)
+        return _whitelist_decision(wl, scores, updates)
     neighbors = config.neighbors or n // 2 + 1
     if config.family == "dist-merged":
         wl, scores = merged_whitelist(views, neighbors, config.assumed_malicious)
     else:
         metric = "cos" if config.family == "dist-cos" else "euc"
         wl, scores = density_whitelist(views, metric, neighbors, config.assumed_malicious)
-    return _whitelist_decision(wl, scores, grads)
+    return _whitelist_decision(wl, scores, updates)

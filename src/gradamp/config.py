@@ -234,6 +234,11 @@ class ExperimentConfig:
             raise ConfigError("dataset.kind idx needs dataset.images and dataset.labels")
         if v["partition.scheme"] not in ("iid", "label-skew"):
             raise ConfigError(f"unknown partition.scheme {v['partition.scheme']!r}")
+        if not 0.0 <= float(v["partition.skew"]) <= 1.0:
+            raise ConfigError(f"partition.skew must lie in [0, 1], got {v['partition.skew']}")
+        for key in ("seeds.data", "seeds.clients", "seeds.attack"):
+            if int(v[key]) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {v[key]}")
         if v["model.kind"] not in ("mlp", "conv"):
             raise ConfigError(f"unknown model.kind {v['model.kind']!r}")
         if v["model.kind"] == "conv" and v["dataset.kind"] == "blobs" and isinstance(self.dim(), int):

@@ -26,7 +26,7 @@ ASCII lines, written under a temporary name that then replaces the file,
 with the manifest last, so a folder never holds a torn file.  A rerun into
 a folder removes the amplified.csv of an earlier run that it did not dump
 itself.  ``_read_rows`` is the one reader of the header-plus-rows files
-(rounds.csv, amplified.csv).
+(rounds.csv, amplified.csv); given a checksum, it checks the bytes it parses.
 
 The round loop is ``_prepare``, which builds a run's state at round 0,
 plus that state's ``step``, which plays one round on it; ``run_experiment``
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregate import RoundContext, aggregate_round, scored_views
+from .aggregate import aggregate_round, scored_views
 from .attacks import (
     AttackContext,
     craft_updates,
@@ -120,11 +120,13 @@ def _write_lines(path: str, lines: list[str]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_rows(path: str, columns: dict[str, type]) -> list[tuple]:
+def _read_rows(path: str, columns: dict[str, type], digest: str | None = None) -> list[tuple]:
     """The rows of a header-plus-rows file, typed by ``columns``; row i sits
-    on line i + 2."""
+    on line i + 2.  With ``digest``, the bytes parsed must have that sha256."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+        raise ReportError(f"{path}: sha256 does not match the manifest's checksum")
     try:
         header, *lines = data.decode("ascii").splitlines() or [""]
     except UnicodeDecodeError as exc:
@@ -264,16 +266,15 @@ class _Run:
         shards = [poisoned.get(i, shard) for i, shard in enumerate(self.trainees)]
         self.attack.train.train_all(self.model, shards, r, self.rows)
         craft_updates(r, updates, self.model, cfg.attack, self.attack)
-        ref_update = self.rows[n] if len(self.trainees) > n else None
-        round_ctx = RoundContext(self.model, self.validation, ref_update)
-        decision = aggregate_round(updates, cfg.aggregator, round_ctx)
+        reference = self.rows[n] if len(self.trainees) > n else None  # trained on the trust set
+        decision = aggregate_round(updates, cfg.aggregator, self.model, self.validation, reference)
         for i in range(n):
             self.decision_rows.append(
                 f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
             )
         if k == int(cfg["output.dump_amplified_round"]):
             # a copy: without an amplifier the views are the rows, rewritten next round
-            views, _ = scored_views(updates, cfg.aggregator, round_ctx)
+            views, _ = scored_views(updates, cfg.aggregator, self.model, self.validation, reference)
             self.amplified = np.array(views, dtype=np.float64)
         self.model = nn.apply_update(self.model, decision.global_update)
         if not np.isfinite(self.model.theta).all():
@@ -460,8 +461,8 @@ def _write_run_files(
     _write_lines(manifest.path, [f"{key} = {lines[key]}" for key in sorted(lines)])
 
 
-def read_rounds_csv(path: str) -> list[RoundRecord]:
-    return [RoundRecord(*row) for row in _read_rows(path, _ROUND_COLUMNS)]
+def read_rounds_csv(path: str, digest: str | None = None) -> list[RoundRecord]:
+    return [RoundRecord(*row) for row in _read_rows(path, _ROUND_COLUMNS, digest)]
 
 
 def read_manifest(path: str) -> dict[str, str]:
@@ -528,7 +529,8 @@ def _metrics_line(row: dict[str, object]) -> str:
 def sweep(
     cfg: ExperimentConfig, vary_key: str, values: list[object], out_root: str | None = None
 ) -> list[PairSummary]:
-    """run_pair once per value of one overridden key; summary in sweep.csv."""
+    """run_pair once per value of one overridden key, every value's config
+    built before the first pair; summary in sweep.csv."""
     if not values:
         raise ConfigError("sweep needs at least one value")
     # one folder name per value, a single path component inside out_root
@@ -536,12 +538,12 @@ def sweep(
     repeated = sorted({slug for slug in slugs if slugs.count(slug) > 1})
     if repeated:
         raise ConfigError(f"sweep values share the folder names {repeated}")
+    configs = [cfg.with_overrides({vary_key: value}) for value in values]
     out_root = out_root or str(cfg["output.dir"])
     os.makedirs(out_root, exist_ok=True)
     summaries = []
     rows = []
-    for value, slug in zip(values, slugs):
-        sub = cfg.with_overrides({vary_key: value})
+    for value, slug, sub in zip(values, slugs, configs):
         summary = run_pair(sub, os.path.join(out_root, slug))
         summaries.append(summary)
         rows.append(f"{value},{_metrics_line(summary.metrics_row)}")

@@ -10,13 +10,13 @@ Every run is tabled with its ``run.status``; every run with a checkpoint
 is drawn, whatever its status.  A file the report reads must match the
 sha256 its manifest lists for it, and an amplified.csv must be dense:
 each client holds the indices 0..L-1 once each, with one L for all.
-Files are read through the harness's ``_read_rows`` and written through
-its ``_write_lines``.
+Files are read through the harness's ``_read_rows``, which checks the
+sha256 on the bytes it parses, so each is opened once; they are written
+through its ``_write_lines``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -152,21 +152,10 @@ def pca_project(x: np.ndarray) -> np.ndarray:
     return np.ldexp(proj, exponent)
 
 
-def _checked(path: str, info: dict[str, str]) -> str:
-    """``path``, once its bytes match the ``checksum.<name>`` that the
-    manifest ``info`` lists for it; a manifest without one checks nothing."""
-    digest = info.get(f"checksum.{os.path.basename(path)}")
-    if digest is not None:
-        with open(path, "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() != digest:
-                raise ReportError(f"{path}: sha256 does not match the manifest's checksum")
-    return path
-
-
-def _read_amplified(path: str) -> np.ndarray:
+def _read_amplified(path: str, digest: str | None = None) -> np.ndarray:
     """The dumped rows, one per client in client order; the file must be
     dense, which bounds the matrix by its line count."""
-    rows = _read_rows(path, _AMPLIFIED_COLUMNS)
+    rows = _read_rows(path, _AMPLIFIED_COLUMNS, digest)
     if not rows:
         raise ReportError(f"{path}: no rows")
     slot = {cid: i for i, cid in enumerate(sorted({cid for cid, _, _ in rows}))}
@@ -200,7 +189,7 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
     ta_series = []
     asr_series = []
     table_rows = []
-    pca_source = None
+    dumped = None  # the first run's amplified rows
     for path in manifest_paths:
         info = read_manifest(path)
         run_dir = os.path.dirname(path) or "."
@@ -208,7 +197,7 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
         rounds_path = os.path.join(run_dir, "rounds.csv")
         if not os.path.exists(rounds_path):
             raise ReportError(f"{path}: missing rounds table {rounds_path}")
-        records = read_rounds_csv(_checked(rounds_path, info))
+        records = read_rounds_csv(rounds_path, info.get("checksum.rounds.csv"))
         try:
             xs = [float(r.round) for r in records]
         except OverflowError as exc:
@@ -230,8 +219,8 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
             )
         )
         amp_path = os.path.join(run_dir, "amplified.csv")
-        if pca_source is None and os.path.exists(amp_path):
-            pca_source = _checked(amp_path, info)
+        if dumped is None and os.path.exists(amp_path):
+            dumped = _read_amplified(amp_path, info.get("checksum.amplified.csv"))
 
     table_path = os.path.join(out_dir, "report.csv")
     _write_lines(table_path, ["run_id,checkpoints,final_ta,final_asr,heterogeneity,status", *table_rows])
@@ -243,8 +232,8 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
         if series:
             svg_line_plot(series, title, ylabel, os.path.join(out_dir, name))
             written.append(os.path.join(out_dir, name))
-    if pca_source is not None:
-        proj = pca_project(_read_amplified(pca_source))
+    if dumped is not None:
+        proj = pca_project(dumped)
         pca_path = os.path.join(out_dir, "pca.csv")
         _write_lines(
             pca_path,

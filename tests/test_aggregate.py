@@ -14,7 +14,6 @@ import pytest
 from gradamp import nn, runtime
 from gradamp.aggregate import (
     AggregatorConfig,
-    RoundContext,
     _keep_top,
     aggregate_round,
     density_whitelist,
@@ -113,15 +112,11 @@ def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog,
         grads[culprit] *= 1e305
     else:
         grads[culprit, 3] = np.nan
-    context = RoundContext(
-        model,
-        validation=Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3),
-        ref_update=base,
-    )
+    validation = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20), 3)
     config = AggregatorConfig(family=family, amplifier=AmplifierConfig(kind="none"))
     with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="gradamp.aggregate"):
         warnings.simplefilter("error")  # no screen lets numpy print anything
-        decision = aggregate_round(grads, config, context)
+        decision = aggregate_round(grads, config, model, validation, reference=base)
     assert not decision.accepted[culprit] and decision.accepted.any()
     assert np.isfinite(decision.global_update).all()
     if family == "fang":
@@ -433,7 +428,7 @@ def round_setup(n=5, dim=4):
 def test_aggregate_round_fedavg_accepts_everyone():
     model, grads = round_setup()
     cfg = AggregatorConfig(family="fedavg", amplifier=AmplifierConfig(kind="none"))
-    decision = aggregate_round(grads, cfg, RoundContext(model=model))
+    decision = aggregate_round(grads, cfg, model)
     assert decision.accepted.all()
     assert np.allclose(decision.global_update, np.mean(grads, axis=0), atol=1e-15)
 
@@ -443,7 +438,7 @@ def test_aggregate_round_update_averages_whitelisted_originals():
     cfg = AggregatorConfig(
         family="dist-cos", amplifier=AmplifierConfig(kind="mp", kernel=2), assumed_malicious=0.3
     )
-    decision = aggregate_round(grads, cfg, RoundContext(model=model))
+    decision = aggregate_round(grads, cfg, model)
     whitelist = np.flatnonzero(decision.accepted)
     assert len(whitelist) == math.ceil(0.7 * 6)
     expect = np.mean([grads[i] for i in whitelist], axis=0)
@@ -464,7 +459,7 @@ def test_scores_see_amplified_values_update_sees_originals():
 
     def run(first):
         grads = np.stack([m.ravel() for m in [first] + others])
-        return aggregate_round(grads, cfg, RoundContext(model=model))
+        return aggregate_round(grads, cfg, model)
 
     bumped = base.copy()
     bumped[0, 0] = 1.5  # still below the patch max of 4
@@ -494,11 +489,11 @@ def test_aggregate_round_fltrust_needs_reference():
     model, grads = round_setup()
     cfg = AggregatorConfig(family="fltrust", amplifier=AmplifierConfig(kind="none"))
     with pytest.raises(ConfigError):
-        aggregate_round(grads, cfg, RoundContext(model=model))
+        aggregate_round(grads, cfg, model)
 
 
 def test_aggregate_round_fang_needs_validation():
     model, grads = round_setup()
     cfg = AggregatorConfig(family="fang", amplifier=AmplifierConfig(kind="none"))
     with pytest.raises(ConfigError):
-        aggregate_round(grads, cfg, RoundContext(model=model, validation=None))
+        aggregate_round(grads, cfg, model, validation=None)

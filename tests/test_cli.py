@@ -322,6 +322,13 @@ def test_sweep_rejects_values_that_share_a_folder(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_sweep_builds_every_config_before_the_first_pair(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["sweep", path, "--vary", "federation.clients=3,1"]) == 2
+    assert "federation.clients must be >= 2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "federation-clients-3")
+
+
 def test_sweep_folders_stay_inside_out(tmp_path):
     path = write_config(tmp_path)
     assert main(["sweep", path, "--vary", "dataset.path=../../../x"]) == 0
@@ -453,6 +460,13 @@ def test_parse_vary_rejects_malformed_specs():
             {"defense.family": "fltrust", "dataset.server_fraction": 0},
             "trust.size 12 exceeds the 0 samples of the server pool",
         ),
+        # numpy's seeding refuses a negative seed only after the folder exists
+        *(({key: -1}, f"{key} must be >= 0, got -1") for key in ("seeds.data", "seeds.clients", "seeds.attack")),
+        # data.partition would refuse it only at setup, under label-skew alone
+        *(
+            ({"partition.scheme": scheme, "partition.skew": 1.5}, "partition.skew must lie in [0, 1], got 1.5")
+            for scheme in ("label-skew", "iid")
+        ),
     ],
     ids=[
         "fang-rejects-all",
@@ -498,6 +512,11 @@ def test_parse_vary_rejects_malformed_specs():
         "overlap-validation-exceeds-client-pool",
         "fang-no-server-pool",
         "fltrust-no-server-pool",
+        "seeds-data-negative",
+        "seeds-clients-negative",
+        "seeds-attack-negative",
+        "label-skew-1.5",
+        "iid-skew-1.5",
     ],
 )
 def test_config_that_cannot_run_exits_2_before_any_run_folder(tmp_path, capsys, extra, message):

@@ -191,6 +191,83 @@ def test_validate_catches_cross_field_mistakes():
     ).validate()
 
 
+# out-of-range values per key, each refused by from_mapping on the defaults
+# (3 blob classes of 200, 10 clients, dist-cos, no attack)
+OUT_OF_RANGE = {
+    "dataset.kind": ["nope"],
+    "dataset.classes": [1, 0],
+    "dataset.per_class": [0, -1],
+    "dataset.dim": ["0", "-2", "2x3", "0x5x5", "a"],
+    "dataset.test_fraction": [-0.1, 0.0, 0.75, 1.5],
+    "dataset.server_fraction": [-0.1, 0.75, 1.0],
+    "partition.scheme": ["nope"],
+    "partition.skew": [-0.1, 1.5],
+    "model.kind": ["nope"],
+    "model.hidden": [-1],
+    "model.filters": [0],
+    "model.kernel": [0],
+    "model.pool": [0],
+    "federation.clients": [1, 0, 10_000],
+    "federation.rounds": [-1],
+    "federation.checkpoint_every": [0],
+    "local.epochs": [0],
+    "local.batch": [0],
+    "local.lr": [0.0, -0.5],
+    "attack.kind": ["nope"],
+    "attack.malicious_fraction": [-0.1, 1.0],
+    "attack.start_round": [-1],
+    "attack.scale_factor": ["auto"],
+    "attack.sh_gamma_max": [0.0, -1.0],
+    "attack.target_label": [-1],
+    "attack.trigger_fraction": [-0.1, 1.5],
+    "defense.family": ["median"],
+    "defense.amplifier": ["nope", "xai"],
+    "defense.kernel": [0],
+    "defense.top_p": [0.0, 1.5],
+    "defense.restore_size": ["maybe"],
+    "defense.neighbors": [-1, 5, 11],
+    "defense.assumed_malicious": [-0.1, 1.0, "most"],
+    "validation.size": [0],
+    "validation.mode": ["nope"],
+    "validation.theta": [-0.1, 1.5],
+    "validation.biased_class": [-1, 3],
+    "trust.size": [0],
+    "trust.mode": ["nope"],
+    "trust.theta": [-0.1, 1.5],
+    "trust.biased_class": [-1, 3],
+    "seeds.data": [-1],
+    "seeds.clients": [-1],
+    "seeds.attack": [-1],
+    "output.dir": [""],
+}
+# keys that take any value of their type (ASCII, for a string)
+UNBOUNDED = {
+    "dataset.path",
+    "dataset.images",
+    "dataset.labels",
+    "dataset.spread",  # a sign flip of the blob noise
+    "attack.gamma",
+    "defense.include_bias",
+    "validation.allow_overlap",
+    "output.dump_amplified_round",  # a round outside 1..rounds dumps nothing
+}
+
+
+def test_every_key_refuses_its_out_of_range_values():
+    # a key added to DEFAULTS needs a row here or a place in UNBOUNDED
+    assert sorted(set(OUT_OF_RANGE) | UNBOUNDED) == sorted(DEFAULTS)
+    assert not set(OUT_OF_RANGE) & UNBOUNDED
+    accepted = []
+    for key, values in OUT_OF_RANGE.items():
+        for value in values:
+            try:
+                ExperimentConfig.from_mapping({key: value})
+            except ConfigError:
+                continue
+            accepted.append((key, value))
+    assert accepted == []
+
+
 def test_from_file_round_trip(tmp_path):
     path = tmp_path / "exp.txt"
     path.write_text("federation.rounds = 4\nlocal.lr = 0.5\n")

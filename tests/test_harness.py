@@ -419,9 +419,9 @@ def test_fltrust_reference_is_the_trust_set_trained_as_client_n(tmp_path, monkey
     seen = []
     aggregate_round = harness.aggregate_round
 
-    def spy(updates, cfg, context):
-        seen.append((context.model, context.ref_update.copy()))
-        return aggregate_round(updates, cfg, context)
+    def spy(updates, cfg, model, validation, reference):
+        seen.append((model, reference.copy()))
+        return aggregate_round(updates, cfg, model, validation, reference)
 
     monkeypatch.setattr(harness, "aggregate_round", spy)
     cfg = fast_config(

@@ -1,6 +1,8 @@
 """Reporting layer: SVG chart text, power-iteration PCA, and the
 summary builder that reads finished run folders."""
 
+import builtins
+import io
 import os
 import shutil
 import warnings
@@ -314,6 +316,36 @@ def test_report_rejects_a_file_that_differs_from_its_checksum(run_folders, tmp_p
         fh.write("0,0,0.5\n" if name == "amplified.csv" else "9,0.5,nan\n")
     with pytest.raises(ReportError, match=f"{name}: sha256"):
         report([str(tmp_path / "run" / "manifest.txt")], str(tmp_path / "rep"))
+
+
+def test_report_tables_only_the_verified_bytes(run_folders, tmp_path, monkeypatch):
+    # a rounds.csv that changes between two opens: the report may table only
+    # the bytes that matched the manifest's checksum, or refuse the run
+    plain, _, _ = run_folders
+    rounds_path = os.path.join(plain.run_dir, "rounds.csv")
+    with open(rounds_path) as fh:
+        lines = fh.read().splitlines()
+    final_ta = lines[-1].split(",")[1]
+    altered = "\n".join(lines[:-1] + [lines[-1].split(",")[0] + ",-1.0,nan", ""])
+    real_open = builtins.open
+    opened = []
+
+    def swapping_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, str) and os.path.abspath(file) == os.path.abspath(rounds_path):
+            opened.append(mode)
+            if len(opened) > 1:
+                return io.BytesIO(altered.encode()) if "b" in mode else io.StringIO(altered)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", swapping_open)
+    out = tmp_path / "rep"
+    try:
+        report([plain.path], str(out))
+    except ReportError:
+        return
+    finally:
+        monkeypatch.undo()
+    assert (out / "report.csv").read_text().splitlines()[1].split(",")[2] == final_ta
 
 
 def test_pca_rejects_non_finite_rows():
