@@ -21,9 +21,9 @@ output, and each screen scores a sequence of (L,) rows or an (N, L)
 matrix, whichever it is given.
 Plain means are ``nn.mean_grads`` folds over row views: fedavg's over
 every row, a whitelist's over its accepted rows.  The fang probes sum
-the same ascending fold from a running prefix, one probe ahead: while
-probe i runs the validation set, probe i + 1's fold runs on the worker
-thread of ``runtime`` when there is one (see ``fang_whitelist``).
+the same ascending fold from a running prefix, and ``runtime.split``
+hands the upper half of the clients' probes to the worker thread when
+there is one (see ``fang_whitelist``).
 
 Tie-breaks everywhere favor lower client indices, keeping decisions
 deterministic.
@@ -192,11 +192,12 @@ def fang_whitelist(
     ceil(M_f * N) lowest are rejected under each criterion and the
     whitelist is the intersection of the two keep-sets (loss keep-set on an
     empty intersection).  A probe whose loss is not finite scores +inf
-    under both screens: the model is broken even without client i, so i
-    is not the one breaking it.  The probes let numpy warn about no
-    overflow, and run the validation set's ``cols`` when it has them.  The
-    count is taken on the decimal M_f (``data.exact_share``); an M_f that
-    would reject every client is a ``ConfigError`` before the first probe.
+    under both screens, and one logged warning counts such probes: the
+    model is broken even without client i, so i is not the one breaking
+    it.  The probes let numpy warn about no overflow, and run the
+    validation set's ``cols`` when it has them.  The count is taken on
+    the decimal M_f (``data.exact_share``); an M_f that would reject
+    every client is a ``ConfigError`` before the first probe.
 
     Each probe model is theta - (x_j0 + x_j1 + ...) * (1 / (N - 1)): the
     others in the ascending left fold of ``nn.mean_grads``, then subtracted
@@ -204,13 +205,12 @@ def fang_whitelist(
     mean-then-apply probe bit for bit.  A running buffer keeps the fold's
     prefix x_0 + ... + x_{i-1}, and probe i continues a copy of it with
     x_{i+1} ... x_{N-1}, so the probes add about N^2 / 2 rows, not N^2.
-    The fold runs one probe ahead, into the other of two buffers: probe
-    i + 1's fold goes to ``runtime.worker()`` while this thread runs probe
-    i's forward, loss and error.  It runs inline when there is no worker or
-    the rows are shorter than ``nn.STACK_FLOATS``, where handing it over
-    costs more than the fold.  Either way it is the same operations in the
-    same order, so the losses keep their bits; an exception in the fold is
-    raised here.
+    ``runtime.split`` runs whole probes (fold, forward, loss, error) for
+    the upper half of the clients on its worker while this thread runs the
+    lower half; each half builds its own prefix by the same ascending adds,
+    so every loss keeps its bits.  Rows shorter than ``nn.STACK_FLOATS``
+    stay on this thread, where handing a half over costs more than it
+    saves.  The probes call ``nn``'s kernels, not its traced names.
     The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
     its own magnitude, and subtracting a huge x_i back out of S cancels
     away every other client's contribution.
@@ -229,51 +229,49 @@ def fang_whitelist(
             raise ConfigError(
                 f"restored update has shape {np.shape(row)}, model has {theta.size} parameters"
             )
-    prefix, *bufs = np.empty((3, theta.size))  # prefix: x_0 + ... + x_{i-1}
     scale = 1.0 / max(n - 1, 1)  # a lone client is its own probe
-
-    def fold(i: int) -> np.ndarray:
-        """Probe i's parameters into ``bufs[i % 2]``; advances the prefix, so
-        probe i's fold must end before probe i + 1's starts."""
-        buf = bufs[i % 2]
-        # numpy's error state is per thread: the worker needs its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            if i == 0:
-                np.copyto(buf, amped_restored[min(1, n - 1)])
-                np.copyto(prefix, amped_restored[0])
-                rest = amped_restored[2:]
-            else:
-                np.copyto(buf, prefix)
-                np.add(prefix, amped_restored[i], out=prefix)
-                rest = amped_restored[i + 1 :]
-            for row in rest:
-                buf += row
-            buf *= scale
-            np.subtract(theta, buf, out=buf)
-        return buf
-
-    # a fold shorter than STACK_FLOATS costs less than handing it over
-    pool = runtime.worker() if theta.size >= nn.STACK_FLOATS else None
-    ahead = None  # probe i's fold, running on the worker
     losses = np.zeros(n)
     errors = np.zeros(n)
-    try:
+
+    def probes(lo: int, hi: int) -> None:
+        """Probes lo .. hi - 1 into ``losses`` and ``errors``."""
+        prefix, probe = np.empty((2, theta.size))  # prefix: x_0 + ... + x_{i-1}
+        # numpy's error state is per thread: each half sets its own
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(n):
-                probe = fold(i) if ahead is None else ahead.result()
-                ahead = pool.submit(fold, i + 1) if pool is not None and i + 1 < n else None
-                trace = nn.forward(
+            for i in range(hi):
+                if i == 1:
+                    np.copyto(prefix, amped_restored[0])
+                elif i > 1:
+                    prefix += amped_restored[i - 1]
+                if i < lo:
+                    continue
+                if i == 0:
+                    np.copyto(probe, amped_restored[min(1, n - 1)])
+                    rest = amped_restored[2:]
+                else:
+                    np.copyto(probe, prefix)
+                    rest = amped_restored[i + 1 :]
+                for row in rest:
+                    probe += row
+                probe *= scale
+                np.subtract(theta, probe, out=probe)
+                trace = nn._forward(
                     nn.ModelParams(model.layers, probe), validation.features, validation.cols
                 )
-                loss = nn.loss_value(trace, validation.labels)
+                loss = nn._loss_value(trace, validation.labels)
                 if math.isfinite(loss):
                     losses[i] = loss
                     errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
                 else:
                     losses[i] = errors[i] = math.inf
-    finally:
-        if ahead is not None:  # a probe or a fold raised: let the fold ahead end first
-            ahead.exception()
+
+    if theta.size >= nn.STACK_FLOATS:
+        runtime.split(n, probes)
+    else:  # a half's probes cost less than handing them over
+        probes(0, n)
+    broken = int(np.count_nonzero(losses == math.inf))
+    if broken:
+        log.warning("%d non-finite leave-one-out losses; scoring those probes +inf", broken)
     keep = n - reject
     keep_loss = set(_keep_top(losses, keep))
     keep_err = set(_keep_top(errors, keep))

@@ -57,6 +57,12 @@ Conventions:
     trained weights.  ``mean_grads`` averages rows by an ascending left
     fold; the fang probes in ``aggregate`` sum the same fold from a
     running prefix instead of calling it.
+  * ``forward``, ``lower``, ``block_max`` and ``block_keep`` are
+    one-line wrappers over the kernels ``_forward``, ``_lower``,
+    ``_block_max`` and ``_block_keep``, which call no public name.  The
+    benchmark traces the public names from one thread, so the jobs
+    ``runtime.split`` hands the worker call the kernels, and
+    ``_loss_value``, whose one caller is such a job, has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
@@ -319,6 +325,10 @@ def lower(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     kh, kw): column (s, i, j) holds sample s's c x kh x kw window at (i, j).
     One copy of a ``sliding_window_view``, or a view of x where the
     reshape needs no copy, as for a 1x1 kernel on a batch of one."""
+    return _lower(x, w)
+
+
+def _lower(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     *stack, n, c, h, width = x.shape
     kh, kw = w.shape[-2:]
@@ -350,6 +360,10 @@ def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarra
     (..., ceil(h/k), ceil(w/k)), written into ``out`` when given.  Cell
     (a, b) of every block is the strided view ``x[..., a::k, b::k]``; on
     ragged edges it covers fewer blocks."""
+    return _block_max(x, k, out)
+
+
+def _block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = x[..., ::k, ::k].copy()
     else:
@@ -368,6 +382,10 @@ def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     first cell in row-major order that equals ``best`` (the block's
     ``block_max``) or is NaN.  A block holding a NaN has a NaN maximum, so
     the NaN tests run only when some block's maximum is NaN."""
+    return _block_keep(x, best, k)
+
+
+def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     keep = np.empty(x.shape, dtype=bool)
     hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
     open_blocks = np.empty(best.shape, dtype=bool)
@@ -398,6 +416,10 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
     and weights.  ``cols`` is x already ``lower``ed for the model's conv,
     which is then not lowered again; the conv is the first layer, so its
     columns depend on the batch alone."""
+    return _forward(model, x, cols)
+
+
+def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
     act = np.asarray(x, dtype=np.float64)
     inputs: list[np.ndarray] = []
     logits = None
@@ -410,7 +432,7 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
                 raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
             act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            cols = lower(act, layer.weight) if cols is None else cols
+            cols = _lower(act, layer.weight) if cols is None else cols
             act = _conv_forward(act, layer.weight, layer.bias, cols)
         elif layer.kind == "maxpool":
             k = layer.pool
@@ -419,7 +441,7 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
                 raise ConfigError(
                     f"maxpool kernel {k} larger than input {act.shape[-2]}x{act.shape[-1]}"
                 )
-            act = block_max(act[..., : ho * k, : wo * k], k)
+            act = _block_max(act[..., : ho * k, : wo * k], k)
         elif layer.kind == "relu":
             act = np.maximum(act, 0.0)
         elif layer.kind == "softmax":
@@ -527,7 +549,7 @@ def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarr
     return (g * (pooled > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
 
 
-def loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:
+def _loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:
     """Mean cross-entropy of a traced batch (probabilities floored at 1e-300)."""
     labels = np.asarray(labels)
     picked = trace.probs[np.arange(trace.probs.shape[0]), labels]
@@ -535,7 +557,10 @@ def loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:
 
 
 def predict(model: ModelParams, features: np.ndarray) -> np.ndarray:
-    return np.argmax(forward(model, features).logits, axis=1)
+    """Each sample's argmax class; a model gone non-finite predicts without
+    a numpy warning (the run reports it as diverged)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.argmax(forward(model, features).logits, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +596,8 @@ def local_train(
     its batch order from its own seed, so its row has the bits of a
     one-client call.  The stack's weights are views of the rows being
     trained and its gradients views of one (m, P) buffer, so each step
-    moves the rows in place.
+    moves the rows in place.  Steps that overflow (a huge learning rate)
+    train on without a numpy warning; the run reports the model diverged.
     """
     stacked = isinstance(seed, list)
     features = np.asarray(features, dtype=np.float64)
@@ -597,15 +623,16 @@ def local_train(
     grad = np.empty(shape)
     work = _ClientStack(_views(model.layers, out), out)
     rows = np.arange(m)[:, None]
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, batch_size):
-            batch = order[:, start : start + batch_size]
-            trace = forward(work, features[rows, batch])
-            backward(work, trace, labels[rows, batch], out=grad)
-            grad *= lr
-            out -= grad
-    np.subtract(model.theta, out, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, batch_size):
+                batch = order[:, start : start + batch_size]
+                trace = forward(work, features[rows, batch])
+                backward(work, trace, labels[rows, batch], out=grad)
+                grad *= lr
+                out -= grad
+        np.subtract(model.theta, out, out=out)
     return out if stacked else out[0]
 
 

@@ -14,13 +14,16 @@ process:
   GEMM, dot and norm round differently at one and at two threads, so the
   thread count is part of the byte promise.
 - one worker thread, when ``os.sched_getaffinity`` allows the process two
-  or more CPUs.  ``worker()`` creates it on first use; the fang screen
-  (``aggregate.fang_whitelist``) folds its next leave-one-out probe there
-  while this thread runs the current one, on rows of at least
-  ``nn.STACK_FLOATS`` floats.  The worker runs that fold alone, which
-  calls numpy only, so every public gradamp function still runs on the
-  main thread.  It moves work, not numbers: the fold is the same
-  operations on the same buffers.
+  or more CPUs.  ``worker()`` creates it on first use, and ``split(n,
+  job)`` hands it the upper half of n clients while this thread runs the
+  lower half: the fang screen's leave-one-out probes
+  (``aggregate.fang_whitelist``, on rows of at least ``nn.STACK_FLOATS``
+  floats) and the client stacks of a restored patch-max panel
+  (``amplify.amplify_mp``, on panels of two or more stacks).  Both halves
+  run one job, which calls numpy and ``nn``'s private kernels only, so
+  every public gradamp function still runs on the main thread.  It moves
+  work, not numbers: each client's result is the same operations on the
+  same values.
 
 The heap setting and the worker change no number.  Off glibc, or where
 the BLAS call cannot reach the library, that part is left alone and
@@ -105,6 +108,24 @@ def worker():
 
         _pool.append(ThreadPoolExecutor(1, thread_name_prefix="gradamp-worker"))
     return _pool[0]
+
+
+def split(n: int, job) -> None:
+    """Run ``job(lo, hi)`` over the clients 0 .. n - 1: ``job(n // 2, n)``
+    on the worker and ``job(0, n // 2)`` on this thread, or one inline
+    ``job(0, n)`` without a worker or with one client.  Returns once both
+    halves have ended; an exception in either is raised then, this
+    thread's first."""
+    pool = worker() if n >= 2 else None
+    if pool is None:
+        job(0, n)
+        return
+    ahead = pool.submit(job, n // 2, n)
+    try:
+        job(0, n // 2)
+    finally:
+        ahead.exception()  # wait for the worker's half whether or not this one raised
+    ahead.result()
 
 
 def describe() -> dict[str, str]:

@@ -100,7 +100,7 @@ FD_STEP = 1e-5
 
 def _fd_param_gradient(model, x, y):
     def loss_at(m):
-        return nn.loss_value(nn.forward(m, x), y)
+        return nn._loss_value(nn.forward(m, x), y)
 
     out = np.zeros(model.theta.size)
     for j in range(out.size):

@@ -98,8 +98,8 @@ def test_keep_top_ranks_nan_below_every_number():
 def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog, request):
     # Six similar MLP updates; the culprit's row is scaled by 1e305 (its
     # norm and products overflow) or holds one NaN.  fang-on-worker is fang
-    # on rows of nn.STACK_FLOATS or more (65,543), so five of the six
-    # folds run on the runtime worker, under their own numpy error state.
+    # on rows of nn.STACK_FLOATS or more (65,543), so the probes of clients
+    # 3-5 run on the runtime worker, under its own numpy error state.
     on_worker = family == "fang-on-worker"
     if on_worker:
         family, folds = "fang", request.getfixturevalue("fold_worker")
@@ -125,8 +125,12 @@ def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog,
         assert decision.accepted.sum() == 4
         assert np.isfinite(decision.scores[culprit])
         assert (np.delete(decision.scores, culprit) == math.inf).all()
+        # one warning after both halves end, counting the +inf probes
+        assert [r.getMessage() for r in caplog.records] == [
+            "5 non-finite leave-one-out losses; scoring those probes +inf"
+        ]
     if on_worker:
-        assert len(folds) == 5 and threading.main_thread() not in folds
+        assert len(folds) == 1 and threading.main_thread() not in folds
     if family in ("dist-euc", "dist-merged"):
         assert any("non-finite euclidean" in r.getMessage() for r in caplog.records)
 
@@ -142,13 +146,20 @@ class OffMainTrap(np.ndarray):
 
 
 def test_worker_folds_keep_the_bits_of_inline_folds(monkeypatch, fold_worker):
-    # The probes share the prefix and two buffers with the worker; a fold
-    # that ran early or late would change a loss.  A short switch interval
-    # hands the interpreter back and forth as often as it can.
+    # Each half builds its own prefix; one built in another order, or a
+    # buffer shared across the halves, would change a loss.  A short switch
+    # interval hands the interpreter back and forth as often as it can.
+    # The upper half of each probe list runs on the worker: client 2's
+    # 1e20 row (as in the ordered-fold test below) and client 7's NaN too.
     model = nn.mlp_model(6, 6554, 3, seed=64)
     rng = rng_stream(68)
     val = Dataset(rng.normal(size=(10, 6)), rng.integers(0, 3, size=10), 3)
-    cases = [list(0.5 * rng.normal(size=(n, model.theta.size))) for n in (1, 2, 3, 7, 7, 7)]
+    cases = [list(0.5 * rng.normal(size=(n, model.theta.size))) for n in (1, 2, 3, 5, 10)]
+    huge = [row.copy() for row in cases[3]]
+    huge[2] *= 1e20
+    nan = [row.copy() for row in cases[4]]
+    nan[7][3] = np.nan
+    cases += [huge, nan]
     with monkeypatch.context() as m:
         m.setattr(runtime, "worker", lambda: None)
         inline = [fang_whitelist(rows, model, val, 0.0)[1] for rows in cases]
@@ -158,15 +169,16 @@ def test_worker_folds_keep_the_bits_of_inline_folds(monkeypatch, fold_worker):
         ahead = [fang_whitelist(rows, model, val, 0.0)[1] for rows in cases]
     finally:
         sys.setswitchinterval(interval)
-    assert len(fold_worker) == 0 + 1 + 2 + 3 * 6
+    assert len(fold_worker) == 0 + 1 + 1 + 1 + 1 + 2  # one half per list of two or more
     for want, got in zip(inline, ahead):
         assert want.tobytes() == got.tobytes()
+    assert (np.delete(ahead[-1], 7) == math.inf).all() and np.isfinite(ahead[-1][7])
 
 
 def test_a_fold_that_overflows_on_the_worker_warns_nothing(fold_worker):
     # One bad row cannot make a fold warn (inf and NaN add quietly); two
     # rows near the float64 maximum overflow in every fold that adds both,
-    # which only the fold's own error state keeps quiet on the worker.
+    # which only the worker's own error state keeps quiet in its half.
     model = nn.mlp_model(6, 6554, 3, seed=64)
     rng = rng_stream(67)
     rows = list(0.01 * rng.normal(size=(6, model.theta.size)))
@@ -176,7 +188,7 @@ def test_a_fold_that_overflows_on_the_worker_warns_nothing(fold_worker):
         warnings.simplefilter("error")
         _, losses = fang_whitelist(rows, model, val, assumed_malicious=0.3)
     assert (losses == math.inf).all()  # every probe holds a 1e308 row
-    assert len(fold_worker) == 5 and threading.main_thread() not in fold_worker
+    assert len(fold_worker) == 1 and threading.main_thread() not in fold_worker
 
 
 def test_a_fold_that_raises_on_the_worker_raises_in_fang_whitelist(fold_worker):
@@ -342,7 +354,7 @@ def naive_leave_one_out_losses(rows, model, val):
             acc = acc + rows[j]
         mean = acc * (1.0 / len(others))
         trace = nn.forward(nn.apply_update(model, mean), val.features)
-        losses.append(nn.loss_value(trace, val.labels))
+        losses.append(nn._loss_value(trace, val.labels))
     return np.array(losses)
 
 

@@ -186,6 +186,24 @@ def test_non_finite_model_ends_the_pair_as_diverged(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out" / "metrics.csv")
 
 
+def test_an_overflowing_training_run_ends_diverged_without_numpy_warnings(tmp_path):
+    # A 1e300 learning rate overflows the training forwards and then the
+    # checkpoint ones; the run folder says diverged and stderr carries no
+    # numpy RuntimeWarning (nn.local_train and nn.predict quiet them).
+    path = write_config(
+        tmp_path, **{"local.lr": 1e300, "federation.clients": 4, "federation.rounds": 2}
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys; from gradamp.cli import main; sys.exit(main(['run', sys.argv[1]]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "no longer finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert read_manifest(str(tmp_path / "out" / "manifest.txt"))["run.status"] == "diverged"
+
+
 def test_report_requires_out(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["report", "whatever.txt"])

@@ -18,7 +18,7 @@ FD_TOL = 1e-4
 
 def fd_loss(model, features, labels):
     trace = nn.forward(model, features)
-    return nn.loss_value(trace, labels)
+    return nn._loss_value(trace, labels)
 
 
 def perturbed(model, index, delta):
