@@ -16,9 +16,10 @@ Families:
 
 Every entry point takes the round's updates as the rows of one (N, P)
 matrix, and ``AggregationDecision.global_update`` is a flat (P,) row.
-The screens take flat rows too: ``scored_views`` unwraps the amplifier's
-output, and each screen scores a sequence of (L,) rows or an (N, L)
-matrix, whichever it is given.
+The screens take flat rows too: ``aggregate_round`` amplifies the rows
+once, unwraps the amplifier's output, and hands the rows it scored back
+as ``AggregationDecision.views``; each screen scores a sequence of (L,)
+rows or an (N, L) matrix, whichever it is given.
 Plain means are ``nn.mean_grads`` folds over row views: fedavg's over
 every row, a whitelist's over its accepted rows.  The fang probes sum
 the same ascending fold from a running prefix, and ``runtime.split``
@@ -84,6 +85,7 @@ class AggregationDecision:
     global_update: np.ndarray        # flat (P,) update the server applies
     scores: np.ndarray               # S_i, leave-one-out loss, or trust score
     accepted: np.ndarray             # bool per client
+    views: list[np.ndarray] | None = None  # the amplified rows scored; fedavg scores none
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,11 +100,18 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def _keep_top(scores: np.ndarray, keep: int) -> list[int]:
     """Indices of the ``keep`` largest scores, lower index winning ties; a
-    NaN ranks below every number."""
-    vals = np.asarray(scores, dtype=np.float64).tolist()
-    # v == v is False only for NaN; one tolist, no numpy call per score
-    ranks = [(False, -v, i) if v == v else (True, 0.0, i) for i, v in enumerate(vals)]
-    return sorted(i for *_, i in sorted(ranks)[:keep])
+    NaN ranks below every number (the rule of ``amplify.select_top``)."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return sorted(order[:keep].tolist())
+
+
+def _intersect(first: list[int], second: list[int], fallback: str) -> list[int]:
+    """The sorted indices both keep-lists hold, or ``first`` with
+    ``fallback`` logged as a warning when they share none."""
+    both = sorted(set(first) & set(second))
+    if not both:
+        log.warning(fallback)
+    return both or first
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +175,9 @@ def merged_whitelist(
     x = np.asarray(views, dtype=np.float64)
     wl_cos, scores = density_whitelist(x, "cos", neighbors, assumed_malicious)
     wl_euc, _ = density_whitelist(x, "euc", neighbors, assumed_malicious)
-    merged = sorted(set(wl_cos) & set(wl_euc))
-    if not merged:
-        log.warning("merged whitelist empty; falling back to the cosine whitelist")
-        return wl_cos, scores
+    merged = _intersect(
+        wl_cos, wl_euc, "merged whitelist empty; falling back to the cosine whitelist"
+    )
     return merged, scores
 
 
@@ -209,8 +217,9 @@ def fang_whitelist(
     the upper half of the clients on its worker while this thread runs the
     lower half; each half builds its own prefix by the same ascending adds,
     so every loss keeps its bits.  Rows shorter than ``nn.STACK_FLOATS``
-    stay on this thread, where handing a half over costs more than it
-    saves.  The probes call ``nn``'s kernels, not its traced names.
+    stay on this thread: on the conv benchmark a split saved no time and
+    raised peak memory about 6%.  The probes call ``nn``'s kernels, not
+    its traced names.
     The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
     its own magnitude, and subtracting a huge x_i back out of S cancels
     away every other client's contribution.
@@ -267,18 +276,17 @@ def fang_whitelist(
 
     if theta.size >= nn.STACK_FLOATS:
         runtime.split(n, probes)
-    else:  # a half's probes cost less than handing them over
+    else:  # short rows: a split gains no time and costs the worker's memory
         probes(0, n)
     broken = int(np.count_nonzero(losses == math.inf))
     if broken:
         log.warning("%d non-finite leave-one-out losses; scoring those probes +inf", broken)
     keep = n - reject
-    keep_loss = set(_keep_top(losses, keep))
-    keep_err = set(_keep_top(errors, keep))
-    whitelist = sorted(keep_loss & keep_err)
-    if not whitelist:
-        log.warning("loss and error keep-sets disjoint; keeping the loss set")
-        whitelist = sorted(keep_loss)
+    whitelist = _intersect(
+        _keep_top(losses, keep),
+        _keep_top(errors, keep),
+        "loss and error keep-sets disjoint; keeping the loss set",
+    )
     return whitelist, losses
 
 
@@ -318,48 +326,11 @@ def fltrust_aggregate(
                 update = term
             else:
                 update += term
-    return AggregationDecision(update, ts, ts > 0.0)
+    return AggregationDecision(update, ts, ts > 0.0, views)
 
 
 # ---------------------------------------------------------------------------
 # round-level entry point
-
-
-def _whitelist_decision(
-    whitelist: list[int], scores: np.ndarray, originals: np.ndarray
-) -> AggregationDecision:
-    accepted = np.zeros(len(originals), dtype=bool)
-    accepted[whitelist] = True
-    # row views, not originals[whitelist], which would copy the rows
-    update = nn.mean_grads([originals[i] for i in whitelist])
-    return AggregationDecision(update, scores, accepted)
-
-
-def scored_views(
-    updates: np.ndarray,
-    config: AggregatorConfig,
-    model: nn.ModelParams,
-    validation: Dataset | None = None,
-    reference: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The amplified rows ``config.family`` scores: one per row of the (N,
-    P) update matrix, plus the row of ``reference``, the server-trained
-    trust update, for fltrust (else None).  fltrust with the xai amplifier
-    reads every row through one filter selection, taken from the server's
-    own reference model, so every trust cosine compares coordinates of the
-    same filters.  fedavg scores nothing and gets the configured
-    amplifier's rows."""
-    amp = config.amplifier
-    if config.family != "fltrust":
-        return [a.values for a in amplify(updates, amp, model, validation)], None
-    if reference is None:
-        raise ConfigError("trust bootstrapping needs a server reference update")
-    fixed = None
-    if amp.kind == "xai" and validation is not None:
-        fixed = xai_selection(model, reference, validation, amp.top_p)
-    views = amplify(updates, amp, model, validation, fixed)
-    ref = amplify(reference[None], amp, model, validation, fixed)[0]
-    return [a.values for a in views], ref.values
 
 
 def aggregate_round(
@@ -369,8 +340,13 @@ def aggregate_round(
     validation: Dataset | None = None,
     reference: np.ndarray | None = None,
 ) -> AggregationDecision:
-    """Score the rows of the (N, P) update matrix on their ``scored_views``,
-    update from the original rows; fang probes the model on ``validation``."""
+    """Score the rows of the (N, P) update matrix on one amplification of
+    them, update from the original rows, and hand the scored rows back as
+    ``views``; fang probes the model on ``validation``.  fltrust also
+    scores ``reference``, the server-trained trust update; with the xai
+    amplifier it reads every row through one filter selection, taken from
+    the server's own reference model, so every trust cosine compares
+    coordinates of the same filters."""
     n = len(updates)
     if n == 0:
         raise ConfigError("no updates to aggregate")
@@ -379,17 +355,27 @@ def aggregate_round(
     if config.family == "fang" and validation is None:
         raise ConfigError("prediction-based screening needs a validation set")
 
-    views, ref_view = scored_views(updates, config, model, validation, reference)
+    amp = config.amplifier
     if config.family == "fltrust":
-        return fltrust_aggregate(views, ref_view, updates, reference)
-    if config.family == "fang":
-        # restored amplified updates drive the prediction screens
-        wl, scores = fang_whitelist(views, model, validation, config.assumed_malicious)
-        return _whitelist_decision(wl, scores, updates)
+        if reference is None:
+            raise ConfigError("trust bootstrapping needs a server reference update")
+        fixed = None
+        if amp.kind == "xai" and validation is not None:
+            fixed = xai_selection(model, reference, validation, amp.top_p)
+        views = [a.values for a in amplify(updates, amp, model, validation, fixed)]
+        ref = amplify(reference[None], amp, model, validation, fixed)[0]
+        return fltrust_aggregate(views, ref.values, updates, reference)
+    views = [a.values for a in amplify(updates, amp, model, validation)]
     neighbors = config.neighbors or n // 2 + 1
-    if config.family == "dist-merged":
+    if config.family == "fang":  # restored amplified updates drive the prediction screens
+        wl, scores = fang_whitelist(views, model, validation, config.assumed_malicious)
+    elif config.family == "dist-merged":
         wl, scores = merged_whitelist(views, neighbors, config.assumed_malicious)
     else:
         metric = "cos" if config.family == "dist-cos" else "euc"
         wl, scores = density_whitelist(views, metric, neighbors, config.assumed_malicious)
-    return _whitelist_decision(wl, scores, updates)
+    accepted = np.zeros(n, dtype=bool)
+    accepted[wl] = True
+    # row views, not updates[wl], which would copy the rows
+    update = nn.mean_grads([updates[i] for i in wl])
+    return AggregationDecision(update, scores, accepted, views)

@@ -59,7 +59,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregate import aggregate_round, scored_views
+from .aggregate import aggregate_round
+from .amplify import amplify
 from .attacks import (
     AttackContext,
     craft_updates,
@@ -273,8 +274,11 @@ class _Run:
                 f"{k},{i},{format_float(decision.scores[i])},{int(decision.accepted[i])}"
             )
         if k == int(cfg["output.dump_amplified_round"]):
+            views = decision.views
+            if views is None:  # fedavg scores nothing; amplify its rows for the dump alone
+                amp = cfg.aggregator.amplifier
+                views = [a.values for a in amplify(updates, amp, self.model, self.validation)]
             # a copy: without an amplifier the views are the rows, rewritten next round
-            views, _ = scored_views(updates, cfg.aggregator, self.model, self.validation, reference)
             self.amplified = np.array(views, dtype=np.float64)
         self.model = nn.apply_update(self.model, decision.global_update)
         if not np.isfinite(self.model.theta).all():

@@ -47,6 +47,13 @@ CASES = {
         "defense.amplifier": "none",
         "attack.kind": "l-flip+g-asc",
     },
+    # fedavg scores nothing, so its dump round amplifies on its own
+    "fedavg-mp-gasc-dump": {
+        "defense.family": "fedavg",
+        "defense.amplifier": "mp",
+        "attack.kind": "g-asc",
+        "output.dump_amplified_round": 4,
+    },
     "distmerged-mp-sh": {
         "defense.family": "dist-merged",
         "defense.amplifier": "mp",
@@ -150,6 +157,14 @@ GOLDEN = {
         "attacked/rounds.csv": "3d5036f4ccf600f89f8716b9a78a7178023b5c4d0b2440926c39b97b13fae47e",
         "attacked/decisions.csv": "18b485e6d8d14222482085559ed44e96374577a8f3c2ddf1fe4fb762ab377506",
         "metrics.csv": "10d9be86610370e8d4003fc07c655ac83aa9c0b3db3552df369f26d9c703867e",
+    },
+    "fedavg-mp-gasc-dump": {
+        "clean/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",
+        "clean/decisions.csv": "18b485e6d8d14222482085559ed44e96374577a8f3c2ddf1fe4fb762ab377506",
+        "attacked/rounds.csv": "d686275d91c7bffb9e84df8b47cad6c6b467ecbc8aed6415788c87c8da039931",
+        "attacked/decisions.csv": "18b485e6d8d14222482085559ed44e96374577a8f3c2ddf1fe4fb762ab377506",
+        "attacked/amplified.csv": "a3e5b24a06883369b6d566dfb5fc5ddbd11352dab4b1e26e90224791f8cd04cc",
+        "metrics.csv": "0e94fc5f8c4378088ecf0f1e40619c66fe4623415a0b8ede10bcdbde57810997",
     },
     "fltrust-mp-lflip": {
         "clean/rounds.csv": "47f898b1cd6e0cbfd50bdc18045e8a2ee230cc5cb8247b27ad9678c0eb90391d",

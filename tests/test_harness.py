@@ -533,6 +533,39 @@ def test_amplified_dump_holds_the_views_the_trust_screen_scored(tmp_path, monkey
     assert dumped == expect
 
 
+@pytest.mark.parametrize(
+    "family, per_round",
+    [
+        ("dist-cos", [1, 1, 1, 1]),
+        ("fltrust", [2, 2, 2, 2]),  # the clients' rows, then the reference's row
+        ("fedavg", [0, 0, 1, 0]),  # scores nothing; only its dump round amplifies
+    ],
+)
+def test_a_dump_round_amplifies_as_often_as_any_other(tmp_path, monkeypatch, family, per_round):
+    # the dump writes the rows the screen scored; it does not amplify them again
+    calls, played = Counter(), [0]
+    aggregate_round, amplify = harness.aggregate_round, aggregate.amplify
+
+    def screen(*args, **kwargs):
+        played[0] += 1
+        return aggregate_round(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        calls[played[0]] += 1
+        return amplify(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "aggregate_round", screen)
+    monkeypatch.setattr(aggregate, "amplify", counted)
+    monkeypatch.setattr(harness, "amplify", counted)
+    cfg = fast_config(
+        tmp_path, family, **{"defense.family": family, "output.dump_amplified_round": 3}
+    )
+    manifest = run_experiment(cfg)
+    assert manifest.status == "ok" and played[0] == 4
+    assert [calls[k] for k in range(1, 5)] == per_round
+    assert os.path.exists(os.path.join(manifest.run_dir, "amplified.csv"))
+
+
 def test_skewed_split_can_drop_empty_shards(tmp_path):
     # One lone label routed to a two-client group: somebody ends up with
     # nothing and is dropped for the whole run, with a manifest warning.
