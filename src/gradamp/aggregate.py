@@ -303,29 +303,31 @@ def fltrust_aggregate(
     row in ``views`` and the server reference's amplified row ``ref_view``;
     each original update is rescaled to the reference norm before
     weighting.  A zero-trust row adds nothing, not even 0 * NaN, and all
-    trust at zero yields a zero update (round skipped).
+    trust at zero yields a zero update (round skipped).  An overflowing
+    row's norms and terms go non-finite without a numpy warning.
     """
     n = len(views)
     if n == 0 or n != len(originals):
         raise ConfigError("amplified and original update lists disagree")
-    ts = np.array([max(0.0, _cosine(v, ref_view)) for v in views])
-    ref_norm = float(np.linalg.norm(ref_original))
-    total = ts.sum()
-    if total == 0.0:
-        log.warning("all trust scores zero; emitting a zero update")
-        update = np.zeros_like(originals[0])
-    else:
-        update = None
-        for w, g in zip(ts, originals):
-            if w == 0.0:
-                continue
-            gn = float(np.linalg.norm(g))
-            scale = 0.0 if gn == 0.0 else w * ref_norm / gn
-            term = (scale / total) * g
-            if update is None:
-                update = term
-            else:
-                update += term
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ts = np.array([max(0.0, _cosine(v, ref_view)) for v in views])
+        ref_norm = float(np.linalg.norm(ref_original))
+        total = ts.sum()
+        if total == 0.0:
+            log.warning("all trust scores zero; emitting a zero update")
+            update = np.zeros_like(originals[0])
+        else:
+            update = None
+            for w, g in zip(ts, originals):
+                if w == 0.0:
+                    continue
+                gn = float(np.linalg.norm(g))
+                scale = 0.0 if gn == 0.0 else w * ref_norm / gn
+                term = (scale / total) * g
+                if update is None:
+                    update = term
+                else:
+                    update += term
     return AggregationDecision(update, ts, ts > 0.0, views)
 
 

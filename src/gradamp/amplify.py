@@ -27,11 +27,9 @@ restored view keeps, per block, only the entry ``nn.block_keep`` marks,
 by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring):
 one AND of the stack's bits with the mask's writes the kept entries'
 bits, and +0.0 elsewhere, straight into the stack's rows of the output.
-Both views write into one preallocated (N, L) matrix.  A restored panel of
-two or more stacks goes through ``runtime.split``: the worker thread, when
-there is one, restores the upper half of the stacks with its own scratch,
-calling ``nn``'s kernels rather than their traced names; each client's
-entries are the same operations either way.
+Both views run in one loop over the stacks on the calling thread (split
+across the runtime worker, the restore ran no faster) and write into one
+preallocated (N, L) matrix.
 
 The class-activation route scores each conv filter by its Grad-CAM
 weight, the spatial mean of d y / d A^k (y = batch-summed true-class
@@ -46,13 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from . import nn, runtime
+from . import nn
 
 AMPLIFIER_KINDS = ("none", "mp", "xai")
 
@@ -116,27 +113,16 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
     for h, w, offset, ho, wo in panels:
         m = max(1, min(n, nn.STACK_FLOATS // (h * w)))  # clients per stack
         x = rows[:, offset : offset + h * w].reshape(n, h, w)
-        if config.restore_size:
-            kept = out[:, offset : offset + h * w].reshape(n, h, w)
-            runtime.split(math.ceil(n / m), partial(_restore, x, kept, k, m))
-        else:
-            for c0 in range(0, n, m):
-                grid = out[c0 : c0 + m, pos : pos + ho * wo].reshape(-1, ho, wo)
-                nn.block_max(x[c0 : c0 + m], k, grid)
+        for c0 in range(0, n, m):
+            part = x[c0 : c0 + m]
+            if config.restore_size:
+                keep = np.negative(nn.block_keep(part, nn.block_max(part, k), k), dtype=np.int64)
+                kept = out[c0 : c0 + m, offset : offset + h * w].reshape(-1, h, w)
+                np.bitwise_and(part.view(np.int64), keep, out=kept.view(np.int64))
+            else:
+                nn.block_max(part, k, out[c0 : c0 + m, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo
     return out
-
-
-def _restore(x: np.ndarray, kept: np.ndarray, k: int, m: int, lo: int, hi: int) -> None:
-    """Client stacks lo .. hi - 1 of the panel stack x (n, h, w), m clients
-    each, restored into ``kept``, a view shaped like x: each block's
-    ``nn._block_keep`` entry keeps its bits, every other entry is +0.0."""
-    scratch = np.empty((m, math.ceil(x.shape[1] / k), math.ceil(x.shape[2] / k)))  # one per half
-    for c0 in range(lo * m, min(hi * m, len(x)), m):
-        part = x[c0 : c0 + m]
-        best = nn._block_max(part, k, scratch[: len(part)])
-        keep = np.negative(nn._block_keep(part, best, k), dtype=np.int64)
-        np.bitwise_and(part.view(np.int64), keep, out=kept[c0 : c0 + m].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +148,17 @@ def xai_selection(
     """Filters chosen after applying the flat ``update`` to the model and
     running the clean validation batch through it (its ``cols`` when set):
     rank filters by activation weight, descending, and keep the top
-    ceil(top_p * filters)."""
+    ceil(top_p * filters).  An overflowing update's forward and weights go
+    non-finite without a numpy warning."""
     if model.conv_index() is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
     if len(validation) == 0:
         raise ConfigError("validation set is empty")
     updated = nn.apply_update(model, update)
-    trace = nn.forward(updated, validation.features, validation.cols)
-    return select_top(nn.activation_weights(updated, trace, validation.labels), top_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = nn.forward(updated, validation.features, validation.cols)
+        alpha = nn.activation_weights(updated, trace, validation.labels)
+    return select_top(alpha, top_p)
 
 
 def amplify_xai(

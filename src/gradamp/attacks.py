@@ -114,25 +114,27 @@ def sh_optimized(honest: np.ndarray, gamma_max: float) -> tuple[np.ndarray, floa
     x = honest
     if len(x) < 2:
         log.warning("single honest update; deviation is zero, crafting the mean")
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
-    mu_norm = np.linalg.norm(mu)
+    # an overflowing update gives non-finite statistics without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = x.mean(axis=0)
+        sigma = x.std(axis=0)
+        mu_norm = np.linalg.norm(mu)
 
-    def cos_to_mu(v: np.ndarray) -> float:
-        nv = np.linalg.norm(v)
-        if nv == 0.0 or mu_norm == 0.0:
-            return 0.0
-        return float(np.dot(v, mu) / (nv * mu_norm))
+        def cos_to_mu(v: np.ndarray) -> float:
+            nv = np.linalg.norm(v)
+            if nv == 0.0 or mu_norm == 0.0:
+                return 0.0
+            return float(np.dot(v, mu) / (nv * mu_norm))
 
-    threshold = _median([cos_to_mu(row) for row in x])
-    gamma = float(gamma_max)
-    chosen = None
-    for _ in range(20):
-        cand = mu - gamma * sigma
-        if cos_to_mu(cand) >= threshold:
-            chosen = cand
-            break
-        gamma /= 2.0
+        threshold = _median([cos_to_mu(row) for row in x])
+        gamma = float(gamma_max)
+        chosen = None
+        for _ in range(20):
+            cand = mu - gamma * sigma
+            if cos_to_mu(cand) >= threshold:
+                chosen = cand
+                break
+            gamma /= 2.0
     if chosen is None:
         log.warning("no shift passed the cosine screen in 20 halvings; crafting the mean")
         gamma = 0.0

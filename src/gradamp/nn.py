@@ -57,12 +57,12 @@ Conventions:
     trained weights.  ``mean_grads`` averages rows by an ascending left
     fold; the fang probes in ``aggregate`` sum the same fold from a
     running prefix instead of calling it.
-  * ``forward``, ``lower``, ``block_max`` and ``block_keep`` are
-    one-line wrappers over the kernels ``_forward``, ``_lower``,
-    ``_block_max`` and ``_block_keep``, which call no public name.  The
-    benchmark traces the public names from one thread, so the jobs
-    ``runtime.split`` hands the worker call the kernels, and
-    ``_loss_value``, whose one caller is such a job, has no public name.
+  * ``forward``, ``lower`` and ``block_max`` are one-line wrappers over
+    the kernels ``_forward``, ``_lower`` and ``_block_max``, which call no
+    public name.  The benchmark traces the public names from one thread,
+    so the fang screen's probes, the one job ``runtime.split`` hands the
+    worker, call the kernels, and ``_loss_value``, whose one caller is
+    that job, has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
@@ -382,10 +382,6 @@ def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     first cell in row-major order that equals ``best`` (the block's
     ``block_max``) or is NaN.  A block holding a NaN has a NaN maximum, so
     the NaN tests run only when some block's maximum is NaN."""
-    return _block_keep(x, best, k)
-
-
-def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     keep = np.empty(x.shape, dtype=bool)
     hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
     open_blocks = np.empty(best.shape, dtype=bool)

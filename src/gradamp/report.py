@@ -180,7 +180,8 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
     any run measured attack success), and pca.csv from the first run that
     dumped amplified vectors; an earlier report's outputs that this one
     does not write are removed.  Each run's rounds.csv is the one beside
-    its manifest.  Returns the written paths.
+    its manifest, as is the amplified.csv its manifest checksums, which
+    must be there.  Returns the written paths.
     """
     if not manifest_paths:
         raise ReportError("no manifests given")
@@ -219,8 +220,11 @@ def report(manifest_paths: list[str], out_dir: str) -> list[str]:
             )
         )
         amp_path = os.path.join(run_dir, "amplified.csv")
+        amp_digest = info.get("checksum.amplified.csv")
+        if amp_digest is not None and not os.path.exists(amp_path):
+            raise ReportError(f"{path}: missing amplified dump {amp_path}")
         if dumped is None and os.path.exists(amp_path):
-            dumped = _read_amplified(amp_path, info.get("checksum.amplified.csv"))
+            dumped = _read_amplified(amp_path, amp_digest)
 
     table_path = os.path.join(out_dir, "report.csv")
     _write_lines(table_path, ["run_id,checkpoints,final_ta,final_asr,heterogeneity,status", *table_rows])

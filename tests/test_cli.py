@@ -186,22 +186,49 @@ def test_non_finite_model_ends_the_pair_as_diverged(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out" / "metrics.csv")
 
 
-def test_an_overflowing_training_run_ends_diverged_without_numpy_warnings(tmp_path):
-    # A 1e300 learning rate overflows the training forwards and then the
-    # checkpoint ones; the run folder says diverged and stderr carries no
-    # numpy RuntimeWarning (nn.local_train and nn.predict quiet them).
+# A 1e300 learning rate overflows the training forwards and then the
+# checkpoint ones, and each row's extra settings route the overflowing
+# rows through one more numpy site: sh-optimized's statistics, fltrust's
+# norms, or the xai route's updated-model forward and Grad-CAM weights.
+# Each site runs under np.errstate, as nn.local_train and nn.predict do.
+OVERFLOW_ROWS = [
+    pytest.param({}, 3, "diverged", id="mlp"),
+    pytest.param(
+        {"attack.kind": "sh-optimized", "attack.start_round": 0}, 3, "diverged", id="sh-optimized"
+    ),
+    pytest.param({"defense.family": "fltrust"}, 0, "ok", id="fltrust"),
+    pytest.param(
+        {
+            "dataset.dim": "1x8x8",
+            "model.kind": "conv",
+            "model.filters": 4,
+            "defense.amplifier": "xai",
+        },
+        3,
+        "diverged",
+        id="conv-xai",
+    ),
+]
+
+
+@pytest.mark.parametrize("extra, exit_code, status", OVERFLOW_ROWS)
+def test_an_overflowing_training_run_ends_diverged_without_numpy_warnings(
+    tmp_path, extra, exit_code, status
+):
     path = write_config(
-        tmp_path, **{"local.lr": 1e300, "federation.clients": 4, "federation.rounds": 2}
+        tmp_path,
+        **{"local.lr": 1e300, "federation.clients": 4, "federation.rounds": 2, **extra},
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = "import sys; from gradamp.cli import main; sys.exit(main(['run', sys.argv[1]]))"
     proc = subprocess.run(
         [sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 3, proc.stderr
-    assert "no longer finite" in proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
+    if status == "diverged":
+        assert "no longer finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    assert read_manifest(str(tmp_path / "out" / "manifest.txt"))["run.status"] == "diverged"
+    assert read_manifest(str(tmp_path / "out" / "manifest.txt"))["run.status"] == status
 
 
 def test_report_requires_out(tmp_path):

@@ -70,6 +70,16 @@ CASES = {
         "attack.kind": "scale",
         "output.dump_amplified_round": 4,
     },
+    # 100,867 parameters: the rows reach nn.STACK_FLOATS, so the fang
+    # probes split across the worker and the first restored panel takes
+    # several client stacks
+    "fang-mp-wide": {
+        "dataset.dim": 784,
+        "model.hidden": 128,
+        "defense.family": "fang",
+        "defense.amplifier": "mp",
+        "attack.kind": "g-asc",
+    },
     "distcos-none-gasc": {
         "defense.family": "dist-cos",
         "defense.amplifier": "none",
@@ -150,6 +160,13 @@ GOLDEN = {
         "attacked/decisions.csv": "efa5ae0cc5909ae1d9c5b7eed8ed63676093dcb97e23f09a166f3ba09b8bafeb",
         "attacked/amplified.csv": "fe745f85ac91001c781f505ba067300a28797030b4e451968f5799e41eaf22f5",
         "metrics.csv": "9ec5fe29637a085c529e1ba3fba6e7b71a9bd45727d2d13bdf32efbd7b31c571",
+    },
+    "fang-mp-wide": {
+        "clean/rounds.csv": "d111336997fd18db724c3de29a221228ed8f14b867cb220ec61623e131793a8d",
+        "clean/decisions.csv": "61514b64a0b70cb5ca942366348f12cf5e701b259c83543275dad523c3f03d29",
+        "attacked/rounds.csv": "d111336997fd18db724c3de29a221228ed8f14b867cb220ec61623e131793a8d",
+        "attacked/decisions.csv": "4a62988dbf62239e70439b5eaa7adeec54431b26a4a6543d3538862c18f81e16",
+        "metrics.csv": "1f78653246e5c117ec0fe693b8057e09f0394aed29da5fdd1c2d146257ad0d36",
     },
     "fedavg-none-lflip-gasc": {
         "clean/rounds.csv": "81be30ce70812fd327031710c64f82261be315343db67d97d83655c6ca210c68",

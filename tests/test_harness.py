@@ -299,17 +299,16 @@ def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
     split, jobs = harness.runtime.split, Counter()
 
     def counted(n, job):
-        jobs[getattr(job, "func", job).__name__, n] += 1
+        jobs[job.__name__, n] += 1
         return split(n, job)
 
     monkeypatch.setattr(harness.runtime, "split", counted)
     run_pair(cfg, str(tmp_path / "worker"))
     # 5 screens: the clean twin's 3 rounds and the attacked twin's 2 after
-    # the fork at round 1.  Each splits its 4 probes, and the restored patch
-    # max its 128 x 784 weight panel's 4 one-client stacks; the other three
-    # panels are one stack each and stay on this thread.
-    assert jobs == {("probes", 4): 5, ("_restore", 4): 5, ("_restore", 1): 3 * 5}
-    assert len(fold_worker) == 2 * 5
+    # the fork at round 1.  Each splits its 4 probes; the restored patch max
+    # stays on this thread.
+    assert jobs == {("probes", 4): 5}
+    assert len(fold_worker) == 5
     assert threading.main_thread() not in fold_worker
     assert pair_bytes(tmp_path / "serial") == pair_bytes(tmp_path / "worker")
 

@@ -279,6 +279,16 @@ def test_report_requires_the_rounds_table(run_folders, tmp_path):
         report([orphan], str(tmp_path / "rep"))
 
 
+def test_report_requires_the_amplified_dump_its_manifest_lists(run_folders, tmp_path):
+    _, _, dumped = run_folders
+    run_dir = tmp_path / "run"
+    shutil.copytree(dumped.run_dir, run_dir)
+    assert "checksum.amplified.csv" in read_manifest(str(run_dir / "manifest.txt"))
+    (run_dir / "amplified.csv").unlink()
+    with pytest.raises(ReportError, match="missing amplified dump"):
+        report([str(run_dir / "manifest.txt")], str(tmp_path / "rep"))
+
+
 def _setup_failure(base):
     """A run that ends ``error`` at setup: fltrust's biased trust draw fits
     the server pool but not its class-1 samples, so no checkpoint exists."""
