@@ -25,8 +25,9 @@ cache-sized groups for large ones, so nothing is copied to stack it.  The
 compact view is ``nn.block_max`` of the stack, on a ceil grid.  The
 restored view keeps, per block, only the entry ``nn.block_keep`` marks,
 by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring):
-one AND of the stack's bits with the mask's writes the kept entries'
-bits, and +0.0 elsewhere, straight into the stack's rows of the output.
+one integer product of the stack's bits with the mask writes the kept
+entries' bits, and +0.0 elsewhere, straight into the stack's rows of the
+output.
 Both views run in one loop over the stacks on the calling thread (split
 across the runtime worker, the restore ran no faster) and write into one
 preallocated (N, L) matrix.
@@ -116,9 +117,9 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
         for c0 in range(0, n, m):
             part = x[c0 : c0 + m]
             if config.restore_size:
-                keep = np.negative(nn.block_keep(part, nn.block_max(part, k), k), dtype=np.int64)
+                keep = nn.block_keep(part, nn.block_max(part, k), k)
                 kept = out[c0 : c0 + m, offset : offset + h * w].reshape(-1, h, w)
-                np.bitwise_and(part.view(np.int64), keep, out=kept.view(np.int64))
+                np.multiply(part.view(np.int64), keep, out=kept.view(np.int64))
             else:
                 nn.block_max(part, k, out[c0 : c0 + m, pos : pos + ho * wo].reshape(-1, ho, wo))
         pos += ho * wo

@@ -39,8 +39,10 @@ Kernels:
     bool mask shaped like the input: its first maximum in row-major order
     or its first NaN (``argmax``'s rule, which decides the all-zero blocks
     after a relu).  Callers select by the mask's bits: the values' int64
-    view AND the mask negated to int64 keeps the kept entries' bits, NaN
-    payloads, infinities and -0.0 included, and writes +0.0 elsewhere.
+    view times the bool mask, one ``np.multiply`` into an int64 view of
+    the destination, keeps the kept entries' bits (x * 1), NaN payloads,
+    infinities and -0.0 included, and writes +0.0 elsewhere (x * 0); the
+    mask is cast in the ufunc's buffer, never as a whole int64 array.
     Maxpool crops the trailing rows and columns, pools with ``block_max``,
     and in the backward spreads each block's gradient to its k*k cells and
     selects it there.
@@ -57,12 +59,15 @@ Conventions:
     trained weights.  ``mean_grads`` averages rows by an ascending left
     fold; the fang probes in ``aggregate`` sum the same fold from a
     running prefix instead of calling it.
-  * ``forward``, ``lower`` and ``block_max`` are one-line wrappers over
-    the kernels ``_forward``, ``_lower`` and ``_block_max``, which call no
-    public name.  The benchmark traces the public names from one thread,
-    so the fang screen's probes, the one job ``runtime.split`` hands the
-    worker, call the kernels, and ``_loss_value``, whose one caller is
-    that job, has no public name.
+  * ``forward``, ``backward``, ``lower``, ``block_max``, ``block_keep``
+    and ``local_train`` are one-line wrappers over the kernels
+    ``_forward``, ``_backward``, ``_lower``, ``_block_max``,
+    ``_block_keep`` and ``_local_train``, which call no public name
+    (``_local_train`` calls the forward and gradient steps it is handed).
+    The benchmark traces the public names from one thread, so the two
+    jobs ``runtime.split`` hands the worker call the kernels: the fang
+    screen's probes, and the upper half of ``train_all``'s stacks.
+    ``_loss_value``, whose one caller is the probes, has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
@@ -73,7 +78,10 @@ Conventions:
     poisoned shards and the fltrust reference come from one call.  It
     trains its shards in stacks of equal shard size, each at least one
     client and at most ``STACK_FLOATS`` floats of parameters and batch
-    traces (the cap the patch max also uses).
+    traces (the cap the patch max also uses).  On models of at least
+    ``STACK_FLOATS`` parameters the worker trains the upper half of the
+    stacks through ``_local_train`` and the calling thread the lower half
+    through ``local_train``; shorter models train on the calling thread.
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -95,6 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import runtime
 from .data import Dataset
 from .errors import ConfigError
 from .seeding import round_streams
@@ -382,6 +391,10 @@ def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     first cell in row-major order that equals ``best`` (the block's
     ``block_max``) or is NaN.  A block holding a NaN has a NaN maximum, so
     the NaN tests run only when some block's maximum is NaN."""
+    return _block_keep(x, best, k)
+
+
+def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     keep = np.empty(x.shape, dtype=bool)
     hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
     open_blocks = np.empty(best.shape, dtype=bool)
@@ -488,20 +501,24 @@ def _backprop(
         elif layer.kind == "relu":
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
-            pooled = trace.inputs[i + 1]
-            k = layer.pool
-            crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
-            # d to all k*k cells of its block; the AND keeps the routed one
-            dx = np.zeros_like(x)
-            dx_cropped = dx[crop]
-            for a in range(k):
-                for b in range(k):
-                    dx_cropped[..., a::k, b::k] = d
-            keep = np.negative(block_keep(x[crop], pooled, k), dtype=np.int64)
-            bits = dx_cropped.view(np.int64)
-            np.bitwise_and(bits, keep, out=bits)
-            d = dx
+            d = _unpool(d, x, trace.inputs[i + 1], layer.pool)
     return grads
+
+
+def _unpool(d: np.ndarray, x: np.ndarray, pooled: np.ndarray, k: int) -> np.ndarray:
+    """The gradient at the input x of a maxpool whose output ``pooled``
+    has gradient d: each block's d at its kept cell, with its bits, and
+    +0.0 elsewhere, the cropped trailing cells included."""
+    crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
+    # d to all k*k cells of its block; the mask's product keeps the routed one
+    dx = np.zeros_like(x)
+    dx_cropped = dx[crop]
+    for a in range(k):
+        for b in range(k):
+            dx_cropped[..., a::k, b::k] = d
+    bits = dx_cropped.view(np.int64)
+    np.multiply(bits, _block_keep(x[crop], pooled, k), out=bits)
+    return dx
 
 
 def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
@@ -519,9 +536,15 @@ def backward(
 ) -> GradientSet:
     """Mean cross-entropy gradients for the traced batch, as views of one
     flat buffer shaped like ``model.theta`` (``out`` when given)."""
+    return GradientSet(_backward(model, trace, labels, out))
+
+
+def _backward(
+    model: ModelParams, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None
+) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
     onehot = _onehot(trace, labels)
     dlogits = (trace.probs - onehot) / onehot.shape[-2]
-    return GradientSet(_backprop(model, trace, dlogits, out))
+    return _backprop(model, trace, dlogits, out)
 
 
 def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
@@ -595,6 +618,24 @@ def local_train(
     moves the rows in place.  Steps that overflow (a huge learning rate)
     train on without a numpy warning; the run reports the model diverged.
     """
+    return _local_train(model, features, labels, epochs, batch_size, lr, seed, out, forward, backward)
+
+
+def _local_train(
+    model: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    seed: int | np.random.Generator | list,
+    out: np.ndarray | None = None,
+    forward_step=_forward,
+    gradient_step=_backward,
+) -> np.ndarray:
+    """``local_train``'s SGD with its forward and gradient steps as
+    arguments: ``local_train`` passes the public ``forward`` and
+    ``backward``, and the runtime worker keeps the private kernels."""
     stacked = isinstance(seed, list)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -624,8 +665,8 @@ def local_train(
             order = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, batch_size):
                 batch = order[:, start : start + batch_size]
-                trace = forward(work, features[rows, batch])
-                backward(work, trace, labels[rows, batch], out=grad)
+                trace = forward_step(work, features[rows, batch])
+                gradient_step(work, trace, labels[rows, batch], out=grad)
                 grad *= lr
                 out -= grad
         np.subtract(model.theta, out, out=out)
@@ -691,18 +732,31 @@ class LocalTraining:
         takes its P parameters plus the forward trace of one batch: on a
         conv model the trace, not the parameters, is most of what a step
         holds, and stacking it raised peak RSS and page faults.
-        ``local_train`` is looked up when called, so a rebound
-        ``nn.local_train`` (a profiler's hook) sees every update."""
+
+        Models of at least ``STACK_FLOATS`` parameters train the upper
+        half of the stacks on the runtime worker (``runtime.split``),
+        through ``_local_train`` with the private kernels; each client
+        draws from its own stream and writes only its own rows, so every
+        bit is that of a serial call.  The calling thread trains the lower
+        half through ``local_train``, looked up when called, so a rebound
+        ``nn.local_train`` (a profiler's hook) sees that half's updates,
+        each call's first stack included."""
         clients = range(len(shards)) if clients is None else clients
         streams = round_streams(self.seed, round_idx, clients)
         groups: dict[int, list[int]] = {}
         for j, shard in enumerate(shards):
             groups.setdefault(len(shard), []).append(j)
+        stacks = []
         for n, members in groups.items():
             trace = min(self.batch_size, n) * _trace_floats(model, shards[members[0]].feature_shape)
             per_stack = max(1, STACK_FLOATS // (model.theta.size + trace))
-            for start in range(0, len(members), per_stack):
-                part = members[start : start + per_stack]
+            stacks += [members[s : s + per_stack] for s in range(0, len(members), per_stack)]
+
+        def train(lo: int, hi: int) -> None:
+            """Stacks lo .. hi - 1 into their rows of ``out``; the calling
+            thread's half is the one from 0."""
+            step = local_train if lo == 0 else _local_train
+            for part in stacks[lo:hi]:
                 args = (
                     model,
                     np.stack([shards[j].features for j in part]),
@@ -714,6 +768,11 @@ class LocalTraining:
                 )
                 rows = out[part[0] : part[-1] + 1]
                 if len(rows) == len(part):  # consecutive shards train in their rows
-                    local_train(*args, out=rows)
+                    step(*args, out=rows)
                 else:
-                    out[part] = local_train(*args)
+                    out[part] = step(*args)
+
+        if model.theta.size >= STACK_FLOATS:
+            runtime.split(len(stacks), train)
+        else:  # small models train on this thread, as their fang probes run
+            train(0, len(stacks))

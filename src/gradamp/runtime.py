@@ -15,15 +15,17 @@ process:
   thread count is part of the byte promise.
 - one worker thread, when ``os.sched_getaffinity`` allows the process two
   or more CPUs.  ``worker()`` creates it on first use, and ``split(n,
-  job)`` hands it the upper half of n clients while this thread runs the
-  lower half.  Its one job is the fang screen's leave-one-out probes
-  (``aggregate.fang_whitelist``, on rows of at least ``nn.STACK_FLOATS``
-  floats), which took about 8% off a 100k-parameter MLP pair; split, the
-  restored patch max ran no faster, so it stays on the calling thread.
-  The job calls numpy and ``nn``'s private kernels only, so every public
-  gradamp function still runs on the main thread.  It moves work, not
-  numbers: each client's result is the same operations on the same
-  values.
+  job)`` hands it the upper half of n clients (or client stacks) while
+  this thread runs the lower half.  It has two jobs, both only on models
+  of at least ``nn.STACK_FLOATS`` parameters: the fang screen's
+  leave-one-out probes (``aggregate.fang_whitelist``), which took about
+  8% off a 100k-parameter MLP pair, and a round's client training stacks
+  (``nn.LocalTraining.train_all``), which took about 10% more off that
+  pair's raw time.  Split, the restored patch max ran no faster, so it
+  stays on the calling thread.  The jobs call numpy and ``nn``'s private
+  kernels only, so every public gradamp function still runs on the main
+  thread.  They move work, not numbers: each client's result is the same
+  operations on the same values.
 
 The heap setting and the worker change no number.  Off glibc, or where
 the BLAS call cannot reach the library, that part is left alone and
@@ -111,9 +113,10 @@ def worker():
 
 
 def split(n: int, job) -> None:
-    """Run ``job(lo, hi)`` over the clients 0 .. n - 1: ``job(n // 2, n)``
-    on the worker and ``job(0, n // 2)`` on this thread, or one inline
-    ``job(0, n)`` without a worker or with one client.  Returns once both
+    """Run ``job(lo, hi)`` over the items 0 .. n - 1 (clients or client
+    stacks): ``job(n // 2, n)`` on the worker and ``job(0, n // 2)`` on
+    this thread, or one inline ``job(0, n)`` without a worker or with one
+    item, so this thread's half is the one from 0.  Returns once both
     halves have ended; an exception in either is raised then, this
     thread's first."""
     pool = worker() if n >= 2 else None

@@ -5,8 +5,8 @@ terminal-summary hook below prints those verdicts as a block at the end
 of the session so a plain ``pytest`` run always shows one PASS/FAIL
 line per gate, whether or not output capturing is on.  ``fold_worker``
 turns on the runtime worker for one test, and ``wide_fang_pair`` is a
-pair whose leave-one-out probes are long enough to split across it and
-the main thread.
+pair whose leave-one-out probes and training stacks are long enough to
+split across it and the main thread.
 """
 
 import sys
@@ -57,9 +57,10 @@ def fold_worker(monkeypatch):
 def wide_fang_pair():
     """A pair's settings: fang on the restored patch max of a 784 -> 128 ->
     3 MLP (100,867 parameters), whose rows reach ``nn.STACK_FLOATS``, so
-    the upper half of each screen's probes goes to the worker when there is
-    one; the restored patch max, four one-client stacks in its first weight
-    panel, stays on the main thread."""
+    the upper half of each screen's probes and of each round's four
+    one-client training stacks goes to the worker when there is one; the
+    restored patch max, four one-client stacks in its first weight panel,
+    stays on the main thread."""
     return {
         "dataset.dim": 784,
         "dataset.per_class": 60,

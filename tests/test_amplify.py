@@ -228,8 +228,7 @@ def test_patch_max_kernel_matches_naive_loops():
     x = edge_case_stack(rng, 6, 7, 5, 3).reshape(2, 3, 7, 5)
     best = nn.block_max(x, 3)
     kept = np.empty_like(x)
-    keep = np.negative(nn.block_keep(x, best, 3), dtype=np.int64)
-    np.bitwise_and(x.view(np.int64), keep, out=kept.view(np.int64))
+    np.multiply(x.view(np.int64), nn.block_keep(x, best, 3), out=kept.view(np.int64))
     assert np.isnan(best).sum() == 1
     for b, c in np.ndindex(2, 3):
         expect = naive_patch_max(x[b, c], 3, restore=False)
@@ -273,6 +272,42 @@ def test_block_keep_marks_the_first_max_or_nan_of_each_block():
     keep = nn.block_keep(crop, nn.block_max(crop, 3), 3)
     expect, blocks = first_max_mask(x, 3, ceil=False)
     assert keep.sum() == blocks and np.array_equal(keep, expect[..., :6, :3])
+
+
+def test_both_mask_selects_keep_the_kept_bits_and_write_positive_zero():
+    # One 2x2 block per bit pattern, its kept cell planted at a different
+    # position: a signalling and a quiet NaN with payloads, -0.0 over
+    # negatives, +inf, and an all -inf block, whose first cell is kept.
+    # The restored patch max selects the values themselves; the maxpool
+    # backward selects each block's pooled gradient by the input's mask.
+    patterns = np.array(
+        [0x7FF0_0000_0000_0001, 0x7FF8_0000_0000_0ABC, -(1 << 63), 0x7FF0 << 48, -(0x10 << 48)]
+    ).view(np.float64)
+    assert np.isnan(patterns[:2]).all() and list(patterns[2:]) == [0.0, np.inf, -np.inf]
+    cells = [3, 1, 2, 1, 0]  # the kept cell of each block, row-major
+    x = np.full((2, 2 * len(patterns)), -1.0)
+    kept = np.zeros(x.shape, dtype=bool)
+    for b, (value, cell) in enumerate(zip(patterns, cells)):
+        block = x[:, 2 * b : 2 * b + 2]
+        block[...] = -np.inf if cell == 0 else [[-1.0, -2.0], [-3.0, -4.0]]
+        block.flat[cell] = value
+        kept[:, 2 * b : 2 * b + 2].flat[cell] = True
+    expect = np.where(kept, x, 0.0)
+    assert np.signbit(expect).sum() == 2  # -0.0 and -inf, not a zeroed cell
+
+    model, g = grads_of(x)
+    restored = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2, restore_size=True))
+    assert restored.view(np.int64).tolist() == expect.reshape(1, -1).view(np.int64).tolist()
+
+    # Maxpool: a finite input with the same kept cells (and a trailing row
+    # and column the pool crops), the patterns as the pooled gradient.
+    x_pool = np.zeros((1, 1, 3, 2 * len(patterns) + 1))
+    x_pool[0, 0, :2, :-1] = np.where(kept, 1.0, -1.0)
+    pooled = nn.block_max(x_pool[..., :2, :-1], 2)
+    dx = nn._unpool(patterns.reshape(1, 1, 1, -1), x_pool, pooled, 2)
+    expect_pool = np.zeros(x_pool.shape)
+    expect_pool[0, 0, :2, :-1] = expect
+    assert dx.view(np.int64).tolist() == expect_pool.view(np.int64).tolist()
 
 
 def test_stacked_amplify_mp_equals_per_client():

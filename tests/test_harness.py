@@ -288,10 +288,33 @@ def test_the_cohort_trains_once_per_attacked_round(tmp_path, monkeypatch, kind, 
     assert [stacked[i] for i in range(len(calls))] == [len(named) for _, named, _ in calls]
 
 
+@pytest.mark.parametrize(
+    "extra, expect",
+    [
+        # 5 rounds: the clean twin's 3 and the attacked twin's 2 after the
+        # fork at round 1.  Each splits its 4 one-client training stacks and
+        # its screen's 4 probes; the restored patch max stays on this thread.
+        ({}, {("train", 4): 5, ("probes", 4): 5}),
+        # fltrust's reference trains as a fifth stack, a group of its own
+        ({"defense.family": "fltrust", "trust.size": 20}, {("train", 5): 5}),
+        # in the attacked rounds the craft retrains the cohort [1, 3, 4],
+        # non-consecutive clients, in a second train_all call
+        (
+            {
+                "federation.clients": 6,
+                "attack.kind": "l-flip+g-asc",
+                "attack.malicious_fraction": 0.5,
+            },
+            {("train", 6): 5, ("train", 3): 2, ("probes", 6): 5},
+        ),
+    ],
+    ids=["fang", "fltrust", "l-flip+g-asc"],
+)
 def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
-    tmp_path, monkeypatch, fold_worker, wide_fang_pair
+    tmp_path, monkeypatch, fold_worker, wide_fang_pair, extra, expect
 ):
-    cfg = ExperimentConfig.from_mapping({**wide_fang_pair, "output.dir": str(tmp_path / "x")})
+    settings = {**wide_fang_pair, **extra, "output.dir": str(tmp_path / "x")}
+    cfg = ExperimentConfig.from_mapping(settings)
     with monkeypatch.context() as m:
         m.setattr(harness.runtime, "worker", lambda: None)
         run_pair(cfg, str(tmp_path / "serial"))
@@ -304,11 +327,8 @@ def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
 
     monkeypatch.setattr(harness.runtime, "split", counted)
     run_pair(cfg, str(tmp_path / "worker"))
-    # 5 screens: the clean twin's 3 rounds and the attacked twin's 2 after
-    # the fork at round 1.  Each splits its 4 probes; the restored patch max
-    # stays on this thread.
-    assert jobs == {("probes", 4): 5}
-    assert len(fold_worker) == 5
+    assert jobs == expect
+    assert len(fold_worker) == sum(expect.values())
     assert threading.main_thread() not in fold_worker
     assert pair_bytes(tmp_path / "serial") == pair_bytes(tmp_path / "worker")
 

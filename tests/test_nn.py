@@ -2,6 +2,9 @@
 gradient oracles, and the update/train conventions everything else
 builds on."""
 
+import inspect
+import threading
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -650,6 +653,41 @@ def test_stacked_training_equals_one_client_calls(
     seeds = [rng_stream(44, 5, i) for i in same]
     local_train(model, features, labels, 2, batch, 0.1, seeds, out=rows)
     assert np.array_equal(rows, expect[same])
+
+
+def test_a_conv_model_past_the_row_gate_trains_half_its_stacks_on_the_worker(
+    monkeypatch, fold_worker
+):
+    # 1x64x64 input, 8 filters, 10 classes: 80 conv and 76,890 dense
+    # parameters reach STACK_FLOATS, so each client is a stack of its own
+    # and the second trains on the worker, through the private kernels
+    # alone (the maxpool backward's block_keep included).
+    model = nn.conv_model((1, 64, 64), 10, seed=49)
+    assert model.theta.size >= nn.STACK_FLOATS
+    shards = _shards(rng_stream(50), (1, 64, 64), (5, 5), 10)
+    train = nn.LocalTraining(epochs=2, batch_size=3, lr=0.1, seed=51)
+    serial = np.full((2, model.theta.size), np.nan)
+    with monkeypatch.context() as m:
+        m.setattr(nn.runtime, "worker", lambda: None)
+        train.train_all(model, shards, 6, serial)
+    assert fold_worker == []
+
+    strays = []
+    for name, fn in list(vars(nn).items()):
+        if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == nn.__name__:
+
+            def checked(*args, _fn=fn, _name=name, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    strays.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(nn, name, checked)
+    split = np.full_like(serial, np.nan)
+    train.train_all(model, shards, 6, split)
+    assert len(fold_worker) == 1 and threading.main_thread() not in fold_worker
+    assert strays == []
+    assert split.tobytes() == serial.tobytes()
+    assert serial[0].tobytes() == _one_client(model, shards[0], 51, 6, 0, batch=3).tobytes()
 
 
 def test_stacked_local_train_checks_its_shapes():
