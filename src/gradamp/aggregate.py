@@ -23,8 +23,8 @@ rows or an (N, L) matrix, whichever it is given.
 Plain means are ``nn.mean_grads`` folds over row views: fedavg's over
 every row, a whitelist's over its accepted rows.  The fang probes sum
 the same ascending fold from a running prefix, and ``runtime.split``
-hands the upper half of the clients' probes to the worker thread when
-there is one (see ``fang_whitelist``).
+may hand the upper half of the clients' probes to the worker thread
+(its contract is in the ``runtime`` docstring).
 
 Tie-breaks everywhere favor lower client indices, keeping decisions
 deterministic.
@@ -213,13 +213,10 @@ def fang_whitelist(
     mean-then-apply probe bit for bit.  A running buffer keeps the fold's
     prefix x_0 + ... + x_{i-1}, and probe i continues a copy of it with
     x_{i+1} ... x_{N-1}, so the probes add about N^2 / 2 rows, not N^2.
-    ``runtime.split`` runs whole probes (fold, forward, loss, error) for
-    the upper half of the clients on its worker while this thread runs the
-    lower half; each half builds its own prefix by the same ascending adds,
-    so every loss keeps its bits.  Rows shorter than ``nn.STACK_FLOATS``
-    stay on this thread: on the conv benchmark a split saved no time and
-    raised peak memory about 6%.  The probes call ``nn``'s kernels, not
-    its traced names.
+    ``runtime.split`` hands whole probes (fold, forward, loss, error) to
+    its worker under the contract in the ``runtime`` docstring; each half
+    builds its own prefix by the same ascending adds, so every loss keeps
+    its bits.  The probes call ``nn``'s kernels, not its traced names.
     The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
     its own magnitude, and subtracting a huge x_i back out of S cancels
     away every other client's contribution.
@@ -245,39 +242,35 @@ def fang_whitelist(
     def probes(lo: int, hi: int) -> None:
         """Probes lo .. hi - 1 into ``losses`` and ``errors``."""
         prefix, probe = np.empty((2, theta.size))  # prefix: x_0 + ... + x_{i-1}
-        # numpy's error state is per thread: each half sets its own
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(hi):
-                if i == 1:
-                    np.copyto(prefix, amped_restored[0])
-                elif i > 1:
-                    prefix += amped_restored[i - 1]
-                if i < lo:
-                    continue
-                if i == 0:
-                    np.copyto(probe, amped_restored[min(1, n - 1)])
-                    rest = amped_restored[2:]
-                else:
-                    np.copyto(probe, prefix)
-                    rest = amped_restored[i + 1 :]
-                for row in rest:
-                    probe += row
-                probe *= scale
-                np.subtract(theta, probe, out=probe)
-                trace = nn._forward(
-                    nn.ModelParams(model.layers, probe), validation.features, validation.cols
-                )
-                loss = nn._loss_value(trace, validation.labels)
-                if math.isfinite(loss):
-                    losses[i] = loss
-                    errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
-                else:
-                    losses[i] = errors[i] = math.inf
+        for i in range(hi):
+            if i == 1:
+                np.copyto(prefix, amped_restored[0])
+            elif i > 1:
+                prefix += amped_restored[i - 1]
+            if i < lo:
+                continue
+            if i == 0:
+                np.copyto(probe, amped_restored[min(1, n - 1)])
+                rest = amped_restored[2:]
+            else:
+                np.copyto(probe, prefix)
+                rest = amped_restored[i + 1 :]
+            for row in rest:
+                probe += row
+            probe *= scale
+            np.subtract(theta, probe, out=probe)
+            trace = nn._forward(
+                nn.ModelParams(model.layers, probe), validation.features, validation.cols
+            )
+            loss = nn._loss_value(trace, validation.labels)
+            if math.isfinite(loss):
+                losses[i] = loss
+                errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
+            else:
+                losses[i] = errors[i] = math.inf
 
-    if theta.size >= nn.STACK_FLOATS:
-        runtime.split(n, probes)
-    else:  # short rows: a split gains no time and costs the worker's memory
-        probes(0, n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        runtime.split(n, probes, theta.size)
     broken = int(np.count_nonzero(losses == math.inf))
     if broken:
         log.warning("%d non-finite leave-one-out losses; scoring those probes +inf", broken)

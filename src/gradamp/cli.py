@@ -6,7 +6,8 @@
     gradamp gen-data <config> <out.csv>       synthesize a dataset to CSV
     gradamp sweep <config> --vary k=v1,v2,..  run-pair per value of one key
 
-Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure
+(an array too large to allocate included).
 
 ``main`` sets the numeric environment of the whole process before it parses
 its arguments (``runtime.configure``): glibc's mmap and trim thresholds, and
@@ -101,10 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GradampError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (GradampError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -25,11 +25,11 @@ Kernels:
     transpose, laid out as a second lowering would hand it to BLAS.  The
     backward forms no gradient at the model input, so a conv never needs
     its input gradient.
-  * Client stacks.  ``forward`` and ``backward`` also run m models at once
-    whose (m, ...) weights view the rows of one (m, P) matrix: dense and
-    conv are stacked ``matmul``s, and relu, maxpool and softmax work over
-    the leading axes.  Each client's numbers are the bits of its own
-    one-model run.
+  * Client stacks.  ``forward`` and ``backward`` also run m models at once,
+    a ``ModelParams`` whose (m, ...) weights view the rows of one (m, P)
+    matrix: dense and conv are stacked ``matmul``s, and relu, maxpool and
+    softmax work over the leading axes.  Each client's numbers are the
+    bits of its own one-model run.
   * One block kernel serves the maxpool layer and the patch-max amplifier.
     ``block_max`` takes the maximum of each k*k block over the last two
     axes by k*k ``np.maximum`` passes over the strided cell views
@@ -65,8 +65,8 @@ Conventions:
     ``_block_keep`` and ``_local_train``, which call no public name
     (``_local_train`` calls the forward and gradient steps it is handed).
     The benchmark traces the public names from one thread, so the two
-    jobs ``runtime.split`` hands the worker call the kernels: the fang
-    screen's probes, and the upper half of ``train_all``'s stacks.
+    jobs ``runtime.split`` may hand the worker (see the ``runtime``
+    docstring) call the kernels.
     ``_loss_value``, whose one caller is the probes, has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
@@ -78,10 +78,9 @@ Conventions:
     poisoned shards and the fltrust reference come from one call.  It
     trains its shards in stacks of equal shard size, each at least one
     client and at most ``STACK_FLOATS`` floats of parameters and batch
-    traces (the cap the patch max also uses).  On models of at least
-    ``STACK_FLOATS`` parameters the worker trains the upper half of the
-    stacks through ``_local_train`` and the calling thread the lower half
-    through ``local_train``; shorter models train on the calling thread.
+    traces (the cap the patch max also uses), and hands them to
+    ``runtime.split``: a worker half trains through ``_local_train``, the
+    calling thread's through ``local_train``.
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -160,7 +159,9 @@ class ModelParams:
 
     ``ModelParams(layers)`` copies the layers' arrays into a new theta.
     ``ModelParams(layers, theta)`` views ``theta`` without copying; the
-    layers give only the shapes.
+    layers give only the shapes.  ``theta`` is one (P,) row, or an (m, P)
+    stack of m models trained as one (``local_train``'s client stack),
+    whose weights and biases gain the leading m.
     """
 
     def __init__(self, layers: list[Layer], theta: np.ndarray | None = None) -> None:
@@ -177,8 +178,8 @@ class ModelParams:
         if theta is None:
             theta = _concat(arrays).astype(np.float64, copy=False)
         size = sum(a.size for a in arrays)
-        if np.shape(theta) != (size,):
-            raise ConfigError(f"vector has shape {np.shape(theta)}, model has {size} parameters")
+        if np.ndim(theta) not in (1, 2) or np.shape(theta)[-1] != size:
+            raise ConfigError(f"theta has shape {np.shape(theta)}, model has {size} parameters")
         self.theta = theta
         self.layers = _views(layers, theta)
 
@@ -377,8 +378,8 @@ def _block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarr
         out = x[..., ::k, ::k].copy()
     else:
         out[...] = x[..., ::k, ::k]
-    for a in range(k):
-        for b in range(k):
+    for a in range(min(k, x.shape[-2])):  # past the input, a cell is empty
+        for b in range(min(k, x.shape[-1])):
             if a or b:
                 cell = x[..., a::k, b::k]
                 part = out[..., : cell.shape[-2], : cell.shape[-1]]
@@ -399,8 +400,8 @@ def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
     open_blocks = np.empty(best.shape, dtype=bool)
     nans = np.isnan(best).any()
-    for a in range(k):
-        for b in range(k):
+    for a in range(min(k, x.shape[-2])):  # past the input, a cell is empty
+        for b in range(min(k, x.shape[-1])):
             win = x[..., a::k, b::k]
             ha, wb = win.shape[-2:]
             hit = hits[: win.size].reshape(win.shape)
@@ -658,7 +659,7 @@ def _local_train(
     rngs = [_rng(s) for s in seed]
     out[...] = model.theta
     grad = np.empty(shape)
-    work = _ClientStack(_views(model.layers, out), out)
+    work = ModelParams(model.layers, out)
     rows = np.arange(m)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
@@ -687,15 +688,6 @@ def _trace_floats(model: ModelParams, shape: tuple[int, ...]) -> int:
         elif layer.kind == "maxpool":
             shape = (*shape[:-2], shape[-2] // layer.pool, shape[-1] // layer.pool)
     return total + math.prod(shape)
-
-
-@dataclass
-class _ClientStack:
-    """m models trained as one: each layer's weight and bias are (m, ...)
-    views of the rows of ``theta`` (m, P)."""
-
-    layers: list[Layer]
-    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -733,12 +725,12 @@ class LocalTraining:
         conv model the trace, not the parameters, is most of what a step
         holds, and stacking it raised peak RSS and page faults.
 
-        Models of at least ``STACK_FLOATS`` parameters train the upper
-        half of the stacks on the runtime worker (``runtime.split``),
-        through ``_local_train`` with the private kernels; each client
-        draws from its own stream and writes only its own rows, so every
-        bit is that of a serial call.  The calling thread trains the lower
-        half through ``local_train``, looked up when called, so a rebound
+        ``runtime.split`` may train the upper half of the stacks on its
+        worker (the contract is in the ``runtime`` docstring), through
+        ``_local_train`` with the private kernels; each client draws from
+        its own stream and writes only its own rows, so every bit is that
+        of a serial call.  The calling thread trains the lower half through
+        ``local_train``, looked up when called, so a rebound
         ``nn.local_train`` (a profiler's hook) sees that half's updates,
         each call's first stack included."""
         clients = range(len(shards)) if clients is None else clients
@@ -772,7 +764,4 @@ class LocalTraining:
                 else:
                     out[part] = step(*args)
 
-        if model.theta.size >= STACK_FLOATS:
-            runtime.split(len(stacks), train)
-        else:  # small models train on this thread, as their fang probes run
-            train(0, len(stacks))
+        runtime.split(len(stacks), train, model.theta.size)

@@ -14,18 +14,8 @@ process:
   GEMM, dot and norm round differently at one and at two threads, so the
   thread count is part of the byte promise.
 - one worker thread, when ``os.sched_getaffinity`` allows the process two
-  or more CPUs.  ``worker()`` creates it on first use, and ``split(n,
-  job)`` hands it the upper half of n clients (or client stacks) while
-  this thread runs the lower half.  It has two jobs, both only on models
-  of at least ``nn.STACK_FLOATS`` parameters: the fang screen's
-  leave-one-out probes (``aggregate.fang_whitelist``), which took about
-  8% off a 100k-parameter MLP pair, and a round's client training stacks
-  (``nn.LocalTraining.train_all``), which took about 10% more off that
-  pair's raw time.  Split, the restored patch max ran no faster, so it
-  stays on the calling thread.  The jobs call numpy and ``nn``'s private
-  kernels only, so every public gradamp function still runs on the main
-  thread.  They move work, not numbers: each client's result is the same
-  operations on the same values.
+  or more CPUs.  ``worker()`` creates it on first use, and
+  ``split(n, job, size)`` is its one caller (the worker contract below).
 
 The heap setting and the worker change no number.  Off glibc, or where
 the BLAS call cannot reach the library, that part is left alone and
@@ -33,10 +23,30 @@ recorded as ``unset`` or ``unpinned``.  Importing gradamp sets nothing:
 library callers keep their own heap and thread count, and run serially
 (``workers`` 0).  Every manifest records ``describe()`` under
 ``runtime.*``.
+
+The worker contract.  ``split(n, job, size)`` hands the worker the upper
+half of a job over n clients or client stacks whose rows hold ``size``
+floats, and runs the lower half on this thread.  There are two jobs:
+
+- the fang screen's leave-one-out probes (``aggregate.fang_whitelist``),
+  which took about 8% off a 100,867-parameter MLP pair;
+- a round's client training stacks (``nn.LocalTraining.train_all``),
+  which took about 10% more off that pair's raw time.
+
+The gate is the row size: rows shorter than ``SPLIT_FLOATS`` run inline,
+since on the 683-parameter conv model a split probe screen saved no time
+and raised peak memory about 6%.  The worker half runs in a copy of the
+caller's ``contextvars`` context, so it sees the caller's ``np.errstate``:
+a caller sets the error state once, around the split.  The jobs call
+numpy and ``nn``'s private kernels only, so every public gradamp function
+still runs on the main thread, and they move work, not numbers: each
+client's result is the same operations on the same values.  Split, the
+restored patch max ran no faster, so it is not a job.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 
@@ -50,6 +60,12 @@ _HEAP = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20))
 # the process, not to a run
 _state = {"heap": "unset", "blas_threads": "unpinned", "workers": "0"}
 _pool = []  # the worker's executor, once made
+
+# Fewest floats in a row for split to use the worker: split, the
+# 683-parameter conv model's probes gained nothing and peaked about 6%
+# higher, while the 100,867-parameter MLP's probes and training stacks
+# took about 8% and 10% off a pair.
+SPLIT_FLOATS = 1 << 16
 
 
 def _blas_build() -> dict:
@@ -112,18 +128,19 @@ def worker():
     return _pool[0]
 
 
-def split(n: int, job) -> None:
+def split(n: int, job, size: int) -> None:
     """Run ``job(lo, hi)`` over the items 0 .. n - 1 (clients or client
-    stacks): ``job(n // 2, n)`` on the worker and ``job(0, n // 2)`` on
-    this thread, or one inline ``job(0, n)`` without a worker or with one
-    item, so this thread's half is the one from 0.  Returns once both
-    halves have ended; an exception in either is raised then, this
-    thread's first."""
-    pool = worker() if n >= 2 else None
+    stacks with rows of ``size`` floats): ``job(n // 2, n)`` on the worker,
+    in a copy of this thread's context, and ``job(0, n // 2)`` on this
+    thread.  Without a worker, with fewer than two items or with rows
+    shorter than ``SPLIT_FLOATS``, it is one inline ``job(0, n)``, so this
+    thread's half is the one from 0.  Returns once both halves have ended;
+    an exception in either is raised then, this thread's first."""
+    pool = worker() if n >= 2 and size >= SPLIT_FLOATS else None
     if pool is None:
         job(0, n)
         return
-    ahead = pool.submit(job, n // 2, n)
+    ahead = pool.submit(contextvars.copy_context().run, job, n // 2, n)
     try:
         job(0, n // 2)
     finally:

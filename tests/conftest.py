@@ -56,7 +56,7 @@ def fold_worker(monkeypatch):
 @pytest.fixture
 def wide_fang_pair():
     """A pair's settings: fang on the restored patch max of a 784 -> 128 ->
-    3 MLP (100,867 parameters), whose rows reach ``nn.STACK_FLOATS``, so
+    3 MLP (100,867 parameters), whose rows reach ``runtime.SPLIT_FLOATS``, so
     the upper half of each screen's probes and of each round's four
     one-client training stacks goes to the worker when there is one; the
     restored patch max, four one-client stacks in its first weight panel,

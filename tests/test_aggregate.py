@@ -98,13 +98,13 @@ def test_keep_top_ranks_nan_below_every_number():
 def test_a_non_finite_update_never_passes_a_screen(family, bad, culprit, caplog, request):
     # Six similar MLP updates; the culprit's row is scaled by 1e305 (its
     # norm and products overflow) or holds one NaN.  fang-on-worker is fang
-    # on rows of nn.STACK_FLOATS or more (65,543), so the probes of clients
-    # 3-5 run on the runtime worker, under its own numpy error state.
+    # on rows of runtime.SPLIT_FLOATS or more (65,543), so the probes of
+    # clients 3-5 run on the runtime worker, under the caller's error state.
     on_worker = family == "fang-on-worker"
     if on_worker:
         family, folds = "fang", request.getfixturevalue("fold_worker")
     model = nn.mlp_model(6, 6554 if on_worker else 5, 3, seed=64)
-    assert (model.theta.size >= nn.STACK_FLOATS) == on_worker
+    assert (model.theta.size >= runtime.SPLIT_FLOATS) == on_worker
     rng = rng_stream(65)
     base = 0.05 * rng.normal(size=model.theta.size)
     grads = base + 0.01 * rng.normal(size=(6, model.theta.size))
@@ -178,7 +178,8 @@ def test_worker_folds_keep_the_bits_of_inline_folds(monkeypatch, fold_worker):
 def test_a_fold_that_overflows_on_the_worker_warns_nothing(fold_worker):
     # One bad row cannot make a fold warn (inf and NaN add quietly); two
     # rows near the float64 maximum overflow in every fold that adds both,
-    # which only the worker's own error state keeps quiet in its half.
+    # which only the caller's error state, copied to the worker, keeps
+    # quiet in its half.
     model = nn.mlp_model(6, 6554, 3, seed=64)
     rng = rng_stream(67)
     rows = list(0.01 * rng.normal(size=(6, model.theta.size)))

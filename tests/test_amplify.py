@@ -2,6 +2,7 @@
 oracle, restoration placement, and the activation-guided filter route."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -333,6 +334,33 @@ def test_stacked_amplify_mp_equals_per_client():
                         assert row.tobytes() == alone.tobytes()
                     wrapped = amplify(grads, cfg, model)
                     assert [a.original_size for a in wrapped] == [size] * len(grads)
+
+
+def test_a_kernel_past_every_panel_keeps_the_bits_of_the_widest_panel():
+    # Past a panel's height and width every cell view is empty, so the
+    # block kernels visit only the cells inside the panel: a kernel of
+    # 10**6 gives the bits of one as wide as the widest panel, at once.
+    for model in (
+        nn.conv_model((2, 7, 7), 3, seed=40, filters=5, kernel=3, pool=2),
+        nn.mlp_model(7, 5, 3, seed=40),
+    ):
+        widest = max(
+            max(a.shape[0], a.size // a.shape[0])
+            for layer in model.layers
+            for a in (layer.weight, layer.bias)
+            if a is not None
+        )
+        rng = rng_stream(41)
+        grads = rng.normal(size=(3, model.theta.size))
+        grads[1, 4] = np.nan
+        grads[2] = 0.0  # every block a tie
+        for restore in (False, True):
+            cfg = AmplifierConfig(kind="mp", kernel=widest, restore_size=restore)
+            want = amplify_mp(grads, model, cfg)
+            start = time.perf_counter()
+            got = amplify_mp(grads, model, AmplifierConfig("mp", 10**6, restore_size=restore))
+            assert time.perf_counter() - start < 0.5
+            assert got.tobytes() == want.tobytes()
 
 
 def test_select_top_frozen_fixture():

@@ -706,3 +706,14 @@ def test_pair_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             "unpinned",
         )
     assert outs["1"] == outs["2"]
+
+
+def test_an_array_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # numpy refuses the 10**15 x 20 weight at once, allocating nothing
+    path = write_raw_config(tmp_path, **{"model.hidden": 10**15})
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    flat = read_manifest(str(tmp_path / "out" / "manifest.txt"))
+    assert flat["run.status"] == "error"
+    assert "MemoryError" in flat["run.error"]

@@ -70,9 +70,9 @@ CASES = {
         "attack.kind": "scale",
         "output.dump_amplified_round": 4,
     },
-    # 100,867 parameters: the rows reach nn.STACK_FLOATS, so the fang
-    # probes split across the worker and the first restored panel takes
-    # several client stacks
+    # 100,867 parameters: the rows reach runtime.SPLIT_FLOATS, so the fang
+    # probes split across the worker, and nn.STACK_FLOATS, so the first
+    # restored panel takes several client stacks
     "fang-mp-wide": {
         "dataset.dim": 784,
         "model.hidden": 128,

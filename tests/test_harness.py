@@ -321,9 +321,9 @@ def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
     assert fold_worker == []
     split, jobs = harness.runtime.split, Counter()
 
-    def counted(n, job):
+    def counted(n, job, size):
         jobs[job.__name__, n] += 1
-        return split(n, job)
+        return split(n, job, size)
 
     monkeypatch.setattr(harness.runtime, "split", counted)
     run_pair(cfg, str(tmp_path / "worker"))

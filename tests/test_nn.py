@@ -256,7 +256,7 @@ def test_conv_kernels_match_naive_loops(kernel):
         for _ in range(m)
     ]
     theta = np.stack([one.theta for one in models])
-    stack = nn._ClientStack(nn._views(model.layers, theta), theta)
+    stack = nn.ModelParams(model.layers, theta)
     dlogits = rng.normal(size=(m, 3, 2))
     trace = nn.forward(stack, xs)
     grads = nn._backprop(stack, trace, dlogits)
@@ -329,7 +329,7 @@ def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
     model = nn.conv_model((2, 7, 6), 3, seed=rng, filters=3, kernel=3, pool=2)
     m = 3
     theta = model.theta + 0.1 * rng.normal(size=(m, model.theta.size))
-    stack = nn._ClientStack(nn._views(model.layers, theta), theta)
+    stack = nn.ModelParams(model.layers, theta)
     for net, x in ((model, rng.normal(size=(5, 2, 7, 6))), (stack, rng.normal(size=(m, 5, 2, 7, 6)))):
         cols = nn.lower(x, net.layers[0].weight)
         want = nn.forward(net, x)
@@ -497,8 +497,20 @@ def test_vector_round_trip():
     # ModelParams(layers, vec) views vec: a write shows in the layers.
     vec[0] = 99.0
     assert view.layers[0].weight.flat[0] == 99.0
-    for bad in (vec[:-1], vec.reshape(1, -1)):
-        with pytest.raises(ConfigError):
+    # ModelParams(layers, stack) views an (m, P) stack: each layer gains
+    # the leading m, and row c's views are those of ModelParams(layers, row).
+    stack = np.stack([vec, 2.0 * vec, -vec])
+    stacked = nn.ModelParams(model.layers, stack)
+    assert stacked.theta is stack
+    for c in range(3):
+        row = nn.ModelParams(model.layers, stack[c])
+        for lay, one in zip(stacked.layers, row.layers):
+            for a, b in ((lay.weight, one.weight), (lay.bias, one.bias)):
+                if b is not None:
+                    assert a.shape == (3, *b.shape) and np.shares_memory(a, stack)
+                    assert np.array_equal(a[c], b)
+    for bad in (vec[:-1], stack[:, :-1], vec.reshape(1, 1, -1), np.float64(1.0)):
+        with pytest.raises(ConfigError, match="theta has shape"):
             nn.ModelParams(model.layers, bad)
 
 
@@ -659,11 +671,11 @@ def test_a_conv_model_past_the_row_gate_trains_half_its_stacks_on_the_worker(
     monkeypatch, fold_worker
 ):
     # 1x64x64 input, 8 filters, 10 classes: 80 conv and 76,890 dense
-    # parameters reach STACK_FLOATS, so each client is a stack of its own
-    # and the second trains on the worker, through the private kernels
-    # alone (the maxpool backward's block_keep included).
+    # parameters reach STACK_FLOATS, so each client is a stack of its own,
+    # and SPLIT_FLOATS, so the second trains on the worker, through the
+    # private kernels alone (the maxpool backward's block_keep included).
     model = nn.conv_model((1, 64, 64), 10, seed=49)
-    assert model.theta.size >= nn.STACK_FLOATS
+    assert model.theta.size >= max(nn.STACK_FLOATS, nn.runtime.SPLIT_FLOATS)
     shards = _shards(rng_stream(50), (1, 64, 64), (5, 5), 10)
     train = nn.LocalTraining(epochs=2, batch_size=3, lr=0.1, seed=51)
     serial = np.full((2, model.theta.size), np.nan)

@@ -83,3 +83,34 @@ def test_every_definition_is_named_somewhere_in_the_package():
         and not _called_from_outside(qualname)
     ]
     assert unnamed == []
+
+
+def _named_in(tree, prefix, name):
+    """Qualified names of the functions below ``tree`` (``prefix`` at module
+    level) whose own bodies name ``name``, as a variable or an attribute."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _named_in(child, f"{prefix}.{child.name}", name)
+        elif any(
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            for node in ast.walk(child)
+        ):
+            found.append(prefix)
+    return found
+
+
+def test_split_owns_the_worker_and_the_stack_cap_only_sizes_stacks():
+    # The worker contract lives in runtime: only split hands the worker a
+    # job, and the row-size gate is its SPLIT_FLOATS.  STACK_FLOATS caps
+    # how many floats a client stack holds, so only the two modules that
+    # build stacks name it.
+    worker, stack_cap = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        worker += _named_in(tree, path.stem, "worker")
+        if _named_in(tree, path.stem, "STACK_FLOATS"):
+            stack_cap.add(path.stem)
+    assert sorted(set(worker)) == ["runtime.split"]
+    assert stack_cap == {"amplify", "nn"}
