@@ -338,11 +338,10 @@ def _prepare(cfg: ExperimentConfig, attack_enabled: bool) -> _Run:
         int(cfg["seeds.clients"]),
     )
     triggered = make_triggered_set(test_set, trigger) if trigger is not None else None
-    conv = model.conv_index()
-    if validation is not None and conv is not None:
+    if validation is not None and model.conv_index() is not None:
         # every round runs the validation set through up to 2N models; the
         # test and triggered sets run only at checkpoints and lower there
-        validation.cols = nn.lower(validation.features, model.layers[conv].weight)
+        validation.cols = nn.lower(model, validation.features)
     return _Run(
         cfg=cfg,
         attack=AttackContext(malicious, shards, train, int(cfg["seeds.attack"]), trigger),

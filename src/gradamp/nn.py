@@ -15,37 +15,51 @@ feature-map amplifier.  The loss is mean softmax cross-entropy.
 
 Kernels:
   * One lowering per conv batch, im2col (Chellapilla, Puri & Simard,
-    2006).  ``lower`` copies a ``sliding_window_view`` of the batch into
-    (..., c*kh*kw, n*ho*wo) columns, over any leading stack axes.  The
-    conv is the first layer, so the columns depend on the batch alone:
-    ``forward`` takes them ready-made (a validation ``Dataset``'s
-    ``cols``, lowered once per run) or lowers the batch itself, and keeps
-    them in the trace.  ``_conv_forward`` is one ``matmul`` per model over
-    them, and the weight gradient is d (..., f, n*ho*wo) times their
-    transpose, laid out as a second lowering would hand it to BLAS.  The
-    backward forms no gradient at the model input, so a conv never needs
-    its input gradient.
+    2006).  ``_lower`` copies a ``sliding_window_view`` of the batch into
+    (..., c*kh*kw, columns), over any leading stack axes.  When the conv's
+    output reaches a k-maxpool (k >= 2) through relus alone, the columns
+    are cell-major, (cell offset, sample, pooled row, pooled column), with
+    the cropped positions left out, so the conv's one ``matmul`` writes
+    each of the pool's k*k cell offsets as a contiguous (..., f, n*hp*wp)
+    slab; otherwise (k = 1) they run over (sample, row, column).  Permuted
+    columns keep each product column's bits.  The conv is the first layer,
+    so ``forward`` takes the columns ready-made (a validation
+    ``Dataset``'s ``cols``, lowered once per run by ``lower``) or lowers
+    the batch itself, and keeps none in the trace.  The backward lowers
+    the input again in sample order: the weight gradient is
+    d (..., f, n*ho*wo) times those columns transposed, the operands and
+    bits of a sample-order forward.  It forms no gradient at the model
+    input, so a conv never needs its input gradient.
+  * The relu maxes against an array of +0.0: numpy 2.4 takes a scalar
+    0.0 through a slower loop (32 against 14 us on 80k floats), with the
+    same bits.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once,
     a ``ModelParams`` whose (m, ...) weights view the rows of one (m, P)
     matrix: dense and conv are stacked ``matmul``s, and relu, maxpool and
     softmax work over the leading axes.  Each client's numbers are the
     bits of its own one-model run.
-  * One block kernel serves the maxpool layer and the patch-max amplifier.
-    ``block_max`` takes the maximum of each k*k block over the last two
-    axes by k*k ``np.maximum`` passes over the strided cell views
-    ``x[..., a::k, b::k]``, with no padding or block copy: on a ceil grid
-    edge blocks are ragged and reduced as-is, and a block holding a NaN
-    reduces to NaN.  ``block_keep`` marks each block's kept entry in a
-    bool mask shaped like the input: its first maximum in row-major order
-    or its first NaN (``argmax``'s rule, which decides the all-zero blocks
-    after a relu).  Callers select by the mask's bits: the values' int64
-    view times the bool mask, one ``np.multiply`` into an int64 view of
-    the destination, keeps the kept entries' bits (x * 1), NaN payloads,
-    infinities and -0.0 included, and writes +0.0 elsewhere (x * 0); the
-    mask is cast in the ufunc's buffer, never as a whole int64 array.
-    Maxpool crops the trailing rows and columns, pools with ``block_max``,
-    and in the backward spreads each block's gradient to its k*k cells and
-    selects it there.
+  * One block fold serves the maxpool and the patch-max amplifier, over
+    two views of the k*k cells of the blocks.  ``_fold_max`` is the
+    running ``np.maximum`` of the cells in row-major order, so a NaN block
+    reduces to its first NaN; ``_first_hits`` marks, cell by cell, the
+    blocks whose kept entry the cell holds: the first maximum or the first
+    NaN (``argmax``'s rule, which decides the all-zero blocks after a
+    relu).  The strided view ``x[..., a::k, b::k]`` serves ``block_max``,
+    ``block_keep`` and a maxpool with no conv before it; on a ceil grid
+    the edge blocks are ragged and reduced as-is.  The slab view, the
+    conv's cell-major output, serves the maxpool after a conv: on the
+    benchmark's conv model (8 filters, 10x10 maps, 100 samples) the conv,
+    relu and maxpool of a forward took 111 us over strided 5-wide cells
+    and 61 us over contiguous slabs.  Either way the maxpool hands on the
+    C-contiguous (..., n, f, hp, wp) pooled maps.  Callers select by a
+    mask's bits: the values' int64 view times the bool mask, one
+    ``np.multiply`` into an int64 view of the destination, keeps the kept
+    entries' bits (x * 1), NaN payloads, infinities and -0.0 included,
+    and writes +0.0 elsewhere (x * 0); the mask is cast in the ufunc's
+    buffer, never as a whole int64 array.  The maxpool backward routes
+    each block's gradient to its kept cell this way, slab by slab after a
+    conv, and the conv backward scatters the slabs back to (n, ho, wo)
+    order, the cropped positions +0.0.
 
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
@@ -59,14 +73,14 @@ Conventions:
     trained weights.  ``mean_grads`` averages rows by an ascending left
     fold; the fang probes in ``aggregate`` sum the same fold from a
     running prefix instead of calling it.
-  * ``forward``, ``backward``, ``lower``, ``block_max``, ``block_keep``
-    and ``local_train`` are one-line wrappers over the kernels
-    ``_forward``, ``_backward``, ``_lower``, ``_block_max``,
-    ``_block_keep`` and ``_local_train``, which call no public name
+  * ``forward``, ``backward``, ``lower`` and ``local_train`` are
+    one-line wrappers over the kernels ``_forward``, ``_backward``,
+    ``_lower`` and ``_local_train``, which call no public name
     (``_local_train`` calls the forward and gradient steps it is handed).
     The benchmark traces the public names from one thread, so the two
     jobs ``runtime.split`` may hand the worker (see the ``runtime``
-    docstring) call the kernels.
+    docstring) call the kernels.  ``block_max`` and ``block_keep`` are
+    the patch max's names for the fold, which the kernels call directly.
     ``_loss_value``, whose one caller is the probes, has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
@@ -192,15 +206,14 @@ class ForwardTrace:
     """Activations recorded during ``forward``.
 
     ``inputs[i]`` is the array fed into layer i, so ``inputs[i + 1]`` is
-    layer i's output; ``logits`` are the pre-softmax scores.  ``cols`` is
-    the lowered batch the conv multiplied (see ``lower``), kept for its
-    weight gradient; None for a model without a conv.
+    layer i's output; ``logits`` are the pre-softmax scores.  A conv that
+    feeds a maxpool records its output, and the relus between them their
+    inputs and outputs, cell-major (see ``forward``).
     """
 
     inputs: list[np.ndarray]
     logits: np.ndarray
     probs: np.ndarray
-    cols: np.ndarray | None = None
 
 
 @dataclass
@@ -329,92 +342,133 @@ def _blas_ready(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def lower(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The im2col columns (..., c*kh*kw, n*ho*wo) of the batch x (..., n, c,
-    h, w) for a valid correlation with a kernel shaped like w (..., f, c,
-    kh, kw): column (s, i, j) holds sample s's c x kh x kw window at (i, j).
-    One copy of a ``sliding_window_view``, or a view of x where the
-    reshape needs no copy, as for a 1x1 kernel on a batch of one."""
-    return _lower(x, w)
+def _pool_after_conv(layers: list[Layer]) -> tuple[int | None, int]:
+    """(i, k) when layer i is a k-maxpool, k >= 2, that the first-layer
+    conv's output reaches through relus alone, else (None, 1): the conv
+    lowers its batch in that pool's cell-major order (see ``_lower``)."""
+    if layers[0].kind == "conv":
+        for i, layer in enumerate(layers[1:], 1):
+            if layer.kind == "maxpool" and layer.pool > 1:
+                return i, layer.pool
+            if layer.kind != "relu":
+                break
+    return None, 1
 
 
-def _lower(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def lower(model: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The im2col columns of the batch x (..., n, c, h, w) for ``model``'s
+    conv, in the order its ``forward`` multiplies them: ready-made
+    ``cols`` for ``forward``."""
+    return _lower(x, model.layers[0].weight, _pool_after_conv(model.layers)[1])
+
+
+def _lower(x: np.ndarray, w: np.ndarray, k: int = 1) -> np.ndarray:
+    """The columns (..., c*kh*kw, k*k*n*hp*wp) of x (..., n, c, h, w) for a
+    valid correlation with a kernel shaped like w (..., f, c, kh, kw),
+    (hp, wp) = (ho // k, wo // k): column (a, b, s, i, j) holds sample s's
+    c x kh x kw window at (i*k + a, j*k + b), so each of a k-pool's cell
+    offsets (a, b) is a run of n*hp*wp columns; k = 1 is (s, i, j) order.
+    One copy of a ``sliding_window_view``, or a view of x where the reshape
+    needs no copy, as for a 1x1 kernel on a batch of one with k = 1."""
     x = np.asarray(x, dtype=np.float64)
     *stack, n, c, h, width = x.shape
     kh, kw = w.shape[-2:]
     if h < kh or width < kw:
         raise ConfigError(f"conv input {h}x{width} smaller than kernel {kh}x{kw}")
-    ho, wo = h - kh + 1, width - kw + 1
-    # (..., n, c, ho, wo, kh, kw) window view -> (..., c, kh, kw, n, ho, wo)
-    win = np.moveaxis(sliding_window_view(x, (kh, kw), axis=(-2, -1)), (-5, -2, -1), (-6, -5, -4))
-    return win.reshape(*stack, c * kh * kw, n * ho * wo)
+    hp, wp = (h - kh + 1) // k, (width - kw + 1) // k
+    win = sliding_window_view(x, (kh, kw), axis=(-2, -1))[..., : hp * k, : wp * k, :, :]
+    # (..., n, c, hp, a, wp, b, kh, kw) -> (..., c, kh, kw, a, b, n, hp, wp)
+    win = win.reshape(*stack, n, c, hp, k, wp, k, kh, kw)
+    win = np.moveaxis(win, (-7, -2, -1, -5, -3), (-8, -7, -6, -5, -4))
+    return win.reshape(*stack, c * kh * kw, k * k * n * hp * wp)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _conv_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray, k: int = 1
+) -> np.ndarray:
     """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
-    plus b (..., f): (..., n, f, ho, wo), one ``matmul`` per model over
-    ``cols``, x's ``lower``."""
+    plus b (..., f), one ``matmul`` per model over ``cols``, x's ``_lower``
+    for a k-pool: the cell-major (..., f, k*k, n, hp, wp), or with k = 1
+    the maps (..., n, f, ho, wo)."""
     *stack, n, c, h, width = x.shape
     f, _, kh, kw = w.shape[-4:]
-    ho, wo = h - kh + 1, width - kw + 1
-    if cols.shape[-2:] != (c * kh * kw, n * ho * wo):
+    hp, wp = (h - kh + 1) // k, (width - kw + 1) // k
+    if hp < 1 or wp < 1:
+        raise ConfigError(f"maxpool kernel {k} larger than input {h - kh + 1}x{width - kw + 1}")
+    if cols.shape[-2:] != (c * kh * kw, k * k * n * hp * wp):
         raise ConfigError(f"lowered batch of shape {cols.shape} for conv input {x.shape}")
     out = np.matmul(_blas_ready(w.reshape(*stack, f, -1)), _blas_ready(cols))
-    out = out.reshape(*stack, f, n, ho, wo)
-    out += b[..., None, None, None]
-    return out.swapaxes(-4, -3)
+    out = out.reshape(*stack, f, k * k, n, hp, wp)
+    out += b[..., None, None, None, None]
+    return out[..., 0, :, :, :].swapaxes(-4, -3) if k == 1 else out
+
+
+def _slabs(x: np.ndarray) -> list[np.ndarray]:
+    """The k*k cell slabs (..., f, n, hp, wp) of a cell-major conv output
+    (..., f, k*k, n, hp, wp), in cell order."""
+    return [x[..., c, :, :, :] for c in range(x.shape[-4])]
+
+
+def _cell_views(x: np.ndarray, k: int) -> list[np.ndarray]:
+    """The strided views ``x[..., a::k, b::k]`` of the k*k cells of x's
+    blocks over the last two axes, in row-major cell order.  On ragged
+    edges a cell covers fewer blocks; past the input it is empty and left
+    out."""
+    return [x[..., a::k, b::k] for a in range(min(k, x.shape[-2])) for b in range(min(k, x.shape[-1]))]
+
+
+def _fold_max(cells: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """The running ``np.maximum`` of the cells in order, written into
+    ``out`` when given, else into a copy of the first cell.  A smaller
+    (ragged) cell folds into out's leading corner."""
+    if out is None:
+        out = cells[0].copy()
+    else:
+        out[...] = cells[0]
+    for cell in cells[1:]:
+        part = out[..., : cell.shape[-2], : cell.shape[-1]]
+        np.maximum(part, cell, out=part)
+    return out
+
+
+def _first_hits(cells: list[np.ndarray], best: np.ndarray):
+    """For each cell in order, a bool array shaped like it marking the
+    blocks whose kept entry it holds: the first cell that equals ``best``
+    (the blocks' ``_fold_max``) or is NaN.  A block holding a NaN has a NaN
+    maximum, so the NaN tests run only when some block's maximum is NaN.
+    Every hit is a view of one reused buffer: use it before the next."""
+    hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
+    open_blocks = np.empty(best.shape, dtype=bool)
+    nans = np.isnan(best).any()
+    for i, cell in enumerate(cells):
+        ha, wb = cell.shape[-2:]
+        hit = hits[: cell.size].reshape(cell.shape)
+        np.equal(cell, best[..., :ha, :wb], out=hit)
+        if nans:
+            hit |= np.isnan(cell)
+        if i:
+            still = open_blocks[..., :ha, :wb]
+            hit &= still
+            np.not_equal(still, hit, out=still)
+        else:
+            np.logical_not(hit, out=open_blocks)
+        yield hit
 
 
 def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Maximum of each k*k block over the last two axes, shape
-    (..., ceil(h/k), ceil(w/k)), written into ``out`` when given.  Cell
-    (a, b) of every block is the strided view ``x[..., a::k, b::k]``; on
-    ragged edges it covers fewer blocks."""
-    return _block_max(x, k, out)
-
-
-def _block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        out = x[..., ::k, ::k].copy()
-    else:
-        out[...] = x[..., ::k, ::k]
-    for a in range(min(k, x.shape[-2])):  # past the input, a cell is empty
-        for b in range(min(k, x.shape[-1])):
-            if a or b:
-                cell = x[..., a::k, b::k]
-                part = out[..., : cell.shape[-2], : cell.shape[-1]]
-                np.maximum(part, cell, out=part)
-    return out
+    (..., ceil(h/k), ceil(w/k)), written into ``out`` when given: the fold
+    of x's strided cells."""
+    return _fold_max(_cell_views(x, k), out)
 
 
 def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     """Bool mask shaped like ``x`` marking each k*k block's kept entry: its
     first cell in row-major order that equals ``best`` (the block's
-    ``block_max``) or is NaN.  A block holding a NaN has a NaN maximum, so
-    the NaN tests run only when some block's maximum is NaN."""
-    return _block_keep(x, best, k)
-
-
-def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
+    ``block_max``) or is NaN."""
     keep = np.empty(x.shape, dtype=bool)
-    hits = np.empty(best.size, dtype=bool)  # one cell's, kept contiguous
-    open_blocks = np.empty(best.shape, dtype=bool)
-    nans = np.isnan(best).any()
-    for a in range(min(k, x.shape[-2])):  # past the input, a cell is empty
-        for b in range(min(k, x.shape[-1])):
-            win = x[..., a::k, b::k]
-            ha, wb = win.shape[-2:]
-            hit = hits[: win.size].reshape(win.shape)
-            np.equal(win, best[..., :ha, :wb], out=hit)
-            if nans:
-                hit |= np.isnan(win)
-            if a or b:
-                still = open_blocks[..., :ha, :wb]
-                hit &= still
-                np.not_equal(still, hit, out=still)
-            else:
-                np.logical_not(hit, out=open_blocks)
-            keep[..., a::k, b::k] = hit
+    for dest, hit in zip(_cell_views(keep, k), _first_hits(_cell_views(x, k), best)):
+        dest[...] = hit
     return keep
 
 
@@ -423,17 +477,19 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
 
     ``model`` may also be a client stack (``local_train``'s), whose (m, ...)
     layers take an (m, batch, ...) input: client c sees only its own batch
-    and weights.  ``cols`` is x already ``lower``ed for the model's conv,
-    which is then not lowered again; the conv is the first layer, so its
-    columns depend on the batch alone."""
+    and weights.  ``cols`` is ``lower(model, x)``, which is then not
+    lowered again; the conv is the first layer, so its columns depend on
+    the batch alone.  A conv that feeds a maxpool records its output
+    cell-major, (..., f, k*k, n, hp, wp), as do the relus between them."""
     return _forward(model, x, cols)
 
 
 def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
     act = np.asarray(x, dtype=np.float64)
+    pool_at, pool = _pool_after_conv(model.layers)
     inputs: list[np.ndarray] = []
     logits = None
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         inputs.append(act)
         if layer.kind == "dense":
             w = layer.weight
@@ -442,8 +498,11 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
                 raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
             act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            cols = _lower(act, layer.weight) if cols is None else cols
-            act = _conv_forward(act, layer.weight, layer.bias, cols)
+            cols = _lower(act, layer.weight, pool) if cols is None else cols
+            act = _conv_forward(act, layer.weight, layer.bias, cols, pool)
+            cols = None  # freed before the relu and maxpool allocate
+        elif i == pool_at:
+            act = np.ascontiguousarray(_fold_max(_slabs(act)).swapaxes(-4, -3))
         elif layer.kind == "maxpool":
             k = layer.pool
             ho, wo = act.shape[-2] // k, act.shape[-1] // k
@@ -451,15 +510,16 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
                 raise ConfigError(
                     f"maxpool kernel {k} larger than input {act.shape[-2]}x{act.shape[-1]}"
                 )
-            act = _block_max(act[..., : ho * k, : wo * k], k)
-        elif layer.kind == "relu":
-            act = np.maximum(act, 0.0)
+            act = _fold_max(_cell_views(act[..., : ho * k, : wo * k], k))
+        elif layer.kind == "relu":  # an array operand: the fast loop, the same bits
+            zero = np.zeros(act.shape)
+            act = np.maximum(act, zero, out=zero)
         elif layer.kind == "softmax":
             logits = act
             shifted = act - act.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             act = e / e.sum(axis=-1, keepdims=True)
-    return ForwardTrace(inputs=inputs, logits=logits, probs=act, cols=cols)
+    return ForwardTrace(inputs=inputs, logits=logits, probs=act)
 
 
 def _backprop(
@@ -474,6 +534,7 @@ def _backprop(
     """
     out = np.empty_like(model.theta) if out is None else out
     grads = [(v.weight, v.bias) for v in _views(model.layers, out, model.theta.ndim - 1)]
+    pool_at, pool = _pool_after_conv(model.layers)
     d = dlogits  # already the gradient at the softmax layer's input
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -486,13 +547,16 @@ def _backprop(
             if i > 0:
                 d = (d @ w).reshape(x.shape)
         elif layer.kind == "conv":
-            # d (..., f, n*ho*wo) times the transposed columns.  Lowering x
-            # again with the batch and channel axes swapped, ho x wo windows,
-            # gives those columns as a copy exactly when the forward's were
-            # one, else as this same view of x: each operand keeps the
-            # layout that lowering handed BLAS, and so the bits.
-            cols_t = trace.cols.swapaxes(-1, -2)
-            if not np.may_share_memory(trace.cols, x):
+            if pool_at is not None:
+                kh, kw = gw.shape[-2:]
+                d = _unslab(d, pool, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)
+            # d (..., f, n*ho*wo) times the transposed sample-order columns.
+            # Lowering x again gives them as a copy, transposed into a C copy,
+            # or for a 1x1 kernel on a batch of one as a view of x, which BLAS
+            # takes transposed: the layouts, and so the bits, of the product.
+            cols = _lower(x, layer.weight)
+            cols_t = cols.swapaxes(-1, -2)
+            if not np.may_share_memory(cols, x):
                 cols_t = np.ascontiguousarray(cols_t)
             dm = d.swapaxes(-4, -3).reshape(*d.shape[:-4], d.shape[-3], -1)
             gw[...] = np.matmul(_blas_ready(dm), _blas_ready(cols_t)).reshape(gw.shape)
@@ -501,25 +565,47 @@ def _backprop(
             pass  # no gradient at the model input
         elif layer.kind == "relu":
             d = d * (x > 0.0)
+        elif i == pool_at:
+            # d and the pooled maps in the slabs' (..., f, n, hp, wp) order
+            dx = np.empty(x.shape)
+            best = np.ascontiguousarray(trace.inputs[i + 1].swapaxes(-4, -3))
+            _route(np.ascontiguousarray(d.swapaxes(-4, -3)), _slabs(x), _slabs(dx), best)
+            d = dx
         elif layer.kind == "maxpool":
             d = _unpool(d, x, trace.inputs[i + 1], layer.pool)
     return grads
 
 
+def _route(d: np.ndarray, cells: list[np.ndarray], dests: list[np.ndarray], best: np.ndarray) -> None:
+    """Each block's gradient d into the dest of the cell holding its kept
+    entry, with its bits, and +0.0 into the other dests: the
+    ``_first_hits`` of ``cells`` select, and ``dests`` are the same cells
+    of the gradient being formed."""
+    bits = d.view(np.int64)
+    for dest, hit in zip(dests, _first_hits(cells, best)):
+        np.multiply(bits, hit, out=dest.view(np.int64))
+
+
 def _unpool(d: np.ndarray, x: np.ndarray, pooled: np.ndarray, k: int) -> np.ndarray:
-    """The gradient at the input x of a maxpool whose output ``pooled``
-    has gradient d: each block's d at its kept cell, with its bits, and
-    +0.0 elsewhere, the cropped trailing cells included."""
+    """The gradient at the input x of a maxpool with no conv before it,
+    whose output ``pooled`` has gradient d: each block's d at its kept
+    cell, with its bits, and +0.0 elsewhere, the cropped trailing cells
+    included."""
     crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
-    # d to all k*k cells of its block; the mask's product keeps the routed one
     dx = np.zeros_like(x)
-    dx_cropped = dx[crop]
-    for a in range(k):
-        for b in range(k):
-            dx_cropped[..., a::k, b::k] = d
-    bits = dx_cropped.view(np.int64)
-    np.multiply(bits, _block_keep(x[crop], pooled, k), out=bits)
+    _route(d, _cell_views(x[crop], k), _cell_views(dx[crop], k), pooled)
     return dx
+
+
+def _unslab(d: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
+    """The cell-major gradient d (..., f, k*k, n, hp, wp) at a conv output
+    as its maps (..., n, f, ho, wo), f-major in memory, with +0.0 at the
+    positions the pool cropped."""
+    *stack, f, _, n, hp, wp = d.shape
+    maps = np.zeros((*stack, f, n, ho, wo))
+    for cell, slab in zip(_cell_views(maps[..., : hp * k, : wp * k], k), _slabs(d)):
+        cell[...] = slab
+    return maps.swapaxes(-4, -3)
 
 
 def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
@@ -565,7 +651,8 @@ def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarr
         raise ConfigError("activation weights need conv -> relu -> maxpool -> dense -> softmax")
     pooled = trace.inputs[3]
     g = (_onehot(trace, labels) @ model.layers[3].weight).reshape(pooled.shape)
-    h, w = trace.inputs[1].shape[-2:]
+    kh, kw = model.layers[0].weight.shape[-2:]
+    h, w = trace.inputs[0].shape[-2] - kh + 1, trace.inputs[0].shape[-1] - kw + 1
     return (g * (pooled > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
 
 

@@ -98,6 +98,14 @@ CASES = {
         "attack.kind": "scale",
         "output.dump_amplified_round": 3,
     },
+    # 7x7 conv maps: the 2x2 maxpool crops row 6 and column 6
+    "conv-fang-xai-crop": {
+        **CONV,
+        "dataset.dim": "1x9x9",
+        "defense.family": "fang",
+        "defense.amplifier": "xai",
+        "attack.kind": "dba",
+    },
     # unequal shards [7, 5, 10, 4, 8, 10, 2, 8]: train_all stacks clients
     # that do not sit in consecutive rows
     "skew-disteuc-mp-lflip-gasc": {
@@ -131,6 +139,13 @@ GOLDEN = {
         "attacked/decisions.csv": "42fce94b5b220cc9ef33fcd1e8f320faa70a72284b5fb9ccdbe79ff805cb3688",
         "attacked/amplified.csv": "4bcd50370e5ac5f1b4bb27c571a6d273927fdb29e095645b36769664880faa0a",
         "metrics.csv": "65bbc89be4559f93bb89acb0776880ea292e77ddb068336c46763a5866e8da1f",
+    },
+    "conv-fang-xai-crop": {
+        "clean/rounds.csv": "3af6b52358c3dbd75c91f837831c13a7030e228f6733d1a5084ead467c601a8d",
+        "clean/decisions.csv": "4c1a47908d1cae20eaad2284e48a4c81fc21a066e4aa339fbc063fecfce65472",
+        "attacked/rounds.csv": "c21b483b70b3fd1b6247e8c24c62d9e9b6433717889692f8083388ad0a3b454e",
+        "attacked/decisions.csv": "03c0e8b71c8765f963b64b9430f52e658b37aa210905a3045a100120512dddef",
+        "metrics.csv": "f4d7f33e7f4a2c9ee688bb2671ebfaa5f27002121a9a0fcbc2cf547fa1cabdc4",
     },
     "conv-fltrust-xai-dba": {
         "clean/rounds.csv": "aa560d05955e6b5c0e0565d322ae7041840a8901d4b10514d37fa0a0c4448d68",

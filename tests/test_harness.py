@@ -408,9 +408,9 @@ def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeyp
     runs, lowered = [], []
     lower, prepare = nn.lower, harness._prepare
 
-    def count(x, w):
+    def count(model, x):
         lowered.append(x)
-        return lower(x, w)
+        return lower(model, x)
 
     def keep(cfg, attack_enabled):
         runs.append(prepare(cfg, attack_enabled))
@@ -436,7 +436,10 @@ def test_a_conv_fang_xai_pair_lowers_its_validation_batch_once(tmp_path, monkeyp
     assert summary.attacked.status == "ok" and len(runs) == 1
     validation = runs[0].validation
     assert sum(x is validation.features for x in lowered) == 1
-    assert validation.cols.shape == (9, len(validation) * 36)
+    # 6x6 maps and a pool of 2: 4 cells of 3x3 pooled positions a sample
+    assert validation.cols.shape == (9, 4 * len(validation) * 9)
+    conv = runs[0].model.layers[0]
+    assert np.array_equal(validation.cols, nn._lower(validation.features, conv.weight, 2))
     assert validation.subset(np.arange(3)).cols is None
     # a model without a conv lowers nothing
     mlp = harness._prepare(fast_config(tmp_path, "fang-mlp", **{"defense.family": "fang"}), True)

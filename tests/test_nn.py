@@ -2,6 +2,7 @@
 gradient oracles, and the update/train conventions everything else
 builds on."""
 
+import dataclasses
 import inspect
 import threading
 
@@ -39,6 +40,26 @@ def fd_gradient(model, features, labels):
         lo = fd_loss(perturbed(model, j, -FD_STEP), features, labels)
         out[j] = (hi - lo) / (2.0 * FD_STEP)
     return out
+
+
+def pooled_region(cell_major, k):
+    """A cell-major conv output (..., f, k*k, n, hp, wp) as the maps
+    (..., n, f, hp*k, wp*k) the pool reads, one position at a time:
+    position (i*k + a, j*k + b) is cell (a, b) of block (i, j)."""
+    *lead, f, _, n, hp, wp = cell_major.shape
+    maps = np.full((*lead, n, f, hp * k, wp * k), np.nan)
+    for *at, filt, cell, s, i, j in np.ndindex(*cell_major.shape):
+        a, b = divmod(cell, k)
+        maps[(*at, s, filt, i * k + a, j * k + b)] = cell_major[(*at, filt, cell, s, i, j)]
+    return maps
+
+
+def conv_maps(model, trace, i):
+    """``trace.inputs[i]``, a ``conv_model``'s conv (i = 1) or relu (i = 2)
+    output, as (n, f, ho', wo') maps: the whole output with pool 1, else
+    the region the pool reads."""
+    k = model.layers[2].pool
+    return trace.inputs[i] if k == 1 else pooled_region(trace.inputs[i], k)
 
 
 def rel_err(analytic, numeric):
@@ -121,7 +142,7 @@ def test_conv_backward_routes_pooled_ties_to_the_first_max():
     trace = nn.forward(model, x)
     got = nn.backward(model, trace, y).layers[0][0]
 
-    relu_out, pooled = trace.inputs[2], trace.inputs[3]
+    relu_out, pooled = conv_maps(model, trace, 2), trace.inputs[3]
     dlogits = (trace.probs - np.eye(3)[y]) / len(y)
     dpooled = (dlogits @ model.layers[3].weight).reshape(pooled.shape)
     _, first = naive_pool(relu_out, k)
@@ -237,7 +258,7 @@ def test_conv_kernels_match_naive_loops(kernel):
     x = rng.normal(size=(3, 3, 7, 9))
     w = rng.normal(size=(4, 3, kh, kw))
     b = rng.normal(size=4)
-    out = nn._conv_forward(x, w, b, nn.lower(x, w))
+    out = nn._conv_forward(x, w, b, nn._lower(x, w))
     np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=0.0, atol=1e-12)
 
     flat = out[0].size
@@ -324,18 +345,24 @@ def test_conv_products_keep_the_bits_of_the_tensordot_formulas(n, c, f, kernel, 
 
 def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
     # One model on a shared batch, as the validation probes run it, and a
-    # client stack on its own batches, as local_train runs it.
+    # client stack on its own batches, as local_train runs it.  The 5x4
+    # conv maps feed a pool of 2, which crops row 4: the columns run over
+    # (cell, sample, pooled row, pooled column) and leave that row out.
     rng = rng_stream(36)
     model = nn.conv_model((2, 7, 6), 3, seed=rng, filters=3, kernel=3, pool=2)
     m = 3
     theta = model.theta + 0.1 * rng.normal(size=(m, model.theta.size))
     stack = nn.ModelParams(model.layers, theta)
     for net, x in ((model, rng.normal(size=(5, 2, 7, 6))), (stack, rng.normal(size=(m, 5, 2, 7, 6)))):
-        cols = nn.lower(x, net.layers[0].weight)
+        cols = nn.lower(net, x)
+        assert cols.shape == x.shape[:-4] + (18, 4 * 5 * 2 * 2)
+        for *at, a, b, s, i, j in np.ndindex(*x.shape[:-4], 2, 2, 5, 2, 2):
+            col = np.ravel_multi_index((a, b, s, i, j), (2, 2, 5, 2, 2))
+            r, c = 2 * i + a, 2 * j + b
+            window = x[(*at, s, slice(None), slice(r, r + 3), slice(c, c + 3))]
+            assert_same_bits(cols[(*at, slice(None), col)], window.ravel())
         want = nn.forward(net, x)
         got = nn.forward(net, x, cols)
-        assert got.cols is cols
-        assert_same_bits(want.cols, cols)
         for a, b in zip(got.inputs + [got.logits, got.probs], want.inputs + [want.logits, want.probs]):
             assert_same_bits(a, b)
         dlogits = rng.normal(size=want.probs.shape)
@@ -345,8 +372,8 @@ def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
                     assert_same_bits(ga, gb)
     with pytest.raises(ConfigError, match="lowered batch"):
         nn.forward(model, x[0, :4], cols)
-    mlp = nn.mlp_model(4, 3, 2, seed=0)
-    assert nn.forward(mlp, rng.normal(size=(2, 4))).cols is None
+    # the trace keeps no columns: the backward lowers its input again
+    assert [f.name for f in dataclasses.fields(nn.ForwardTrace)] == ["inputs", "logits", "probs"]
 
 
 def naive_pool(x, k, ceil=False):
@@ -385,15 +412,141 @@ def test_maxpool_matches_naive_loops_on_ties_and_nan():
     np.testing.assert_array_equal(trace.inputs[1], pooled_ref)
 
 
+def test_the_relu_zero_operand_keeps_the_bits_of_the_scalar():
+    # The relu maxes against an array of +0.0, not the scalar 0.0, because
+    # numpy takes its contiguous loop then.  The two forms must agree on
+    # every bit, -0.0, quiet and signalling NaNs with payloads, infinities
+    # and subnormals included, at every length up to a few SIMD widths, so
+    # a numpy that changes either path fails here.
+    special = np.array(
+        [
+            0,
+            1 << 63,  # -0.0
+            0x7FF8_0000_0000_0000,  # quiet NaN
+            0xFFF8_0000_0000_0001,  # negative quiet NaN with a payload
+            0x7FF8_DEAD_0000_BEEF,
+            0x7FF0_0000_0000_0001,  # signalling NaN
+            0x7FF4_0000_0000_0ABC,
+            0xFFF0_0000_0000_0123,
+            0x7FF0_0000_0000_0000,  # +inf
+            0xFFF0_0000_0000_0000,  # -inf
+            1,  # the smallest subnormal
+            0x800F_FFFF_FFFF_FFFF,  # the largest negative subnormal
+            0x000F_FFFF_FFFF_FFFF,
+            0x8000_0000_0000_0001,
+        ],
+        dtype=np.uint64,
+    ).view(np.float64)
+    x = np.concatenate([special, rng_stream(37).normal(size=1000), special[::-1]])
+    relu = nn.ModelParams([nn.Layer("relu"), nn.Layer("softmax")])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in [*range(1, 41), x.size]:
+            part = x[:n]
+            zero = np.zeros(n)
+            assert_same_bits(np.maximum(part, zero, out=zero), np.maximum(part, 0.0))
+        assert_same_bits(nn.forward(relu, x[None]).inputs[1][0], np.maximum(x, 0.0))
+
+
+def routed_maps(conv_out, first, g):
+    """The gradient at the conv output when each pooled cell's gradient g
+    goes to the position ``first`` routes it to, through the relu mask."""
+    routed = np.zeros(conv_out.shape)
+    for s, f, i, j in np.ndindex(*g.shape):
+        r, c = first[s, f, i, j]
+        routed[s, f, r, c] = g[s, f, i, j] * (conv_out[s, f, r, c] > 0.0)
+    return routed
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+@pytest.mark.parametrize("size", [(9, 9), (9, 12)], ids=["7x7", "7x10"])
+def test_the_cell_major_pool_matches_naive_loops_on_cropped_maps(pool, size):
+    # A 3x3 kernel gives 7x7 or 7x10 maps, which pools 2 and 3 crop.
+    # Filter 0 reads only channel 0's window centre, drawn from {0.5, 1}:
+    # tied positive blocks.  Filter 1 is relu-dead: blocks tied at 0.
+    # Sample 1 has a NaN pixel that only conv position (0, 0) sees: a NaN
+    # block in every filter.  With 16 channels each filter has 144 weights,
+    # at least the 140 positions of a batch, so its weight gradient pins
+    # the routed gradient at the conv output.  One model, then a stack of
+    # three, each client with the bits of its one-model run.
+    n, c, f, classes = 2, 16, 4, 3
+    rng = rng_stream(38, pool, *size)
+    base = nn.conv_model((c, *size), classes, seed=rng, filters=f, kernel=3, pool=pool)
+
+    def client(rng):
+        theta = base.theta + 0.1 * rng.normal(size=base.theta.size)
+        model = nn.ModelParams(base.layers, theta)
+        conv = model.layers[0]
+        conv.weight[0] = 0.0
+        conv.weight[0, 0, 1, 1] = 1.0
+        conv.bias[0] = 0.25
+        conv.bias[1] = -1e3
+        x = rng.normal(size=(n, c, *size))
+        x[:, 0, 1:-1, 1:-1] = rng.choice((0.5, 1.0), size=(n, size[0] - 2, size[1] - 2))
+        x[1, 0, 0, 0] = np.nan
+        return model, x
+
+    def expect(model, x, dlogits, y):
+        conv, dense = model.layers[0], model.layers[3]
+        conv_out = naive_conv(x, conv.weight, conv.bias)
+        with np.errstate(invalid="ignore"):
+            relu = np.maximum(conv_out, 0.0)
+            pooled, first = naive_pool(relu, pool)
+            routed = routed_maps(conv_out, first, (dlogits @ dense.weight).reshape(pooled.shape))
+            cam = routed_maps(conv_out, first, (np.eye(classes)[y] @ dense.weight).reshape(pooled.shape))
+            # blocks of filter 0 whose maximum sits at more than one position
+            hp, wp = pooled.shape[-2:]
+            blocks = relu[:, 0, : hp * pool, : wp * pool].reshape(n, hp, pool, wp, pool)
+            tied = (blocks == pooled[:, 0, :, None, :, None]).sum(axis=(2, 4)) > 1
+        gw = naive_conv_dw(x, routed, 3, 3)
+        return pooled, gw, routed.sum(axis=(0, 2, 3)), cam.sum(axis=0).mean(axis=(1, 2)), tied.sum()
+
+    model, x = client(rng)
+    y = rng.integers(0, classes, size=n)
+    dlogits = rng.normal(size=(n, classes))
+    trace = nn.forward(model, x)
+    pooled, gw, gb, cam, tied = expect(model, x, dlogits, y)
+    assert np.isnan(pooled[1, :, 0, 0]).all() and tied >= 2
+    assert (pooled[:, 1] == 0.0).sum() == pooled[:, 1].size - 1  # one NaN block
+    assert np.isnan(gw).sum() == f and np.isnan(gw[:, 0, 0, 0]).all()
+    grads = nn._backprop(model, trace, dlogits)
+    np.testing.assert_allclose(trace.inputs[3], pooled, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grads[0][0], gw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[0][1], gb, rtol=1e-12, atol=1e-12)
+    # Grad-CAM reads the same routing; a NaN block passes nothing
+    np.testing.assert_allclose(nn.activation_weights(model, trace, y), cam, rtol=1e-12, atol=0.0)
+
+    m = 3
+    clients = [client(rng) for _ in range(m)]
+    stack = nn.ModelParams(base.layers, np.stack([one.theta for one, _ in clients]))
+    xs = np.stack([x for _, x in clients])
+    dlogits = rng.normal(size=(m, n, classes))
+    trace = nn.forward(stack, xs)
+    grads = nn._backprop(stack, trace, dlogits)
+    for k, (one, x) in enumerate(clients):
+        pooled, gw, gb, _, _ = expect(one, x, dlogits[k], y)
+        np.testing.assert_allclose(trace.inputs[3][k], pooled, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(grads[0][0][k], gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[0][1][k], gb, rtol=1e-12, atol=1e-12)
+        one_trace = nn.forward(one, x)
+        for got, want in zip(trace.inputs[1:] + [trace.probs], one_trace.inputs[1:] + [one_trace.probs]):
+            assert_same_bits(got[k], want)
+        for got, want in zip(grads, nn._backprop(one, one_trace, dlogits[k])):
+            for g, o in zip(got, want):
+                if o is not None:
+                    assert_same_bits(g[k], o)
+
+
 def naive_grad_cam(model, trace, y):
     """Grad-CAM weights one pooled cell at a time: the cell's gradient
     (one-hot labels times the dense weight) goes to the conv position its
     block routes to, through the relu mask there; the maps are summed over
     the batch and averaged over the conv output."""
-    conv_out = trace.inputs[1]
-    pooled, first = naive_pool(trace.inputs[2], model.layers[2].pool)
+    conv_out = conv_maps(model, trace, 1)
+    pooled, first = naive_pool(conv_maps(model, trace, 2), model.layers[2].pool)
     g = (np.eye(trace.probs.shape[-1])[y] @ model.layers[3].weight).reshape(pooled.shape)
-    maps = np.zeros(conv_out.shape[1:])
+    f, _, kh, kw = model.layers[0].weight.shape
+    h, w = trace.inputs[0].shape[-2:]
+    maps = np.zeros((f, h - kh + 1, w - kw + 1))
     for s, k, i, j in np.ndindex(*pooled.shape):
         r, c = first[s, k, i, j]
         maps[k, r, c] += g[s, k, i, j] * (conv_out[s, k, r, c] > 0.0)

@@ -85,16 +85,21 @@ def test_every_definition_is_named_somewhere_in_the_package():
     assert unnamed == []
 
 
-def _named_in(tree, prefix, name):
+def _named_in(tree, prefix, name, owner=None):
     """Qualified names of the functions below ``tree`` (``prefix`` at module
-    level) whose own bodies name ``name``, as a variable or an attribute."""
+    level) whose own bodies name ``name``, as a variable or an attribute;
+    with ``owner``, only as the attribute ``owner.name``."""
     found = []
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _named_in(child, f"{prefix}.{child.name}", name)
+            found += _named_in(child, f"{prefix}.{child.name}", name, owner)
         elif any(
-            (isinstance(node, ast.Name) and node.id == name)
-            or (isinstance(node, ast.Attribute) and node.attr == name)
+            (owner is None and isinstance(node, ast.Name) and node.id == name)
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr == name
+                and (owner is None or isinstance(node.value, ast.Name) and node.value.id == owner)
+            )
             for node in ast.walk(child)
         ):
             found.append(prefix)
@@ -114,3 +119,18 @@ def test_split_owns_the_worker_and_the_stack_cap_only_sizes_stacks():
             stack_cap.add(path.stem)
     assert sorted(set(worker)) == ["runtime.split"]
     assert stack_cap == {"amplify", "nn"}
+
+
+def test_the_conv_column_order_is_decided_in_nn_alone():
+    # The cell-major column order lives in nn: only its _lower makes a
+    # sliding window, and outside nn only harness._prepare lowers a batch
+    # (the validation set, once per run), through nn.lower.
+    windows, lowerings = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        windows += _named_in(tree, path.stem, "sliding_window_view")
+        if path.stem != "nn":
+            lowerings += _named_in(tree, path.stem, "lower", owner="nn")
+            lowerings += _named_in(tree, path.stem, "_lower", owner="nn")
+    assert windows == ["nn._lower"]
+    assert lowerings == ["harness._prepare"]
