@@ -27,15 +27,13 @@ IDX_LABELS_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     """Features, labels and the class count.  ``cols`` is ``features``
-    already lowered for a run's conv model, ``nn.lower(model, features)``:
-    the im2col columns in the cell-major order that model's forward
-    multiplies, each maxpool cell offset's columns together (see ``nn``).
-    Each model a screen runs the set through then skips the lowering,
-    which would add about 50 us to each 75 us forward of 100 samples on
-    the benchmark's conv model.  Only its shape is checked, so it must be these features'
-    lowering for that model's layers.  The harness sets it once per run,
-    on a conv model's validation set; every other set, a ``subset``
-    included, keeps None."""
+    already lowered for a run's conv model, ``nn.lower(model, features)``,
+    in its pool's cell-major order (see ``nn``).  Each model a screen runs
+    the set through then skips the lowering, which would add about 50 us
+    to each 75 us forward of 100 samples on the benchmark's conv model.
+    Only its shape is checked.  The harness sets it once per run, on a
+    conv model's validation set; every other set, a ``subset`` included,
+    keeps None."""
 
     features: np.ndarray
     labels: np.ndarray

@@ -9,24 +9,25 @@ list of layers drawn from five kinds:
     relu     elementwise max(x, 0)
     softmax  final probability layer (must be last, appears exactly once)
 
-A conv layer may only be the first layer, so a model carries at most one;
-its output feature maps back the class-activation weighting used by the
+A conv layer may only be the first layer, so a model carries at most one,
+and a maxpool exists only as its pool: a conv must reach exactly one
+maxpool through relus alone, and a model has no other.  The conv's
+output feature maps back the class-activation weighting used by the
 feature-map amplifier.  The loss is mean softmax cross-entropy.
 
 Kernels:
   * One lowering per conv batch, im2col (Chellapilla, Puri & Simard,
     2006).  ``_lower`` copies a ``sliding_window_view`` of the batch into
-    (..., c*kh*kw, columns), over any leading stack axes.  When the conv's
-    output reaches a k-maxpool (k >= 2) through relus alone, the columns
-    are cell-major, (cell offset, sample, pooled row, pooled column), with
-    the cropped positions left out, so the conv's one ``matmul`` writes
-    each of the pool's k*k cell offsets as a contiguous (..., f, n*hp*wp)
-    slab; otherwise (k = 1) they run over (sample, row, column).  Permuted
+    (..., c*kh*kw, columns), over any leading stack axes.  For the conv's
+    k-pool the columns are cell-major, (cell offset, sample, pooled row,
+    pooled column), with the cropped positions left out, so the conv's
+    one ``matmul`` writes each of the pool's k*k cell offsets as a
+    contiguous (..., f, n*hp*wp) slab; pool 1 writes one slab.  Permuted
     columns keep each product column's bits.  The conv is the first layer,
     so ``forward`` takes the columns ready-made (a validation
     ``Dataset``'s ``cols``, lowered once per run by ``lower``) or lowers
     the batch itself, and keeps none in the trace.  The backward lowers
-    the input again in sample order: the weight gradient is
+    the input again in sample order (k = 1): the weight gradient is
     d (..., f, n*ho*wo) times those columns transposed, the operands and
     bits of a sample-order forward.  It forms no gradient at the model
     input, so a conv never needs its input gradient.
@@ -38,28 +39,26 @@ Kernels:
     matrix: dense and conv are stacked ``matmul``s, and relu, maxpool and
     softmax work over the leading axes.  Each client's numbers are the
     bits of its own one-model run.
-  * One block fold serves the maxpool and the patch-max amplifier, over
-    two views of the k*k cells of the blocks.  ``_fold_max`` is the
-    running ``np.maximum`` of the cells in row-major order, so a NaN block
-    reduces to its first NaN; ``_first_hits`` marks, cell by cell, the
-    blocks whose kept entry the cell holds: the first maximum or the first
-    NaN (``argmax``'s rule, which decides the all-zero blocks after a
-    relu).  The strided view ``x[..., a::k, b::k]`` serves ``block_max``,
-    ``block_keep`` and a maxpool with no conv before it; on a ceil grid
-    the edge blocks are ragged and reduced as-is.  The slab view, the
-    conv's cell-major output, serves the maxpool after a conv: on the
-    benchmark's conv model (8 filters, 10x10 maps, 100 samples) the conv,
-    relu and maxpool of a forward took 111 us over strided 5-wide cells
-    and 61 us over contiguous slabs.  Either way the maxpool hands on the
-    C-contiguous (..., n, f, hp, wp) pooled maps.  Callers select by a
-    mask's bits: the values' int64 view times the bool mask, one
-    ``np.multiply`` into an int64 view of the destination, keeps the kept
-    entries' bits (x * 1), NaN payloads, infinities and -0.0 included,
-    and writes +0.0 elsewhere (x * 0); the mask is cast in the ufunc's
-    buffer, never as a whole int64 array.  The maxpool backward routes
-    each block's gradient to its kept cell this way, slab by slab after a
-    conv, and the conv backward scatters the slabs back to (n, ho, wo)
-    order, the cropped positions +0.0.
+  * One block fold serves the maxpool and the patch-max amplifier.
+    ``_fold_max`` is the running ``np.maximum`` of a block's k*k cells in
+    row-major order, so a NaN block reduces to its first NaN;
+    ``_first_hits`` marks, cell by cell, the blocks whose kept entry the
+    cell holds: the first maximum or the first NaN (``argmax``'s rule,
+    which decides the all-zero blocks after a relu).  The maxpool folds
+    the conv's slabs and hands on the C-contiguous (..., n, f, hp, wp)
+    pooled maps: on the benchmark's conv model (8 filters, 10x10 maps,
+    100 samples) the conv, relu and maxpool of a forward took 111 us over
+    strided 5-wide cells and 61 us over contiguous slabs.  The patch max
+    (``block_max``, ``block_keep``) folds the strided cells
+    ``x[..., a::k, b::k]``; on its ceil grid the edge blocks are ragged
+    and reduced as-is.  Callers select by a mask's bits: the values'
+    int64 view times the bool mask, one ``np.multiply`` into an int64 view
+    of the destination, keeps the kept entries' bits (x * 1), NaN
+    payloads, infinities and -0.0 included, and writes +0.0 elsewhere
+    (x * 0); the mask is cast in the ufunc's buffer, never as a whole
+    int64 array.  The maxpool backward routes each block's gradient to its
+    kept cell this way, slab by slab, and the conv backward scatters the
+    slabs back to (n, ho, wo) order, the cropped positions +0.0.
 
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
@@ -179,13 +178,21 @@ class ModelParams:
     """
 
     def __init__(self, layers: list[Layer], theta: np.ndarray | None = None) -> None:
+        chain = False  # inside the conv -> relu ... run, which must end at the conv's pool
         for i, layer in enumerate(layers):
-            if layer.kind not in LAYER_KINDS:
-                raise ConfigError(f"unknown layer kind {layer.kind!r}")
-            if layer.kind == "conv" and i > 0:
+            kind = layer.kind
+            if kind not in LAYER_KINDS:
+                raise ConfigError(f"unknown layer kind {kind!r}")
+            if kind == "conv" and i > 0:
                 raise ConfigError(f"a conv layer must be the first layer, got one at layer {i}")
-            if layer.kind == "maxpool" and layer.pool < 1:
-                raise ConfigError(f"maxpool kernel must be >= 1, got {layer.pool}")
+            if kind == "maxpool":
+                if not chain:
+                    raise ConfigError(f"a maxpool must follow the conv through relus alone, got one at layer {i}")
+                if layer.pool < 1:
+                    raise ConfigError(f"maxpool kernel must be >= 1, got {layer.pool}")
+            elif chain and kind != "relu":
+                raise ConfigError(f"the conv must reach a maxpool through relus alone, got {kind} at layer {i}")
+            chain = kind == "conv" or chain and kind == "relu"
         if not layers or layers[-1].kind != "softmax":
             raise ConfigError("model must end with a softmax layer")
         arrays = [a for layer in layers for a in (layer.weight, layer.bias) if a is not None]
@@ -206,9 +213,9 @@ class ForwardTrace:
     """Activations recorded during ``forward``.
 
     ``inputs[i]`` is the array fed into layer i, so ``inputs[i + 1]`` is
-    layer i's output; ``logits`` are the pre-softmax scores.  A conv that
-    feeds a maxpool records its output, and the relus between them their
-    inputs and outputs, cell-major (see ``forward``).
+    layer i's output; ``logits`` are the pre-softmax scores.  The conv's
+    output, and the relus' between it and its pool, are cell-major (see
+    ``forward``).
     """
 
     inputs: list[np.ndarray]
@@ -342,24 +349,24 @@ def _blas_ready(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _pool_after_conv(layers: list[Layer]) -> tuple[int | None, int]:
-    """(i, k) when layer i is a k-maxpool, k >= 2, that the first-layer
-    conv's output reaches through relus alone, else (None, 1): the conv
-    lowers its batch in that pool's cell-major order (see ``_lower``)."""
-    if layers[0].kind == "conv":
-        for i, layer in enumerate(layers[1:], 1):
-            if layer.kind == "maxpool" and layer.pool > 1:
-                return i, layer.pool
-            if layer.kind != "relu":
-                break
-    return None, 1
+def _pool_after_conv(layers: list[Layer]) -> int:
+    """The kernel k of the model's maxpool, 1 without one.  ``ModelParams``
+    admits a maxpool only as the one the first-layer conv reaches through
+    relus alone, and a conv only with one, so the conv lowers its batch in
+    that pool's cell-major order (see ``_lower``)."""
+    for layer in layers:
+        if layer.kind == "maxpool":
+            return layer.pool
+    return 1
 
 
 def lower(model: ModelParams, x: np.ndarray) -> np.ndarray:
     """The im2col columns of the batch x (..., n, c, h, w) for ``model``'s
     conv, in the order its ``forward`` multiplies them: ready-made
     ``cols`` for ``forward``."""
-    return _lower(x, model.layers[0].weight, _pool_after_conv(model.layers)[1])
+    if model.layers[0].kind != "conv":
+        raise ConfigError(f"only a conv model lowers its batch, got a {model.layers[0].kind} first layer")
+    return _lower(x, model.layers[0].weight, _pool_after_conv(model.layers))
 
 
 def _lower(x: np.ndarray, w: np.ndarray, k: int = 1) -> np.ndarray:
@@ -367,9 +374,11 @@ def _lower(x: np.ndarray, w: np.ndarray, k: int = 1) -> np.ndarray:
     valid correlation with a kernel shaped like w (..., f, c, kh, kw),
     (hp, wp) = (ho // k, wo // k): column (a, b, s, i, j) holds sample s's
     c x kh x kw window at (i*k + a, j*k + b), so each of a k-pool's cell
-    offsets (a, b) is a run of n*hp*wp columns; k = 1 is (s, i, j) order.
-    One copy of a ``sliding_window_view``, or a view of x where the reshape
-    needs no copy, as for a 1x1 kernel on a batch of one with k = 1."""
+    offsets (a, b) is a run of n*hp*wp columns.  k = 1 is sample order
+    (s, i, j) over the whole output, which the backward's columns keep.
+    One copy of a ``sliding_window_view``, or a view of x where the
+    reshape needs no copy, as for a 1x1 kernel on a batch of one with
+    k = 1."""
     x = np.asarray(x, dtype=np.float64)
     *stack, n, c, h, width = x.shape
     kh, kw = w.shape[-2:]
@@ -383,13 +392,10 @@ def _lower(x: np.ndarray, w: np.ndarray, k: int = 1) -> np.ndarray:
     return win.reshape(*stack, c * kh * kw, k * k * n * hp * wp)
 
 
-def _conv_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray, k: int = 1
-) -> np.ndarray:
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
     plus b (..., f), one ``matmul`` per model over ``cols``, x's ``_lower``
-    for a k-pool: the cell-major (..., f, k*k, n, hp, wp), or with k = 1
-    the maps (..., n, f, ho, wo)."""
+    for the conv's k-pool: the cell-major (..., f, k*k, n, hp, wp)."""
     *stack, n, c, h, width = x.shape
     f, _, kh, kw = w.shape[-4:]
     hp, wp = (h - kh + 1) // k, (width - kw + 1) // k
@@ -400,7 +406,7 @@ def _conv_forward(
     out = np.matmul(_blas_ready(w.reshape(*stack, f, -1)), _blas_ready(cols))
     out = out.reshape(*stack, f, k * k, n, hp, wp)
     out += b[..., None, None, None, None]
-    return out[..., 0, :, :, :].swapaxes(-4, -3) if k == 1 else out
+    return out
 
 
 def _slabs(x: np.ndarray) -> list[np.ndarray]:
@@ -479,17 +485,17 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
     layers take an (m, batch, ...) input: client c sees only its own batch
     and weights.  ``cols`` is ``lower(model, x)``, which is then not
     lowered again; the conv is the first layer, so its columns depend on
-    the batch alone.  A conv that feeds a maxpool records its output
-    cell-major, (..., f, k*k, n, hp, wp), as do the relus between them."""
+    the batch alone.  The conv records its output cell-major,
+    (..., f, k*k, n, hp, wp), as do the relus before its pool."""
     return _forward(model, x, cols)
 
 
 def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
     act = np.asarray(x, dtype=np.float64)
-    pool_at, pool = _pool_after_conv(model.layers)
+    pool = _pool_after_conv(model.layers)
     inputs: list[np.ndarray] = []
     logits = None
-    for i, layer in enumerate(model.layers):
+    for layer in model.layers:
         inputs.append(act)
         if layer.kind == "dense":
             w = layer.weight
@@ -501,16 +507,8 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
             cols = _lower(act, layer.weight, pool) if cols is None else cols
             act = _conv_forward(act, layer.weight, layer.bias, cols, pool)
             cols = None  # freed before the relu and maxpool allocate
-        elif i == pool_at:
-            act = np.ascontiguousarray(_fold_max(_slabs(act)).swapaxes(-4, -3))
         elif layer.kind == "maxpool":
-            k = layer.pool
-            ho, wo = act.shape[-2] // k, act.shape[-1] // k
-            if ho < 1 or wo < 1:
-                raise ConfigError(
-                    f"maxpool kernel {k} larger than input {act.shape[-2]}x{act.shape[-1]}"
-                )
-            act = _fold_max(_cell_views(act[..., : ho * k, : wo * k], k))
+            act = np.ascontiguousarray(_fold_max(_slabs(act)).swapaxes(-4, -3))
         elif layer.kind == "relu":  # an array operand: the fast loop, the same bits
             zero = np.zeros(act.shape)
             act = np.maximum(act, zero, out=zero)
@@ -534,7 +532,7 @@ def _backprop(
     """
     out = np.empty_like(model.theta) if out is None else out
     grads = [(v.weight, v.bias) for v in _views(model.layers, out, model.theta.ndim - 1)]
-    pool_at, pool = _pool_after_conv(model.layers)
+    pool = _pool_after_conv(model.layers)
     d = dlogits  # already the gradient at the softmax layer's input
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -547,9 +545,8 @@ def _backprop(
             if i > 0:
                 d = (d @ w).reshape(x.shape)
         elif layer.kind == "conv":
-            if pool_at is not None:
-                kh, kw = gw.shape[-2:]
-                d = _unslab(d, pool, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)
+            kh, kw = gw.shape[-2:]
+            d = _unslab(d, pool, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)
             # d (..., f, n*ho*wo) times the transposed sample-order columns.
             # Lowering x again gives them as a copy, transposed into a C copy,
             # or for a 1x1 kernel on a batch of one as a view of x, which BLAS
@@ -565,14 +562,12 @@ def _backprop(
             pass  # no gradient at the model input
         elif layer.kind == "relu":
             d = d * (x > 0.0)
-        elif i == pool_at:
+        elif layer.kind == "maxpool":
             # d and the pooled maps in the slabs' (..., f, n, hp, wp) order
             dx = np.empty(x.shape)
             best = np.ascontiguousarray(trace.inputs[i + 1].swapaxes(-4, -3))
             _route(np.ascontiguousarray(d.swapaxes(-4, -3)), _slabs(x), _slabs(dx), best)
             d = dx
-        elif layer.kind == "maxpool":
-            d = _unpool(d, x, trace.inputs[i + 1], layer.pool)
     return grads
 
 
@@ -586,25 +581,15 @@ def _route(d: np.ndarray, cells: list[np.ndarray], dests: list[np.ndarray], best
         np.multiply(bits, hit, out=dest.view(np.int64))
 
 
-def _unpool(d: np.ndarray, x: np.ndarray, pooled: np.ndarray, k: int) -> np.ndarray:
-    """The gradient at the input x of a maxpool with no conv before it,
-    whose output ``pooled`` has gradient d: each block's d at its kept
-    cell, with its bits, and +0.0 elsewhere, the cropped trailing cells
-    included."""
-    crop = (..., slice(pooled.shape[-2] * k), slice(pooled.shape[-1] * k))
-    dx = np.zeros_like(x)
-    _route(d, _cell_views(x[crop], k), _cell_views(dx[crop], k), pooled)
-    return dx
-
-
 def _unslab(d: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
     """The cell-major gradient d (..., f, k*k, n, hp, wp) at a conv output
     as its maps (..., n, f, ho, wo), f-major in memory, with +0.0 at the
     positions the pool cropped."""
     *stack, f, _, n, hp, wp = d.shape
     maps = np.zeros((*stack, f, n, ho, wo))
-    for cell, slab in zip(_cell_views(maps[..., : hp * k, : wp * k], k), _slabs(d)):
-        cell[...] = slab
+    for c, slab in enumerate(_slabs(d)):
+        a, b = divmod(c, k)
+        maps[..., a : hp * k : k, b : wp * k : k] = slab
     return maps.swapaxes(-4, -3)
 
 

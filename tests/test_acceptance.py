@@ -133,12 +133,14 @@ def test_analytic_gradients_match_finite_differences():
 
         # The Grad-CAM weights against the spatial mean of the batch-summed
         # finite-difference gradients of the true-class logits at the maps.
-        tail = nn.ModelParams(model.layers[1:])
         # the conv's cell-major output (f, 2*2, n, 2, 2) as its 4x4 maps
         maps = trace.inputs[1].reshape(2, 2, 2, 4, 2, 2).transpose(3, 0, 4, 1, 5, 2).reshape(4, 2, 4, 4)
+        dense = model.layers[3]
 
         def score(a):
-            logits = nn.forward(tail, a).logits
+            # relu, the max over each 2x2 block of the 4x4 maps, the dense layer
+            pooled = np.maximum(a, 0.0).reshape(4, 2, 2, 2, 2, 2).max(axis=(3, 5))
+            logits = pooled.reshape(4, -1) @ dense.weight.T + dense.bias
             return float(logits[np.arange(len(y)), y].sum())
 
         numeric = np.zeros(maps.shape[1:])

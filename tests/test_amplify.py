@@ -300,15 +300,20 @@ def test_both_mask_selects_keep_the_kept_bits_and_write_positive_zero():
     restored = amplify_mp(g, model, AmplifierConfig(kind="mp", kernel=2, restore_size=True))
     assert restored.view(np.int64).tolist() == expect.reshape(1, -1).view(np.int64).tolist()
 
-    # Maxpool: a finite input with the same kept cells (and a trailing row
-    # and column the pool crops), the patterns as the pooled gradient.
-    x_pool = np.zeros((1, 1, 3, 2 * len(patterns) + 1))
-    x_pool[0, 0, :2, :-1] = np.where(kept, 1.0, -1.0)
-    pooled = nn.block_max(x_pool[..., :2, :-1], 2)
-    dx = nn._unpool(patterns.reshape(1, 1, 1, -1), x_pool, pooled, 2)
-    expect_pool = np.zeros(x_pool.shape)
+    # Maxpool: a finite conv output with the same kept cells, as the conv
+    # writes it, one (f, n, hp, wp) slab per cell of the 2x2 blocks, and
+    # the patterns as the pooled gradient.  The conv backward scatters the
+    # routed slabs back to the maps, with a trailing row and column the
+    # pool cropped.
+    signs = np.where(kept, 1.0, -1.0)
+    x_pool = np.stack([signs[a::2, b::2] for a in range(2) for b in range(2)]).reshape(1, 4, 1, 1, -1)
+    dx = np.empty(x_pool.shape)
+    best = nn._fold_max(nn._slabs(x_pool))
+    nn._route(patterns.reshape(1, 1, 1, -1), nn._slabs(x_pool), nn._slabs(dx), best)
+    maps = nn._unslab(dx, 2, 3, 2 * len(patterns) + 1)
+    expect_pool = np.zeros((1, 1, 3, 2 * len(patterns) + 1))
     expect_pool[0, 0, :2, :-1] = expect
-    assert dx.view(np.int64).tolist() == expect_pool.view(np.int64).tolist()
+    assert maps.view(np.int64).tolist() == expect_pool.view(np.int64).tolist()
 
 
 def test_stacked_amplify_mp_equals_per_client():

@@ -106,6 +106,15 @@ CASES = {
         "defense.amplifier": "xai",
         "attack.kind": "dba",
     },
+    # a 1x1 maxpool: the conv still writes one cell-major slab, which the
+    # pool folds and the backward scatters back to the maps
+    "conv-fang-xai-pool1": {
+        **CONV,
+        "model.pool": 1,
+        "defense.family": "fang",
+        "defense.amplifier": "xai",
+        "attack.kind": "dba",
+    },
     # unequal shards [7, 5, 10, 4, 8, 10, 2, 8]: train_all stacks clients
     # that do not sit in consecutive rows
     "skew-disteuc-mp-lflip-gasc": {
@@ -146,6 +155,13 @@ GOLDEN = {
         "attacked/rounds.csv": "c21b483b70b3fd1b6247e8c24c62d9e9b6433717889692f8083388ad0a3b454e",
         "attacked/decisions.csv": "03c0e8b71c8765f963b64b9430f52e658b37aa210905a3045a100120512dddef",
         "metrics.csv": "f4d7f33e7f4a2c9ee688bb2671ebfaa5f27002121a9a0fcbc2cf547fa1cabdc4",
+    },
+    "conv-fang-xai-pool1": {
+        "clean/rounds.csv": "fc4f1159ca6d024cd67f517b3b11b03d9e38a0e10410ff28ec0a011716dafeaf",
+        "clean/decisions.csv": "c870e48446e63fee103a13c52fdeb08fce0a3797d08da2f44d3f8b224f76c516",
+        "attacked/rounds.csv": "a7870e1bd987016610a0d3e794ccceadcf7aa3913ab7ffe3cee7afc18f170279",
+        "attacked/decisions.csv": "a8b91256d072cd309cc0dcd4f9beae68df84cf5ad31fa378e4c9996ccdffbd86",
+        "metrics.csv": "088b0559089d78e8c0817e54040bceea7c10d0f653192bc476d72ddfbd36d48f",
     },
     "conv-fltrust-xai-dba": {
         "clean/rounds.csv": "aa560d05955e6b5c0e0565d322ae7041840a8901d4b10514d37fa0a0c4448d68",

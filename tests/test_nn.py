@@ -55,11 +55,11 @@ def pooled_region(cell_major, k):
 
 
 def conv_maps(model, trace, i):
-    """``trace.inputs[i]``, a ``conv_model``'s conv (i = 1) or relu (i = 2)
-    output, as (n, f, ho', wo') maps: the whole output with pool 1, else
-    the region the pool reads."""
-    k = model.layers[2].pool
-    return trace.inputs[i] if k == 1 else pooled_region(trace.inputs[i], k)
+    """``trace.inputs[i]``, the cell-major output of the conv (i = 1) or of
+    a relu before its pool, as the (n, f, ho', wo') maps the pool reads:
+    the whole output with pool 1."""
+    k = next(layer.pool for layer in model.layers if layer.kind == "maxpool")
+    return pooled_region(trace.inputs[i], k)
 
 
 def rel_err(analytic, numeric):
@@ -187,10 +187,17 @@ def test_perfect_predictions_give_zero_gradient():
     assert np.array_equal(grads.to_vector(), np.zeros(model.theta.size))
 
 
+def identity_conv():
+    """A 1x1 conv with weight 1 and bias 0: its output is its one-channel
+    input, so the pool behind it reads the input itself."""
+    return nn.Layer("conv", np.ones((1, 1, 1, 1)), np.zeros(1))
+
+
 def test_maxpool_drops_trailing_cells():
     # 5x5 input, pool 2: output is 2x2 and row/col 4 never contribute.
     model = nn.ModelParams(
         [
+            identity_conv(),
             nn.Layer("maxpool", pool=2),
             nn.Layer("dense", np.eye(4), np.zeros(4)),
             nn.Layer("softmax"),
@@ -199,7 +206,7 @@ def test_maxpool_drops_trailing_cells():
     x = np.zeros((1, 1, 5, 5))
     x[0, 0] = np.arange(25).reshape(5, 5)
     trace = nn.forward(model, x)
-    pooled = trace.inputs[1]
+    pooled = trace.inputs[2]
     assert pooled.shape == (1, 1, 2, 2)
     assert np.array_equal(pooled[0, 0], [[6.0, 8.0], [16.0, 18.0]])
 
@@ -229,8 +236,11 @@ def naive_conv_dw(x, d, kh, kw):
 
 
 def conv_head(w, b, rng, flat):
+    """A conv whose pool of 1 hands its whole output, as maps, to a dense
+    layer."""
     return [
         nn.Layer("conv", w, b),
+        nn.Layer("maxpool", pool=1),
         nn.Layer("dense", rng.normal(size=(2, flat)), np.zeros(2)),
         nn.Layer("softmax"),
     ]
@@ -238,8 +248,8 @@ def conv_head(w, b, rng, flat):
 
 def conv_output_grad(model, trace, dlogits):
     """The gradient at a ``conv_head``'s conv output: dlogits times the
-    dense weight, reshaped to the output's maps."""
-    return (dlogits @ model.layers[1].weight).reshape(trace.inputs[1].shape)
+    dense weight, reshaped to the output's maps (the pool of 1's output)."""
+    return (dlogits @ model.layers[2].weight).reshape(trace.inputs[2].shape)
 
 
 def assert_same_bits(got, want):
@@ -258,7 +268,7 @@ def test_conv_kernels_match_naive_loops(kernel):
     x = rng.normal(size=(3, 3, 7, 9))
     w = rng.normal(size=(4, 3, kh, kw))
     b = rng.normal(size=4)
-    out = nn._conv_forward(x, w, b, nn._lower(x, w))
+    out = pooled_region(nn._conv_forward(x, w, b, nn._lower(x, w), 1), 1)
     np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=0.0, atol=1e-12)
 
     flat = out[0].size
@@ -284,7 +294,7 @@ def test_conv_kernels_match_naive_loops(kernel):
     for c, one in enumerate(models):
         layer = one.layers[0]
         one_trace = nn.forward(one, xs[c])
-        conv_out = one_trace.inputs[1]
+        conv_out = conv_maps(one, one_trace, 1)
         np.testing.assert_allclose(
             conv_out, naive_conv(xs[c], layer.weight, layer.bias), rtol=0.0, atol=1e-12
         )
@@ -333,14 +343,16 @@ def test_conv_products_keep_the_bits_of_the_tensordot_formulas(n, c, f, kernel, 
     out = tensordot_conv(x, w, b)
     model = nn.ModelParams(conv_head(w, b, rng, out[0].size))
     trace = nn.forward(model, x)
-    assert_same_bits(trace.inputs[1], out)
+    assert_same_bits(conv_maps(model, trace, 1), out)
 
     dlogits = rng.normal(size=(n, 2))
     grads = nn._backprop(model, trace, dlogits)
     d = conv_output_grad(model, trace, dlogits)
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     assert_same_bits(grads[0][0], np.tensordot(d, win, axes=((0, 2, 3), (0, 2, 3))))
-    assert_same_bits(grads[0][1], d.sum(axis=(0, 2, 3)))
+    # the bias sums each filter's (n, ho, wo) gradient, f-major as the
+    # conv backward scatters the pool's slabs
+    assert_same_bits(grads[0][1], np.ascontiguousarray(d.swapaxes(0, 1)).sum(axis=(1, 2, 3)))
 
 
 def test_a_pre_lowered_batch_keeps_the_bits_of_forward_and_backward():
@@ -407,9 +419,10 @@ def test_maxpool_matches_naive_loops_on_ties_and_nan():
     pooled_ref, _ = naive_pool(x, k)
     assert np.sum(pooled_ref == 0.0) >= 1 and np.sum(np.isnan(pooled_ref)) == 1
 
-    model = nn.ModelParams([nn.Layer("maxpool", pool=k), nn.Layer("softmax")])
-    trace = nn.forward(model, x)
-    np.testing.assert_array_equal(trace.inputs[1], pooled_ref)
+    # each of the 2 x 3 maps a one-channel sample of the identity conv
+    model = nn.ModelParams([identity_conv(), nn.Layer("maxpool", pool=k), nn.Layer("softmax")])
+    trace = nn.forward(model, x.reshape(6, 1, 11, 10))
+    np.testing.assert_array_equal(trace.inputs[2].reshape(pooled_ref.shape), pooled_ref)
 
 
 def test_the_relu_zero_operand_keeps_the_bits_of_the_scalar():
@@ -614,7 +627,7 @@ def test_model_validation():
     with pytest.raises(ConfigError, match="got one at layer 2"):
         nn.ModelParams(
             [
-                nn.Layer("maxpool", pool=1),
+                nn.Layer("relu"),
                 nn.Layer("relu"),
                 nn.Layer("conv", np.zeros((1, 1, 2, 2)), np.zeros(1)),
                 nn.Layer("softmax"),
@@ -622,6 +635,23 @@ def test_model_validation():
         )
     with pytest.raises(ConfigError):
         nn.ModelParams([nn.Layer("blur"), nn.Layer("softmax")])
+    # A maxpool exists only as the pool the conv reaches through relus
+    # alone: the forward folds the conv's cell-major slabs and nothing else.
+    conv = nn.Layer("conv", np.zeros((1, 1, 2, 2)), np.zeros(1))
+    dense = nn.Layer("dense", np.eye(2), np.zeros(2))
+    for layers, message in (
+        ([nn.Layer("relu"), nn.Layer("maxpool"), nn.Layer("softmax")], "maxpool must follow the conv"),
+        ([conv, nn.Layer("relu"), dense, nn.Layer("softmax")], "reach a maxpool .* got dense at layer 2"),
+        ([conv, dense, nn.Layer("maxpool"), nn.Layer("softmax")], "reach a maxpool .* got dense at layer 1"),
+        (
+            [conv, nn.Layer("relu"), nn.Layer("maxpool"), nn.Layer("maxpool"), nn.Layer("softmax")],
+            "maxpool must follow the conv through relus alone, got one at layer 3",
+        ),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            nn.ModelParams(layers)
+    with pytest.raises(ConfigError, match="only a conv model lowers its batch, got a dense first layer"):
+        nn.lower(nn.mlp_model(4, 3, 2, seed=0), np.zeros((2, 4)))
 
 
 def test_vector_round_trip():
@@ -826,7 +856,7 @@ def test_a_conv_model_past_the_row_gate_trains_half_its_stacks_on_the_worker(
     # 1x64x64 input, 8 filters, 10 classes: 80 conv and 76,890 dense
     # parameters reach STACK_FLOATS, so each client is a stack of its own,
     # and SPLIT_FLOATS, so the second trains on the worker, through the
-    # private kernels alone (the maxpool backward's block_keep included).
+    # private kernels alone (the maxpool's slab fold and routing included).
     model = nn.conv_model((1, 64, 64), 10, seed=49)
     assert model.theta.size >= max(nn.STACK_FLOATS, nn.runtime.SPLIT_FLOATS)
     shards = _shards(rng_stream(50), (1, 64, 64), (5, 5), 10)

@@ -134,3 +134,13 @@ def test_the_conv_column_order_is_decided_in_nn_alone():
             lowerings += _named_in(tree, path.stem, "_lower", owner="nn")
     assert windows == ["nn._lower"]
     assert lowerings == ["harness._prepare"]
+
+
+def test_only_the_patch_max_folds_strided_cells():
+    # A maxpool exists only as the conv's pool and folds the conv's
+    # cell-major slabs, so the strided cell views serve the patch max
+    # alone: no second pool path may grow back.
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        callers += _named_in(ast.parse(path.read_text()), path.stem, "_cell_views")
+    assert sorted(callers) == ["nn.block_keep", "nn.block_max"]
