@@ -20,17 +20,18 @@ shapes taken from the model layout:
     bias           (1, len)
 
 It runs on client stacks: each panel's stack is a strided (m, h, w) view
-of the update matrix, all N clients at once for small panels and
-cache-sized groups for large ones, so nothing is copied to stack it.  The
-compact view is ``nn.block_max`` of the stack, on a ceil grid.  The
-restored view keeps, per block, only the entry ``nn.block_keep`` marks,
-by the tie and NaN rule of the maxpool layer (see the ``nn`` docstring):
-one integer product of the stack's bits with the mask writes the kept
-entries' bits, and +0.0 elsewhere, straight into the stack's rows of the
-output.
-Both views run in one loop over the stacks on the calling thread (split
-across the runtime worker, the restore ran no faster) and write into one
-preallocated (N, L) matrix.
+of the update matrix, so nothing is copied to stack it.  One list of
+stacks (``nn._stacks``) serves every panel: all N clients at once when
+the largest panel is small, cache-sized groups when it is large, and a
+few clients a stack on rows long enough to split.  The compact view is
+``nn.block_max`` of the stack, on a ceil grid.  The restored view keeps,
+per block, only the entry ``nn.block_keep`` marks, by the tie and NaN
+rule of the maxpool layer (see the ``nn`` docstring): one integer
+product of the stack's bits with the mask writes the kept entries' bits,
+and +0.0 elsewhere, straight into the stack's rows of the output.
+Both views run in one loop over the stacks and write into one
+preallocated (N, L) matrix; ``runtime.split`` may run the upper half of
+the stacks on its worker (the contract is in the ``runtime`` docstring).
 
 The class-activation route scores each conv filter by its Grad-CAM
 weight, the spatial mean of d y / d A^k (y = batch-summed true-class
@@ -50,7 +51,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from . import nn
+from . import nn, runtime
 
 AMPLIFIER_KINDS = ("none", "mp", "xai")
 
@@ -91,38 +92,48 @@ def amplify_mp(rows: np.ndarray, model: nn.ModelParams, config: AmplifierConfig)
     """Max-filter each 2-D panel of each update row and concatenate.
 
     ``rows`` is the (N, P) update matrix; the panels come from ``model``'s
-    layout.  Each panel is filtered per stack of clients (cache-sized
-    groups), read as a strided view of ``rows``, into one (N, L) result.
+    layout.  Each panel is filtered per client stack (``nn._stacks``, sized
+    by the largest panel), read as a strided view of ``rows``, into one
+    (N, L) result.  ``runtime.split`` may filter the upper half of the
+    stacks on its worker, through ``nn``'s private kernels; each stack
+    writes only its own rows, so every bit is that of a serial call.
     """
     n, k = len(rows), config.kernel
-    panels = []  # (panel rows, panel cols, offset in the row, grid rows, grid cols)
-    size = 0
+    panels = []  # (rows, cols, offset in the row, offset in the view, grid rows, grid cols)
+    size = length = 0
     for layer in model.layers:
         for slot, arr in enumerate((layer.weight, layer.bias)):
             if arr is not None:
                 if slot == 0 or config.include_bias:
                     h = arr.shape[0] if slot == 0 else 1
                     w = arr.size // h
-                    panels.append((h, w, size, math.ceil(h / k), math.ceil(w / k)))
+                    ho, wo = math.ceil(h / k), math.ceil(w / k)
+                    panels.append((h, w, size, length, ho, wo))
+                    length += ho * wo
                 size += arr.size
     if config.restore_size:
         # the panels write every entry unless the biases are left out
         out = np.empty((n, size)) if config.include_bias else np.zeros((n, size))
     else:
-        out = np.empty((n, sum(ho * wo for *_, ho, wo in panels)))
-    pos = 0
-    for h, w, offset, ho, wo in panels:
-        m = max(1, min(n, nn.STACK_FLOATS // (h * w)))  # clients per stack
-        x = rows[:, offset : offset + h * w].reshape(n, h, w)
-        for c0 in range(0, n, m):
-            part = x[c0 : c0 + m]
-            if config.restore_size:
-                keep = nn.block_keep(part, nn.block_max(part, k), k)
-                kept = out[c0 : c0 + m, offset : offset + h * w].reshape(-1, h, w)
-                np.multiply(part.view(np.int64), keep, out=kept.view(np.int64))
-            else:
-                nn.block_max(part, k, out[c0 : c0 + m, pos : pos + ho * wo].reshape(-1, ho, wo))
-        pos += ho * wo
+        out = np.empty((n, length))
+    stacks = nn._stacks(n, max((h * w for h, w, *_ in panels), default=1), size)
+
+    def views(lo: int, hi: int) -> None:
+        """Stacks lo .. hi - 1 of every panel into their rows of ``out``;
+        the calling thread's half is the one from 0."""
+        fold, keep = (nn.block_max, nn.block_keep) if lo == 0 else (nn._block_max, nn._block_keep)
+        for h, w, offset, pos, ho, wo in panels:
+            x = rows[:, offset : offset + h * w].reshape(n, h, w)
+            for s in stacks[lo:hi]:
+                part = x[s]
+                if config.restore_size:
+                    mask = keep(part, fold(part, k), k)
+                    kept = out[s, offset : offset + h * w].reshape(-1, h, w)
+                    np.multiply(part.view(np.int64), mask, out=kept.view(np.int64))
+                else:
+                    fold(part, k, out[s, pos : pos + ho * wo].reshape(-1, ho, wo))
+
+    runtime.split(len(stacks), views, size)
     return out
 
 

@@ -72,15 +72,15 @@ Conventions:
     trained weights.  ``mean_grads`` averages rows by an ascending left
     fold; the fang probes in ``aggregate`` sum the same fold from a
     running prefix instead of calling it.
-  * ``forward``, ``backward``, ``lower`` and ``local_train`` are
-    one-line wrappers over the kernels ``_forward``, ``_backward``,
-    ``_lower`` and ``_local_train``, which call no public name
+  * ``forward``, ``backward``, ``lower``, ``local_train``, ``block_max``
+    and ``block_keep`` are one-line wrappers over the kernels
+    ``_forward``, ``_backward``, ``_lower``, ``_local_train``,
+    ``_block_max`` and ``_block_keep``, which call no public name
     (``_local_train`` calls the forward and gradient steps it is handed).
-    The benchmark traces the public names from one thread, so the two
-    jobs ``runtime.split`` may hand the worker (see the ``runtime``
-    docstring) call the kernels.  ``block_max`` and ``block_keep`` are
-    the patch max's names for the fold, which the kernels call directly.
-    ``_loss_value``, whose one caller is the probes, has no public name.
+    The benchmark traces the public names from one thread, so the jobs
+    ``runtime.split`` may hand the worker (see the ``runtime`` docstring)
+    call the kernels.  ``_loss_value``, whose one caller is the probes,
+    has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
@@ -89,11 +89,12 @@ Conventions:
     built for the whole call in one ``round_streams`` pass.  It is the one
     training path: a round's honest rows, the cohort's rows on its
     poisoned shards and the fltrust reference come from one call.  It
-    trains its shards in stacks of equal shard size, each at least one
-    client and at most ``STACK_FLOATS`` floats of parameters and batch
-    traces (the cap the patch max also uses), and hands them to
-    ``runtime.split``: a worker half trains through ``_local_train``, the
-    calling thread's through ``local_train``.
+    trains its shards in stacks of equal shard size, cut by ``_stacks``
+    as the patch max cuts its panels: at most ``STACK_FLOATS`` floats of
+    parameters and batch traces, or, on rows long enough to split, an
+    even count of stacks of at most ``SPLIT_STACK`` clients.  It hands
+    them to ``runtime.split``: a worker half trains through
+    ``_local_train``, the calling thread's through ``local_train``.
   * ``GradientSet`` is what ``backward`` returns: per-layer gradients,
     views of one flat buffer.  ``GradientSet.to_vector`` and ``.plus`` have
     no caller in the package; they remain only because the benchmark's
@@ -122,13 +123,25 @@ from .seeding import round_streams
 
 LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
 
-# Most floats in one client stack (a stack holds at least one client), so
-# it stays in cache across its passes: the patch max stacks panels of the
-# update rows, and local training stacks models with their batch traces.
+# Most floats in one client stack of rows shorter than runtime.SPLIT_FLOATS
+# (a stack holds at least one client), so it stays in cache across its
+# passes: the patch max stacks panels of the update rows, and local
+# training stacks models with their batch traces.
 # On a core with 2 MiB of L2, stacking all 50 clients of a 105k-parameter
 # model made the compact patch max 3-4x slower; stacking all 10 clients of
 # the 683-parameter conv model raised a run's peak RSS by about 15%.
 STACK_FLOATS = 1 << 16
+
+# Most clients in one stack of rows of at least runtime.SPLIT_FLOATS
+# floats, which split across two threads.  A numpy call of 15-20 us does
+# not overlap with the other thread's, so each half needs stacks of
+# several clients, but too many fall out of cache.  The restored patch
+# max of a 784 -> 128 -> 3 MLP's rows (2-vCPU VM) took, at N = 10: 7.2-8.5
+# ms serial; split, 7.3-7.4 ms in one-client stacks, 5.4-6.5 in 2-client,
+# 4.7-5.4 in 3-client and 4.0-4.8 in 5-client stacks.  At N = 50: 43-49
+# ms serial; split, 40-47 ms in one-client stacks, 25-28 in 5-client and
+# 29-30 in one 25-client stack a half.
+SPLIT_STACK = 5
 
 
 @dataclass
@@ -461,21 +474,29 @@ def _first_hits(cells: list[np.ndarray], best: np.ndarray):
         yield hit
 
 
+def _block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    return _fold_max(_cell_views(x, k), out)
+
+
+def _block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
+    keep = np.empty(x.shape, dtype=bool)
+    for dest, hit in zip(_cell_views(keep, k), _first_hits(_cell_views(x, k), best)):
+        dest[...] = hit
+    return keep
+
+
 def block_max(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Maximum of each k*k block over the last two axes, shape
     (..., ceil(h/k), ceil(w/k)), written into ``out`` when given: the fold
     of x's strided cells."""
-    return _fold_max(_cell_views(x, k), out)
+    return _block_max(x, k, out)
 
 
 def block_keep(x: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
     """Bool mask shaped like ``x`` marking each k*k block's kept entry: its
     first cell in row-major order that equals ``best`` (the block's
     ``block_max``) or is NaN."""
-    keep = np.empty(x.shape, dtype=bool)
-    for dest, hit in zip(_cell_views(keep, k), _first_hits(_cell_views(x, k), best)):
-        dest[...] = hit
-    return keep
+    return _block_keep(x, best, k)
 
 
 def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
@@ -762,6 +783,21 @@ def _trace_floats(model: ModelParams, shape: tuple[int, ...]) -> int:
     return total + math.prod(shape)
 
 
+def _stacks(n: int, floats: int, size: int) -> list[slice]:
+    """Client stacks over clients 0 .. n - 1, as consecutive slices, for
+    rows of ``size`` floats of which a stack holds ``floats`` a client.
+    Rows of at least ``runtime.SPLIT_FLOATS`` floats make an even number of
+    near-equal stacks of at most ``SPLIT_STACK`` clients (one for a lone
+    client), so that each half ``runtime.split`` runs gets as many;
+    shorter rows make stacks of at most ``STACK_FLOATS`` floats, the last
+    one short.  Every stack holds at least one client."""
+    if size >= runtime.SPLIT_FLOATS:
+        count = min(n, 2 * math.ceil(n / (2 * SPLIT_STACK)))
+        return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+    per = max(1, STACK_FLOATS // floats)
+    return [slice(s, min(s + per, n)) for s in range(0, n, per)]
+
+
 @dataclass(frozen=True)
 class LocalTraining:
     """A run's one client-training recipe, with one method: ``train_all``
@@ -791,11 +827,16 @@ class LocalTraining:
         they are.  The call's streams come from one ``round_streams`` pass,
         and each stack takes its clients' slice.
 
-        Clients with equal shard sizes train together, in stacks of at
-        least one client and at most ``STACK_FLOATS`` floats.  A client
-        takes its P parameters plus the forward trace of one batch: on a
-        conv model the trace, not the parameters, is most of what a step
-        holds, and stacking it raised peak RSS and page faults.
+        Clients with equal shard sizes train together, in the stacks
+        ``_stacks`` cuts.  Below ``runtime.SPLIT_FLOATS`` parameters a
+        stack holds at most ``STACK_FLOATS`` floats, where a client takes
+        its P parameters plus the forward trace of one batch: on a conv
+        model the trace, not the parameters, is most of what a step holds,
+        and stacking it raised peak RSS and page faults.  Past that gate
+        each split half trains whole stacks of up to ``SPLIT_STACK``
+        clients: on the 100,867-parameter MLP's 10 clients (2-vCPU VM) a
+        call took 8.1-8.5 ms split in one-client stacks, 6.6-7.1 ms in
+        2-client stacks and 5.8-6.3 ms in one 5-client stack a half.
 
         ``runtime.split`` may train the upper half of the stacks on its
         worker (the contract is in the ``runtime`` docstring), through
@@ -813,8 +854,8 @@ class LocalTraining:
         stacks = []
         for n, members in groups.items():
             trace = min(self.batch_size, n) * _trace_floats(model, shards[members[0]].feature_shape)
-            per_stack = max(1, STACK_FLOATS // (model.theta.size + trace))
-            stacks += [members[s : s + per_stack] for s in range(0, len(members), per_stack)]
+            size = model.theta.size
+            stacks += [members[s] for s in _stacks(len(members), size + trace, size)]
 
         def train(lo: int, hi: int) -> None:
             """Stacks lo .. hi - 1 into their rows of ``out``; the calling

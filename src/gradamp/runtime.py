@@ -26,22 +26,33 @@ library callers keep their own heap and thread count, and run serially
 
 The worker contract.  ``split(n, job, size)`` hands the worker the upper
 half of a job over n clients or client stacks whose rows hold ``size``
-floats, and runs the lower half on this thread.  There are two jobs:
+floats, and runs the lower half on this thread.  There are three jobs:
 
 - the fang screen's leave-one-out probes (``aggregate.fang_whitelist``),
   which took about 8% off a 100,867-parameter MLP pair;
 - a round's client training stacks (``nn.LocalTraining.train_all``),
-  which took about 10% more off that pair's raw time.
+  which took about 10% more off that pair's raw time;
+- the patch max's client stacks (``amplify.amplify_mp``): the restored
+  view of that model's 10 updates went from 8.7 to 5.8 ms on a 2-vCPU VM.
 
 The gate is the row size: rows shorter than ``SPLIT_FLOATS`` run inline,
 since on the 683-parameter conv model a split probe screen saved no time
-and raised peak memory about 6%.  The worker half runs in a copy of the
-caller's ``contextvars`` context, so it sees the caller's ``np.errstate``:
-a caller sets the error state once, around the split.  The jobs call
-numpy and ``nn``'s private kernels only, so every public gradamp function
-still runs on the main thread, and they move work, not numbers: each
-client's result is the same operations on the same values.  Split, the
-restored patch max ran no faster, so it is not a job.
+and raised peak memory about 6%.  Rows past the gate split as stacks of
+several clients (``nn._stacks``), an even count of them, so each half
+gets as many: a numpy call of some 10-20 us hardly overlaps with the
+other thread's.  360 ``np.maximum`` calls on strided 43x262 cells took
+3.4-3.5 ms serial and 3.0-3.2 ms split, the same op on 240k-float
+arrays ran 1.7-1.9x faster split, and a 100,867-float row in one-client
+stacks is a chain of such short calls: about 51 a client in the
+restore, which split ran no faster, and training halves that slowed
+each other about 1.4x.
+
+The worker half runs in a copy of the caller's ``contextvars`` context,
+so it sees the caller's ``np.errstate``: a caller sets the error state
+once, around the split.  The jobs call numpy and ``nn``'s private kernels
+only, so every public gradamp function still runs on the main thread,
+and they move work, not numbers: each client's result is the same
+operations on the same values.
 """
 
 from __future__ import annotations

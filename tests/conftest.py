@@ -57,10 +57,10 @@ def fold_worker(monkeypatch):
 def wide_fang_pair():
     """A pair's settings: fang on the restored patch max of a 784 -> 128 ->
     3 MLP (100,867 parameters), whose rows reach ``runtime.SPLIT_FLOATS``, so
-    the upper half of each screen's probes and of each round's four
-    one-client training stacks goes to the worker when there is one; the
-    restored patch max, four one-client stacks in its first weight panel,
-    stays on the main thread."""
+    the upper half of each screen's probes, of each round's four
+    one-client training stacks (two shard sizes of two clients each) and
+    of the restored patch max's two two-client stacks goes to the worker
+    when there is one."""
     return {
         "dataset.dim": 784,
         "dataset.per_class": 60,

@@ -2,6 +2,7 @@
 oracle, restoration placement, and the activation-guided filter route."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -339,6 +340,54 @@ def test_stacked_amplify_mp_equals_per_client():
                         assert row.tobytes() == alone.tobytes()
                     wrapped = amplify(grads, cfg, model)
                     assert [a.original_size for a in wrapped] == [size] * len(grads)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_a_split_restore_writes_the_bits_of_a_serial_one(monkeypatch, fold_worker, n, k):
+    # A 509 -> 130 -> 3 MLP: 66,693-float rows reach SPLIT_FLOATS, so two
+    # or more clients split their stacks across the worker, which runs
+    # nn's private kernels.  Both weight panels have ragged edges, the
+    # kernel is taller than the one-row bias panels (k = 4 also wider than
+    # the 3-float one), and each client's first panel holds planted ties,
+    # +-0 blocks, an all -inf block and a block whose first NaN is
+    # signalling, before a quiet one.
+    model = nn.mlp_model(509, 130, 3, seed=54)
+    assert model.theta.size >= nn.runtime.SPLIT_FLOATS
+    rng = rng_stream(55)
+    rows = rng.normal(size=(n, model.theta.size))
+    first = nn.ModelParams(model.layers, rows).layers[0].weight  # (n, 130, 509) views
+    first[...] = edge_case_stack(rng, n, 130, 509, k)
+    signalling, quiet = 0x7FF0_0000_0000_0001, 0x7FF8_0000_0000_0ABC
+    for c in range(n):
+        block = first[c, k : 2 * k, k * (c + 3) : k * (c + 4)].view(np.uint64)
+        block.flat[1], block.flat[-1] = signalling, quiet
+        # the last bias panel, one block: +0.0 and -0.0 tie, in either order
+        rows[c, -3:] = [-1.0, 0.0, 0.0]
+        rows[c, -3:].view(np.uint64)[1 + c % 2] = 1 << 63
+    rows[-1, -3:].view(np.uint64)[0] = 0xFFF8_0000_0000_0001  # a negative quiet NaN leads
+    cfg = AmplifierConfig(kind="mp", kernel=k, restore_size=True)
+    with monkeypatch.context() as m:
+        m.setattr(nn.runtime, "worker", lambda: None)
+        serial = amplify_mp(rows, model, cfg)
+    assert fold_worker == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        split = amplify_mp(rows, model, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fold_worker) == (n >= 2)
+    assert split.tobytes() == serial.tobytes()
+    kept = nn.ModelParams(model.layers, split).layers[0].weight
+    for c in range(n):
+        assert kept[c, k : 2 * k, k * (c + 3) : k * (c + 4)].view(np.uint64).flat[1] == signalling
+        assert split[c].tobytes() == amplify_mp(rows[c : c + 1], model, cfg)[0].tobytes()
+    # the bias block keeps its first maximum, the first zero of either sign,
+    # or its NaN
+    for c in range(n - 1):
+        assert list(split[c, -3:].view(np.uint64)) == [0, (1 << 63) * (c % 2 == 0), 0]
+    assert list(split[-1, -3:].view(np.uint64)) == [0xFFF8_0000_0000_0001, 0, 0]
 
 
 def test_a_kernel_past_every_panel_keeps_the_bits_of_the_widest_panel():

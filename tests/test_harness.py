@@ -292,20 +292,26 @@ def test_the_cohort_trains_once_per_attacked_round(tmp_path, monkeypatch, kind, 
     "extra, expect",
     [
         # 5 rounds: the clean twin's 3 and the attacked twin's 2 after the
-        # fork at round 1.  Each splits its 4 one-client training stacks and
-        # its screen's 4 probes; the restored patch max stays on this thread.
-        ({}, {("train", 4): 5, ("probes", 4): 5}),
-        # fltrust's reference trains as a fifth stack, a group of its own
-        ({"defense.family": "fltrust", "trust.size": 20}, {("train", 5): 5}),
-        # in the attacked rounds the craft retrains the cohort [1, 3, 4],
-        # non-consecutive clients, in a second train_all call
+        # fork at round 1.  Each splits its training stacks (two shard
+        # sizes of two clients, so 4 one-client stacks), the restored patch
+        # max's 2 two-client stacks and its screen's 4 probes.
+        ({}, {("train", 4): 5, ("views", 2): 5, ("probes", 4): 5}),
+        # fltrust's reference trains as a fifth stack, a group of its own,
+        # and its one-row patch max is one stack, which runs inline
+        (
+            {"defense.family": "fltrust", "trust.size": 20},
+            {("train", 5): 5, ("views", 2): 5, ("views", 1): 5},
+        ),
+        # 6 equal shards train as 2 three-client stacks; in the attacked
+        # rounds the craft retrains the cohort [1, 3, 4], non-consecutive
+        # clients, as stacks [1] and [3, 4] in a second train_all call
         (
             {
                 "federation.clients": 6,
                 "attack.kind": "l-flip+g-asc",
                 "attack.malicious_fraction": 0.5,
             },
-            {("train", 6): 5, ("train", 3): 2, ("probes", 6): 5},
+            {("train", 2): 7, ("views", 2): 5, ("probes", 6): 5},
         ),
     ],
     ids=["fang", "fltrust", "l-flip+g-asc"],
@@ -328,7 +334,8 @@ def test_a_worker_folded_pair_writes_the_bytes_of_a_serial_one(
     monkeypatch.setattr(harness.runtime, "split", counted)
     run_pair(cfg, str(tmp_path / "worker"))
     assert jobs == expect
-    assert len(fold_worker) == sum(expect.values())
+    # every split of two or more items hands its upper half to the worker
+    assert len(fold_worker) == sum(c for (_, n), c in expect.items() if n >= 2)
     assert threading.main_thread() not in fold_worker
     assert pair_bytes(tmp_path / "serial") == pair_bytes(tmp_path / "worker")
 

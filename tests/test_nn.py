@@ -854,8 +854,8 @@ def test_a_conv_model_past_the_row_gate_trains_half_its_stacks_on_the_worker(
     monkeypatch, fold_worker
 ):
     # 1x64x64 input, 8 filters, 10 classes: 80 conv and 76,890 dense
-    # parameters reach STACK_FLOATS, so each client is a stack of its own,
-    # and SPLIT_FLOATS, so the second trains on the worker, through the
+    # parameters reach SPLIT_FLOATS, so the two clients make an even count
+    # of stacks, one each, and the second trains on the worker, through the
     # private kernels alone (the maxpool's slab fold and routing included).
     model = nn.conv_model((1, 64, 64), 10, seed=49)
     assert model.theta.size >= max(nn.STACK_FLOATS, nn.runtime.SPLIT_FLOATS)

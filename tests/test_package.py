@@ -109,8 +109,8 @@ def _named_in(tree, prefix, name, owner=None):
 def test_split_owns_the_worker_and_the_stack_cap_only_sizes_stacks():
     # The worker contract lives in runtime: only split hands the worker a
     # job, and the row-size gate is its SPLIT_FLOATS.  STACK_FLOATS caps
-    # how many floats a client stack holds, so only the two modules that
-    # build stacks name it.
+    # how many floats a client stack holds, so only nn, whose _stacks
+    # builds the stacks of training and of the patch max, names it.
     worker, stack_cap = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -118,7 +118,7 @@ def test_split_owns_the_worker_and_the_stack_cap_only_sizes_stacks():
         if _named_in(tree, path.stem, "STACK_FLOATS"):
             stack_cap.add(path.stem)
     assert sorted(set(worker)) == ["runtime.split"]
-    assert stack_cap == {"amplify", "nn"}
+    assert stack_cap == {"nn"}
 
 
 def test_the_conv_column_order_is_decided_in_nn_alone():
@@ -143,4 +143,4 @@ def test_only_the_patch_max_folds_strided_cells():
     callers = []
     for path in sorted(SRC.glob("*.py")):
         callers += _named_in(ast.parse(path.read_text()), path.stem, "_cell_views")
-    assert sorted(callers) == ["nn.block_keep", "nn.block_max"]
+    assert sorted(callers) == ["nn._block_keep", "nn._block_max"]

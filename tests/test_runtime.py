@@ -1,6 +1,7 @@
 """``runtime.split``: which jobs it splits, which halves run where, what
-error state the worker half sees, and how an exception in either half
-reaches the caller."""
+error state the worker half sees, how an exception in either half
+reaches the caller, and the client stacks its two jobs over client rows
+build at the benchmark's shapes."""
 
 import threading
 import time
@@ -8,7 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from gradamp import runtime
+from gradamp import nn, runtime
+from gradamp.amplify import AmplifierConfig, amplify_mp
+from gradamp.data import Dataset
+from gradamp.seeding import rng_stream
 
 
 def recording(calls, fail=None, slow=None, done=None):
@@ -117,3 +121,67 @@ def test_the_worker_half_runs_under_the_callers_error_state(fold_worker):
         runtime.split(2, job, WIDE)
     assert seen == {0: want, 1: want}
     assert len(fold_worker) == 1 and threading.main_thread() not in fold_worker
+
+
+# The benchmark's three shapes (perfbench/workloads): the model, its input
+# shape, its clients and their equal shard size; then the clients per
+# stack of each train_all call and of each amplify_mp panel.
+BENCH_SHAPES = {
+    # a conv step's batch trace, not its 683 parameters, fills STACK_FLOATS;
+    # its patch-max panels are small enough to hold all 10 clients
+    "conv": (nn.conv_model((1, 12, 12), 3, seed=0), (1, 12, 12), 10, 30, [1] * 10, [10]),
+    "mlp50": (nn.mlp_model(20, 16, 3, seed=0), (20,), 50, 12, [50], [50]),
+    # 100,867-float rows reach SPLIT_FLOATS: one stack a split half
+    "mlp100k": (nn.mlp_model(784, 128, 3, seed=0), (784,), 10, 30, [5, 5], [5, 5]),
+}
+
+
+def _stacks_seen(monkeypatch, name, size_of):
+    """Rebind the ``nn`` kernel ``name``, which both threads reach (the
+    main one through its public wrapper), to record per call the stack's
+    client count and whether it ran on the main thread."""
+    seen = []
+    kernel = getattr(nn, name)
+
+    def recorded(*args, **kwargs):
+        seen.append((size_of(args), threading.current_thread() is threading.main_thread()))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(nn, name, recorded)
+    return seen
+
+
+def _placed(stacks, split):
+    """(clients, on the main thread) per stack: the upper half goes to the
+    worker when the rows split."""
+    half = len(stacks) // 2 if split else len(stacks)
+    return sorted((m, i < half) for i, m in enumerate(stacks))
+
+
+@pytest.mark.parametrize("with_worker", [False, True], ids=["serial", "worker"])
+@pytest.mark.parametrize("shape", list(BENCH_SHAPES))
+def test_the_stack_table_at_the_benchmark_shapes(request, monkeypatch, shape, with_worker):
+    # Pinned so that a change of either cap cannot move a workload's stacks
+    # (and with them the conv path's peak RSS) unseen.
+    model, shape_in, clients, samples, train_stacks, panel_stacks = BENCH_SHAPES[shape]
+    if with_worker:
+        workers = request.getfixturevalue("fold_worker")
+    else:
+        workers = []
+        monkeypatch.setattr(runtime, "worker", lambda: None)
+    split = with_worker and model.theta.size >= runtime.SPLIT_FLOATS
+    rng = rng_stream(60)
+    shards = [
+        Dataset(rng.normal(size=(samples, *shape_in)), rng.integers(0, 3, size=samples), 3)
+        for _ in range(clients)
+    ]
+    trained = _stacks_seen(monkeypatch, "_local_train", lambda a: len(a[6]))
+    out = np.empty((clients, model.theta.size))
+    nn.LocalTraining(epochs=1, batch_size=64, lr=0.03, seed=61).train_all(model, shards, 0, out)
+    assert sorted(trained) == _placed(train_stacks, split)
+
+    filtered = _stacks_seen(monkeypatch, "_block_max", lambda a: len(a[0]))
+    amplify_mp(out, model, AmplifierConfig(kind="mp", restore_size=True))
+    # each model has 4 panels: two weights and two biases
+    assert sorted(filtered) == sorted(_placed(panel_stacks, split) * 4)
+    assert len(workers) == 2 * split
