@@ -39,17 +39,19 @@ Kernels:
     matrix: dense and conv are stacked ``matmul``s, and relu, maxpool and
     softmax work over the leading axes.  Each client's numbers are the
     bits of its own one-model run.
-  * One block fold serves the maxpool and the patch-max amplifier.
+  * The maxpool and the patch-max amplifier keep one running maximum:
     ``_fold_max`` is the running ``np.maximum`` of a block's k*k cells in
     row-major order, so a NaN block reduces to its first NaN;
     ``_first_hits`` marks, cell by cell, the blocks whose kept entry the
     cell holds: the first maximum or the first NaN (``argmax``'s rule,
-    which decides the all-zero blocks after a relu).  The maxpool folds
-    the conv's slabs and hands on the C-contiguous (..., n, f, hp, wp)
-    pooled maps: on the benchmark's conv model (8 filters, 10x10 maps,
-    100 samples) the conv, relu and maxpool of a forward took 111 us over
-    strided 5-wide cells and 61 us over contiguous slabs.  The patch max
-    (``block_max``, ``block_keep``) folds the strided cells
+    which decides the all-zero blocks after a relu).  The maxpool
+    (``_pool``) reduces the conv output's cell axis in one
+    ``np.maximum.reduce``, the fold's maximum bit for bit, and hands on
+    the C-contiguous (..., n, f, hp, wp) pooled maps: on the benchmark's
+    conv model (8 filters, 10x10 maps, 100 samples) the pool and its
+    transposing copy took 53-56 us folded slab by slab and 31-33 us as
+    one reduction (2-vCPU VM).  The patch max (``block_max``,
+    ``block_keep``) folds the strided cells
     ``x[..., a::k, b::k]``; on its ceil grid the edge blocks are ragged
     and reduced as-is.  Callers select by a mask's bits: the values'
     int64 view times the bool mask, one ``np.multiply`` into an int64 view
@@ -128,9 +130,15 @@ LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
 # passes: the patch max stacks panels of the update rows, and local
 # training stacks models with their batch traces.
 # On a core with 2 MiB of L2, stacking all 50 clients of a 105k-parameter
-# model made the compact patch max 3-4x slower; stacking all 10 clients of
-# the 683-parameter conv model raised a run's peak RSS by about 15%.
-STACK_FLOATS = 1 << 16
+# model made the compact patch max 3-4x slower.  On the 683-parameter conv
+# model a client takes 59,183 floats (a 30-sample batch's trace), so this
+# cap trains its clients two to a stack.  tracemalloc peaks of one
+# train_all call against one aggregate_round, the fang screen on the xai
+# view (3,043 KB), of the same run:
+#     clients a stack    1      2      3      4
+#     train_all KB     2,040  2,714  4,061  5,408
+# Two stay under the screen's peak; three or four would set the run's.
+STACK_FLOATS = 1 << 17
 
 # Most clients in one stack of rows of at least runtime.SPLIT_FLOATS
 # floats, which split across two threads.  A numpy call of 15-20 us does
@@ -439,7 +447,8 @@ def _cell_views(x: np.ndarray, k: int) -> list[np.ndarray]:
 def _fold_max(cells: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """The running ``np.maximum`` of the cells in order, written into
     ``out`` when given, else into a copy of the first cell.  A smaller
-    (ragged) cell folds into out's leading corner."""
+    (ragged) cell folds into out's leading corner.  It serves the patch
+    max and ``_pool``'s one-entry slabs."""
     if out is None:
         out = cells[0].copy()
     else:
@@ -448,6 +457,19 @@ def _fold_max(cells: list[np.ndarray], out: np.ndarray | None = None) -> np.ndar
         part = out[..., : cell.shape[-2], : cell.shape[-1]]
         np.maximum(part, cell, out=part)
     return out
+
+
+def _pool(x: np.ndarray) -> np.ndarray:
+    """The maxpool of a cell-major conv output (..., f, k*k, n, hp, wp):
+    the pooled slabs (..., f, n, hp, wp), with the bits of ``_fold_max``
+    over the slabs.  One ``np.maximum.reduce`` over the cell axis runs the
+    same running maximum, one slab-long loop a cell.  A one-entry slab
+    (n*hp*wp = 1) would leave the cell axis as the inner loop, which numpy
+    reduces in a SIMD order that keeps other bits on ties of +-0.0 and on
+    NaNs, so it folds."""
+    if math.prod(x.shape[-3:]) == 1:
+        return _fold_max(_slabs(x))
+    return np.maximum.reduce(x, axis=-4)
 
 
 def _first_hits(cells: list[np.ndarray], best: np.ndarray):
@@ -529,7 +551,7 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
             act = _conv_forward(act, layer.weight, layer.bias, cols, pool)
             cols = None  # freed before the relu and maxpool allocate
         elif layer.kind == "maxpool":
-            act = np.ascontiguousarray(_fold_max(_slabs(act)).swapaxes(-4, -3))
+            act = np.ascontiguousarray(_pool(act).swapaxes(-4, -3))
         elif layer.kind == "relu":  # an array operand: the fast loop, the same bits
             zero = np.zeros(act.shape)
             act = np.maximum(act, zero, out=zero)
@@ -831,8 +853,10 @@ class LocalTraining:
         ``_stacks`` cuts.  Below ``runtime.SPLIT_FLOATS`` parameters a
         stack holds at most ``STACK_FLOATS`` floats, where a client takes
         its P parameters plus the forward trace of one batch: on a conv
-        model the trace, not the parameters, is most of what a step holds,
-        and stacking it raised peak RSS and page faults.  Past that gate
+        model the trace, not the parameters, is most of what a step holds.
+        The benchmark conv model's 10 clients train as 5 two-client
+        stacks, half the numpy calls of one-client stacks, and peak below
+        the round's screen (the table at ``STACK_FLOATS``).  Past that gate
         each split half trains whole stacks of up to ``SPLIT_STACK``
         clients: on the 100,867-parameter MLP's 10 clients (2-vCPU VM) a
         call took 8.1-8.5 ms split in one-client stacks, 6.6-7.1 ms in

@@ -71,8 +71,8 @@ CASES = {
         "output.dump_amplified_round": 4,
     },
     # 100,867 parameters: the rows reach runtime.SPLIT_FLOATS, so the fang
-    # probes split across the worker, and nn.STACK_FLOATS, so the first
-    # restored panel takes several client stacks
+    # probes split across the worker and the first restored panel takes
+    # several client stacks of up to nn.SPLIT_STACK clients
     "fang-mp-wide": {
         "dataset.dim": 784,
         "model.hidden": 128,

@@ -425,32 +425,67 @@ def test_maxpool_matches_naive_loops_on_ties_and_nan():
     np.testing.assert_array_equal(trace.inputs[2].reshape(pooled_ref.shape), pooled_ref)
 
 
+# -0.0, quiet and signalling NaNs with payloads, infinities, subnormals
+SPECIAL_BITS = np.array(
+    [
+        0,
+        1 << 63,  # -0.0
+        0x7FF8_0000_0000_0000,  # quiet NaN
+        0xFFF8_0000_0000_0001,  # negative quiet NaN with a payload
+        0x7FF8_DEAD_0000_BEEF,
+        0x7FF0_0000_0000_0001,  # signalling NaN
+        0x7FF4_0000_0000_0ABC,
+        0xFFF0_0000_0000_0123,
+        0x7FF0_0000_0000_0000,  # +inf
+        0xFFF0_0000_0000_0000,  # -inf
+        1,  # the smallest subnormal
+        0x800F_FFFF_FFFF_FFFF,  # the largest negative subnormal
+        0x000F_FFFF_FFFF_FFFF,
+        0x8000_0000_0000_0001,
+    ],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["one", "stack"])
+@pytest.mark.parametrize("slab", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (3, 2, 2), (2, 5, 5)])
+def test_the_pool_reduction_keeps_the_bits_of_the_slab_fold(stack, slab):
+    # The maxpool reduces the conv output's cell axis in one call, which
+    # must keep the bits of the running fold over the slabs on ties of
+    # +-0.0, NaN payloads and infinities.  A one-entry slab (1, 1, 1)
+    # leaves the cell axis innermost, where numpy reduces in another
+    # order, so the pool folds it.  First the kernel on raw cell-major
+    # data, then a forward: an identity conv keeps the quiet NaNs'
+    # payloads (it quiets the signalling ones and turns -0.0 into +0.0).
+    rng = rng_stream(39, len(stack), *slab)
+    n, hp, wp = slab
+    for f in (1, 8):
+        for k in (1, 2, 3):
+            x = rng.choice(SPECIAL_BITS, size=(*stack, f, k * k, *slab))
+            want = nn._fold_max(nn._slabs(x))
+            assert_same_bits(nn._pool(x).view(np.int64), want.view(np.int64))
+
+            conv = nn.Layer("conv", np.ones((f, 1, 1, 1)), np.zeros(f))
+            layers = nn.ModelParams([conv, nn.Layer("maxpool", pool=k), nn.Layer("softmax")]).layers
+            model = nn.ModelParams(layers, np.ones((*stack, 2 * f)))
+            model.theta[..., f:] = 0.0
+            # k - 1 cropped rows and columns
+            batch = rng.choice(SPECIAL_BITS, size=(*stack, n, 1, hp * k + k - 1, wp * k + k - 1))
+            with np.errstate(invalid="ignore"):
+                trace = nn.forward(model, batch)
+            conv_out = trace.inputs[1]
+            assert conv_out.shape == (*stack, f, k * k, *slab)
+            want = np.ascontiguousarray(nn._fold_max(nn._slabs(conv_out)).swapaxes(-4, -3))
+            assert_same_bits(trace.inputs[2].view(np.int64), want.view(np.int64))
+
+
 def test_the_relu_zero_operand_keeps_the_bits_of_the_scalar():
     # The relu maxes against an array of +0.0, not the scalar 0.0, because
     # numpy takes its contiguous loop then.  The two forms must agree on
     # every bit, -0.0, quiet and signalling NaNs with payloads, infinities
     # and subnormals included, at every length up to a few SIMD widths, so
     # a numpy that changes either path fails here.
-    special = np.array(
-        [
-            0,
-            1 << 63,  # -0.0
-            0x7FF8_0000_0000_0000,  # quiet NaN
-            0xFFF8_0000_0000_0001,  # negative quiet NaN with a payload
-            0x7FF8_DEAD_0000_BEEF,
-            0x7FF0_0000_0000_0001,  # signalling NaN
-            0x7FF4_0000_0000_0ABC,
-            0xFFF0_0000_0000_0123,
-            0x7FF0_0000_0000_0000,  # +inf
-            0xFFF0_0000_0000_0000,  # -inf
-            1,  # the smallest subnormal
-            0x800F_FFFF_FFFF_FFFF,  # the largest negative subnormal
-            0x000F_FFFF_FFFF_FFFF,
-            0x8000_0000_0000_0001,
-        ],
-        dtype=np.uint64,
-    ).view(np.float64)
-    x = np.concatenate([special, rng_stream(37).normal(size=1000), special[::-1]])
+    x = np.concatenate([SPECIAL_BITS, rng_stream(37).normal(size=1000), SPECIAL_BITS[::-1]])
     relu = nn.ModelParams([nn.Layer("relu"), nn.Layer("softmax")])
     with np.errstate(invalid="ignore", over="ignore"):
         for n in [*range(1, 41), x.size]:
@@ -801,13 +836,13 @@ def test_train_all_writes_shard_j_into_row_j():
         # two groups, interleaved: length 7 is clients 0, 2, 3, length 9 is 1, 4
         (nn.mlp_model(5, 6, 3, seed=40), (5,), (7, 9, 7, 7, 9), [3, 2]),
         (nn.conv_model((1, 6, 6), 3, seed=41, filters=2), (1, 6, 6), (5, 8, 8, 5), [2, 2]),
-        # P = 18,092 plus a trace of 3 x 664 floats: three clients fill the cap
-        (nn.mlp_model(600, 30, 2, seed=42), (600,), (4, 4, 4, 4, 4, 3), [3, 2, 1]),
-        # the conv trace, not its 38 parameters, fills the cap: 2,524 floats
-        # per sample (2 x 22 x 22 twice), 9 samples a batch, two clients a stack
+        # P = 36,092 plus a trace of 3 x 1,264 floats: three clients fill the cap
+        (nn.mlp_model(1200, 30, 2, seed=42), (1200,), (4, 4, 4, 4, 4, 3), [3, 2, 1]),
+        # the conv trace, not its 38 parameters, fills the cap: 5,264 floats
+        # per sample (2 x 32 x 32 twice), 9 samples a batch, two clients a stack
         (
-            nn.conv_model((1, 24, 24), 2, seed=45, filters=2, pool=11),
-            (1, 24, 24),
+            nn.conv_model((1, 34, 34), 2, seed=45, filters=2, pool=11),
+            (1, 34, 34),
             (9,) * 5,
             [2, 2, 1],
         ),
@@ -853,13 +888,13 @@ def test_stacked_training_equals_one_client_calls(
 def test_a_conv_model_past_the_row_gate_trains_half_its_stacks_on_the_worker(
     monkeypatch, fold_worker
 ):
-    # 1x64x64 input, 8 filters, 10 classes: 80 conv and 76,890 dense
+    # 1x84x84 input, 8 filters, 10 classes: 80 conv and 134,490 dense
     # parameters reach SPLIT_FLOATS, so the two clients make an even count
     # of stacks, one each, and the second trains on the worker, through the
     # private kernels alone (the maxpool's slab fold and routing included).
-    model = nn.conv_model((1, 64, 64), 10, seed=49)
+    model = nn.conv_model((1, 84, 84), 10, seed=49)
     assert model.theta.size >= max(nn.STACK_FLOATS, nn.runtime.SPLIT_FLOATS)
-    shards = _shards(rng_stream(50), (1, 64, 64), (5, 5), 10)
+    shards = _shards(rng_stream(50), (1, 84, 84), (5, 5), 10)
     train = nn.LocalTraining(epochs=2, batch_size=3, lr=0.1, seed=51)
     serial = np.full((2, model.theta.size), np.nan)
     with monkeypatch.context() as m:

@@ -3,14 +3,17 @@ error state the worker half sees, how an exception in either half
 reaches the caller, and the client stacks its two jobs over client rows
 build at the benchmark's shapes."""
 
+import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gradamp import nn, runtime
+from gradamp import harness, nn, runtime
 from gradamp.amplify import AmplifierConfig, amplify_mp
+from gradamp.config import ExperimentConfig
 from gradamp.data import Dataset
 from gradamp.seeding import rng_stream
 
@@ -33,6 +36,7 @@ def recording(calls, fail=None, slow=None, done=None):
     return job
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIDE = runtime.SPLIT_FLOATS  # the shortest row size a split hands the worker
 
 
@@ -127,9 +131,10 @@ def test_the_worker_half_runs_under_the_callers_error_state(fold_worker):
 # shape, its clients and their equal shard size; then the clients per
 # stack of each train_all call and of each amplify_mp panel.
 BENCH_SHAPES = {
-    # a conv step's batch trace, not its 683 parameters, fills STACK_FLOATS;
-    # its patch-max panels are small enough to hold all 10 clients
-    "conv": (nn.conv_model((1, 12, 12), 3, seed=0), (1, 12, 12), 10, 30, [1] * 10, [10]),
+    # a conv step's batch trace, not its 683 parameters, fills STACK_FLOATS:
+    # 59,183 floats a client, two to a stack; its patch-max panels are
+    # small enough to hold all 10 clients
+    "conv": (nn.conv_model((1, 12, 12), 3, seed=0), (1, 12, 12), 10, 30, [2] * 5, [10]),
     "mlp50": (nn.mlp_model(20, 16, 3, seed=0), (20,), 50, 12, [50], [50]),
     # 100,867-float rows reach SPLIT_FLOATS: one stack a split half
     "mlp100k": (nn.mlp_model(784, 128, 3, seed=0), (784,), 10, 30, [5, 5], [5, 5]),
@@ -185,3 +190,29 @@ def test_the_stack_table_at_the_benchmark_shapes(request, monkeypatch, shape, wi
     # each model has 4 panels: two weights and two biases
     assert sorted(filtered) == sorted(_placed(panel_stacks, split) * 4)
     assert len(workers) == 2 * split
+
+
+def test_a_conv_train_all_peaks_below_the_screen_of_its_round(monkeypatch):
+    # STACK_FLOATS is two conv clients a stack because their train_all
+    # still traces a lower peak than the round's fang screen on the xai
+    # view, which sets the run's high-water mark: three clients a stack
+    # peak above it, and a cap raised that far would raise conv's peak RSS.
+    cfg = ExperimentConfig.from_file(os.path.join(ROOT, "perfbench", "workloads", "conv-fang-xai-dba.cfg"))
+    run = harness._prepare(cfg, True)
+    peaks = {}
+
+    def traced(name, fn):
+        def call(*args):
+            tracemalloc.start()
+            try:
+                return fn(*args)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        return call
+
+    monkeypatch.setattr(nn.LocalTraining, "train_all", traced("train_all", nn.LocalTraining.train_all))
+    monkeypatch.setattr(harness, "aggregate_round", traced("screen", harness.aggregate_round))
+    run.step()
+    assert 0 < peaks["train_all"] < peaks["screen"]
