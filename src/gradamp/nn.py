@@ -36,9 +36,11 @@ Kernels:
     same bits.
   * Client stacks.  ``forward`` and ``backward`` also run m models at once,
     a ``ModelParams`` whose (m, ...) weights view the rows of one (m, P)
-    matrix: dense and conv are stacked ``matmul``s, and relu, maxpool and
-    softmax work over the leading axes.  Each client's numbers are the
-    bits of its own one-model run.
+    matrix, or one theta broadcast to m rows: dense and conv are stacked
+    ``matmul``s, which take a broadcast's stride-0 stack axis through BLAS
+    (``_blas_ready`` copies only a broadcast conv weight), and relu,
+    maxpool and softmax work over the leading axes.  Each client's numbers
+    are the bits of its own one-model run.
   * The maxpool and the patch-max amplifier keep one running maximum:
     ``_fold_max`` is the running ``np.maximum`` of a block's k*k cells in
     row-major order, so a NaN block reduces to its first NaN;
@@ -84,7 +86,12 @@ Conventions:
     call the kernels.  ``_loss_value``, whose one caller is the probes,
     has no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
-    stack of clients with equal shard sizes, one seed each.
+    stack of clients with equal shard sizes, one seed each.  Every client
+    of a stack starts from the model's theta, so the first step's forward
+    and backward read one read-only ``np.broadcast_to`` of it, and the
+    step's gradient goes straight into the rows being trained; a gradient
+    buffer is allocated only when a second step follows.  The benchmark's
+    recipes take one step per client per round.
     ``LocalTraining`` is a run's recipe around it (epochs, batch size,
     learning rate, client seed).  Its one method, ``train_all``, trains
     shard j into row j on the stream ``rng_stream(seed, round, client)``,
@@ -727,12 +734,16 @@ def local_train(
     One client: ``features`` (n, ...), ``labels`` (n,) and one ``seed``
     give a (P,) row.  A stack of m clients with n samples each:
     ``features`` (m, n, ...), ``labels`` (m, n) and a list of m seeds give
-    an (m, P) matrix, written into ``out`` when given.  Each client draws
-    its batch order from its own seed, so its row has the bits of a
-    one-client call.  The stack's weights are views of the rows being
-    trained and its gradients views of one (m, P) buffer, so each step
-    moves the rows in place.  Steps that overflow (a huge learning rate)
-    train on without a numpy warning; the run reports the model diverged.
+    an (m, P) matrix, written into ``out`` when given, which must not
+    share memory with ``model.theta``.  Each client draws its batch order
+    from its own seed, so its row has the bits of a one-client call.  The
+    first step reads ``model.theta`` itself, broadcast to the stack, and
+    writes its gradient g into the rows, which become theta - lr * g with
+    the two roundings of theta's copy minus lr * g.  From the second step
+    the stack's weights are views of the rows and its gradients views of
+    one (m, P) buffer, so each step moves the rows in place.  Steps that
+    overflow (a huge learning rate) train on without a numpy warning; the
+    run reports the model diverged.
     """
     return _local_train(model, features, labels, epochs, batch_size, lr, seed, out, forward, backward)
 
@@ -751,7 +762,10 @@ def _local_train(
 ) -> np.ndarray:
     """``local_train``'s SGD with its forward and gradient steps as
     arguments: ``local_train`` passes the public ``forward`` and
-    ``backward``, and the runtime worker keeps the private kernels."""
+    ``backward``, and the runtime worker keeps the private kernels.  The
+    first step's work model views a read-only broadcast of theta and its
+    gradient buffer is ``out``; a second step builds the work model over
+    ``out`` and the one (m, P) gradient buffer the later steps fill."""
     stacked = isinstance(seed, list)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -771,19 +785,26 @@ def _local_train(
         out = np.empty(shape)
     elif out.shape != shape:
         raise ConfigError(f"out has shape {out.shape}, the stack needs {shape}")
+    elif np.may_share_memory(out, model.theta):
+        raise ConfigError("out shares memory with the model's theta, which the first step reads")
     rngs = [_rng(s) for s in seed]
-    out[...] = model.theta
-    grad = np.empty(shape)
-    work = ModelParams(model.layers, out)
+    orders = [np.stack([rng.permutation(n) for rng in rngs]) for _ in range(epochs)]
+    batches = [order[:, start : start + batch_size] for order in orders for start in range(0, n, batch_size)]
+    # The first step reads one read-only theta for the whole stack and
+    # writes its gradient into the rows themselves.
+    work = ModelParams(model.layers, np.broadcast_to(model.theta, shape))
+    grad = out
     rows = np.arange(m)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            for start in range(0, n, batch_size):
-                batch = order[:, start : start + batch_size]
-                trace = forward_step(work, features[rows, batch])
-                gradient_step(work, trace, labels[rows, batch], out=grad)
-                grad *= lr
+        for i, batch in enumerate(batches):
+            if i == 1:
+                work, grad = ModelParams(model.layers, out), np.empty(shape)
+            trace = forward_step(work, features[rows, batch])
+            gradient_step(work, trace, labels[rows, batch], out=grad)
+            grad *= lr
+            if i == 0:  # theta - lr * g, the bits of theta's copy minus lr * g
+                np.subtract(model.theta, out, out=out)
+            else:
                 out -= grad
         np.subtract(model.theta, out, out=out)
     return out if stacked else out[0]
@@ -858,9 +879,11 @@ class LocalTraining:
         stacks, half the numpy calls of one-client stacks, and peak below
         the round's screen (the table at ``STACK_FLOATS``).  Past that gate
         each split half trains whole stacks of up to ``SPLIT_STACK``
-        clients: on the 100,867-parameter MLP's 10 clients (2-vCPU VM) a
-        call took 8.1-8.5 ms split in one-client stacks, 6.6-7.1 ms in
-        2-client stacks and 5.8-6.3 ms in one 5-client stack a half.
+        clients: on the 100,867-parameter MLP's 10 clients (2-vCPU VM,
+        two alternated runs, median of 300 calls) a call took 5.8-6.0 ms
+        split in one-client stacks, 5.1-6.5 ms in 2-client stacks and
+        4.2-5.1 ms in one 5-client stack a half, against 6.6-8.3, 5.3-8.2
+        and 5.5-6.8 ms when each stack copied theta into its rows first.
 
         ``runtime.split`` may train the upper half of the stacks on its
         worker (the contract is in the ``runtime`` docstring), through

@@ -5,6 +5,7 @@ builds on."""
 import dataclasses
 import inspect
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -947,6 +948,100 @@ def test_local_train_update_is_before_minus_after():
     for a, b in zip(landed.layers, expect.layers):
         if a.weight is not None:
             assert np.allclose(a.weight, b.weight, atol=1e-15)
+
+
+def sgd_reference(model, features, labels, epochs, batch, lr, seeds):
+    """Plain SGD on a stack of clients, written out step by step: theta
+    copied into the rows, ``nn.forward``, ``nn.backward`` into a fresh
+    buffer, ``*= lr`` and ``-=``, then the update theta - w."""
+    m, n = labels.shape
+    w = np.empty((m, model.theta.size))
+    w[...] = model.theta
+    stack = nn.ModelParams(model.layers, w)
+    rngs = [rng_stream(*s) for s in seeds]
+    rows = np.arange(m)[:, None]
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        for start in range(0, n, batch):
+            b = order[:, start : start + batch]
+            grad = np.empty_like(w)
+            nn.backward(stack, nn.forward(stack, features[rows, b]), labels[rows, b], out=grad)
+            grad *= lr
+            w -= grad
+    return model.theta - w
+
+
+def assert_trains_like_the_reference(model, features, labels, epochs, batch, seeds, stacked=True):
+    want = sgd_reference(model, features, labels, epochs, batch, 0.1, seeds)
+    if stacked:
+        got = nn.local_train(model, features, labels, epochs, batch, 0.1, [rng_stream(*s) for s in seeds])
+    else:
+        got = nn.local_train(model, features[0], labels[0], epochs, batch, 0.1, rng_stream(*seeds[0]))[None]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("clients", [1, 3], ids=["one-client", "stack"])
+@pytest.mark.parametrize("epochs, batch", [(1, 64), (2, 3)], ids=["one-step", "ragged-steps"])
+@pytest.mark.parametrize(
+    "model, feature_shape",
+    [
+        (nn.mlp_model(5, 6, 3, seed=52), (5,)),
+        (nn.conv_model((1, 6, 6), 3, seed=53, filters=2), (1, 6, 6)),
+    ],
+    ids=["mlp", "conv"],
+)
+def test_local_train_keeps_the_bits_of_plain_sgd(model, feature_shape, epochs, batch, clients):
+    # 7 samples: one step at batch 64, and at batch 3 two epochs of three
+    # steps each, the last of one sample
+    rng = rng_stream(54)
+    features = rng.normal(size=(clients, 7, *feature_shape))
+    labels = rng.integers(0, 3, size=(clients, 7))
+    seeds = [(55, 0, c) for c in range(clients)]
+    assert_trains_like_the_reference(model, features, labels, epochs, batch, seeds, stacked=clients > 1)
+    if clients == 1:
+        assert_trains_like_the_reference(model, features, labels, epochs, batch, seeds)
+
+
+def test_a_one_step_stack_peaks_below_one_gradient_buffer():
+    # The benchmark's 784 -> 128 -> 3 MLP (P = 100,867), five clients of 30
+    # samples, batch 64: one step, whose forward and backward read one theta
+    # for the stack and whose gradient goes into the rows being trained.
+    model = nn.mlp_model(784, 128, 3, seed=56)
+    rng = rng_stream(57)
+    features = rng.normal(size=(5, 30, 784))
+    labels = rng.integers(0, 3, size=(5, 30))
+    out = np.empty((5, model.theta.size))
+    seeds = [rng_stream(58, 0, c) for c in range(5)]
+    tracemalloc.start()
+    try:
+        nn.local_train(model, features, labels, 1, 64, 0.1, seeds, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = out.nbytes  # one (m, P) float64 buffer
+    assert peak < limit, (peak, limit)
+    # several steps allocate the gradient buffer and keep the reference's bits
+    seeds = [(58, 1, c) for c in range(5)]
+    assert_trains_like_the_reference(model, features, labels, 2, 16, seeds)
+
+
+def test_local_train_refuses_an_out_that_overlaps_theta():
+    model = nn.mlp_model(4, 5, 3, seed=59)
+    rng = rng_stream(60)
+    features = rng.normal(size=(2, 6, 4))
+    labels = rng.integers(0, 3, size=(2, 6))
+    seeds = [rng_stream(61, 0, c) for c in range(2)]
+    with pytest.raises(ConfigError, match="shares memory"):
+        nn.local_train(model, features[0], labels[0], 1, 4, 0.1, seeds[0], out=model.theta[None])
+    # theta as one row of the stack it would train into
+    rows = np.zeros((2, model.theta.size))
+    held = nn.ModelParams(model.layers, rows[1])
+    with pytest.raises(ConfigError, match="shares memory"):
+        nn.local_train(held, features, labels, 1, 4, 0.1, seeds, out=rows)
+    # a stacked call leaves theta's bytes as they were
+    before = model.theta.tobytes()
+    nn.local_train(model, features, labels, 2, 4, 0.1, seeds)
+    assert model.theta.tobytes() == before
 
 
 def test_local_train_rejects_empty_shard():
