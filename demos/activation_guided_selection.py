@@ -20,8 +20,7 @@ def main():
     model = nn.conv_model((1, 8, 8), 3, seed=5, filters=6, kernel=3, pool=2)
     validation = data.subset(np.arange(30))
 
-    trace = nn.forward(model, validation.features)
-    alpha = nn.activation_weights(model, trace, validation.labels)
+    alpha = nn.activation_weights(model, validation.features, validation.labels)
     print("filter importance weights:")
     for k, a in enumerate(alpha):
         print(f"   filter {k}: {a:+.5f}")

@@ -216,7 +216,8 @@ def fang_whitelist(
     ``runtime.split`` hands whole probes (fold, forward, loss, error) to
     its worker under the contract in the ``runtime`` docstring; each half
     builds its own prefix by the same ascending adds, so every loss keeps
-    its bits.  The probes call ``nn``'s kernels, not its traced names.
+    its bits.  The probes call ``nn``'s kernels, not its traced names:
+    each forward is the trace-free ``nn._infer``.
     The shortcut (S - x_i) / (N - 1) is not used: a Byzantine client picks
     its own magnitude, and subtracting a huge x_i back out of S cancels
     away every other client's contribution.
@@ -259,13 +260,13 @@ def fang_whitelist(
                 probe += row
             probe *= scale
             np.subtract(theta, probe, out=probe)
-            trace = nn._forward(
+            logits, probs = nn._infer(
                 nn.ModelParams(model.layers, probe), validation.features, validation.cols
             )
-            loss = nn._loss_value(trace, validation.labels)
+            loss = nn._loss_value(probs, validation.labels)
             if math.isfinite(loss):
                 losses[i] = loss
-                errors[i] = np.mean(np.argmax(trace.logits, axis=1) != validation.labels)
+                errors[i] = np.mean(np.argmax(logits, axis=1) != validation.labels)
             else:
                 losses[i] = errors[i] = math.inf
 

@@ -36,10 +36,12 @@ the stacks on its worker (the contract is in the ``runtime`` docstring).
 The class-activation route scores each conv filter by its Grad-CAM
 weight, the spatial mean of d y / d A^k (y = batch-summed true-class
 logit), which ``nn.activation_weights`` reads off the gradient at the
-pooled output.  The route keeps the top ceil(top_p * filters) filters and
-emits the client's original conv weight gradients for those filters in
-rank order, read through the conv weight view of a model built on the
-client's row.
+pooled output: the validation batch runs only as far as the conv's pooled
+maps, with no relu, dense layer or softmax.  The route keeps the top
+ceil(top_p * filters) filters and emits the client's original conv weight
+gradients for those filters in rank order, read through one
+(N, filters, c*kh*kw) view of the update matrix: the conv weight is the
+first span of every row.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def xai_selection(
     top_p: float,
 ) -> np.ndarray:
     """Filters chosen after applying the flat ``update`` to the model and
-    running the clean validation batch through it (its ``cols`` when set):
-    rank filters by activation weight, descending, and keep the top
-    ceil(top_p * filters).  An overflowing update's forward and weights go
+    running the clean validation batch (its ``cols`` when set) through its
+    conv and pool, which is all ``nn.activation_weights`` reads: rank
+    filters by activation weight, descending, and keep the top
+    ceil(top_p * filters).  An overflowing update's maps and weights go
     non-finite without a numpy warning."""
     if model.conv_index() is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
@@ -168,8 +171,7 @@ def xai_selection(
         raise ConfigError("validation set is empty")
     updated = nn.apply_update(model, update)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = nn.forward(updated, validation.features, validation.cols)
-        alpha = nn.activation_weights(updated, trace, validation.labels)
+        alpha = nn.activation_weights(updated, validation.features, validation.labels, validation.cols)
     return select_top(alpha, top_p)
 
 
@@ -182,25 +184,26 @@ def amplify_xai(
 ) -> list[np.ndarray]:
     """Per client row: select filters via the client's updated model (or
     reuse a caller-supplied selection) and emit the client's original conv
-    weight gradients for those filters, read through the conv weight view
-    of ``nn.ModelParams(model.layers, row)``."""
-    ci = model.conv_index()
-    if ci is None:
+    weight gradients for those filters.  The conv weight is the first span
+    of a row, so one (N, filters, c*kh*kw) view of ``rows`` reads every
+    client's; restored rows are the rows of one zeroed (N, P) matrix."""
+    if model.conv_index() is None:
         raise ConfigError("activation-guided amplification needs a conv layer")
+    conv = model.layers[0].weight
+    grads = rows[:, : conv.size].reshape(len(rows), len(conv), -1)
+    restored = np.zeros(rows.shape) if config.restore_size else None
     out = []
-    for row in rows:
-        gw = nn.ModelParams(model.layers, row).layers[ci].weight
+    for i, row in enumerate(rows):
         sel = (
             np.asarray(fixed_selection, dtype=np.int64)
             if fixed_selection is not None
             else xai_selection(model, row, validation, config.top_p)
         )
-        if config.restore_size:
-            values = np.zeros_like(row)
-            nn.ModelParams(model.layers, values).layers[ci].weight[sel] = gw[sel]
+        if restored is None:
+            out.append(grads[i, sel].reshape(-1))
         else:
-            values = gw[sel].reshape(-1)
-        out.append(values)
+            restored[i, : conv.size].reshape(len(conv), -1)[sel] = grads[i, sel]
+            out.append(restored[i])
     return out
 
 

@@ -29,8 +29,9 @@ class Dataset:
     """Features, labels and the class count.  ``cols`` is ``features``
     already lowered for a run's conv model, ``nn.lower(model, features)``,
     in its pool's cell-major order (see ``nn``).  Each model a screen runs
-    the set through then skips the lowering, which would add about 50 us
-    to each 75 us forward of 100 samples on the benchmark's conv model.
+    the set through then skips the lowering, which would add about 140 us
+    to each 160 us trace-free forward of 100 samples on the benchmark's
+    conv model (median of 300 calls, 2-vCPU VM).
     Only its shape is checked.  The harness sets it once per run, on a
     conv model's validation set; every other set, a ``subset`` included,
     keeps None."""

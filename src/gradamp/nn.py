@@ -24,13 +24,21 @@ Kernels:
     one ``matmul`` writes each of the pool's k*k cell offsets as a
     contiguous (..., f, n*hp*wp) slab; pool 1 writes one slab.  Permuted
     columns keep each product column's bits.  The conv is the first layer,
-    so ``forward`` takes the columns ready-made (a validation
-    ``Dataset``'s ``cols``, lowered once per run by ``lower``) or lowers
-    the batch itself, and keeps none in the trace.  The backward lowers
-    the input again in sample order (k = 1): the weight gradient is
+    so a forward takes the columns ready-made (a validation ``Dataset``'s
+    ``cols``, lowered once per run by ``lower``) or lowers the batch
+    itself, and keeps none in the trace.  The backward lowers the input
+    again in sample order (k = 1): the weight gradient is
     d (..., f, n*ho*wo) times those columns transposed, the operands and
     bits of a sample-order forward.  It forms no gradient at the model
     input, so a conv never needs its input gradient.
+  * Two forwards.  ``_forward`` (``forward``) records every layer's input
+    for the backward.  ``_infer`` returns only the logits and probs, with
+    their bits, and serves every forward that reads nothing else: the
+    fang probes and ``predict``.  It pools the conv's maps at the conv,
+    so the relus between conv and pool run on the pooled maps: relu and
+    max commute bit for bit (``np.maximum`` returns its second operand,
+    +0.0, on ties of +-0.0, and a NaN block keeps its first NaN either
+    way), so the relu work shrinks by the pool's k*k.
   * The relu maxes against an array of +0.0: numpy 2.4 takes a scalar
     0.0 through a slower loop (32 against 14 us on 80k floats), with the
     same bits.
@@ -61,12 +69,17 @@ Kernels:
     payloads, infinities and -0.0 included, and writes +0.0 elsewhere
     (x * 0); the mask is cast in the ufunc's buffer, never as a whole
     int64 array.  The maxpool backward routes each block's gradient to its
-    kept cell this way, slab by slab, and the conv backward scatters the
-    slabs back to (n, ho, wo) order, the cropped positions +0.0.
+    kept cell this way, cell by cell, straight into the cell's strided
+    slice of the conv's sample-order maps, the cropped positions +0.0.
+    The relus between conv and pool act there too, as one mask
+    pooled > 0 on the pooled gradient: at a block's kept cell each relu's
+    mask x > 0 equals it, and the cells that get +0.0 keep it under any
+    0/1 mask.
 
 Conventions:
   * ``forward`` records each layer's input so ``backward`` can replay the
-    graph without autodiff.
+    graph without autodiff; the relus before the conv's pool record their
+    full maps, which the backward's routing reads.
   * A model's weights and biases are views into its one flat ``theta``.
     A client "update" is ``theta_before - theta_after`` as one flat float64
     row in ``ModelParams.theta`` order (``ModelParams(model.layers, row)``
@@ -83,8 +96,8 @@ Conventions:
     (``_local_train`` calls the forward and gradient steps it is handed).
     The benchmark traces the public names from one thread, so the jobs
     ``runtime.split`` may hand the worker (see the ``runtime`` docstring)
-    call the kernels.  ``_loss_value``, whose one caller is the probes,
-    has no public name.
+    call the kernels.  ``_infer`` and ``_loss_value``, whose callers are
+    ``predict`` and the probes, have no public name.
   * ``local_train`` is plain SGD, for one client from one seed or for a
     stack of clients with equal shard sizes, one seed each.  Every client
     of a stack starts from the model's theta, so the first step's forward
@@ -114,7 +127,9 @@ Conventions:
     pre-softmax logit of each sample's true class.  It takes only
     ``conv_model``'s layout and reads the weights off the gradient at the
     pooled output, one product with the dense weight, with no backward
-    pass and no maxpool routing.
+    pass and no maxpool routing.  It runs the batch only up to the conv's
+    pooled maps, whose mask pooled > 0 the relu leaves as it is, so no
+    relu, dense layer or softmax runs for it.
 """
 
 from __future__ import annotations
@@ -140,11 +155,12 @@ LAYER_KINDS = ("dense", "conv", "maxpool", "relu", "softmax")
 # model made the compact patch max 3-4x slower.  On the 683-parameter conv
 # model a client takes 59,183 floats (a 30-sample batch's trace), so this
 # cap trains its clients two to a stack.  tracemalloc peaks of one
-# train_all call against one aggregate_round, the fang screen on the xai
-# view (3,043 KB), of the same run:
-#     clients a stack    1      2      3      4
-#     train_all KB     2,040  2,714  4,061  5,408
-# Two stay under the screen's peak; three or four would set the run's.
+# train_all call of the benchmark's conv run, whose round peaks there: its
+# aggregate_round, the fang screen on the xai view, peaks at 1,015 KiB,
+# and peaked at 3,047 KiB while its forwards kept traces:
+#     clients a stack     1      2      3      4
+#     train_all KiB     1,755  2,335  3,489  4,643
+# Two stay under the traced screen's peak; three or four would pass it.
 STACK_FLOATS = 1 << 17
 
 # Most clients in one stack of rows of at least runtime.SPLIT_FLOATS
@@ -420,10 +436,13 @@ def _lower(x: np.ndarray, w: np.ndarray, k: int = 1) -> np.ndarray:
     return win.reshape(*stack, c * kh * kw, k * k * n * hp * wp)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray | None, k: int) -> np.ndarray:
     """Valid correlation of x (..., n, c, h, w) with w (..., f, c, kh, kw),
     plus b (..., f), one ``matmul`` per model over ``cols``, x's ``_lower``
-    for the conv's k-pool: the cell-major (..., f, k*k, n, hp, wp)."""
+    for the conv's k-pool (lowered here, and freed on return, when None):
+    the cell-major (..., f, k*k, n, hp, wp)."""
+    if cols is None:
+        cols = _lower(x, w, k)
     *stack, n, c, h, width = x.shape
     f, _, kh, kw = w.shape[-4:]
     hp, wp = (h - kh + 1) // k, (width - kw + 1) // k
@@ -477,6 +496,12 @@ def _pool(x: np.ndarray) -> np.ndarray:
     if math.prod(x.shape[-3:]) == 1:
         return _fold_max(_slabs(x))
     return np.maximum.reduce(x, axis=-4)
+
+
+def _pooled(x: np.ndarray) -> np.ndarray:
+    """The pooled maps (..., n, f, hp, wp), C-contiguous, of a cell-major
+    conv output."""
+    return np.ascontiguousarray(_pool(x).swapaxes(-4, -3))
 
 
 def _first_hits(cells: list[np.ndarray], best: np.ndarray):
@@ -541,12 +566,31 @@ def forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -
 
 
 def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) -> ForwardTrace:
+    inputs: list[np.ndarray] = []
+    logits, probs = _run(model, x, cols, inputs)
+    return ForwardTrace(inputs=inputs, logits=logits, probs=probs)
+
+
+def _infer(
+    model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The logits and probs of ``_forward``, bit for bit, with no trace:
+    the conv pools its maps at once, so the relus between it and its pool
+    run on the pooled maps (relu and max commute bit for bit)."""
+    return _run(model, x, cols, None)
+
+
+def _run(
+    model: ModelParams, x: np.ndarray, cols: np.ndarray | None, inputs: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The layers over x, each layer's input appended to ``inputs`` when it
+    is a list; without one the conv's maps are pooled at the conv."""
     act = np.asarray(x, dtype=np.float64)
     pool = _pool_after_conv(model.layers)
-    inputs: list[np.ndarray] = []
     logits = None
     for layer in model.layers:
-        inputs.append(act)
+        if inputs is not None:
+            inputs.append(act)
         if layer.kind == "dense":
             w = layer.weight
             flat = act.reshape(act.shape[: w.ndim - 1] + (-1,))
@@ -554,11 +598,11 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
                 raise ConfigError(f"dense layer expects {w.shape[-1]} inputs, got {flat.shape[-1]}")
             act = flat @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
         elif layer.kind == "conv":
-            cols = _lower(act, layer.weight, pool) if cols is None else cols
             act = _conv_forward(act, layer.weight, layer.bias, cols, pool)
-            cols = None  # freed before the relu and maxpool allocate
-        elif layer.kind == "maxpool":
-            act = np.ascontiguousarray(_pool(act).swapaxes(-4, -3))
+            if inputs is None:
+                act = _pooled(act)
+        elif layer.kind == "maxpool" and inputs is not None:
+            act = _pooled(act)
         elif layer.kind == "relu":  # an array operand: the fast loop, the same bits
             zero = np.zeros(act.shape)
             act = np.maximum(act, zero, out=zero)
@@ -567,7 +611,7 @@ def _forward(model: ModelParams, x: np.ndarray, cols: np.ndarray | None = None) 
             shifted = act - act.max(axis=-1, keepdims=True)
             e = np.exp(shifted)
             act = e / e.sum(axis=-1, keepdims=True)
-    return ForwardTrace(inputs=inputs, logits=logits, probs=act)
+    return logits, act
 
 
 def _backprop(
@@ -582,7 +626,7 @@ def _backprop(
     """
     out = np.empty_like(model.theta) if out is None else out
     grads = [(v.weight, v.bias) for v in _views(model.layers, out, model.theta.ndim - 1)]
-    pool = _pool_after_conv(model.layers)
+    routed = False  # below the maxpool, d is at the conv's maps
     d = dlogits  # already the gradient at the softmax layer's input
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -595,8 +639,6 @@ def _backprop(
             if i > 0:
                 d = (d @ w).reshape(x.shape)
         elif layer.kind == "conv":
-            kh, kw = gw.shape[-2:]
-            d = _unslab(d, pool, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1)
             # d (..., f, n*ho*wo) times the transposed sample-order columns.
             # Lowering x again gives them as a copy, transposed into a C copy,
             # or for a 1x1 kernel on a batch of one as a view of x, which BLAS
@@ -610,14 +652,28 @@ def _backprop(
             d.sum(axis=(-4, -2, -1), out=gb)
         elif i == 0:
             pass  # no gradient at the model input
-        elif layer.kind == "relu":
+        elif layer.kind == "relu" and not routed:
             d = d * (x > 0.0)
         elif layer.kind == "maxpool":
-            # d and the pooled maps in the slabs' (..., f, n, hp, wp) order
-            dx = np.empty(x.shape)
+            # d and the pooled maps in the slabs' (..., f, n, hp, wp) order,
+            # where the routing runs faster.  The chain's relus pass d where
+            # the pooled value is > 0: a block's gradient reaches only its
+            # kept cell, where each relu's mask x > 0 equals pooled > 0, and
+            # every other cell gets +0.0, which a 0/1 mask leaves +0.0.  Each
+            # cell then routes straight into its strided slice of the conv's
+            # maps, zeroed first only where the pool crops.
             best = np.ascontiguousarray(trace.inputs[i + 1].swapaxes(-4, -3))
-            _route(np.ascontiguousarray(d.swapaxes(-4, -3)), _slabs(x), _slabs(dx), best)
-            d = dx
+            d = np.ascontiguousarray(d.swapaxes(-4, -3))
+            if i > 1:
+                d *= best > 0.0
+            k, (*stack, f, _, n, hp, wp) = layer.pool, x.shape
+            kh, kw = model.layers[0].weight.shape[-2:]
+            ho, wo = trace.inputs[0].shape[-2] - kh + 1, trace.inputs[0].shape[-1] - kw + 1
+            maps = (np.empty if (ho, wo) == (hp * k, wp * k) else np.zeros)((*stack, f, n, ho, wo))
+            dests = [maps[..., a : hp * k : k, b : wp * k : k] for a in range(k) for b in range(k)]
+            _route(d, _slabs(x), dests, best)
+            d = maps.swapaxes(-4, -3)  # (..., n, f, ho, wo), f-major in memory
+            routed = True
     return grads
 
 
@@ -631,24 +687,12 @@ def _route(d: np.ndarray, cells: list[np.ndarray], dests: list[np.ndarray], best
         np.multiply(bits, hit, out=dest.view(np.int64))
 
 
-def _unslab(d: np.ndarray, k: int, ho: int, wo: int) -> np.ndarray:
-    """The cell-major gradient d (..., f, k*k, n, hp, wp) at a conv output
-    as its maps (..., n, f, ho, wo), f-major in memory, with +0.0 at the
-    positions the pool cropped."""
-    *stack, f, _, n, hp, wp = d.shape
-    maps = np.zeros((*stack, f, n, ho, wo))
-    for c, slab in enumerate(_slabs(d)):
-        a, b = divmod(c, k)
-        maps[..., a : hp * k : k, b : wp * k : k] = slab
-    return maps.swapaxes(-4, -3)
-
-
-def _onehot(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+def _onehot(labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The one-hot rows, shaped like the probs ``shape``, of ``labels``."""
     labels = np.asarray(labels)
-    probs = trace.probs
-    if labels.shape != probs.shape[:-1]:
-        raise ConfigError(f"labels of shape {labels.shape} for a batch of {probs.shape[:-1]}")
-    onehot = np.zeros(probs.shape)
+    if labels.shape != shape[:-1]:
+        raise ConfigError(f"labels of shape {labels.shape} for a batch of {shape[:-1]}")
+    onehot = np.zeros(shape)
     np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
     return onehot
 
@@ -664,37 +708,43 @@ def backward(
 def _backward(
     model: ModelParams, trace: ForwardTrace, labels: np.ndarray, out: np.ndarray | None = None
 ) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    onehot = _onehot(trace, labels)
+    onehot = _onehot(labels, trace.probs.shape)
     dlogits = (trace.probs - onehot) / onehot.shape[-2]
     return _backprop(model, trace, dlogits, out)
 
 
-def activation_weights(model: ModelParams, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+def activation_weights(
+    model: ModelParams, x: np.ndarray, labels: np.ndarray, cols: np.ndarray | None = None
+) -> np.ndarray:
     """Per-filter Grad-CAM weight, the spatial mean of d y / d A over the
-    conv output A (see the module docstring), for ``conv_model``'s layout
-    conv -> relu -> maxpool -> dense -> softmax.
+    conv output A (see the module docstring), of ``conv_model``'s layout
+    conv -> relu -> maxpool -> dense -> softmax on the batch x, whose
+    columns are ``cols`` when given.
 
     The gradient G at the pooled output is the one-hot labels times the
     dense weight, the product the backward makes at the dense layer.  Each
     pooled cell's gradient reaches exactly one conv position, and the relu
     passes it there iff the pooled value is > 0, so the sum over positions
-    is that of G * [pooled > 0] and no routing pass is needed.  The mask is
-    a product, as in the relu backward, so a NaN in G still propagates.
-    The mean divides by the conv output's full H*W, cropped trailing cells
-    included."""
+    is that of G * [pooled > 0] and no routing pass is needed.  The relu
+    leaves that mask as it is, so the run stops at the conv's pooled maps:
+    no relu, dense layer or softmax runs.  The mask is a product, as in
+    the relu backward, so a NaN in G still propagates.  The mean divides
+    by the conv output's full H*W, cropped trailing cells included."""
     if [layer.kind for layer in model.layers] != ["conv", "relu", "maxpool", "dense", "softmax"]:
         raise ConfigError("activation weights need conv -> relu -> maxpool -> dense -> softmax")
-    pooled = trace.inputs[3]
-    g = (_onehot(trace, labels) @ model.layers[3].weight).reshape(pooled.shape)
-    kh, kw = model.layers[0].weight.shape[-2:]
-    h, w = trace.inputs[0].shape[-2] - kh + 1, trace.inputs[0].shape[-1] - kw + 1
+    conv, dense = model.layers[0], model.layers[3]
+    x = np.asarray(x, dtype=np.float64)
+    pooled = _pooled(_conv_forward(x, conv.weight, conv.bias, cols, model.layers[2].pool))
+    g = (_onehot(labels, pooled.shape[:-3] + dense.weight.shape[:1]) @ dense.weight).reshape(pooled.shape)
+    kh, kw = conv.weight.shape[-2:]
+    h, w = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
     return (g * (pooled > 0.0)).sum(axis=(0, 2, 3)) / (h * w)
 
 
-def _loss_value(trace: ForwardTrace, labels: np.ndarray) -> float:
-    """Mean cross-entropy of a traced batch (probabilities floored at 1e-300)."""
+def _loss_value(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of a batch's probs (floored at 1e-300)."""
     labels = np.asarray(labels)
-    picked = trace.probs[np.arange(trace.probs.shape[0]), labels]
+    picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
@@ -702,7 +752,7 @@ def predict(model: ModelParams, features: np.ndarray) -> np.ndarray:
     """Each sample's argmax class; a model gone non-finite predicts without
     a numpy warning (the run reports it as diverged)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.argmax(forward(model, features).logits, axis=1)
+        return np.argmax(_infer(model, features)[0], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +926,8 @@ class LocalTraining:
         its P parameters plus the forward trace of one batch: on a conv
         model the trace, not the parameters, is most of what a step holds.
         The benchmark conv model's 10 clients train as 5 two-client
-        stacks, half the numpy calls of one-client stacks, and peak below
-        the round's screen (the table at ``STACK_FLOATS``).  Past that gate
+        stacks, half the numpy calls of one-client stacks, and set the
+        round's peak (the table at ``STACK_FLOATS``).  Past that gate
         each split half trains whole stacks of up to ``SPLIT_STACK``
         clients: on the 100,867-parameter MLP's 10 clients (2-vCPU VM,
         two alternated runs, median of 300 calls) a call took 5.8-6.0 ms

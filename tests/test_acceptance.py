@@ -100,7 +100,7 @@ FD_STEP = 1e-5
 
 def _fd_param_gradient(model, x, y):
     def loss_at(m):
-        return nn._loss_value(nn.forward(m, x), y)
+        return nn._loss_value(nn.forward(m, x).probs, y)
 
     out = np.zeros(model.theta.size)
     for j in range(out.size):
@@ -149,7 +149,7 @@ def test_analytic_gradients_match_finite_differences():
             up[:, k, i, j] += FD_STEP
             down[:, k, i, j] -= FD_STEP
             numeric[k, i, j] = (score(up) - score(down)) / (2.0 * FD_STEP)
-        alpha = nn.activation_weights(model, trace, y)
+        alpha = nn.activation_weights(model, x, y)
         worst_f = max(worst_f, _rel_err(alpha, numeric.mean(axis=(1, 2))))
     elapsed = time.perf_counter() - t0
     ok = count <= 200 and worst_p <= 1e-4 and worst_f <= 1e-4 and elapsed < 30.0

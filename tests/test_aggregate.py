@@ -338,7 +338,7 @@ def test_fang_that_would_keep_no_client_fails_before_probing(monkeypatch):
     def probe(*args, **kwargs):
         raise AssertionError("probed")
 
-    monkeypatch.setattr(nn, "forward", probe)
+    monkeypatch.setattr(nn, "_infer", probe)
     with pytest.raises(ConfigError, match=r"0\.95 rejects all 10 clients"):
         fang_whitelist([same] * 10, model, val, assumed_malicious=0.95)
 
@@ -355,7 +355,7 @@ def naive_leave_one_out_losses(rows, model, val):
             acc = acc + rows[j]
         mean = acc * (1.0 / len(others))
         trace = nn.forward(nn.apply_update(model, mean), val.features)
-        losses.append(nn._loss_value(trace, val.labels))
+        losses.append(nn._loss_value(trace.probs, val.labels))
     return np.array(losses)
 
 

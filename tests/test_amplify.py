@@ -303,15 +303,16 @@ def test_both_mask_selects_keep_the_kept_bits_and_write_positive_zero():
 
     # Maxpool: a finite conv output with the same kept cells, as the conv
     # writes it, one (f, n, hp, wp) slab per cell of the 2x2 blocks, and
-    # the patterns as the pooled gradient.  The conv backward scatters the
-    # routed slabs back to the maps, with a trailing row and column the
-    # pool cropped.
+    # the patterns as the pooled gradient.  The maxpool backward routes
+    # each cell's blocks straight into its strided slice of the zeroed
+    # maps, which keep a trailing row and column the pool cropped.
     signs = np.where(kept, 1.0, -1.0)
     x_pool = np.stack([signs[a::2, b::2] for a in range(2) for b in range(2)]).reshape(1, 4, 1, 1, -1)
-    dx = np.empty(x_pool.shape)
+    maps = np.zeros((1, 1, 3, 2 * len(patterns) + 1))
+    hp, wp = x_pool.shape[-2:]
+    dests = [maps[..., a : hp * 2 : 2, b : wp * 2 : 2] for a in range(2) for b in range(2)]
     best = nn._fold_max(nn._slabs(x_pool))
-    nn._route(patterns.reshape(1, 1, 1, -1), nn._slabs(x_pool), nn._slabs(dx), best)
-    maps = nn._unslab(dx, 2, 3, 2 * len(patterns) + 1)
+    nn._route(patterns.reshape(1, 1, 1, -1), nn._slabs(x_pool), dests, best)
     expect_pool = np.zeros((1, 1, 3, 2 * len(patterns) + 1))
     expect_pool[0, 0, :2, :-1] = expect
     assert maps.view(np.int64).tolist() == expect_pool.view(np.int64).tolist()
@@ -460,8 +461,7 @@ def test_xai_selection_matches_weight_ranking():
         model, val, updates = xai_setup(seed, filters=6)
         for update in updates:
             updated = nn.apply_update(model, update)
-            trace = nn.forward(updated, val.features)
-            alpha = nn.activation_weights(updated, trace, val.labels)
+            alpha = nn.activation_weights(updated, val.features, val.labels)
             for top_p in (0.2, 0.5, 0.75, 1.0):
                 assert np.array_equal(
                     xai_selection(model, update, val, top_p), select_top(alpha, top_p)

@@ -307,8 +307,8 @@ def test_every_traced_call_enters_on_the_main_thread(
     assert calls["aggregate.fang_whitelist"] == 5
     # 5 training calls of 4 one-client stacks: this thread trains the lower
     # two of each, one batch a client, and the worker the upper two through
-    # the kernels; the checkpoint predictions add the rest of the forwards
-    assert calls["nn.local_train"] == 10 and calls["nn.forward"] > 10
+    # the kernels; the checkpoint predictions and the probes run trace-free
+    assert calls["nn.local_train"] == 10 and calls["nn.forward"] == 10
     assert strays == []
 
 

@@ -23,7 +23,7 @@ FD_TOL = 1e-4
 
 def fd_loss(model, features, labels):
     trace = nn.forward(model, features)
-    return nn._loss_value(trace, labels)
+    return nn._loss_value(trace.probs, labels)
 
 
 def perturbed(model, index, delta):
@@ -172,9 +172,8 @@ def test_conv_backward_routes_pooled_ties_to_the_first_max():
 def test_capture_without_conv_layer_raises():
     model = nn.mlp_model(4, 3, 2, seed=0)
     x = rng_stream(11).normal(size=(2, 4))
-    trace = nn.forward(model, x)
     with pytest.raises(ConfigError):
-        nn.activation_weights(model, trace, np.array([0, 1]))
+        nn.activation_weights(model, x, np.array([0, 1]))
 
 
 def test_perfect_predictions_give_zero_gradient():
@@ -496,6 +495,160 @@ def test_the_relu_zero_operand_keeps_the_bits_of_the_scalar():
         assert_same_bits(nn.forward(relu, x[None]).inputs[1][0], np.maximum(x, 0.0))
 
 
+# Conv chains for the bit tests of the trace-free forward and the conv
+# backward: (input, samples, filters, kernel, pool, relus before the
+# pool, stack).  A 1x1 kernel is an identity conv.
+CHAIN_CASES = {
+    "pool1": ((2, 6, 7), 5, 3, 2, 1, 1, ()),
+    "pool2": ((1, 9, 9), 4, 4, 2, 2, 1, ()),
+    "pool3": ((1, 11, 8), 3, 2, 3, 3, 1, ()),
+    "pool3-cropped": ((2, 8, 11), 3, 3, 2, 3, 1, ()),
+    "identity-cropped": ((1, 7, 9), 4, 2, 1, 2, 1, ()),
+    "one-entry-slab": ((1, 4, 4), 1, 3, 3, 2, 1, ()),
+    "no-relu": ((1, 7, 9), 4, 2, 1, 2, 0, ()),
+    "two-relus": ((1, 9, 9), 4, 4, 2, 2, 2, ()),
+    "stack": ((2, 8, 11), 3, 3, 2, 3, 1, (3,)),
+    "stack-identity-two-relus": ((1, 7, 9), 2, 2, 1, 2, 2, (2,)),
+    "stack-one-entry-slab": ((1, 4, 4), 1, 3, 3, 2, 1, (2,)),
+}
+
+
+def with_specials(rng, shape, share):
+    """Normal draws rounded to one decimal (ties, zeros of both signs),
+    about ``share`` of them replaced by SPECIAL_BITS."""
+    x = np.round(rng.normal(size=shape), 1)
+    hit = rng.random(shape) < share
+    x[hit] = rng.choice(SPECIAL_BITS, size=int(hit.sum()))
+    return x
+
+
+def case_model(case, share):
+    """The model of a CHAIN_CASES row, or a 6 -> 5 -> 3 MLP for "mlp", and
+    a batch for it with ``share`` special entries, and the case's rng.  The
+    conv's bias is -0.0, which keeps its -0.0 outputs, and with more than
+    one sample the first is zeros of both signs: blocks tied at +-0.0."""
+    rng = rng_stream(64, [*CHAIN_CASES, "mlp"].index(case))
+    if case == "mlp":
+        return nn.mlp_model(6, 5, 3, seed=rng), with_specials(rng, (7, 6), share), rng
+    in_shape, n, f, kernel, pool, relus, stack = CHAIN_CASES[case]
+    hp, wp = nn.pooled_shape(in_shape, kernel, pool)
+    layers = [
+        nn.Layer("conv", np.zeros((f, in_shape[0], kernel, kernel)), np.zeros(f)),
+        *[nn.Layer("relu") for _ in range(relus)],
+        nn.Layer("maxpool", pool=pool),
+        nn.Layer("dense", np.zeros((3, f * hp * wp)), np.zeros(3)),
+        nn.Layer("softmax"),
+    ]
+    model = nn.ModelParams(layers, rng.normal(size=(*stack, nn.ModelParams(layers).theta.size)))
+    conv = model.layers[0]
+    if kernel == 1:
+        conv.weight[...] = 1.0
+    conv.bias[...] = -0.0
+    x = with_specials(rng, (*stack, n, *in_shape), share)
+    if n > 1:
+        x[..., 0, :, :, :] = rng.choice([0.0, -0.0], size=(*stack, *in_shape))
+    return model, x, rng
+
+
+@pytest.mark.parametrize("share", [0.0, 0.05], ids=["finite", "special"])
+@pytest.mark.parametrize("case", [*CHAIN_CASES, "mlp"])
+def test_the_trace_free_forward_keeps_the_bits_of_the_traced_one(case, share):
+    # _infer pools the conv's maps before its chain's relus: relu and max
+    # commute bit for bit (np.maximum returns its second operand, +0.0, on
+    # ties of +-0.0, and a NaN block keeps its first NaN in fold order).
+    model, x, _ = case_model(case, share)
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = nn.forward(model, x)
+        for cols in (None, nn.lower(model, x)) if case != "mlp" else (None,):
+            logits, probs = nn._infer(model, x, cols)
+            assert_same_bits(logits, trace.logits)
+            assert_same_bits(probs, trace.probs)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.05], ids=["finite", "special"])
+@pytest.mark.parametrize("case", [c for c, row in CHAIN_CASES.items() if row[5] == 1 and not row[6]])
+def test_the_activation_weights_keep_the_bits_of_the_traced_pooled_maps(case, share):
+    # The weights stop at the conv's pooled maps before the relu, whose
+    # mask pooled > 0 is the relu'd maps' mask.  A NaN and an infinite
+    # dense weight put NaN and inf into the gradient at the pooled maps,
+    # where a mask of 0 gives NaN, as the relu backward's product does.
+    model, x, rng = case_model(case, share)
+    dense = model.layers[3].weight
+    dense[0, 0], dense[1, -1] = np.nan, np.inf
+    y = np.arange(len(x)) % 3
+    with np.errstate(invalid="ignore", over="ignore"):
+        pooled = nn.forward(model, x).inputs[3]
+        g = (np.eye(3)[y] @ dense).reshape(pooled.shape)
+        kernel = model.layers[0].weight.shape[-1]
+        maps = (x.shape[-2] - kernel + 1) * (x.shape[-1] - kernel + 1)
+        want = (g * (pooled > 0.0)).sum(axis=(0, 2, 3)) / maps
+        assert np.isnan(want).any()
+        for cols in (None, nn.lower(model, x)):
+            assert_same_bits(nn.activation_weights(model, x, y, cols), want)
+
+
+def unslabbed_backprop(model, trace, dlogits):
+    """The gradients by the conv chain's earlier backward: each block's
+    gradient routed into a cell-major dx, the full-size relu backward
+    d * (x > 0) over it, and the slabs scattered to the sample-order
+    maps, +0.0 where the pool crops."""
+    out = np.empty_like(model.theta)
+    grads = [(v.weight, v.bias) for v in nn._views(model.layers, out, model.theta.ndim - 1)]
+    d = dlogits
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, x, (gw, gb) = model.layers[i], trace.inputs[i], grads[i]
+        if layer.kind == "dense":
+            np.matmul(d.swapaxes(-1, -2), x.reshape(x.shape[: layer.weight.ndim - 1] + (-1,)), out=gw)
+            d.sum(axis=-2, out=gb)
+            d = (d @ layer.weight).reshape(x.shape)
+        elif layer.kind == "relu":
+            d = d * (x > 0.0)
+        elif layer.kind == "maxpool":
+            dx = np.empty(x.shape)
+            best = np.ascontiguousarray(trace.inputs[i + 1].swapaxes(-4, -3))
+            nn._route(np.ascontiguousarray(d.swapaxes(-4, -3)), nn._slabs(x), nn._slabs(dx), best)
+            d, k = dx, layer.pool
+        elif layer.kind == "conv":
+            *stack, f, _, n, hp, wp = d.shape
+            kh, kw = gw.shape[-2:]
+            maps = np.zeros((*stack, f, n, x.shape[-2] - kh + 1, x.shape[-1] - kw + 1))
+            for c, slab in enumerate(nn._slabs(d)):
+                a, b = divmod(c, k)
+                maps[..., a : hp * k : k, b : wp * k : k] = slab
+            d = maps.swapaxes(-4, -3)
+            cols = nn._lower(x, layer.weight)
+            cols_t = cols.swapaxes(-1, -2)
+            if not np.may_share_memory(cols, x):
+                cols_t = np.ascontiguousarray(cols_t)
+            dm = maps.reshape(*stack, f, -1)
+            gw[...] = np.matmul(nn._blas_ready(dm), nn._blas_ready(cols_t)).reshape(gw.shape)
+            d.sum(axis=(-4, -2, -1), out=gb)
+    return grads
+
+
+@pytest.mark.parametrize("share", [0.0, 0.05], ids=["finite", "special"])
+@pytest.mark.parametrize("case", [*CHAIN_CASES, "mlp"])
+def test_the_conv_backward_keeps_the_bits_of_the_unslabbed_chain(case, share):
+    # The backward masks the pooled gradient by pooled > 0 and routes it
+    # straight into the sample-order maps: at each block's kept cell every
+    # relu's mask x > 0 equals pooled > 0, and the other cells take +0.0,
+    # which the masks leave +0.0.  Finite data keeps the gradients finite,
+    # so a misrouted or unmasked entry shows; special data checks the
+    # NaN payloads and infinities.
+    model, x, rng = case_model(case, share)
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = nn.forward(model, x)
+        dlogits = with_specials(rng, trace.probs.shape, share)
+        got = nn._backprop(model, trace, dlogits)
+        want = unslabbed_backprop(model, trace, dlogits)
+    if share == 0.0:
+        assert np.isfinite(model.theta).all() and np.isfinite(want[0][0]).all()
+    for pair, want_pair in zip(got, want):
+        for g, w in zip(pair, want_pair):
+            if w is not None:
+                assert_same_bits(g, w)
+
+
 def routed_maps(conv_out, first, g):
     """The gradient at the conv output when each pooled cell's gradient g
     goes to the position ``first`` routes it to, through the relu mask."""
@@ -562,7 +715,7 @@ def test_the_cell_major_pool_matches_naive_loops_on_cropped_maps(pool, size):
     np.testing.assert_allclose(grads[0][0], gw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[0][1], gb, rtol=1e-12, atol=1e-12)
     # Grad-CAM reads the same routing; a NaN block passes nothing
-    np.testing.assert_allclose(nn.activation_weights(model, trace, y), cam, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(nn.activation_weights(model, x, y), cam, rtol=1e-12, atol=0.0)
 
     m = 3
     clients = [client(rng) for _ in range(m)]
@@ -623,7 +776,7 @@ def test_activation_weights_match_the_walk(pool):
         pooled = trace.inputs[3]
         assert np.isnan(pooled[1, :, 0, 0]).all() and np.isnan(pooled).sum() == 6
 
-        alpha = nn.activation_weights(model, trace, y)
+        alpha = nn.activation_weights(model, x, y)
         walk = naive_grad_cam(model, trace, y)
         assert alpha[0] == 0.0 and alpha[2] == 0.0 and np.isfinite(alpha).all()
         np.testing.assert_allclose(alpha, walk, rtol=1e-12, atol=0.0)
@@ -633,7 +786,7 @@ def test_activation_weights_match_the_walk(pool):
         # A NaN dense weight gives a NaN gradient at one pooled cell of
         # every sample; both forms carry it into that filter's weight.
         model.layers[3].weight[0, 0] = np.nan
-        nan_alpha = nn.activation_weights(model, trace, y)
+        nan_alpha = nn.activation_weights(model, x, y)
         nan_walk = naive_grad_cam(model, trace, y)
         assert np.isnan(nan_alpha).tolist() == [True] + [False] * 5
         np.testing.assert_allclose(nan_alpha, nan_walk, rtol=1e-12, atol=0.0)
@@ -643,9 +796,8 @@ def test_activation_weights_need_relu_then_maxpool_after_the_conv():
     rng = rng_stream(38)
     x = rng.normal(size=(2, 1, 5, 5))
     model = nn.ModelParams(conv_head(rng.normal(size=(2, 1, 3, 3)), np.zeros(2), rng, 18))
-    trace = nn.forward(model, x)
     with pytest.raises(ConfigError, match="relu -> maxpool"):
-        nn.activation_weights(model, trace, np.array([0, 1]))
+        nn.activation_weights(model, x, np.array([0, 1]))
 
 
 def test_model_validation():

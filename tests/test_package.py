@@ -144,3 +144,16 @@ def test_only_the_patch_max_folds_strided_cells():
     for path in sorted(SRC.glob("*.py")):
         callers += _named_in(ast.parse(path.read_text()), path.stem, "_cell_views")
     assert sorted(callers) == ["nn._block_keep", "nn._block_max"]
+
+
+def test_no_screen_or_evaluation_keeps_a_training_trace():
+    # The screens and the checkpoint metrics read only logits, probs or the
+    # pooled maps, so they run nn's trace-free forwards: none may grow back
+    # a training trace, which keeps every layer's input alive, the conv's
+    # full relu maps included.
+    traced = []
+    for stem in ("aggregate", "amplify", "metrics"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        traced += _named_in(tree, stem, "forward", owner="nn")
+        traced += _named_in(tree, stem, "_forward", owner="nn")
+    assert traced == []

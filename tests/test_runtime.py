@@ -192,11 +192,18 @@ def test_the_stack_table_at_the_benchmark_shapes(request, monkeypatch, shape, wi
     assert len(workers) == 2 * split
 
 
-def test_a_conv_train_all_peaks_below_the_screen_of_its_round(monkeypatch):
-    # STACK_FLOATS is two conv clients a stack because their train_all
-    # still traces a lower peak than the round's fang screen on the xai
-    # view, which sets the run's high-water mark: three clients a stack
-    # peak above it, and a cap raised that far would raise conv's peak RSS.
+# tracemalloc peak, in bytes, of one conv-fang-xai-dba round's fang screen
+# on the xai view while its selections and probes ran traced forwards,
+# which held the conv's full relu maps: then the run's high-water mark.
+TRACED_SCREEN_PEAK = 3_119_888
+
+
+def test_a_conv_train_all_peaks_above_its_screen_and_below_the_traced_screen(monkeypatch):
+    # The selections and probes run trace-free, so two-client train_all
+    # stacks set the round's peak, and STACK_FLOATS stays at two conv
+    # clients a stack because their peak stays below the traced screen's:
+    # three clients a stack peak above it, and a cap raised that far would
+    # raise conv's peak RSS.
     cfg = ExperimentConfig.from_file(os.path.join(ROOT, "perfbench", "workloads", "conv-fang-xai-dba.cfg"))
     run = harness._prepare(cfg, True)
     peaks = {}
@@ -215,4 +222,4 @@ def test_a_conv_train_all_peaks_below_the_screen_of_its_round(monkeypatch):
     monkeypatch.setattr(nn.LocalTraining, "train_all", traced("train_all", nn.LocalTraining.train_all))
     monkeypatch.setattr(harness, "aggregate_round", traced("screen", harness.aggregate_round))
     run.step()
-    assert 0 < peaks["train_all"] < peaks["screen"]
+    assert 0 < peaks["screen"] < peaks["train_all"] < TRACED_SCREEN_PEAK
